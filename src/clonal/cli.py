@@ -301,6 +301,12 @@ def cmd_adequacy(args) -> int:
     return OK if report.ok else FAIL
 
 
+# Default term-size bound of enumerate and adequacy.  The number of terms
+# grows about eightfold per size: adequacy takes well under a second at 5
+# and about twenty at 7, and the search default of 2000 exhausts memory.
+SIZE_BUDGET = 5
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clonal",
@@ -315,7 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--variant", choices=("stlc", "bool", "gs"), default="bool",
             help="stock theory to use when no bundle file is given",
         )
-        p.add_argument("--budget", type=int, default=2000, help="node/size budget")
+        p.add_argument(
+            "--budget", type=int, default=2000,
+            help="search node budget; term-size bound for enumerate and adequacy "
+            "(default: %(default)s)",
+        )
         p.add_argument("--depth", type=int, default=4, help="enumeration depth")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--witness", action="store_true", help="emit proof objects")
@@ -355,11 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="closed or open terms up to a size bound")
     common(p)
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, budget=SIZE_BUDGET)
 
     p = sub.add_parser("adequacy", help="set-model adequacy harness")
     common(p)
-    p.set_defaults(func=cmd_adequacy)
+    p.set_defaults(func=cmd_adequacy, budget=SIZE_BUDGET)
     return parser
 
 

@@ -46,9 +46,29 @@ class FoVar:
 
 @dataclass(frozen=True)
 class FoOp:
+    """An operator node.  Its hash and node count are computed on first use
+    and stored on the node (not fields: equality, ``repr`` and pattern
+    matching see only name, sort arguments and arguments), so a term is
+    hashed once however often it is probed, and terms that are never hashed
+    cost nothing extra."""
+
     name: str
     sort_args: tuple[Sort, ...]
     args: tuple["FoTerm", ...]
+
+    _hash = None
+    _size = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.name, self.sort_args, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        # string hashes differ between processes, so a copy recomputes them
+        return {"name": self.name, "sort_args": self.sort_args, "args": self.args}
 
     def __str__(self) -> str:
         inst = "" if not self.sort_args else "[" + ",".join(map(str, self.sort_args)) + "]"
@@ -59,9 +79,14 @@ FoTerm = FoVar | FoOp
 
 
 def fo_size(t: FoTerm) -> int:
+    """Node count, stored on each operator node once computed."""
     if isinstance(t, FoVar):
         return 1
-    return 1 + sum(fo_size(a) for a in t.args)
+    n = t._size
+    if n is None:
+        n = 1 + sum(fo_size(a) for a in t.args)
+        object.__setattr__(t, "_size", n)
+    return n
 
 
 def op(name: str, *args: FoTerm, sorts: tuple[Sort, ...] = ()) -> FoOp:
@@ -97,20 +122,29 @@ class FoOpSchema:
 class FoSignature:
     sort_set: SortSet
     operators: tuple[FoOpSchema, ...]
+    # lookup tables, built at construction and filled as instances are used
+    _by_name: dict = field(init=False, repr=False, compare=False)
+    _arities: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [o.name for o in self.operators]
-        if len(names) != len(set(names)):
+        by_name = {o.name: o for o in self.operators}
+        if len(by_name) != len(self.operators):
             raise CloneError("duplicate operator names in signature")
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_arities", {})
 
     def schema(self, name: str) -> FoOpSchema:
-        for o in self.operators:
-            if o.name == name:
-                return o
-        raise FoSortError(f"unknown operator {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise FoSortError(f"unknown operator {name!r}") from None
 
     def arity(self, name: str, sort_args: tuple[Sort, ...]) -> tuple[Context, Sort]:
-        return self.schema(name).arity(sort_args)
+        key = (name, sort_args)
+        found = self._arities.get(key)
+        if found is None:
+            found = self._arities[key] = self.schema(name).arity(sort_args)
+        return found
 
     def instances(self, sorts: list[Sort]) -> list[tuple[str, tuple[Sort, ...]]]:
         """All operator instances with parameters drawn from ``sorts``."""
@@ -156,12 +190,19 @@ class FoPresentation:
     name: str
     signature: FoSignature
     equations: tuple[FoEquationSchema, ...]
+    _by_name: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_name: dict = {}
+        for e in self.equations:
+            by_name.setdefault(e.name, e)
+        object.__setattr__(self, "_by_name", by_name)
 
     def equation(self, name: str) -> FoEquationSchema:
-        for e in self.equations:
-            if e.name == name:
-                return e
-        raise FoSortError(f"unknown equation {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise FoSortError(f"unknown equation {name!r}") from None
 
     def check_well_formed(self, sorts: list[Sort] | None = None):
         """Both sides of every equation re-check at the declared arity."""
@@ -508,22 +549,27 @@ class RewriteSystem:
     that proof instantiated at the step, so every trace replays against the
     presentation alone.  Derived rules are sort-monomorphic and carry names
     distinct from the axioms; a rule whose left side is a bare variable is
-    rejected.
+    rejected, so every rule is filed under the head symbol of its left side,
+    in firing order; a subterm is tried only against the rules of its head.
     """
 
     presentation: FoPresentation
     derived: tuple[tuple[FoEquationSchema, FoDerivation], ...] = ()
     _rules: tuple = field(init=False, repr=False, compare=False)
+    _by_head: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rules = tuple((schema, None) for schema in self.presentation.equations)
         if self.derived:
             self._certify()
             rules += self.derived
-        for schema, _ in rules:
+        by_head: dict[str, list] = {}
+        for schema, proof in rules:
             if isinstance(schema.lhs, FoVar):
                 raise CloneError(f"rule {schema.name} has a bare variable as its left side")
+            by_head.setdefault(schema.lhs.name, []).append((schema, proof))
         object.__setattr__(self, "_rules", rules)
+        object.__setattr__(self, "_by_head", {k: tuple(v) for k, v in by_head.items()})
 
     def _certify(self):
         axioms = {schema.name for schema in self.presentation.equations}
@@ -573,12 +619,6 @@ def match_fo(pattern: FoTerm, term: FoTerm, var_binding: dict, sort_binding: dic
     return False
 
 
-def subterm_at(t: FoTerm, path: tuple[int, ...]) -> FoTerm:
-    for i in path:
-        t = t.args[i - 1]
-    return t
-
-
 def replace_at(t: FoTerm, path: tuple[int, ...], new: FoTerm) -> FoTerm:
     if not path:
         return new
@@ -588,17 +628,19 @@ def replace_at(t: FoTerm, path: tuple[int, ...], new: FoTerm) -> FoTerm:
     return FoOp(t.name, t.sort_args, tuple(args))
 
 
-def _positions(t: FoTerm, outermost: bool) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
+def _positions(t: FoTerm, outermost: bool) -> list[tuple[tuple[int, ...], FoTerm]]:
+    """Every position of ``t`` with its subterm, pre-order when
+    ``outermost`` and post-order otherwise."""
+    out: list = []
 
     def walk(node, path):
         if outermost:
-            out.append(path)
+            out.append((path, node))
         if isinstance(node, FoOp):
             for i, a in enumerate(node.args, start=1):
                 walk(a, path + (i,))
         if not outermost:
-            out.append(path)
+            out.append((path, node))
 
     walk(t, ())
     return out
@@ -606,10 +648,11 @@ def _positions(t: FoTerm, outermost: bool) -> list[tuple[int, ...]]:
 
 def _one_step(rs: RewriteSystem, t: FoTerm, strategy: str) -> RewriteStep | None:
     outermost = strategy == "outermost"
-    rules = rs.rules()
-    for path in _positions(t, outermost):
-        sub = subterm_at(t, path)
-        for schema, proof in rules:
+    by_head = rs._by_head
+    for path, sub in _positions(t, outermost):
+        if isinstance(sub, FoVar):
+            continue  # no left side is a bare variable
+        for schema, proof in by_head.get(sub.name, ()):
             var_binding: dict = {}
             sort_binding: dict = {}
             if not match_fo(schema.lhs, sub, var_binding, sort_binding):
@@ -722,28 +765,40 @@ def _instantiations(schema: FoEquationSchema, matched: dict, eq_len: int, pool: 
         yield full
 
 
-def _neighbours(ctx, t: FoTerm, pool, instances):
-    """One-step convertibility moves: each equation instance applied at each
-    position, in both directions.  ``instances`` lists every
-    (schema, sort arguments, context, lhs, rhs) to try, in order.
+def _root_moves(ctx, sub: FoTerm, pool, instances) -> list[tuple]:
+    """Every one-step rewrite of ``sub`` at its root: each equation instance
+    in both directions, with each completion of its binding from ``pool``.
+    ``instances`` lists every (schema, sort arguments, context, lhs, rhs) to
+    try, in order.  Returns (replacement, equation, sort arguments,
+    instantiation, direction) in that order: instance, then direction, then
+    instantiation."""
+    moves = []
+    for schema, combos, eq_ctx, lhs, rhs in instances:
+        for pat, other, forward in ((lhs, rhs, True), (rhs, lhs, False)):
+            var_binding: dict = {}
+            sort_binding: dict = {}
+            if not match_fo(pat, sub, var_binding, sort_binding):
+                continue
+            for full in _instantiations(schema, var_binding, len(eq_ctx), pool):
+                components = tuple(full[i] for i in range(1, len(eq_ctx) + 1))
+                inst = Substitution(ctx, eq_ctx, components)
+                moves.append((fo_subst(other, inst), schema.name, combos, components, forward))
+    return moves
+
+
+def _neighbours(t: FoTerm, root_moves):
+    """One-step convertibility moves: the root moves of each subterm,
+    outermost position first, placed back into ``t``.  ``root_moves`` maps a
+    subterm to its ``_root_moves``; the search memoizes it, so a subterm met
+    again, at another position or in another term, is matched only once.
 
     Yields (new term, path, equation, sort arguments, instantiation,
     direction); the search builds the RewriteStep only for terms it has
     not seen.
     """
-    for path in _positions(t, outermost=True):
-        sub = subterm_at(t, path)
-        for schema, combos, eq_ctx, lhs, rhs in instances:
-            for pat, other, forward in ((lhs, rhs, True), (rhs, lhs, False)):
-                var_binding: dict = {}
-                sort_binding: dict = {}
-                if not match_fo(pat, sub, var_binding, sort_binding):
-                    continue
-                for full in _instantiations(schema, var_binding, len(eq_ctx), pool):
-                    components = tuple(full[i] for i in range(1, len(eq_ctx) + 1))
-                    inst = Substitution(ctx, eq_ctx, components)
-                    new = replace_at(t, path, fo_subst(other, inst))
-                    yield new, path, schema.name, combos, components, forward
+    for path, sub in _positions(t, outermost=True):
+        for new_sub, name, combos, components, forward in root_moves(sub):
+            yield replace_at(t, path, new_sub), path, name, combos, components, forward
 
 
 def _schema_sort_args(schema, instance_sorts):
@@ -777,6 +832,11 @@ def prove_fo_equal(
     when the node budget is exhausted ("unknown").  Underdetermined
     variables in backward applications are instantiated from context
     variables and subterms of the two endpoints.
+
+    The context, the instantiation pool and the equation instances are
+    fixed for one call, so the root moves of a subterm are too: they are
+    memoized per call and shared by every position and popped term where
+    that subterm occurs.  The memo lives only as long as the call.
     """
     import heapq
 
@@ -799,6 +859,14 @@ def prove_fo_equal(
         for eq_ctx, _, lhs, rhs in (schema.instantiate(combos),)
     ]
 
+    memo: dict[FoTerm, list[tuple]] = {}
+
+    def root_moves(sub):
+        moves = memo.get(sub)
+        if moves is None:
+            moves = memo[sub] = _root_moves(ctx, sub, pool, instances)
+        return moves
+
     parents = [{t: None}, {u: None}]
     seq = itertools.count()
     heap = [(fo_size(t), next(seq), 0, t), (fo_size(u), next(seq), 1, u)]
@@ -806,7 +874,7 @@ def prove_fo_equal(
     while heap and popped < max_nodes:
         _, _, which, current = heapq.heappop(heap)
         popped += 1
-        for new, *move in _neighbours(ctx, current, pool, instances):
+        for new, *move in _neighbours(current, root_moves):
             if new in parents[which]:
                 continue
             parents[which][new] = (current, RewriteStep(*move, current, new))

@@ -146,12 +146,27 @@ class TestEnumerate:
         data = json.loads(out)
         assert data["payload"]["count"] == 2
 
+    def test_default_size_bound_finishes(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--json")
+        assert code == 0
+        assert json.loads(out)["payload"]["count"] == 2554  # closed booleans of size <= 5
+
 
 class TestAdequacy:
     def test_small_budget_passes(self, capsys):
         code, out, _ = run(capsys, "adequacy", "--budget", "3")
         assert code == 0
         assert "adequacy: pass" in out
+
+    def test_default_size_bound_passes(self, capsys):
+        code, out, _ = run(capsys, "adequacy")
+        assert code == 0
+        assert "terms: 2554" in out and "adequacy: pass" in out
+
+    def test_help_states_the_default(self, capsys):
+        code, out, _ = run(capsys, "adequacy", "--help")
+        assert code == 0
+        assert "(default: 5)" in " ".join(out.split())
 
 
 class TestDeterminism:

@@ -1,6 +1,8 @@
 """First-order terms, equational derivations, rewriting, presented clones."""
 
 import itertools
+import json
+import pickle
 
 import pytest
 
@@ -30,6 +32,7 @@ from clonal.firstorder import (
     check_fo_derivation,
     enumerate_fo_terms,
     fo_check_term,
+    fo_size,
     fo_subst,
     global_state_presentation,
     gs_canonical_form,
@@ -41,6 +44,7 @@ from clonal.firstorder import (
     steps_to_derivation,
     tm_clone,
 )
+from clonal.jsonio import fo_term_from_json, fo_term_to_json
 from clonal.sorts import Context, Sort, arrow
 
 V2 = ("v1", "v2")
@@ -64,9 +68,78 @@ def x(i):
     return FoVar(i)
 
 
+def mul(a, b):
+    return FoOp("mul", (), (a, b))
+
+
+UNIT = FoOp("unit", (), ())
+
+
+def axiom(name, *terms):
+    return FoAxiom(name, (), tuple(FoRefl(t) for t in terms))
+
+
 # --------------------------------------------------------------------------
 # Terms and substitution
 # --------------------------------------------------------------------------
+
+
+class TestStoredHashAndSize:
+    """FoOp stores its hash and node count once computed; nothing else about
+    the node may change."""
+
+    def test_separately_built_equal_terms_hash_equal(self):
+        a = get(put("v1", x(1)), x(2))
+        b = get(put("v1", x(1)), x(2))
+        assert a is not b
+        hash(a)  # only a has its hash stored now
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1 and {a: 1}[b] == 1
+
+    def test_unequal_terms_stay_unequal(self):
+        a, b = put("v1", x(1)), put("v2", x(1))
+        hash(a), hash(b), fo_size(a), fo_size(b)
+        assert a != b and len({a, b}) == 2
+
+    def test_size_agrees_with_a_recursive_count(self):
+        def count(t):
+            return 1 if isinstance(t, FoVar) else 1 + sum(count(a) for a in t.args)
+
+        terms = enumerate_fo_terms(GS2.signature, ctx(BASE, BASE), BASE, 2)
+        assert len(terms) > 100
+        for t in terms:
+            assert fo_size(t) == count(t)
+            assert fo_size(t) == count(t)  # the stored count, second time
+
+    def test_repr_eq_and_match_unaffected(self):
+        t = put("v1", x(1))
+        before = repr(t)
+        hash(t), fo_size(t)
+        assert repr(t) == before == "FoOp(name='put_v1', sort_args=(), args=(FoVar(index=1),))"
+        assert t == FoOp("put_v1", (), (FoVar(1),))
+        assert FoOp.__match_args__ == ("name", "sort_args", "args")
+        match t:
+            case FoOp("put_v1", (), (FoVar(index=1),)):
+                pass
+            case _:
+                pytest.fail("positional pattern no longer matches")
+        match t:
+            case FoOp(name=name, args=(arg,)):
+                assert (name, arg) == ("put_v1", FoVar(1))
+
+    def test_json_roundtrip_is_equal_and_equally_hashed(self):
+        t = get(put("v2", get(x(1), x(2))), put("v1", x(2)))
+        hash(t)
+        back = fo_term_from_json(json.loads(json.dumps(fo_term_to_json(t))))
+        assert back == t and hash(back) == hash(t) and fo_size(back) == fo_size(t)
+
+    def test_pickled_copy_recomputes_its_hash(self):
+        t = put("v1", get(x(1), x(2)))
+        hash(t), fo_size(t)
+        copy = pickle.loads(pickle.dumps(t))
+        assert "_hash" not in vars(copy) and "_size" not in vars(copy)
+        assert copy == t and hash(copy) == hash(t)
 
 
 class TestCheckAndSubst:
@@ -482,6 +555,47 @@ class TestSearch:
     def test_unknown_on_unequal_terms(self):
         g1 = ctx(BASE)
         assert prove_fo_equal(GS2, g1, put("v1", x(1)), put("v2", x(1)), max_nodes=300) is None
+
+    # Pinned derivations: a change that only makes the search faster must
+    # return exactly these proofs.
+
+    def test_pinned_state_derivation(self):
+        x1 = x(1)
+        d = prove_fo_equal(GS2, ctx(BASE), get(x1, x1), x1, max_nodes=800)
+        assert d == FoTrans(
+            FoSym(axiom("get_put", get(x1, x1))),
+            FoSym(FoTrans(
+                FoTrans(
+                    FoSym(axiom("get_put", x1)),
+                    FoCong("get", (), (FoSym(axiom("put_get_v1", x1, x1)), FoRefl(put("v2", x1)))),
+                ),
+                FoCong("get", (), (
+                    FoRefl(put("v1", get(x1, x1))), FoSym(axiom("put_get_v2", x1, x1)),
+                )),
+            )),
+        )
+
+    def test_pinned_monoid_derivation(self):
+        star = Sort("*")
+        lhs = mul(mul(UNIT, x(1)), mul(x(2), UNIT))
+        d = prove_fo_equal(monoid_presentation(), ctx(star, star), lhs, mul(x(1), x(2)), 200)
+        assert d == FoTrans(
+            FoCong("mul", (), (FoRefl(mul(UNIT, x(1))), axiom("unit_right", x(2)))),
+            FoSym(FoCong("mul", (), (FoSym(axiom("unit_left", x(1))), FoRefl(x(2))))),
+        )
+
+    def test_no_memo_carries_over_between_searches(self):
+        # x2 is in pair B's instantiation pool only: moves memoized in B's
+        # search would carry it into pair A's and cost A its proof
+        g1 = ctx(BASE)
+        pair_a = (GS2, g1, x(1), get(put("v1", x(1)), x(1)), 60)
+        pair_b = (GS2, ctx(BASE, BASE), x(1), x(2), 60)
+        assert prove_fo_equal(*pair_b) is None
+        first = prove_fo_equal(*pair_a)
+        v = check_fo_derivation(GS2, g1, first)
+        assert v.ok and (v.lhs, v.rhs) == pair_a[2:4]
+        assert prove_fo_equal(*pair_b) is None
+        assert prove_fo_equal(*pair_a) == first
 
 
 # --------------------------------------------------------------------------
