@@ -147,9 +147,11 @@ class Clone:
         trailing variables.
         """
         n = len(sigma.source)
-        wk = weakening(sigma.source, extra)
         src = sigma.source + extra
-        weakened = tuple(self.rename(c, wk) for c in sigma.components)
+        weakened = ()
+        if sigma.components:  # building wk needs src's variables, which a clone may refuse
+            wk = weakening(sigma.source, extra).as_substitution(self)
+            weakened = tuple(self.subst(c, wk) for c in sigma.components)
         fresh = tuple(self.var(src, n + j) for j in range(1, len(extra) + 1))
         return Substitution(src, sigma.target + extra, weakened + fresh)
 

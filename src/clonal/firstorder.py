@@ -20,6 +20,7 @@ from .sorts import (
     SortVar,
     instantiate_sort,
     match_sort,
+    stored_hash,
 )
 
 
@@ -44,31 +45,19 @@ class FoVar:
         return f"x{self.index}"
 
 
+@stored_hash
 @dataclass(frozen=True)
 class FoOp:
-    """An operator node.  Its hash and node count are computed on first use
-    and stored on the node (not fields: equality, ``repr`` and pattern
-    matching see only name, sort arguments and arguments), so a term is
-    hashed once however often it is probed, and terms that are never hashed
-    cost nothing extra."""
+    """An operator node.  Its hash (``stored_hash``) and node count
+    (``fo_size``) are computed on first use and stored on the node, so a
+    term is hashed once however often it is probed, and terms that are never
+    hashed cost nothing extra."""
 
     name: str
     sort_args: tuple[Sort, ...]
     args: tuple["FoTerm", ...]
 
-    _hash = None
     _size = None
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.name, self.sort_args, self.args))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self):
-        # string hashes differ between processes, so a copy recomputes them
-        return {"name": self.name, "sort_args": self.sort_args, "args": self.args}
 
     def __str__(self) -> str:
         inst = "" if not self.sort_args else "[" + ",".join(map(str, self.sort_args)) + "]"
@@ -423,14 +412,17 @@ def check_fo_derivation(pres: FoPresentation, ctx: Context, d: FoDerivation) -> 
     Rejection carries the path (child indices) to the first bad node.
     """
     sig = pres.signature
+    refl_sorts: dict = {}  # sort of each well-sorted reflexivity term, this call only
 
     def go(node, path) -> Verdict:
         match node:
             case FoRefl(term=t):
-                try:
-                    sort = fo_check_term(sig, ctx, t)
-                except FoSortError as e:
-                    return Verdict(False, error=f"refl of ill-sorted term: {e}", path=path)
+                sort = refl_sorts.get(t)
+                if sort is None:
+                    try:
+                        sort = refl_sorts[t] = fo_check_term(sig, ctx, t)
+                    except FoSortError as e:
+                        return Verdict(False, error=f"refl of ill-sorted term: {e}", path=path)
                 return Verdict(True, t, t, sort)
             case FoSym(child=c):
                 sub = go(c, path + (1,))
@@ -517,6 +509,9 @@ def refl_children(ctx: Context, terms: tuple[FoTerm, ...]) -> tuple[FoDerivation
 # --------------------------------------------------------------------------
 # Rewriting
 # --------------------------------------------------------------------------
+
+
+MAX_REWRITE_STEPS = 10_000  # rewrites before normalizing gives up
 
 
 class RewriteDivergence(Exception):
@@ -646,29 +641,39 @@ def _positions(t: FoTerm, outermost: bool) -> list[tuple[tuple[int, ...], FoTerm
     return out
 
 
-def _one_step(rs: RewriteSystem, t: FoTerm, strategy: str) -> RewriteStep | None:
-    outermost = strategy == "outermost"
-    by_head = rs._by_head
-    for path, sub in _positions(t, outermost):
-        if isinstance(sub, FoVar):
-            continue  # no left side is a bare variable
-        for schema, proof in by_head.get(sub.name, ()):
-            var_binding: dict = {}
-            sort_binding: dict = {}
-            if not match_fo(schema.lhs, sub, var_binding, sort_binding):
-                continue
-            if set(var_binding) != {i for i in range(1, len(schema.ctx) + 1)}:
-                continue  # underdetermined instance; cannot fire as a rule
-            sort_args = tuple(sort_binding[p] for p in schema.params)
-            _, _, lhs, rhs = schema.instantiate(sort_args)
-            eq_ctx = Context(
-                tuple(
-                    instantiate_sort(s, dict(zip(schema.params, sort_args)))
-                    for s in schema.ctx
-                )
+def _root_step(rs: RewriteSystem, sub: FoOp):
+    """The first rule, in firing order, that fires at the root of ``sub``:
+    (schema, proof, sort arguments, instantiation, replacement), or None.
+    Every rewriting path chooses its rule here."""
+    for schema, proof in rs._by_head.get(sub.name, ()):
+        var_binding: dict = {}
+        sort_binding: dict = {}
+        if not match_fo(schema.lhs, sub, var_binding, sort_binding):
+            continue
+        if set(var_binding) != {i for i in range(1, len(schema.ctx) + 1)}:
+            continue  # underdetermined instance; cannot fire as a rule
+        sort_args = tuple(sort_binding[p] for p in schema.params)
+        _, _, lhs, rhs = schema.instantiate(sort_args)
+        eq_ctx = Context(
+            tuple(
+                instantiate_sort(s, dict(zip(schema.params, sort_args)))
+                for s in schema.ctx
             )
-            components = tuple(var_binding[i] for i in range(1, len(eq_ctx) + 1))
-            new_sub = fo_subst(rhs, Substitution(Context(()), eq_ctx, components))
+        )
+        components = tuple(var_binding[i] for i in range(1, len(eq_ctx) + 1))
+        new_sub = fo_subst(rhs, Substitution(Context(()), eq_ctx, components))
+        return schema, proof, sort_args, components, new_sub
+    return None
+
+
+def _one_step(rs: RewriteSystem, t: FoTerm, strategy: str) -> RewriteStep | None:
+    by_head = rs._by_head
+    for path, sub in _positions(t, strategy == "outermost"):
+        if isinstance(sub, FoVar) or sub.name not in by_head:
+            continue  # no left side is a bare variable or has another head
+        fired = _root_step(rs, sub)
+        if fired is not None:
+            schema, proof, sort_args, components, new_sub = fired
             return RewriteStep(
                 path, schema.name, sort_args, components, True, t,
                 replace_at(t, path, new_sub), None if proof is None else (schema, proof),
@@ -680,7 +685,7 @@ def rewrite_normalize(
     rs: RewriteSystem,
     t: FoTerm,
     strategy: str = "innermost",
-    max_steps: int = 10_000,
+    max_steps: int = MAX_REWRITE_STEPS,
 ) -> tuple[FoTerm, list[RewriteStep]]:
     """Rewrite to a form containing no redex; the step trace witnesses the
     equality and converts to a checkable derivation via steps_to_derivation."""
@@ -695,6 +700,59 @@ def rewrite_normalize(
         steps.append(step)
         current = step.after
     raise RewriteDivergence(t, steps)
+
+
+def innermost_normal_form(rs: RewriteSystem, t: FoTerm, memo: dict) -> FoTerm:
+    """``rewrite_normalize(rs, t, "innermost")[0]``, without the trace.
+
+    Bottom-up: normalize the arguments left to right, then rewrite at the
+    root with the rule ``_root_step`` picks and normalize the result again.
+    This is the order in which innermost rewriting visits the term, so the
+    normal form is the traced one even when the system is not confluent.
+    ``memo`` maps each subterm met to its normal form and the number of
+    rewrites the traced run spends reaching it; the caller owns it.  Memo
+    hits add their count, so the total is the traced run's length, and when
+    it reaches MAX_REWRITE_STEPS the traced normalizer is run, which raises
+    RewriteDivergence with its trace.
+    """
+    steps = 0
+
+    def count(n: int) -> None:
+        nonlocal steps
+        steps += n
+        if steps >= MAX_REWRITE_STEPS:
+            rewrite_normalize(rs, t, "innermost")  # raises: its run is as long
+
+    def norm(term: FoTerm) -> FoTerm:
+        seen = []  # (term met, rewrites done before meeting it)
+        while True:
+            if isinstance(term, FoVar):
+                break
+            done = memo.get(term)
+            if done is not None:
+                term, n = done
+                count(n)
+                break
+            seen.append((term, steps))
+            args = tuple(map(norm, term.args))
+            if args != term.args:
+                term = FoOp(term.name, term.sort_args, args)
+                done = memo.get(term)
+                if done is not None:
+                    term, n = done
+                    count(n)
+                    break
+                seen.append((term, steps))
+            fired = _root_step(rs, term)
+            if fired is None:
+                break
+            count(1)
+            term = fired[4]
+        for s, before in seen:
+            memo[s] = (term, steps - before)
+        return term
+
+    return norm(t)
 
 
 def _wrap_congruence(whole: FoTerm, path: tuple[int, ...], inner: FoDerivation) -> FoDerivation:
@@ -931,18 +989,27 @@ class StructuralEq(EqStrategy):
 
 class RewriteEq(EqStrategy):
     """Normalize with the oriented rules, then compare.  Decides the
-    presented equality exactly when the system is confluent and terminating."""
+    presented equality exactly when the system is confluent and terminating.
+
+    Innermost normal forms come from ``innermost_normal_form``, untraced,
+    with one memo per ``canonical``/``equal`` call; the outermost strategy
+    runs the traced normalizer."""
 
     def __init__(self, system: RewriteSystem, strategy: str = "innermost"):
         self.system = system
         self.strategy = strategy
 
+    def _normal_form(self, t, memo: dict):
+        if self.strategy == "innermost":
+            return innermost_normal_form(self.system, t, memo)
+        return rewrite_normalize(self.system, t, self.strategy)[0]
+
     def canonical(self, clone, ctx, sort, t):
-        nf, _ = rewrite_normalize(self.system, t, self.strategy)
-        return nf
+        return self._normal_form(t, {})
 
     def equal(self, clone, ctx, sort, t, u):
-        return self.canonical(clone, ctx, sort, t) == self.canonical(clone, ctx, sort, u)
+        memo: dict = {}  # shared by both sides, dropped after the call
+        return self._normal_form(t, memo) == self._normal_form(u, memo)
 
 
 class SearchEq(EqStrategy):

@@ -539,14 +539,18 @@ def check_algebra(
         contexts = sig.sort_set.contexts_up_to(budget.max_context_len, sorts)
     report = LawReport(subject)
     rng = random.Random(budget.seed)
+    enumerated: dict = {}  # (ctx, sort) -> the clone's enumeration, this call only
 
     def site_terms(ctx, sort, law):
         if sampler is not None:
             return sampler(ctx, sort, budget.max_terms)
         try:
-            return _cap(
-                clone.enumerate_terms(ctx, sort, budget.max_depth), budget.max_terms, law
-            )
+            items = enumerated.get((ctx, sort))
+            if items is None:
+                items = enumerated[ctx, sort] = clone.enumerate_terms(
+                    ctx, sort, budget.max_depth
+                )
+            return _cap(items, budget.max_terms, law)
         except CloneError:
             # site too large to enumerate: fall back to seeded sampling;
             # a site too large even to sample is skipped, recorded as capped
@@ -575,17 +579,29 @@ def check_algebra(
             ]
             tuples = list(itertools.product(*arg_pools))
             tuples = _cap(tuples, budget.max_tuples, comm)
+            # Each tuple's interpretation at gamma, and each sub's lifts, are
+            # computed once; a CloneError is kept as _FAILED and skips, and
+            # caps, every pair that needs the result, as if raised there.
+            interpreted: dict = {}  # tuple index -> its interpretation at gamma
             for xi in contexts:
                 sigmas = _subst_tuples_for(clone, xi, gamma, site_terms, comm, budget)
-                for args in tuples:
-                    for sub in sigmas:
-                        try:
-                            lhs = clone.subst(
-                                alg.interpret(name, sort_args, gamma, args), sub
+                lifts = [
+                    _attempt(lambda: tuple(clone.lift(sub, b) for b, _ in arity.binders))
+                    for sub in sigmas
+                ]
+                for k, args in enumerate(tuples):
+                    for sub, lifted in zip(sigmas, lifts):
+                        if k not in interpreted:
+                            interpreted[k] = _attempt(
+                                lambda: alg.interpret(name, sort_args, gamma, args)
                             )
+                        if interpreted[k] is _FAILED or lifted is _FAILED:
+                            comm.capped = True  # site beyond the clone's bounds
+                            continue
+                        try:
+                            lhs = clone.subst(interpreted[k], sub)
                             lifted_args = tuple(
-                                clone.subst(a, clone.lift(sub, binder_ctx))
-                                for a, (binder_ctx, _) in zip(args, arity.binders)
+                                clone.subst(a, lift) for a, lift in zip(args, lifted)
                             )
                             rhs = alg.interpret(name, sort_args, xi, lifted_args)
                         except CloneError:
@@ -623,6 +639,17 @@ def check_algebra(
                         )
     report.laws.append(eq_law)
     return report
+
+
+_FAILED = object()
+
+
+def _attempt(compute):
+    """``compute()``, or ``_FAILED`` if it raises CloneError."""
+    try:
+        return compute()
+    except CloneError:
+        return _FAILED
 
 
 def _subst_tuples_for(clone, src, tgt, site_terms, law, budget):

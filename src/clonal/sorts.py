@@ -9,12 +9,39 @@ contexts are 1-based.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
+def stored_hash(cls):
+    """Class decorator, applied above ``@dataclass(frozen=True)``: the
+    dataclass hash is computed on first use and stored on the instance.  It
+    is not a field, so equality, ``repr`` and pattern matching are unchanged,
+    and a pickled copy keeps only the fields, since string hashes differ
+    between processes."""
+    field_hash = cls.__hash__
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {n: getattr(self, n) for n in names}
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@stored_hash
 @dataclass(frozen=True)
 class Sort:
-    """A base sort (no args) or a former applied to argument sorts."""
+    """A base sort (no args) or a former applied to argument sorts.  Sorts
+    and contexts key the set model's tables, so their hashes are stored."""
 
     former: str
     args: tuple["Sort", ...] = ()
@@ -126,6 +153,7 @@ class SortSet:
         return out
 
 
+@stored_hash
 @dataclass(frozen=True)
 class Context:
     """A typing context: a finite sequence of sorts, indexed 1-based."""

@@ -111,7 +111,8 @@ class SetModelClone(Clone):
         return self.space_size(b) ** self.space_size(a)
 
     def space(self, sort: Sort) -> list:
-        if sort not in self._spaces:
+        vals = self._spaces.get(sort)
+        if vals is None:
             if self.space_size(sort) > self.max_cells:
                 raise CloneError(f"value space of {sort} too large to materialize")
             if not sort.args:
@@ -124,14 +125,12 @@ class SetModelClone(Clone):
                 ]
             self._spaces[sort] = vals
             self._index[sort] = {v: i for i, v in enumerate(vals)}
-        return self._spaces[sort]
+        return vals
 
-    def value_index(self, sort: Sort, v) -> int:
+    def value_indices(self, sort: Sort) -> dict:
+        """Each value of ``sort`` mapped to its position in ``space(sort)``."""
         self.space(sort)
-        return self._index[sort][v]
-
-    def apply_value(self, arrow_sort: Sort, f, a):
-        return f[self.value_index(arrow_sort.args[0], a)]
+        return self._index[sort]
 
     def cell_count(self, ctx: Context) -> int:
         n = 1
@@ -140,16 +139,20 @@ class SetModelClone(Clone):
         return n
 
     def points(self, ctx: Context) -> list[tuple]:
-        if ctx not in self._points:
+        pts = self._points.get(ctx)
+        if pts is None:
             if self.cell_count(ctx) > self.max_cells:
                 raise CloneError("set-model context too large to materialize")
-            self._points[ctx] = list(itertools.product(*(self.space(s) for s in ctx)))
-            self._point_index[ctx] = {p: i for i, p in enumerate(self._points[ctx])}
-        return self._points[ctx]
+            pts = self._points[ctx] = list(itertools.product(*(self.space(s) for s in ctx)))
+            self._point_index[ctx] = {p: i for i, p in enumerate(pts)}
+        return pts
 
     def point_index(self, ctx: Context) -> dict:
-        self.points(ctx)
-        return self._point_index[ctx]
+        index = self._point_index.get(ctx)
+        if index is None:
+            self.points(ctx)
+            index = self._point_index[ctx]
+        return index
 
     # clone structure --------------------------------------------------------
 
@@ -169,9 +172,11 @@ class SetModelClone(Clone):
         return tuple(t[tgt_index[args]] for args in zip(*sigma.components))
 
     def enumerate_terms(self, ctx: Context, sort: Sort, depth: int) -> list:
-        if self.space_size(sort) ** self.cell_count(ctx) > 4096:
+        size, cells = self.space_size(sort), self.cell_count(ctx)
+        # size ** cells > 4096, without raising a wide sort to a huge power
+        # (2 ** 13 > 4096)
+        if size > 1 and (cells > 12 or size ** cells > 4096):
             raise CloneError("set-model enumeration too large; use sample_term")
-        cells = self.cell_count(ctx)
         return [tuple(combo) for combo in itertools.product(self.space(sort), repeat=cells)]
 
     def sample_term(self, ctx: Context, sort: Sort, rng) -> tuple:
@@ -198,10 +203,8 @@ class SetModelAlgebra(Algebra):
         if name == "app":
             A, _ = sort_args
             f_tab, a_tab = args
-            return tuple(
-                m.apply_value(Sort("=>", sort_args), f, a)
-                for f, a in zip(f_tab, a_tab)
-            )
+            index = m.value_indices(A)
+            return tuple(f[index[a]] for f, a in zip(f_tab, a_tab))
         if name == "abs":
             A, _ = sort_args
             (body,) = args

@@ -1,6 +1,7 @@
 """Core clone structure: variables, substitution, renamings, stock clones, homs."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -60,6 +61,23 @@ class TestContexts:
             c.sort_at(4)
         with pytest.raises(IndexError):
             c.sort_at(0)
+
+    def test_stored_hash_is_the_field_hash(self):
+        # the stored hash is the one the dataclass would compute, so sets
+        # and dicts of sorts and contexts keep their iteration order
+        c = ctx(arrow(B, N), B)
+        assert hash(c) == hash(((arrow(B, N), B),))
+        assert hash(arrow(B, N)) == hash(("=>", (B, N)))
+        assert hash(ctx(arrow(B, N), B)) == hash(c) and ctx(arrow(B, N), B) == c
+
+    def test_pickled_copy_recomputes_its_hash(self):
+        c = ctx(arrow(B, N), B)
+        hash(c)
+        copy = pickle.loads(pickle.dumps(c))
+        assert "_hash" not in vars(copy) and "_hash" not in vars(copy.entries[0])
+        assert copy == c and hash(copy) == hash(c)
+        assert repr(copy) == "Context(entries=(Sort(former='=>', args=(Sort(former='b', " \
+            "args=()), Sort(former='n', args=()))), Sort(former='b', args=())))"
 
 
 class TestVariableClone:

@@ -5,7 +5,10 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clonal import firstorder
 from clonal.clones import Budget, CloneError, Substitution, check_clone_laws
 from clonal.firstorder import (
     gs_expand_witness,
@@ -16,9 +19,13 @@ from clonal.firstorder import (
     FoCong,
     FoEquationSchema,
     FoOp,
+    FoOpSchema,
+    FoPresentation,
     FoRefl,
+    FoSignature,
     FoSortError,
     FoSym,
+    FoTerm,
     FoTrans,
     FoVar,
     RewriteDivergence,
@@ -38,6 +45,7 @@ from clonal.firstorder import (
     gs_canonical_form,
     gs_clone,
     gs_rewrite_system,
+    innermost_normal_form,
     monoid_presentation,
     prove_fo_equal,
     rewrite_normalize,
@@ -45,7 +53,7 @@ from clonal.firstorder import (
     tm_clone,
 )
 from clonal.jsonio import fo_term_from_json, fo_term_to_json
-from clonal.sorts import Context, Sort, arrow
+from clonal.sorts import Context, Sort, SortSet, arrow
 
 V2 = ("v1", "v2")
 GS2 = global_state_presentation(V2)
@@ -383,6 +391,190 @@ class TestRewrite:
             nf, _ = rewrite_normalize(rs, t)
             again, steps = rewrite_normalize(rs, nf)
             assert again == nf and not steps
+
+
+@st.composite
+def fo_terms(draw, pres, n_vars=3, max_nodes=20):
+    """Base-sorted terms over ``pres`` with at most ``max_nodes`` nodes (a
+    drawn node budget, spent unless no operator fits what is left); sort
+    parameters are instantiated at the base sort."""
+    ops = []  # (name, sort arguments, number of arguments)
+    for schema in pres.signature.operators:
+        sort_args = (BASE,) * len(schema.params)
+        ops.append((schema.name, sort_args, len(schema.arity(sort_args)[0])))
+    leaves = [FoVar(i) for i in range(1, n_vars + 1)]
+    leaves += [FoOp(name, sorts, ()) for name, sorts, k in ops if k == 0]
+
+    def build(budget):
+        fits = [op for op in ops if 0 < op[2] < budget]
+        if not fits:
+            return draw(st.sampled_from(leaves))
+        name, sorts, k = draw(st.sampled_from(fits))
+        spare = budget - 1 - k  # nodes to share out beyond one per argument
+        args = []
+        for i in range(k):
+            extra = draw(st.integers(0, spare)) if i < k - 1 else spare
+            spare -= extra
+            args.append(build(1 + extra))
+        return FoOp(name, sorts, tuple(args))
+
+    return build(draw(st.integers(1, max_nodes)))
+
+
+PROPERTY_SYSTEMS = {
+    "bool": RewriteSystem(bool_presentation()),
+    "bare_state": RewriteSystem(GS2),  # not confluent
+    "completed_state": gs_rewrite_system(V2),
+}
+
+
+def _dup_system() -> RewriteSystem:
+    nat = Sort("n")
+    sig = FoSignature(
+        SortSet("nat", ("n",)),
+        (
+            FoOpSchema("z", (), (), nat),
+            FoOpSchema("s", (), (nat,), nat),
+            FoOpSchema("p", (), (nat,), nat),
+            FoOpSchema("m", (), (nat, nat), nat),
+        ),
+    )
+    rules = (
+        FoEquationSchema("p_s", (), (nat,), nat, _p(_s(x(1))), _m(_p(x(1)), _p(x(1)))),
+        FoEquationSchema("p_z", (), (), nat, _p(ZERO), ZERO),
+        FoEquationSchema("m", (), (nat, nat), nat, _m(x(1), x(2)), x(1)),
+    )
+    return RewriteSystem(FoPresentation("dup", sig, rules))
+
+
+ZERO = FoOp("z", (), ())
+
+
+def _s(a):
+    return FoOp("s", (), (a,))
+
+
+def _p(a):
+    return FoOp("p", (), (a,))
+
+
+def _m(a, b):
+    return FoOp("m", (), (a, b))
+
+
+def _term_with_steps(n: int) -> FoTerm:
+    """A term of DUP whose innermost normalization takes exactly ``n``
+    rewrites: p(s^k z) takes 3 * 2^k - 2 and m(a, b) one more than a and b."""
+    if n <= 1:
+        return _p(ZERO) if n else ZERO
+    k = max(k for k in range(n.bit_length()) if 3 * 2**k - 2 <= n - 1)
+    a = ZERO
+    for _ in range(k):
+        a = _s(a)
+    return _m(_p(a), _term_with_steps(n - 1 - (3 * 2**k - 2)))
+
+
+DUP = _dup_system()
+
+
+class TestUntracedNormalForm:
+    """RewriteEq's untraced innermost normal forms are the traced ones."""
+
+    @pytest.mark.parametrize("name", sorted(PROPERTY_SYSTEMS))
+    def test_canonical_is_traced_innermost_normal_form(self, name):
+        rs = PROPERTY_SYSTEMS[name]
+        eq = RewriteEq(rs)
+
+        @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+        @given(fo_terms(rs.presentation))
+        def agrees(t):
+            nf = eq.canonical(None, ctx(BASE, BASE, BASE), BASE, t)
+            assert nf == rewrite_normalize(rs, t, "innermost")[0]
+
+        agrees()
+
+    def test_first_rule_in_firing_order_wins(self):
+        # two rules with one left side: the normal form depends on rule order
+        star = Sort("*")
+        sig = monoid_presentation().signature
+        left = FoEquationSchema("left", (), (star, star), star, mul(x(1), x(2)), x(1))
+        right = FoEquationSchema("right", (), (star, star), star, mul(x(1), x(2)), x(2))
+        t = mul(mul(x(1), x(2)), x(3))
+        for rules, want in (((left, right), x(1)), ((right, left), x(3))):
+            rs = RewriteSystem(FoPresentation("overlap", sig, rules))
+            assert RewriteEq(rs).canonical(None, ctx(star, star, star), star, t) == want
+            assert rewrite_normalize(rs, t)[0] == want
+
+    def test_memo_maps_each_subterm_met_to_its_normal_form(self):
+        rs = RewriteSystem(GS2)
+        t = put("v1", get(put("v2", get(x(1), x(2))), put("v1", x(2))))
+        memo: dict = {}
+        nf = innermost_normal_form(rs, t, memo)
+        assert memo[t] == (nf, len(rewrite_normalize(rs, t)[1]))
+        assert nf == rewrite_normalize(rs, t)[0]
+        for s, (s_nf, n) in memo.items():
+            traced_nf, steps = rewrite_normalize(rs, s)
+            assert (s_nf, n) == (traced_nf, len(steps))
+
+    def test_no_memo_carries_over_between_calls(self, monkeypatch):
+        # every root rewrite attempt goes through _root_step: a second equal
+        # call must attempt exactly what the first did
+        attempts = []
+        root_step = firstorder._root_step
+
+        def counted(rs, sub):
+            attempts.append(sub)
+            return root_step(rs, sub)
+
+        monkeypatch.setattr(firstorder, "_root_step", counted)
+        clone = bool_clone()
+        tru = FoOp("true", (), ())
+        ite = lambda c, a, b: FoOp("ite", (BASE,), (c, a, b))
+        t = ite(ite(tru, x(1), x(2)), ite(tru, tru, x(1)), x(2))
+        u = ite(x(1), tru, x(2))
+        assert clone.term_eq(ctx(BASE, BASE), BASE, t, u)
+        first = list(attempts)
+        assert first
+        attempts.clear()
+        assert clone.term_eq(ctx(BASE, BASE), BASE, t, u)
+        assert attempts == first
+        # one call's sides do share it: t against itself attempts what t alone does
+        attempts.clear()
+        clone.canonical(ctx(BASE, BASE), BASE, t)
+        alone = list(attempts)
+        attempts.clear()
+        assert clone.term_eq(ctx(BASE, BASE), BASE, t, t)
+        assert attempts == alone
+
+    def test_cycling_system_reports_divergence_with_its_trace(self):
+        star = Sort("*")
+        sig = monoid_presentation().signature
+        comm = FoEquationSchema("comm", (), (star, star), star, mul(x(1), x(2)), mul(x(2), x(1)))
+        rs = RewriteSystem(FoPresentation("comm", sig, (comm,)))
+        with pytest.raises(RewriteDivergence) as e:
+            RewriteEq(rs).canonical(None, ctx(star, star), star, mul(x(1), x(2)))
+        assert len(e.value.trace) == 10_000
+
+    def test_memo_hits_count_the_rewrites_they_save(self):
+        # p(s^k z) -> m(p(s^(k-1) z), p(s^(k-1) z)) repeats a redex, which the
+        # memo rewrites once; the count must still be the traced run's length
+        for n in (0, 1, 2, 3, 10, 57, 300):
+            t = _term_with_steps(n)
+            memo: dict = {}
+            assert innermost_normal_form(DUP, t, memo) == ZERO
+            assert memo[t] == (ZERO, n) == (ZERO, len(rewrite_normalize(DUP, t)[1]))
+
+    def test_gives_up_where_the_traced_run_does(self):
+        # the traced run returns after at most MAX_REWRITE_STEPS - 1 rewrites
+        nat = Sort("n")
+        below = _term_with_steps(firstorder.MAX_REWRITE_STEPS - 1)
+        assert len(rewrite_normalize(DUP, below)[1]) == firstorder.MAX_REWRITE_STEPS - 1
+        assert RewriteEq(DUP).canonical(None, ctx(), nat, below) == ZERO
+        at = _term_with_steps(firstorder.MAX_REWRITE_STEPS)
+        with pytest.raises(RewriteDivergence) as e:
+            RewriteEq(DUP).canonical(None, ctx(), nat, at)
+        assert len(e.value.trace) == firstorder.MAX_REWRITE_STEPS
+
 
 
 class TestGsCanonical:

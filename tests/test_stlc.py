@@ -1,10 +1,11 @@
 """Normalization, the set model, adequacy, and the state variant."""
 
+import hashlib
 import itertools
 
 import pytest
 
-from clonal.clones import Budget, CloneError, Substitution
+from clonal.clones import Budget, CloneError, LawCheck, Substitution
 from clonal.equality import free_equal, normalize_with_trace
 from clonal.firstorder import FoOp, FoVar
 from clonal.freealgebra import (
@@ -21,6 +22,8 @@ from clonal.secondorder import check_algebra
 from clonal.sorts import Context, Sort, arrow
 from clonal.stlc import (
     AdequacyReport,
+    SetModelAlgebra,
+    SetModelClone,
     adequacy_harness,
     bool_model_hom,
     enumerate_closed_terms,
@@ -188,6 +191,132 @@ class TestSetModel:
         m = set_model()
         with pytest.raises(CloneError):
             m.clone.enumerate_terms(ctx(BB, BB), BB, 0)
+
+
+# the harness benchmark's check_algebra budget, and one small enough that
+# nothing is capped unless the algebra itself refuses a site
+HARNESS_BUDGET = Budget(max_context_len=1, max_depth=0, max_sort_height=1,
+                        max_terms=3, max_tuples=3)
+BASE_BUDGET = Budget(max_context_len=1, max_depth=0, max_sort_height=0,
+                     max_terms=16, max_tuples=256)
+COMMUTES, EQUATIONS = 0, 1
+
+
+class RowReversedAbs(SetModelAlgebra):
+    """abs reads its body's rows in reverse point order, which does not
+    commute with substitution and breaks beta."""
+
+    def interpret(self, name, sort_args, c, args):
+        out = super().interpret(name, sort_args, c, args)
+        return out[::-1] if name == "abs" else out
+
+
+class PartialApp(SetModelAlgebra):
+    """app refuses, with CloneError, every site in a nonempty context whose
+    argument table starts with tt."""
+
+    def interpret(self, name, sort_args, c, args):
+        if name == "app" and len(c) and args[1][0] == "tt":
+            raise CloneError("app refused at this site")
+        return super().interpret(name, sort_args, c, args)
+
+
+class NoLiftFromEmpty(SetModelClone):
+    """A set-model clone that refuses, with CloneError, to lift any
+    substitution out of the empty context."""
+
+    def lift(self, sigma, extra):
+        if not len(sigma.source):
+            raise CloneError("no lift out of the empty context")
+        return super().lift(sigma, extra)
+
+
+class LiftRefusingModel(SetModelAlgebra):
+    def __init__(self, presentation, base_values):
+        super().__init__(presentation, base_values)
+        self.clone = NoLiftFromEmpty(presentation.signature.sort_set, base_values)
+
+
+def _law_summary(report):
+    return [(law.ok, law.checked, law.capped, law.counterexample) for law in report.laws]
+
+
+class TestCheckAlgebraReports:
+    """check_algebra's counts, caps and failures, pinned to the values the
+    straightforward loop (one interpretation and one lift per check) gives."""
+
+    def test_set_model_at_harness_budget(self):
+        report = check_algebra(set_model(), HARNESS_BUDGET, subject="set model")
+        assert _law_summary(report) == [(True, 480, True, None), (True, 72, True, None)]
+
+    def test_set_model_uncapped(self):
+        report = check_algebra(set_model(), BASE_BUDGET)
+        assert _law_summary(report) == [(True, 504, False, None), (True, 92, False, None)]
+
+    def test_set_model_with_small_tables(self):
+        # criterion 4's wide pass at a 4-cell table bound: sites whose tables
+        # cannot be built are skipped, but a substitution out of the empty
+        # context still lifts into a context too large to materialize
+        report = check_algebra(
+            set_model(max_cells=4),
+            Budget(max_context_len=2, max_depth=0, max_sort_height=2,
+                   max_terms=2, max_tuples=2),
+        )
+        assert _law_summary(report) == [(True, 138, True, None), (True, 16, True, None)]
+
+    def test_wrong_abs_first_failures(self):
+        m = set_model()
+        report = check_algebra(RowReversedAbs(m.presentation, ("tt", "ff")), HARNESS_BUDGET)
+        assert _law_summary(report) == [
+            (False, 480, True,
+             "abs[Sort(former='b', args=()), Sort(former='b', args=())] at [b] "
+             "under (('tt',)): table[('tt', 'ff')] != table[('tt', 'tt')]"),
+            (False, 72, True,
+             "beta[Sort(former='b', args=()), Sort(former='=>', args=(Sort(former='b', "
+             "args=()), Sort(former='b', args=())))] at [b => b]: table[('ff', 'ff'), "
+             "('ff', 'tt'), ('ff', 'ff'), ('tt', 'tt')] != table[('tt', 'tt'), "
+             "('ff', 'ff'), ('ff', 'tt'), ('ff', 'ff')]"),
+        ]
+        report = check_algebra(RowReversedAbs(m.presentation, ("tt", "ff")), BASE_BUDGET)
+        assert _law_summary(report)[EQUATIONS] == (
+            False, 92, False,
+            "beta[Sort(former='b', args=()), Sort(former='b', args=())] at [b]: "
+            "table['tt', 'tt'] != table['tt', 'ff']",
+        )
+
+    def test_wrong_abs_every_failure_in_order(self, monkeypatch):
+        seen = []
+        fail = LawCheck.fail
+
+        def record(law, message):
+            seen.append(message)
+            fail(law, message)
+
+        monkeypatch.setattr(LawCheck, "fail", record)
+        m = set_model()
+        check_algebra(RowReversedAbs(m.presentation, ("tt", "ff")), HARNESS_BUDGET)
+        assert len(seen) == 178
+        assert seen[146].startswith("beta[")  # the first equation failure
+        digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
+        assert digest == "53d2e95f6d275388083e05b871f4a16a3c62c7b2244a58793fb20503cfab601f"
+
+    def test_refused_sites_are_skipped_and_capped(self):
+        m = set_model()
+        partial = PartialApp(m.presentation, ("tt", "ff"))
+        report = check_algebra(partial, HARNESS_BUDGET)
+        assert _law_summary(report) == [(True, 384, True, None), (True, 44, True, None)]
+        # uncapped for the total algebra, so the cap here is the refusals'
+        report = check_algebra(partial, BASE_BUDGET)
+        assert _law_summary(report) == [(True, 276, True, None), (True, 40, True, None)]
+
+    def test_refused_lifts_are_skipped_and_capped(self):
+        # only the commutation law lifts, so only it is capped, and only by the refusals
+        m = set_model()
+        refusing = LiftRefusingModel(m.presentation, ("tt", "ff"))
+        report = check_algebra(refusing, HARNESS_BUDGET)
+        assert _law_summary(report) == [(True, 336, True, None), (True, 72, True, None)]
+        report = check_algebra(refusing, BASE_BUDGET)
+        assert _law_summary(report) == [(True, 332, True, None), (True, 92, False, None)]
 
 
 class TestBoolModelHom:
