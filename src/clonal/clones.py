@@ -11,6 +11,11 @@ Substitutions are tuples of terms; a substitution from Gamma to Delta has
 one component per entry of Delta, each a term in context Gamma.  Renamings
 are the substitutions of the clone of variables, kept as a separate type
 so renaming can avoid building full substitutions.
+
+Trust boundary: the public ``Substitution(...)`` and ``Renaming(...)``
+constructors validate and raise ``CloneError`` on a malformed map.  The one
+unchecked path is the lift in ``under_binders`` (and ``weakening``): it
+builds maps that are well formed by construction.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .sorts import Context, Sort, SortSet
+from .sorts import EMPTY, Context, Sort, SortSet
 
 
 class CloneError(Exception):
@@ -92,9 +97,42 @@ def identity_renaming(ctx: Context) -> Renaming:
     return Renaming(ctx, ctx, tuple(range(1, len(ctx) + 1)))
 
 
+def _unchecked(cls, source: Context, target: Context, entries: tuple):
+    """``cls(source, target, entries)`` without its checks, for a Renaming or
+    Substitution that is well formed by construction."""
+    m = object.__new__(cls)
+    vars(m).update(zip(cls.__match_args__, (source, target, entries)))
+    return m
+
+
 def weakening(ctx: Context, extra: Context) -> Renaming:
     """The renaming (1, ..., n) from ``ctx + extra`` to ``ctx``."""
-    return Renaming(ctx + extra, ctx, tuple(range(1, len(ctx) + 1)))
+    return _unchecked(Renaming, ctx + extra, ctx, tuple(range(1, len(ctx) + 1)))
+
+
+def under_binders(args: tuple, m, go, rename=None, var=None) -> tuple:
+    """``((binder, go(body, m')), ...)`` for the (binder, body) arguments of a
+    syntax node, m' being the Renaming or Substitution ``m`` lifted under
+    ``binder``: bound positions go to themselves, and a substitution's
+    components are weakened by ``rename`` and followed by the fresh
+    variables ``var(i)``.  Each distinct binder lifts once, an empty one never.
+    """
+    lifted = {EMPTY: m}
+    out = []
+    for binder, body in args:
+        sub = lifted.get(binder)
+        if sub is None:
+            n = len(m.source)
+            fresh = range(n + 1, n + len(binder) + 1)
+            if var is None:
+                entries = m.map + tuple(fresh)
+            else:
+                wk = weakening(m.source, binder)
+                entries = tuple(rename(c, wk) for c in m.components) + tuple(map(var, fresh))
+            sub = _unchecked(type(m), m.source + binder, m.target + binder, entries)
+            lifted[binder] = sub
+        out.append((binder, go(body, sub)))
+    return tuple(out)
 
 
 class Clone:
@@ -162,10 +200,6 @@ def compose_subst(clone: Clone, outer: Substitution, inner: Substitution) -> Sub
 
 def lift_subst(clone: Clone, sigma: Substitution, extra: Context) -> Substitution:
     return clone.lift(sigma, extra)
-
-
-def rename_term(clone: Clone, t, ren: Renaming):
-    return clone.rename(t, ren)
 
 
 # --------------------------------------------------------------------------

@@ -154,14 +154,21 @@ class FoEquationSchema:
     sort: object  # sort template
     lhs: FoTerm  # may mention SortVar inside operator sort_args
     rhs: FoTerm
+    # each instance built so far, by sort arguments; shared by every caller
+    _instances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def instantiate(self, sort_args: tuple[Sort, ...]) -> tuple[Context, Sort, FoTerm, FoTerm]:
+        found = self._instances.get(sort_args)
+        if found is not None:
+            return found
         if len(sort_args) != len(self.params):
             raise FoSortError(f"equation {self.name} expects {len(self.params)} sort arguments")
         binding = dict(zip(self.params, sort_args))
         ctx = Context(tuple(instantiate_sort(s, binding) for s in self.ctx))
         sort = instantiate_sort(self.sort, binding)
-        return ctx, sort, _subst_sorts(self.lhs, binding), _subst_sorts(self.rhs, binding)
+        found = ctx, sort, _subst_sorts(self.lhs, binding), _subst_sorts(self.rhs, binding)
+        self._instances[sort_args] = found
+        return found
 
 
 def _subst_sorts(t: FoTerm, binding: dict[str, Sort]) -> FoTerm:
@@ -502,10 +509,6 @@ def check_fo_derivation(pres: FoPresentation, ctx: Context, d: FoDerivation) -> 
     return go(d, ())
 
 
-def refl_children(ctx: Context, terms: tuple[FoTerm, ...]) -> tuple[FoDerivation, ...]:
-    return tuple(FoRefl(t) for t in terms)
-
-
 # --------------------------------------------------------------------------
 # Rewriting
 # --------------------------------------------------------------------------
@@ -515,8 +518,14 @@ MAX_REWRITE_STEPS = 10_000  # rewrites before normalizing gives up
 
 
 class RewriteDivergence(Exception):
-    def __init__(self, term, trace):
-        super().__init__(f"step ceiling exceeded while rewriting {term}")
+    """Rewriting ``term`` found no normal form.  ``trace`` holds the steps
+    made: all MAX_REWRITE_STEPS of them at the step ceiling; when the term
+    grew past Python's recursion limit first, those made until then, or none
+    from the untraced ``innermost_normal_form``."""
+
+    def __init__(self, term, trace, too_deep=False):
+        why = "term grew past the recursion limit" if too_deep else "step ceiling exceeded"
+        super().__init__(f"{why} while rewriting {term}")
         self.trace = trace
 
 
@@ -653,13 +662,7 @@ def _root_step(rs: RewriteSystem, sub: FoOp):
         if set(var_binding) != {i for i in range(1, len(schema.ctx) + 1)}:
             continue  # underdetermined instance; cannot fire as a rule
         sort_args = tuple(sort_binding[p] for p in schema.params)
-        _, _, lhs, rhs = schema.instantiate(sort_args)
-        eq_ctx = Context(
-            tuple(
-                instantiate_sort(s, dict(zip(schema.params, sort_args)))
-                for s in schema.ctx
-            )
-        )
+        eq_ctx, _, _, rhs = schema.instantiate(sort_args)
         components = tuple(var_binding[i] for i in range(1, len(eq_ctx) + 1))
         new_sub = fo_subst(rhs, Substitution(Context(()), eq_ctx, components))
         return schema, proof, sort_args, components, new_sub
@@ -693,12 +696,15 @@ def rewrite_normalize(
         raise CloneError(f"unknown strategy {strategy!r}")
     steps: list[RewriteStep] = []
     current = t
-    for _ in range(max_steps):
-        step = _one_step(rs, current, strategy)
-        if step is None:
-            return current, steps
-        steps.append(step)
-        current = step.after
+    try:
+        for _ in range(max_steps):
+            step = _one_step(rs, current, strategy)
+            if step is None:
+                return current, steps
+            steps.append(step)
+            current = step.after
+    except RecursionError:
+        raise RewriteDivergence(t, steps, too_deep=True) from None
     raise RewriteDivergence(t, steps)
 
 
@@ -752,7 +758,10 @@ def innermost_normal_form(rs: RewriteSystem, t: FoTerm, memo: dict) -> FoTerm:
             memo[s] = (term, steps - before)
         return term
 
-    return norm(t)
+    try:
+        return norm(t)
+    except RecursionError:
+        raise RewriteDivergence(t, [], too_deep=True) from None
 
 
 def _wrap_congruence(whole: FoTerm, path: tuple[int, ...], inner: FoDerivation) -> FoDerivation:

@@ -28,7 +28,7 @@ from .clones import (
     CloneHom,
     Renaming,
     Substitution,
-    weakening,
+    under_binders,
 )
 from .secondorder import (
     Algebra,
@@ -39,7 +39,7 @@ from .secondorder import (
     SoTerm,
     SoVar,
 )
-from .sorts import Context, Sort
+from .sorts import Context, Sort, stored_hash
 
 
 class FreeSortError(CloneError):
@@ -53,6 +53,7 @@ class FreeSortError(CloneError):
 # --------------------------------------------------------------------------
 
 
+@stored_hash
 @dataclass(frozen=True)
 class FreeVar:
     index: int
@@ -61,6 +62,7 @@ class FreeVar:
         return f"x{self.index}"
 
 
+@stored_hash
 @dataclass(frozen=True)
 class CloneApp:
     """A base-clone element applied to argument terms, one per entry of its
@@ -77,6 +79,7 @@ class CloneApp:
         return f"<{self.element}>({', '.join(map(str, self.args))})"
 
 
+@stored_hash
 @dataclass(frozen=True)
 class FreeOp:
     name: str
@@ -166,16 +169,7 @@ def free_rename(t: FreeTerm, ren: Renaming) -> FreeTerm:
         case CloneApp(element=e, arity_ctx=actx, arity_sort=asort, args=args):
             return CloneApp(e, actx, asort, tuple(free_rename(a, ren) for a in args))
         case FreeOp(name=name, sort_args=sort_args, args=args):
-            out = []
-            for binder, body in args:
-                n = len(ren.source)
-                extended = Renaming(
-                    ren.source + binder,
-                    ren.target + binder,
-                    ren.map + tuple(range(n + 1, n + len(binder) + 1)),
-                )
-                out.append((binder, free_rename(body, extended)))
-            return FreeOp(name, sort_args, tuple(out))
+            return FreeOp(name, sort_args, under_binders(args, ren, free_rename))
     raise FreeSortError(f"not a free term: {t!r}")
 
 
@@ -188,16 +182,8 @@ def free_subst(t: FreeTerm, sigma: Substitution) -> FreeTerm:
         case CloneApp(element=e, arity_ctx=actx, arity_sort=asort, args=args):
             return CloneApp(e, actx, asort, tuple(free_subst(a, sigma) for a in args))
         case FreeOp(name=name, sort_args=sort_args, args=args):
-            out = []
-            for binder, body in args:
-                src = sigma.source + binder
-                n = len(sigma.source)
-                wk = weakening(sigma.source, binder)
-                weakened = tuple(free_rename(c, wk) for c in sigma.components)
-                fresh = tuple(FreeVar(n + j) for j in range(1, len(binder) + 1))
-                lifted = Substitution(src, sigma.target + binder, weakened + fresh)
-                out.append((binder, free_subst(body, lifted)))
-            return FreeOp(name, sort_args, tuple(out))
+            lifted = under_binders(args, sigma, free_subst, free_rename, FreeVar)
+            return FreeOp(name, sort_args, lifted)
     raise FreeSortError(f"not a free term: {t!r}")
 
 
@@ -262,14 +248,21 @@ class FreeAlgebra(Algebra, Clone):
 
 def raw_eq(base: Clone, ctx: Context, sort: Sort, t: FreeTerm, u: FreeTerm) -> bool:
     """Structural equality that compares base elements with the base clone's
-    own equality (insensitive to the representative inside an element)."""
+    own equality (insensitive to the representative inside an element).
+    Every clone's ``term_eq`` is reflexive, so equal terms and elements skip
+    it: an element that diverges under ``RewriteEq`` equals itself here,
+    where ``term_eq`` would raise."""
+    if t is u or t == u:
+        return True
     match (t, u):
         case (FreeVar(index=i), FreeVar(index=j)):
             return i == j
         case (CloneApp() as a, CloneApp() as b):
             if a.arity_ctx != b.arity_ctx or a.arity_sort != b.arity_sort:
                 return False
-            if not base.term_eq(a.arity_ctx, a.arity_sort, a.element, b.element):
+            if a.element != b.element and not base.term_eq(
+                a.arity_ctx, a.arity_sort, a.element, b.element
+            ):
                 return False
             return all(
                 raw_eq(base, ctx, s, x, y)
@@ -609,9 +602,13 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
     """
     base = free.base
     sig = free.presentation.signature
+    sorts: dict = {}  # sort of each well-sorted (term, context) checked, this call only
 
     def sort_of(t, c):
-        return free_check_term(base, sig, c, t)
+        s = sorts.get((t, c))
+        if s is None:
+            s = sorts[t, c] = free_check_term(base, sig, c, t)
+        return s
 
     def go(node, c: Context, path) -> FreeVerdict:
         match node:

@@ -12,9 +12,10 @@ equations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .clones import Budget, Clone, CloneError, ProductClone, Substitution, TerminalClone
+from .clones import under_binders
 from .sorts import (
     Context,
     Sort,
@@ -76,6 +77,8 @@ class SoOpSchema:
 class SoSignature:
     sort_set: SortSet
     operators: tuple[SoOpSchema, ...]
+    # each arity built so far, by (name, sort arguments)
+    _arities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [o.name for o in self.operators]
@@ -89,7 +92,10 @@ class SoSignature:
         raise SoSortError(f"unknown operator {name!r}")
 
     def arity(self, name: str, sort_args: tuple[Sort, ...]) -> SoArity:
-        return self.schema(name).arity(sort_args)
+        found = self._arities.get((name, sort_args))
+        if found is None:
+            found = self._arities[name, sort_args] = self.schema(name).arity(sort_args)
+        return found
 
     def instances(self, sorts: list[Sort]) -> list[tuple[str, tuple[Sort, ...]]]:
         out = []
@@ -219,48 +225,26 @@ def so_check_term(
 
 def so_rename(t: SoTerm, ren) -> SoTerm:
     """Positional renaming; binders extend the renaming with identity."""
-    from .clones import Renaming
-
     match t:
         case SoVar(index=i):
             return SoVar(ren.apply(i))
         case MetaApp(index=i, args=args):
             return MetaApp(i, tuple(so_rename(a, ren) for a in args))
         case SoOp(name=name, sort_args=sort_args, args=args):
-            out = []
-            for binder, body in args:
-                n = len(ren.source)
-                extended = Renaming(
-                    ren.source + binder,
-                    ren.target + binder,
-                    ren.map + tuple(range(n + 1, n + len(binder) + 1)),
-                )
-                out.append((binder, so_rename(body, extended)))
-            return SoOp(name, sort_args, tuple(out))
+            return SoOp(name, sort_args, under_binders(args, ren, so_rename))
     raise SoSortError(f"not a second-order term: {t!r}")
 
 
 def so_subst(t: SoTerm, sigma: Substitution) -> SoTerm:
     """Simultaneous substitution of terms for variables; under a binder the
     components are weakened and the bound variables map to themselves."""
-    from .clones import weakening
-
     match t:
         case SoVar(index=j):
             return sigma.component(j)
         case MetaApp(index=i, args=args):
             return MetaApp(i, tuple(so_subst(a, sigma) for a in args))
         case SoOp(name=name, sort_args=sort_args, args=args):
-            out = []
-            for binder, body in args:
-                src = sigma.source + binder
-                n = len(sigma.source)
-                wk = weakening(sigma.source, binder)
-                weakened = tuple(so_rename(c, wk) for c in sigma.components)
-                fresh = tuple(SoVar(n + j) for j in range(1, len(binder) + 1))
-                lifted = Substitution(src, sigma.target + binder, weakened + fresh)
-                out.append((binder, so_subst(body, lifted)))
-            return SoOp(name, sort_args, tuple(out))
+            return SoOp(name, sort_args, under_binders(args, sigma, so_subst, so_rename, SoVar))
     raise SoSortError(f"not a second-order term: {t!r}")
 
 
@@ -317,10 +301,15 @@ class SoEquationSchema:
     sort: object
     lhs: SoTerm
     rhs: SoTerm
+    # each instance built so far, by sort arguments; shared by every caller
+    _instances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def instantiate(
         self, sort_args: tuple[Sort, ...]
     ) -> tuple[MetaContext, Sort, SoTerm, SoTerm]:
+        found = self._instances.get(sort_args)
+        if found is not None:
+            return found
         if len(sort_args) != len(self.params):
             raise SoSortError(f"equation {self.name} expects {len(self.params)} sort arguments")
         binding = dict(zip(self.params, sort_args))
@@ -331,12 +320,13 @@ class SoEquationSchema:
             )
             for ctx_ts, sort_t in self.metactx
         )
-        return (
+        found = self._instances[sort_args] = (
             MetaContext(decls),
             instantiate_sort(self.sort, binding),
             _so_subst_sorts(self.lhs, binding),
             _so_subst_sorts(self.rhs, binding),
         )
+        return found
 
 
 def _so_subst_sorts(t: SoTerm, binding: dict[str, Sort]) -> SoTerm:

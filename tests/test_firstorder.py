@@ -3,6 +3,7 @@
 import itertools
 import json
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -574,6 +575,32 @@ class TestUntracedNormalForm:
         with pytest.raises(RewriteDivergence) as e:
             RewriteEq(DUP).canonical(None, ctx(), nat, at)
         assert len(e.value.trace) == firstorder.MAX_REWRITE_STEPS
+
+    def test_growing_term_raises_divergence_not_recursion_error(self):
+        # mul(x1, unit) -> mul(mul(x1, unit), unit) deepens the term by one at
+        # every step; it outgrows Python's recursion limit long before the
+        # step ceiling, and both normalizers must say so with the typed error
+        star = Sort("*")
+        grow = FoEquationSchema(
+            "grow", (), (star,), star, mul(x(1), UNIT), mul(mul(x(1), UNIT), UNIT)
+        )
+        rs = RewriteSystem(FoPresentation("grow", monoid_presentation().signature, (grow,)))
+        t = mul(x(1), UNIT)
+        with pytest.raises(RewriteDivergence, match=r"recursion limit .* mul\(x1, unit\(\)\)") as e:
+            RewriteEq(rs).canonical(None, ctx(star), star, t)
+        assert e.value.trace == []
+        # the traced normalizer is quadratic in the depth per step, so it is
+        # run under a lower limit; its trace holds the steps made until then
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            with pytest.raises(RewriteDivergence, match="recursion limit") as e:
+                rewrite_normalize(rs, t)
+        finally:
+            sys.setrecursionlimit(limit)
+        steps = e.value.trace
+        assert 0 < len(steps) < firstorder.MAX_REWRITE_STEPS
+        assert steps[0].before == t and all(a.after == b.before for a, b in zip(steps, steps[1:]))
 
 
 
