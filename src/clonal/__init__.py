@@ -98,5 +98,6 @@ from .stlc import (
     stlc_gs,
 )
 from .surface import TheoryBundle, parse_bundle, parse_term, render_free, stock_bundle
+from .theories import BaseTheory, booleans, global_state, variables
 
 __version__ = "0.1.0"

@@ -9,20 +9,16 @@ byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
 
-from .clones import Budget, CloneError, check_clone_laws
+from .clones import Budget, CloneError, Substitution, check_clone_laws
 from .equality import free_equal, normalize_with_trace
-from .firstorder import (
-    RewriteSystem,
-    check_fo_derivation,
-    rewrite_normalize,
-)
+from .firstorder import FoVar, check_fo_derivation, fo_subst, rewrite_normalize
 from .freealgebra import (
     CloneApp,
-    FreeOp,
     FreeVar,
     check_free_derivation,
     enumerate_free_terms,
@@ -36,20 +32,20 @@ from .jsonio import (
     free_term_to_json,
     load_document,
     context_from_json,
-    sort_from_json,
 )
 from .nbe import check_normal, nbe_normalize
 from .secondorder import check_algebra
 from .sorts import Context, Sort
-from .stlc import adequacy_harness, bool_model_hom, set_model
+from .stlc import adequacy_harness, set_model
 from .surface import (
+    STOCK,
     ParseError,
     TheoryBundle,
     parse_bundle,
     parse_context,
     parse_term,
+    render_fo,
     render_free,
-    render_sort,
     sort_text,
     stock_bundle,
 )
@@ -65,7 +61,7 @@ def load_bundle(args) -> TheoryBundle:
 
 
 def bundled_source(variant: str) -> str:
-    name = {"stlc": "stlc", "bool": "stlc_bool", "gs": "stlc_gs"}[variant]
+    name = STOCK[variant][0]
     return resources.files("clonal.bundles").joinpath(f"{name}.bundle").read_text()
 
 
@@ -82,6 +78,15 @@ def _sort_arg(bundle, args) -> Sort:
 
 def _context_arg(bundle, args):
     return parse_context(bundle, args.context)
+
+
+def _model_fold(bundle):
+    """The set model and the fold of the free algebra into it, or None when
+    the base theory has no set-model homomorphism."""
+    if bundle.theory.model_hom is None:
+        return None
+    model = set_model(presentation=bundle.surface)
+    return model, fold_hom(bundle.free, model, bundle.theory.model_hom(model))
 
 
 def cmd_check(args) -> int:
@@ -113,10 +118,6 @@ def cmd_check(args) -> int:
 def _base_only(t):
     """Convert an element-application tree over variables into a base term,
     when the term mentions no operators."""
-    from .firstorder import fo_subst
-    from .clones import Substitution
-    from .firstorder import FoVar
-
     match t:
         case FreeVar(index=i):
             return FoVar(i)
@@ -137,10 +138,9 @@ def cmd_normalize(args) -> int:
     term = parse_term(bundle, args.term, sort, ctx, names)
 
     base_form = None if args.eta_long else _base_only(term)
-    if base_form is not None and bundle.base is not None and not sort.args:
-        nf, _ = rewrite_normalize(RewriteSystem(bundle.base), base_form)
-        from .surface import render_fo
-
+    system = bundle.theory.rewrite_system if base_form is not None and not sort.args else None
+    if system is not None:
+        nf, _ = rewrite_normalize(system, base_form)
         human = render_fo(nf, names or [f"x{i}" for i in range(1, len(ctx) + 1)])
         _emit(args, human, document("base-normal-form", {"term": human}, bundle=bundle.name))
         return OK
@@ -166,7 +166,8 @@ def cmd_normalize(args) -> int:
 
 def cmd_eval(args) -> int:
     bundle = load_bundle(args)
-    if bundle.base is None or bundle.base.name != "bool":
+    model_fold = _model_fold(bundle)
+    if model_fold is None:
         print("eval needs the boolean variant (finite set model)", file=sys.stderr)
         return USAGE
     sort = _sort_arg(bundle, args)
@@ -175,9 +176,7 @@ def cmd_eval(args) -> int:
     except ParseError as e:
         print(e, file=sys.stderr)
         return USAGE
-    model = set_model(presentation=bundle.surface)
-    g = bool_model_hom(bundle.free, model)
-    fold = fold_hom(bundle.free, model, g)
+    model, fold = model_fold
     table = fold.apply(Context(()), sort, term)
     value = table[0]
     human = _render_value(model, sort, value)
@@ -214,12 +213,8 @@ def cmd_equal(args) -> int:
     left = parse_term(bundle, args.left, sort, ctx, names)
     right = parse_term(bundle, args.right, sort, ctx, names)
     mode = "search" if args.search else "normalize"
-    model_hom = None
-    if bundle.base is not None and bundle.base.name == "bool" and len(ctx) == 0:
-        model = set_model(presentation=bundle.surface)
-        g = bool_model_hom(bundle.free, model)
-        fold = fold_hom(bundle.free, model, g)
-        model_hom = lambda c, s, t: fold.apply(c, s, t)
+    model_fold = _model_fold(bundle) if len(ctx) == 0 else None
+    model_hom = model_fold[1].apply if model_fold is not None else None
     verdict = free_equal(
         bundle.free, ctx, sort, left, right, mode=mode, budget=args.budget,
         model_hom=model_hom,
@@ -242,35 +237,25 @@ def cmd_provecheck(args) -> int:
     with open(args.file, encoding="utf-8") as handle:
         data = json.load(handle)
     kind = data.get("kind")
+    if kind not in ("fo-derivation", "free-derivation"):
+        print(f"unknown derivation document kind {kind!r}", file=sys.stderr)
+        return USAGE
+    payload = load_document(data, kind)
+    if kind == "fo-derivation" and bundle.base is None:
+        print("bundle has no base presentation", file=sys.stderr)
+        return USAGE
+    ctx, raw = context_from_json(payload["context"]), payload["derivation"]
     if kind == "fo-derivation":
-        payload = load_document(data, "fo-derivation")
-        if bundle.base is None:
-            print("bundle has no base presentation", file=sys.stderr)
-            return USAGE
-        ctx = context_from_json(payload["context"])
-        deriv = fo_derivation_from_json(payload["derivation"])
-        verdict = check_fo_derivation(bundle.base, ctx, deriv)
-        status = "accepted" if verdict.ok else f"rejected at {list(verdict.path)}: {verdict.error}"
-        _emit(args, status, document("provecheck", {
-            "ok": verdict.ok,
-            "error": verdict.error,
-            "path": list(verdict.path),
-        }, bundle=bundle.name))
-        return OK if verdict.ok else FAIL
-    if kind == "free-derivation":
-        payload = load_document(data, "free-derivation")
-        ctx = context_from_json(payload["context"])
-        deriv = free_derivation_from_json(payload["derivation"])
-        verdict = check_free_derivation(bundle.free, ctx, deriv)
-        status = "accepted" if verdict.ok else f"rejected at {list(verdict.path)}: {verdict.error}"
-        _emit(args, status, document("provecheck", {
-            "ok": verdict.ok,
-            "error": verdict.error,
-            "path": list(verdict.path),
-        }, bundle=bundle.name))
-        return OK if verdict.ok else FAIL
-    print(f"unknown derivation document kind {kind!r}", file=sys.stderr)
-    return USAGE
+        verdict = check_fo_derivation(bundle.base, ctx, fo_derivation_from_json(raw))
+    else:
+        verdict = check_free_derivation(bundle.free, ctx, free_derivation_from_json(raw))
+    status = "accepted" if verdict.ok else f"rejected at {list(verdict.path)}: {verdict.error}"
+    _emit(args, status, document("provecheck", {
+        "ok": verdict.ok,
+        "error": verdict.error,
+        "path": list(verdict.path),
+    }, bundle=bundle.name))
+    return OK if verdict.ok else FAIL
 
 
 def cmd_enumerate(args) -> int:
@@ -288,7 +273,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_adequacy(args) -> int:
     bundle = load_bundle(args)
-    if bundle.base is None or bundle.base.name != "bool":
+    if bundle.theory.model_hom is None:
         print("adequacy runs on the boolean variant", file=sys.stderr)
         return USAGE
     report = adequacy_harness(args.budget, bundle.free)
@@ -307,6 +292,7 @@ def cmd_adequacy(args) -> int:
 SIZE_BUDGET = 5
 
 
+@functools.cache  # built once per process; each parse makes a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clonal",
@@ -318,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--bundle", help="path to a bundle file")
         p.add_argument(
-            "--variant", choices=("stlc", "bool", "gs"), default="bool",
+            "--variant", choices=tuple(STOCK), default="bool",
             help="stock theory to use when no bundle file is given",
         )
         p.add_argument(

@@ -139,6 +139,7 @@ class Clone:
     """Base interface for clones.  Terms are opaque values per instance."""
 
     sort_set: SortSet
+    theory = None  # the clonal.theories.BaseTheory this clone belongs to, if any
 
     def var(self, ctx: Context, i: int):
         raise NotImplementedError
@@ -150,8 +151,10 @@ class Clone:
     def term_eq(self, ctx: Context, sort: Sort, t, u) -> bool:
         return t == u
 
-    def enumerate_terms(self, ctx: Context, sort: Sort, depth: int) -> list:
-        """Deterministic, duplicate-free enumeration of terms up to ``depth``."""
+    def enumerate_terms(self, ctx: Context, sort: Sort, depth: int, limit=None) -> list:
+        """Deterministic, duplicate-free enumeration of terms up to ``depth``.
+        A clone may use ``limit`` to cap its intermediate pools; callers cap
+        the result themselves."""
         raise NotImplementedError
 
     def show_term(self, t) -> str:
@@ -222,8 +225,15 @@ class VariableClone(Clone):
     def subst(self, t: int, sigma: Substitution):
         return sigma.component(t)
 
-    def enumerate_terms(self, ctx: Context, sort: Sort, depth: int) -> list[int]:
+    def enumerate_terms(self, ctx: Context, sort: Sort, depth: int, limit=None) -> list[int]:
         return [i for i in range(1, len(ctx) + 1) if ctx.sort_at(i) == sort]
+
+    @property
+    def theory(self):
+        """The theory of variables over this clone's sorts."""
+        from .theories import variables
+
+        return variables(self.sort_set)
 
     def show_term(self, t) -> str:
         return f"#{t}"
@@ -244,7 +254,7 @@ class TerminalClone(Clone):
     def subst(self, t, sigma: Substitution):
         return self.POINT
 
-    def enumerate_terms(self, ctx: Context, sort: Sort, depth: int) -> list:
+    def enumerate_terms(self, ctx: Context, sort: Sort, depth: int, limit=None) -> list:
         return [self.POINT]
 
 
@@ -276,7 +286,7 @@ class ProductClone(Clone):
     def term_eq(self, ctx, sort, t, u) -> bool:
         return self.left.term_eq(ctx, sort, t[0], u[0]) and self.right.term_eq(ctx, sort, t[1], u[1])
 
-    def enumerate_terms(self, ctx: Context, sort: Sort, depth: int) -> list:
+    def enumerate_terms(self, ctx: Context, sort: Sort, depth: int, limit=None) -> list:
         return [
             (a, b)
             for a in self.left.enumerate_terms(ctx, sort, depth)
@@ -311,7 +321,7 @@ class ContextExtensionClone(Clone):
     def term_eq(self, ctx, sort, t, u) -> bool:
         return self.base.term_eq(ctx + self.extra, sort, t, u)
 
-    def enumerate_terms(self, ctx: Context, sort: Sort, depth: int) -> list:
+    def enumerate_terms(self, ctx: Context, sort: Sort, depth: int, limit=None) -> list:
         return self.base.enumerate_terms(ctx + self.extra, sort, depth)
 
     def show_term(self, t) -> str:
@@ -447,16 +457,6 @@ class PairingHom(CloneHom):
         return (self.f.apply(ctx, sort, t), self.g.apply(ctx, sort, t))
 
 
-class ComposedHom(CloneHom):
-    def __init__(self, g: CloneHom, f: CloneHom):
-        super().__init__(f.source, g.target)
-        self.g = g
-        self.f = f
-
-    def apply(self, ctx, sort, t):
-        return self.g.apply(ctx, sort, self.f.apply(ctx, sort, t))
-
-
 # --------------------------------------------------------------------------
 # Law checking
 # --------------------------------------------------------------------------
@@ -533,11 +533,7 @@ def _capped(items: list, cap: int, law: LawCheck) -> list:
 
 
 def _terms(clone: Clone, ctx: Context, sort: Sort, depth: int, cap: int, law: LawCheck) -> list:
-    try:
-        items = clone.enumerate_terms(ctx, sort, depth, limit=cap + 1)
-    except TypeError:
-        items = clone.enumerate_terms(ctx, sort, depth)
-    return _capped(items, cap, law)
+    return _capped(clone.enumerate_terms(ctx, sort, depth, limit=cap + 1), cap, law)
 
 
 def _subst_tuples(

@@ -21,10 +21,12 @@ variable elements at that sort are never collapsed back.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
 from .clones import CloneError, Substitution, weakening
+from .firstorder import FoOp, FoVar
 from .freealgebra import (
     CloneApp,
     FAxiom,
@@ -68,20 +70,14 @@ def base_completion_needed(free: FreeAlgebra, sort: Sort) -> bool:
         cache = {}
         free._completion_cache = cache
     if sort not in cache:
-        base = free.base
-        fn = getattr(base, "canonical", None)
-        if fn is None:
-            cache[sort] = False
-        else:
-            one = Context((sort,))
-            cache[sort] = fn(one, sort, base.var(one, 1)) != base.var(one, 1)
+        one = Context((sort,))
+        x = free.base.var(one, 1)
+        cache[sort] = base_canonical(free.base, one, sort, x) != x
     return cache[sort]
 
 
 def element_use_order(e) -> list[int]:
     """Positions mentioned by a base element, in first-use order."""
-    from .firstorder import FoOp, FoVar
-
     if isinstance(e, int):
         return [e]
     order: list[int] = []
@@ -266,7 +262,7 @@ def drop_unused_step(free: FreeAlgebra, ctx: Context, t: FreeTerm):
     new_ctx = Context(tuple(t.arity_ctx.sort_at(p) for p in kept))
     new_args = tuple(t.args[p - 1] for p in kept)
     mapping = {p: j for j, p in enumerate(kept, start=1)}
-    reduced = _reindex(t.element, mapping)
+    reduced = reindex_element(t.element, mapping)
     comps = tuple(base.var(t.arity_ctx, p) for p in kept)
     # <e>(args) ~ <reduced>(<var_p>(args)...) backwards, then collapse each
     law = FSubstLaw(reduced, new_ctx, t.arity_sort, comps, t.arity_ctx, t.args)
@@ -278,15 +274,14 @@ def drop_unused_step(free: FreeAlgebra, ctx: Context, t: FreeTerm):
     return new_term, FTrans(FSym(law), cong)
 
 
-def _reindex(e, mapping: dict[int, int]):
-    from .firstorder import FoOp, FoVar
-
+def reindex_element(e, mapping: dict[int, int]):
+    """A base element with its positions renamed by ``mapping``."""
     if isinstance(e, int):
         return mapping[e]
     if isinstance(e, FoVar):
         return FoVar(mapping[e.index])
     if isinstance(e, FoOp):
-        return FoOp(e.name, e.sort_args, tuple(_reindex(a, mapping) for a in e.args))
+        return FoOp(e.name, e.sort_args, tuple(reindex_element(a, mapping) for a in e.args))
     raise NormalizationError(f"cannot reindex element {e!r}")
 
 
@@ -560,10 +555,6 @@ def normalize_with_trace(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTer
     return StepNormalizer(free).normalize(ctx, sort, t)
 
 
-def step_normal_form(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> FreeTerm:
-    return normalize_with_trace(free, ctx, sort, t)[0]
-
-
 # --------------------------------------------------------------------------
 # Equality verdicts
 # --------------------------------------------------------------------------
@@ -573,7 +564,8 @@ def step_normal_form(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -
 class EqVerdict:
     status: str  # "equal" | "not_equal" | "unknown"
     witness: object = None  # derivation of t ~ u when equal
-    certificate: object = None  # pair of model values certifying inequality
+    # not_equal evidence: two distinct model values, else two distinct NbE normal forms
+    certificate: object = None
 
     def __bool__(self):
         return self.status == "equal"
@@ -592,9 +584,11 @@ def free_equal(
     """Decide t ~ u with a witness.
 
     normalize mode compares step-normal forms and chains the two traces
-    into the witness; when the forms differ and ``model_hom`` is supplied,
-    distinct model values certify the inequality.  search mode runs a
-    bounded bidirectional best-first search; exhaustion yields the
+    into the witness.  When the forms differ, "not_equal" needs evidence:
+    distinct values under ``model_hom``, else distinct NbE normal forms
+    (without an NbE domain the verdict is "unknown").  NbE normal forms that
+    agree while the step forms differ raise NormalizationError.  search mode
+    runs a bounded bidirectional best-first search; exhaustion yields the
     first-class verdict "unknown".
     """
     if raw_eq(free.base, ctx, sort, t, u):
@@ -604,10 +598,22 @@ def free_equal(
         nu, du = normalize_with_trace(free, ctx, sort, u)
         if raw_eq(free.base, ctx, sort, nt, nu):
             return EqVerdict("equal", FTrans(dt, FSym(du)))
-        certificate = None
         if model_hom is not None:
-            certificate = (model_hom(ctx, sort, t), model_hom(ctx, sort, u))
-        return EqVerdict("not_equal", certificate=certificate)
+            values = (model_hom(ctx, sort, t), model_hom(ctx, sort, u))
+            if values[0] != values[1]:
+                return EqVerdict("not_equal", certificate=values)
+        from .nbe import NbeError, nbe_for, nbe_normalize
+
+        try:
+            nbe_for(free)
+        except NbeError:  # no base domain: no evidence either way
+            return EqVerdict("unknown")
+        forms = (nbe_normalize(free, ctx, sort, t), nbe_normalize(free, ctx, sort, u))
+        if raw_eq(free.base, ctx, sort, *forms):
+            raise NormalizationError(
+                f"step normal forms {nt} and {nu} differ, but NbE finds the terms equal"
+            )
+        return EqVerdict("not_equal", certificate=forms)
     if mode == "search":
         found = _search_equal(free, ctx, sort, t, u, budget)
         if found is None:
@@ -659,8 +665,6 @@ def _all_moves(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
 
 
 def _search_equal(free, ctx, sort, t, u, budget):
-    import heapq
-
     parents = [{t: None}, {u: None}]
     seq = itertools.count()
     heap = [(free_size(t), next(seq), 0, t), (free_size(u), next(seq), 1, u)]

@@ -9,6 +9,7 @@ has to infer them.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -905,8 +906,6 @@ def prove_fo_equal(
     memoized per call and shared by every position and popped term where
     that subterm occurs.  The memo lives only as long as the call.
     """
-    import heapq
-
     if t == u:
         return FoRefl(t)
     if instance_sorts is None:
@@ -1105,6 +1104,14 @@ def put_name(value) -> str:
     return f"put_{value}"
 
 
+def _put(value, t: FoTerm) -> FoOp:
+    return FoOp(put_name(value), (), (t,))
+
+
+def _get(*ts: FoTerm) -> FoOp:
+    return FoOp("get", (), tuple(ts))
+
+
 def global_state_presentation(values: tuple) -> FoPresentation:
     """Global state over a finite value set: one get, one put per value,
     and the three interaction equation families."""
@@ -1114,16 +1121,10 @@ def global_state_presentation(values: tuple) -> FoPresentation:
     ops = [FoOpSchema("get", (), tuple(BASE for _ in range(k)), BASE)]
     ops += [FoOpSchema(put_name(v), (), (BASE,), BASE) for v in values]
 
-    def put(v, t):
-        return FoOp(put_name(v), (), (t,))
-
-    def get(*ts):
-        return FoOp("get", (), tuple(ts))
-
     x = FoVar(1)
     eqs = [
         FoEquationSchema(
-            "get_put", (), (BASE,), BASE, get(*(put(v, x) for v in values)), x
+            "get_put", (), (BASE,), BASE, _get(*(_put(v, x) for v in values)), x
         )
     ]
     xs = tuple(FoVar(i) for i in range(1, k + 1))
@@ -1131,7 +1132,7 @@ def global_state_presentation(values: tuple) -> FoPresentation:
         eqs.append(
             FoEquationSchema(
                 f"put_get_{v}", (), tuple(BASE for _ in range(k)), BASE,
-                put(v, get(*xs)), put(v, xs[i - 1]),
+                _put(v, _get(*xs)), _put(v, xs[i - 1]),
             )
         )
     for vi in values:
@@ -1139,7 +1140,7 @@ def global_state_presentation(values: tuple) -> FoPresentation:
             eqs.append(
                 FoEquationSchema(
                     f"put_put_{vi}_{vj}", (), (BASE,), BASE,
-                    put(vi, put(vj, x)), put(vj, x),
+                    _put(vi, _put(vj, x)), _put(vj, x),
                 )
             )
     return FoPresentation(f"global_state_{k}", FoSignature(TY, tuple(ops)), tuple(eqs))
@@ -1155,6 +1156,7 @@ def gs_canonical_form(values: tuple, ctx: Context, sort: Sort, t: FoTerm) -> FoT
     """
     if sort != BASE:
         return t
+    label = {put_name(v): v for v in values}
 
     def table(term) -> dict:
         match term:
@@ -1163,15 +1165,13 @@ def gs_canonical_form(values: tuple, ctx: Context, sort: Sort, t: FoTerm) -> FoT
             case FoOp(name="get", args=args):
                 ts = [table(a) for a in args]
                 return {v: ts[i][v] for i, v in enumerate(values)}
-            case FoOp(name=name, args=(arg,)) if name.startswith("put_"):
-                w = next(v for v in values if put_name(v) == name)
+            case FoOp(name=name, args=(arg,)) if name in label:
                 inner = table(arg)
-                return {v: inner[w] for v in values}
+                return {v: inner[label[name]] for v in values}
         raise FoSortError(f"not a global-state base term: {term}")
 
     tbl = table(t)
-    branches = tuple(FoOp(put_name(w), (), (atom,)) for (w, atom) in (tbl[v] for v in values))
-    return FoOp("get", (), branches)
+    return _get(*(_put(w, atom) for w, atom in (tbl[v] for v in values)))
 
 
 def gs_expand_witness(
@@ -1186,6 +1186,7 @@ def gs_expand_witness(
     """
     k = len(values)
     index = {v: i for i, v in enumerate(values, start=1)}
+    label = {put_name(v): v for v in values}
 
     def complete(term) -> FoDerivation:
         # term ~ get(put_v1(term), ..., put_vk(term)), read right to left
@@ -1194,8 +1195,7 @@ def gs_expand_witness(
     def expand(term) -> tuple[FoTerm, FoDerivation]:
         match term:
             case FoVar():
-                branches = tuple(FoOp(put_name(v), (), (term,)) for v in values)
-                return FoOp("get", (), branches), complete(term)
+                return _get(*(_put(v, term) for v in values)), complete(term)
             case FoOp(name="get", args=args):
                 subs = [expand(a) for a in args]
                 # get(t_1..t_k) ~ get(T_1..T_k) by congruence on the branches
@@ -1216,14 +1216,14 @@ def gs_expand_witness(
                     step2 = FoAxiom(f"put_get_{v}", (), tuple(FoRefl(a) for a in tj.args))
                     inner = tj.args[j - 1]  # put_{u_jj}(b_jj)
                     # put_v(put_u(b)) ~ put_u(b)
-                    u_val = next(w for w in values if put_name(w) == inner.name)
+                    u_val = label[inner.name]
                     step3 = FoAxiom(f"put_put_{v}_{u_val}", (), (FoRefl(inner.args[0]),))
                     branch_ds.append(FoTrans(FoTrans(step1, step2), step3))
                     branches.append(inner)
                 d = FoTrans(d, FoCong("get", (), tuple(branch_ds)))
                 return FoOp("get", (), tuple(branches)), d
-            case FoOp(name=name, args=(arg,)) if name.startswith("put_"):
-                w = next(v for v in values if put_name(v) == name)
+            case FoOp(name=name, args=(arg,)) if name in label:
+                w = label[name]
                 inner_t, inner_d = expand(arg)
                 # put_w(t) ~ put_w(get(puts)) ~ put_w(put_u(b)) ~ put_u(b)
                 d = FoCong(name, (), (inner_d,))
@@ -1232,7 +1232,7 @@ def gs_expand_witness(
                 d = FoTrans(
                     d, FoAxiom(f"put_get_{w}", (), tuple(FoRefl(a) for a in inner_t.args))
                 )
-                u_val = next(v for v in values if put_name(v) == selected.name)
+                u_val = label[selected.name]
                 d = FoTrans(d, FoAxiom(f"put_put_{w}_{u_val}", (), (FoRefl(selected.args[0]),)))
                 # ~ get(put_v(sel), ...) with the double puts collapsed per branch
                 d = FoTrans(d, complete(selected))
@@ -1263,12 +1263,6 @@ def gs_rewrite_system(values: tuple) -> RewriteSystem:
     pres = global_state_presentation(values)
     k = len(values)
 
-    def put(v, t):
-        return FoOp(put_name(v), (), (t,))
-
-    def get(*ts):
-        return FoOp("get", (), tuple(ts))
-
     def rule(name, n_vars, lhs, rhs):
         _, d_lhs = gs_expand_witness(values, pres, lhs)
         _, d_rhs = gs_expand_witness(values, pres, rhs)
@@ -1282,27 +1276,28 @@ def gs_rewrite_system(values: tuple) -> RewriteSystem:
         # branch i holds a get of k fresh variables, numbered after ys[:i]
         zs = tuple(FoVar(j) for j in range(i + 1, i + k + 1))
         others = [FoVar(j + k - 1) for j in range(i + 2, k + 1)]
-        lhs = get(*ys[:i], get(*zs), *others)
-        rhs = get(*ys[:i], zs[i], *others)
+        lhs = _get(*ys[:i], _get(*zs), *others)
+        rhs = _get(*ys[:i], zs[i], *others)
         derived.append(rule(f"get_select_{v}", 2 * k - 1, lhs, rhs))
         derived.append(
-            rule(f"get_own_put_{v}", k, get(*ys[:i], put(v, ys[i]), *ys[i + 1:]), get(*ys))
+            rule(f"get_own_put_{v}", k, _get(*ys[:i], _put(v, ys[i]), *ys[i + 1:]), _get(*ys))
         )
-    derived.append(rule("get_same", 1, get(*(y for _ in values)), y))
+    derived.append(rule("get_same", 1, _get(*(y for _ in values)), y))
     if k == 1:
-        derived.append(rule(f"put_drop_{values[0]}", 1, put(values[0], y), y))
+        derived.append(rule(f"put_drop_{values[0]}", 1, _put(values[0], y), y))
     else:
         for i, w in enumerate(values):
-            branches = [put(w, y)] * k
+            branches = [_put(w, y)] * k
             branches[i] = y
-            derived.append(rule(f"get_const_put_{w}", 1, get(*branches), put(w, y)))
+            derived.append(rule(f"get_const_put_{w}", 1, _get(*branches), _put(w, y)))
     return RewriteSystem(pres, tuple(derived))
 
 
 def gs_clone(values: tuple) -> TmClone:
     """The global-state clone with table-based canonical equality."""
-    pres = global_state_presentation(values)
-    return TmClone(pres, CanonicalEq(lambda ctx, sort, t: gs_canonical_form(values, ctx, sort, t)))
+    from .theories import global_state
+
+    return global_state(tuple(values)).clone
 
 
 def bool_presentation() -> FoPresentation:
@@ -1328,8 +1323,9 @@ def bool_presentation() -> FoPresentation:
 
 
 def bool_clone() -> TmClone:
-    pres = bool_presentation()
-    return TmClone(pres, RewriteEq(RewriteSystem(pres)))
+    from .theories import booleans
+
+    return booleans().clone
 
 
 def monoid_presentation() -> FoPresentation:

@@ -30,6 +30,7 @@ from .clones import (
     Substitution,
     under_binders,
 )
+from .firstorder import FoOp, FoVar, enumerate_fo_terms_by_size, fo_size
 from .secondorder import (
     Algebra,
     MetaApp,
@@ -38,6 +39,7 @@ from .secondorder import (
     SoPresentation,
     SoTerm,
     SoVar,
+    interpret_term,
 )
 from .sorts import Context, Sort, stored_hash
 
@@ -112,8 +114,6 @@ def free_size(t: FreeTerm) -> int:
 
 
 def _element_size(e) -> int:
-    from .firstorder import FoOp, FoVar, fo_size
-
     if isinstance(e, (FoVar, FoOp)):
         return fo_size(e)
     return 1
@@ -209,6 +209,7 @@ class FreeAlgebra(Algebra, Clone):
         self.sort_set = base.sort_set
         self.normalizer = normalizer  # (free_algebra, ctx, sort, term) -> term
         self.clone = self
+        self.nbe = None  # the NbE engine, built by nbe.nbe_for on first use
 
     # Clone interface ---------------------------------------------------
 
@@ -456,12 +457,7 @@ def enumerate_free_terms(
                 for actx in element_contexts:
                     if full(out):
                         break
-                    try:
-                        elements = free.base.enumerate_terms(
-                            actx, s, d - 1, limit=limit
-                        )
-                    except TypeError:
-                        elements = free.base.enumerate_terms(actx, s, d - 1)
+                    elements = free.base.enumerate_terms(actx, s, d - 1, limit=limit)
                     pools = [upto(c, a, d - 1) for a in actx]
                     for e in elements:
                         for combo in itertools.product(*pools):
@@ -496,8 +492,6 @@ def enumerate_free_terms(
             return res
 
         return upto(ctx, sort, max_depth)
-
-    from .firstorder import enumerate_fo_terms_by_size, fo_size
 
     exact: dict = {}
 
@@ -588,8 +582,6 @@ class FreeVerdict:
 def so_to_free(free: FreeAlgebra, t: SoTerm, metactx: MetaContext, gamma: Context, inst):
     """Interpret an equation side in the free algebra: the metasubstitution
     of free terms for metavariables, following the interpretation clauses."""
-    from .secondorder import interpret_term
-
     return interpret_term(free, t, metactx, Context(()), gamma, inst)
 
 

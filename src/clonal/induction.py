@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .clones import Budget, Clone, CloneHom, Substitution
+from .clones import Budget, Clone, CloneHom, LawCheck, LawReport, Renaming, Substitution
 from .freealgebra import FreeAlgebra
 from .secondorder import Algebra
 from .sorts import Context, Sort
@@ -146,8 +146,6 @@ def check_predicate_closure(
 ):
     """The two defining conditions of a clone predicate, on enumerations:
     variables are members, and membership is closed under substitution."""
-    from .clones import LawCheck, LawReport
-
     clone = pred.clone
     report = LawReport("predicate closure")
     vars_law = LawCheck("variables are members")
@@ -303,8 +301,6 @@ def assert_conclusion(
 def all_renamings(src: Context, tgt: Context):
     """Every sort-respecting renaming acting from ``tgt``-terms to
     ``src``-terms; finite and exhaustive."""
-    from .clones import Renaming
-
     pools = [
         [j for j in range(1, len(src) + 1) if src.sort_at(j) == tgt.sort_at(i)]
         for i in range(1, len(tgt) + 1)

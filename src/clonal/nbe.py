@@ -13,6 +13,10 @@ Base domains supplied here:
   * global state   -- base values are state tables: for every initial state,
                       a final state and a neutral result.
 
+A free algebra's domain comes from the descriptor of its base clone
+(``free.base.theory.domain``, see ``clonal.theories``); ``nbe_for`` builds
+the engine once per free algebra.
+
 The read-back of an element application is exactly the canonical shape the
 step normalizer reaches, so the two normalizers can be cross-checked
 term-for-term.
@@ -23,13 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clones import CloneError, Renaming, identity_renaming, weakening
-from .equality import canonical_cloneapp
+from .equality import base_completion_needed, canonical_cloneapp, element_use_order
+from .equality import is_canonical_cloneapp, reindex_element
+from .firstorder import FoOp, FoVar, put_name, rewrite_normalize
 from .freealgebra import (
     CloneApp,
     FreeAlgebra,
     FreeOp,
     FreeTerm,
     FreeVar,
+    free_check_term,
     free_rename,
 )
 from .sorts import Context, Sort
@@ -88,27 +95,18 @@ class BoolVal:
 class BoolDomain:
     """Base values are normal boolean element applications over atoms."""
 
-    def __init__(self, base):
-        from .firstorder import FoOp
-
-        self.base = base
+    def __init__(self, system):
+        self.system = system  # the boolean rewrite system
         self.true = FoOp("true", (), ())
         self.false = FoOp("false", (), ())
 
     def atom(self, nbe, ctx, sort, neutral):
-        from .firstorder import FoVar
-
         return BoolVal(FoVar(1), (neutral,))
 
     def rename_base(self, v: BoolVal, ren):
         return BoolVal(v.term, tuple(free_rename(a, ren) for a in v.atoms))
 
-    def _constant(self, term):
-        return BoolVal(term, ())
-
     def ite(self, nbe, ctx, result_sort: Sort, cond: BoolVal, tv, ev):
-        from .firstorder import FoOp
-
         if cond.term == self.true:
             return tv
         if cond.term == self.false:
@@ -122,54 +120,42 @@ class BoolDomain:
         n_e = nbe.reify(ctx, A, ev)
         k = len(cond.atoms)
         cond_part = cond.term
-        element = FoOp("ite", (A,), (cond_part, _fo_var(k + 1), _fo_var(k + 2)))
-        actx = Context(tuple(_base_of(nbe) for _ in range(k)) + (A, A))
+        element = FoOp("ite", (A,), (cond_part, FoVar(k + 1), FoVar(k + 2)))
+        actx = Context(tuple(nbe.base_sort for _ in range(k)) + (A, A))
         raw = CloneApp(element, actx, A, cond.atoms + (n_t, n_e))
         neutral = canonical_cloneapp(nbe.free, ctx, raw)
         return nbe.reflect(ctx, A, neutral)
 
     def _combine(self, ctx, sort, cond: BoolVal, tv: BoolVal, ev: BoolVal):
-        from .firstorder import FoOp, RewriteSystem, rewrite_normalize
-
         atoms = list(cond.atoms)
 
         def embed(v: BoolVal):
-            mapping = {}
-            for i, a in enumerate(v.atoms, start=1):
-                if a in atoms:
-                    mapping[i] = atoms.index(a) + 1
-                else:
-                    atoms.append(a)
-                    mapping[i] = len(atoms)
-            return _reindex_fo(v.term, mapping)
+            mapping = {i: _position(atoms, a) for i, a in enumerate(v.atoms, start=1)}
+            return reindex_element(v.term, mapping)
 
         cond_t = cond.term  # its atoms are already in place
         t_t = embed(tv)
         e_t = embed(ev)
         combined = FoOp("ite", (sort,), (cond_t, t_t, e_t))
-        nf, _ = rewrite_normalize(RewriteSystem(self.base.presentation), combined)
+        nf, _ = rewrite_normalize(self.system, combined)
         return _canonical_bool_val(nf, tuple(atoms))
 
     def eval_element(self, nbe, ctx, element, actx, asort, arg_values):
-        from .firstorder import FoOp, FoVar
-
         def go(e, result_sort):
             match e:
                 case FoVar(index=i):
                     return arg_values[i - 1]
                 case FoOp(name="true"):
-                    return self._constant(self.true)
+                    return BoolVal(self.true, ())
                 case FoOp(name="false"):
-                    return self._constant(self.false)
+                    return BoolVal(self.false, ())
                 case FoOp(name="ite", sort_args=(A,), args=(c, t, u)):
-                    return self.ite(nbe, ctx, A, go(c, _base_of(nbe)), go(t, A), go(u, A))
+                    return self.ite(nbe, ctx, A, go(c, nbe.base_sort), go(t, A), go(u, A))
             raise NbeError(f"unknown boolean element node {e!r}")
 
         return go(element, asort)
 
     def reify_base(self, nbe, ctx, sort, v: BoolVal) -> FreeTerm:
-        from .firstorder import FoVar
-
         if isinstance(v.term, FoVar):
             return v.atoms[v.term.index - 1]
         raw = CloneApp(
@@ -178,49 +164,18 @@ class BoolDomain:
         return canonical_cloneapp(nbe.free, ctx, raw)
 
 
-def _fo_var(i):
-    from .firstorder import FoVar
-
-    return FoVar(i)
-
-
-def _reindex_fo(e, mapping):
-    from .firstorder import FoOp, FoVar
-
-    if isinstance(e, FoVar):
-        return FoVar(mapping[e.index])
-    return FoOp(e.name, e.sort_args, tuple(_reindex_fo(a, mapping) for a in e.args))
-
-
 def _canonical_bool_val(term, atoms):
     """Drop unused atoms, renumber in first-use order, merge duplicates."""
-    from .firstorder import FoOp, FoVar
-
-    order: list[int] = []
-
-    def walk(t):
-        if isinstance(t, FoVar):
-            if t.index not in order:
-                order.append(t.index)
-        elif isinstance(t, FoOp):
-            for a in t.args:
-                walk(a)
-
-    walk(term)
     kept: list = []
-    mapping: dict[int, int] = {}
-    for p in order:
-        a = atoms[p - 1]
-        if a in kept:
-            mapping[p] = kept.index(a) + 1
-        else:
-            kept.append(a)
-            mapping[p] = len(kept)
-    return BoolVal(_reindex_fo(term, mapping) if order else term, tuple(kept))
+    mapping = {p: _position(kept, atoms[p - 1]) for p in element_use_order(term)}
+    return BoolVal(reindex_element(term, mapping) if mapping else term, tuple(kept))
 
 
-def _base_of(nbe) -> Sort:
-    return nbe.base_sort
+def _position(atoms: list, a) -> int:
+    """The 1-based position of ``a`` in ``atoms``, appended when new."""
+    if a not in atoms:
+        atoms.append(a)
+    return atoms.index(a) + 1
 
 
 @dataclass(frozen=True)
@@ -234,9 +189,9 @@ class GsVal:
 class GsDomain:
     """Base values are state tables over neutral results."""
 
-    def __init__(self, base, values: tuple):
-        self.base = base
+    def __init__(self, values: tuple):
         self.values = values
+        self.put_index = {put_name(v): j for j, v in enumerate(values)}
 
     def atom(self, nbe, ctx, sort, neutral):
         return GsVal(tuple((v, neutral) for v in self.values))
@@ -245,41 +200,24 @@ class GsDomain:
         return GsVal(tuple((w, free_rename(m, ren)) for w, m in v.branches))
 
     def eval_element(self, nbe, ctx, element, actx, asort, arg_values):
-        from .firstorder import FoOp, FoVar
-
         def go(e) -> GsVal:
             match e:
                 case FoVar(index=i):
                     return arg_values[i - 1]
                 case FoOp(name="get", args=args):
-                    branch_tables = [go(a) for a in args]
-                    return GsVal(
-                        tuple(
-                            branch_tables[i].branches[i]
-                            for i in range(len(self.values))
-                        )
-                    )
-                case FoOp(name=name, args=(arg,)) if name.startswith("put_"):
-                    w = next(v for v in self.values if f"put_{v}" == name)
+                    # in initial state i, the i-th branch runs
+                    return GsVal(tuple(go(a).branches[i] for i, a in enumerate(args)))
+                case FoOp(name=name, args=(arg,)) if name in self.put_index:
                     inner = go(arg)
-                    j = self.values.index(w)
+                    j = self.put_index[name]
                     return GsVal(tuple(inner.branches[j] for _ in self.values))
             raise NbeError(f"unknown state element node {e!r}")
 
         return go(element)
 
     def reify_base(self, nbe, ctx, sort, v: GsVal) -> FreeTerm:
-        from .firstorder import FoOp, FoVar
-
         atoms: list = []
-        puts = []
-        for w, m in v.branches:
-            if m in atoms:
-                pos = atoms.index(m) + 1
-            else:
-                atoms.append(m)
-                pos = len(atoms)
-            puts.append(FoOp(f"put_{w}", (), (FoVar(pos),)))
+        puts = [FoOp(put_name(w), (), (FoVar(_position(atoms, m)),)) for w, m in v.branches]
         element = FoOp("get", (), tuple(puts))
         actx = Context(tuple(sort for _ in atoms))
         return CloneApp(element, actx, sort, tuple(atoms))
@@ -293,15 +231,13 @@ class GsDomain:
 class Nbe:
     """Evaluator and read-back for one free algebra."""
 
-    def __init__(self, free: FreeAlgebra, domain, base_sort: Sort | None = None):
+    def __init__(self, free: FreeAlgebra, domain):
         self.free = free
         self.domain = domain
         bases = free.sort_set.base_sorts()
-        if base_sort is None:
-            if len(bases) != 1:
-                raise NbeError("specify the base sort explicitly")
-            base_sort = bases[0]
-        self.base_sort = base_sort
+        if len(bases) != 1:
+            raise NbeError("normalization by evaluation needs exactly one base sort")
+        (self.base_sort,) = bases
 
     # evaluation ----------------------------------------------------------
     #
@@ -370,25 +306,13 @@ class Nbe:
 
 
 def nbe_for(free: FreeAlgebra) -> Nbe:
-    """Pick the base domain matching the free algebra's base clone."""
-    from .clones import VariableClone
-    from .firstorder import TmClone
-
-    base = free.base
-    if isinstance(base, VariableClone):
-        return Nbe(free, VariableDomain())
-    if isinstance(base, TmClone):
-        name = base.presentation.name
-        if name == "bool":
-            return Nbe(free, BoolDomain(base))
-        if name.startswith("global_state"):
-            values = tuple(
-                schema.name.removeprefix("put_")
-                for schema in base.presentation.signature.operators
-                if schema.name.startswith("put_")
-            )
-            return Nbe(free, GsDomain(base, values))
-    raise NbeError(f"no normalization domain registered for base {base!r}")
+    """The engine of ``free``, built once on its base theory's domain."""
+    if free.nbe is None:
+        theory = free.base.theory
+        if theory is None or theory.domain is None:
+            raise NbeError(f"no normalization domain registered for base {free.base!r}")
+        free.nbe = Nbe(free, theory.domain)
+    return free.nbe
 
 
 def nbe_normalize(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> FreeTerm:
@@ -421,9 +345,6 @@ def check_normal(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> No
     base), or a canonical element application over neutral atoms and
     normal higher-sort arguments.
     """
-    from .equality import base_completion_needed, is_canonical_cloneapp
-    from .freealgebra import free_check_term
-
     def neutral(c: Context, s: Sort, term) -> NormalVerdict:
         match term:
             case FreeVar():

@@ -12,10 +12,11 @@ equations.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 
-from .clones import Budget, Clone, CloneError, ProductClone, Substitution, TerminalClone
-from .clones import under_binders
+from .clones import Budget, Clone, CloneError, LawCheck, LawReport, ProductClone, Substitution
+from .clones import TerminalClone, under_binders
 from .sorts import (
     Context,
     Sort,
@@ -516,10 +517,6 @@ def check_algebra(
     ``sampler(ctx, sort, count)`` supplies terms when exhaustive enumeration
     at a site is too large (the clone's enumerate_terms is used otherwise).
     """
-    import random
-
-    from .clones import LawCheck, LawReport
-
     pres = alg.presentation
     sig = pres.signature
     clone = alg.clone

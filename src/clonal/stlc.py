@@ -12,18 +12,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .clones import Clone, CloneError, CloneHom, Substitution, VariableClone
-from .firstorder import FoOp, FoVar, TmClone, bool_clone, gs_clone
+from .clones import Clone, CloneError, CloneHom, Substitution
+from .firstorder import FoOp, FoVar, TmClone
 from .freealgebra import (
     CloneApp,
     FreeAlgebra,
     FreeTerm,
     enumerate_free_terms,
+    fold_hom,
     raw_eq,
 )
-from .nbe import Nbe, check_normal, nbe_for, nbe_normalize
+from .nbe import check_normal, nbe_for, nbe_normalize
 from .secondorder import Algebra, SoPresentation, stlc_presentation
 from .sorts import Context, Sort, SortSet
+from .theories import booleans, free_algebra, global_state, variables
 
 BASE = Sort("b")
 EMPTY = Context(())
@@ -34,24 +36,19 @@ EMPTY = Context(())
 # --------------------------------------------------------------------------
 
 
-def _nbe_equality(free, ctx, sort, t):
-    return nbe_normalize(free, ctx, sort, t)
-
-
 def pure_stlc() -> FreeAlgebra:
     """The initial algebra: the free algebra on the clone of variables."""
-    pres = stlc_presentation()
-    return FreeAlgebra(pres, VariableClone(pres.signature.sort_set), _nbe_equality)
+    return free_algebra(variables())
 
 
 def stlc_bool() -> FreeAlgebra:
     """Lambda calculus with booleans: the free algebra on the boolean clone."""
-    return FreeAlgebra(stlc_presentation(), bool_clone(), _nbe_equality)
+    return free_algebra(booleans())
 
 
 def stlc_gs(values: tuple = ("v1", "v2")) -> FreeAlgebra:
     """Lambda calculus with global state over the given value labels."""
-    return FreeAlgebra(stlc_presentation(), gs_clone(values), _nbe_equality)
+    return free_algebra(global_state(tuple(values)))
 
 
 def gs_normalize(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> FreeTerm:
@@ -171,7 +168,7 @@ class SetModelClone(Clone):
             return tuple(t[0] for _ in range(self.cell_count(sigma.source)))
         return tuple(t[tgt_index[args]] for args in zip(*sigma.components))
 
-    def enumerate_terms(self, ctx: Context, sort: Sort, depth: int) -> list:
+    def enumerate_terms(self, ctx: Context, sort: Sort, depth: int, limit=None) -> list:
         size, cells = self.space_size(sort), self.cell_count(ctx)
         # size ** cells > 4096, without raising a wide sort to a huge power
         # (2 ** 13 > 4096)
@@ -265,8 +262,6 @@ def bool_model_hom(free_bool: FreeAlgebra, model: SetModelAlgebra) -> BoolModelH
 def eval_closed(free_bool: FreeAlgebra, model: SetModelAlgebra, sort: Sort, t: FreeTerm):
     """Interpret a closed term in the set model via the fold; the result is
     the table's single cell."""
-    from .freealgebra import fold_hom
-
     g = bool_model_hom(free_bool, model)
     fold = fold_hom(free_bool, model, g)
     table = fold.apply(EMPTY, sort, t)
@@ -307,7 +302,7 @@ def adequacy_harness(bound: int = 7, free: FreeAlgebra | None = None) -> Adequac
     equal evaluations have equal normal forms, and that every closed
     boolean normal form is true or false."""
     free = free if free is not None else stlc_bool()
-    model = set_model()
+    model = set_model(presentation=free.presentation)
     report = AdequacyReport(bound)
     engine = nbe_for(free)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .clones import CloneError, VariableClone
+from .clones import CloneError
 from .firstorder import (
     FoEquationSchema,
     FoOp,
@@ -25,11 +25,6 @@ from .firstorder import (
     FoPresentation,
     FoSignature,
     FoVar,
-    RewriteEq,
-    RewriteSystem,
-    SearchEq,
-    TmClone,
-    gs_canonical_form,
 )
 from .freealgebra import CloneApp, FreeAlgebra, FreeOp, FreeVar
 from .secondorder import (
@@ -41,8 +36,11 @@ from .secondorder import (
     SoPresentation,
     SoSignature,
     SoVar,
+    stlc_presentation,
 )
-from .sorts import Context, Sort, SortSet, SortVar, instantiate_sort, match_sort
+from .sorts import Context, Sort, SortSet, SortVar, instantiate_sort, match_sort, sort_vars
+from .theories import TIERS, BaseTheory, PresentationMismatch, booleans, free_algebra
+from .theories import global_state, variables
 
 
 class ParseError(CloneError):
@@ -288,8 +286,7 @@ class Elaborator:
     # entry points ----------------------------------------------------------
 
     def check(self, node, expected: Sort):
-        got = self._check(node, expected)
-        return got
+        return self._check(node, expected)
 
     def _check(self, node, expected):
         match node:
@@ -452,22 +449,12 @@ class Elaborator:
         by matching the declared result against the expected sort and the
         argument templates against synthesized arguments."""
         bundle = self.bundle
-        label = None
-        if self.mode in ("free", "fo") or True:
-            # put takes its value label as the first atom
-            if (
-                name == "put"
-                and arg_nodes
-                and isinstance(arg_nodes[0], RName)
-                and bundle.base is not None
-                and any(
-                    o.name == f"put_{arg_nodes[0].name}"
-                    for o in bundle.base.signature.operators
-                )
-            ):
-                label = arg_nodes[0].name
-                name = f"put_{label}"
-                arg_nodes = arg_nodes[1:]
+        # put takes its value label as the first atom
+        base_ops = bundle.base.signature.operators if bundle.base is not None else ()
+        if name == "put" and arg_nodes and isinstance(arg_nodes[0], RName):
+            labelled = f"put_{arg_nodes[0].name}"
+            if any(o.name == labelled for o in base_ops):
+                name, arg_nodes = labelled, arg_nodes[1:]
 
         schema = None
         second_order = False
@@ -477,8 +464,8 @@ class Elaborator:
                     schema = o
                     second_order = True
                     break
-        if schema is None and bundle.base is not None and self.mode in ("fo", "free"):
-            for o in bundle.base.signature.operators:
+        if schema is None and self.mode in ("fo", "free"):
+            for o in base_ops:
                 if o.name == name:
                     schema = o
                     break
@@ -583,8 +570,6 @@ class Elaborator:
 
 
 def sort_closed(template, binding, params) -> bool:
-    from .sorts import sort_vars
-
     return all(v in binding for v in sort_vars(template) if v in params)
 
 
@@ -712,39 +697,30 @@ class TheoryBundle:
     base: FoPresentation | None
     base_clone: object
     free: FreeAlgebra
-    values: tuple = ()
+
+    @property
+    def theory(self) -> BaseTheory:
+        return self.base_clone.theory
 
 
-def _nbe_strategy(free, ctx, sort, t):
-    from .nbe import nbe_normalize
+def _bundle(name: str, surface: SoPresentation, theory: BaseTheory) -> TheoryBundle:
+    free = free_algebra(theory, surface)
+    return TheoryBundle(name, free.sort_set, surface, theory.presentation, theory.clone, free)
 
-    return nbe_normalize(free, ctx, sort, t)
+
+# CLI variant -> (bundle name, base theory)
+STOCK = {
+    "stlc": ("stlc", variables),
+    "bool": ("stlc_bool", booleans),
+    "gs": ("stlc_gs", lambda: global_state(("v1", "v2"))),
+}
 
 
-def stock_bundle(variant: str, values: tuple = ("v1", "v2")) -> TheoryBundle:
-    from .firstorder import bool_clone, bool_presentation, global_state_presentation, gs_clone
-    from .secondorder import stlc_presentation
-
-    surface = stlc_presentation()
-    sort_set = surface.signature.sort_set
-    if variant == "stlc":
-        base_clone = VariableClone(sort_set)
-        free = FreeAlgebra(surface, base_clone, _nbe_strategy)
-        return TheoryBundle("stlc", sort_set, surface, None, base_clone, free)
-    if variant == "bool":
-        base_clone = bool_clone()
-        free = FreeAlgebra(surface, base_clone, _nbe_strategy)
-        return TheoryBundle(
-            "stlc_bool", sort_set, surface, base_clone.presentation, base_clone, free
-        )
-    if variant == "gs":
-        base_clone = gs_clone(values)
-        free = FreeAlgebra(surface, base_clone, _nbe_strategy)
-        return TheoryBundle(
-            "stlc_gs", sort_set, surface, base_clone.presentation, base_clone, free,
-            values=values,
-        )
-    raise CloneError(f"unknown variant {variant!r}")
+def stock_bundle(variant: str) -> TheoryBundle:
+    if variant not in STOCK:
+        raise CloneError(f"unknown variant {variant!r}")
+    name, theory = STOCK[variant]
+    return _bundle(name, stlc_presentation(), theory())
 
 
 def parse_bundle(text: str) -> TheoryBundle:
@@ -766,7 +742,7 @@ def parse_bundle(text: str) -> TheoryBundle:
     sort_set = SortSet(name, tuple(base_names), tuple(formers))
 
     base_pres = None
-    base_strategy = "structural"
+    tier_tok = None
     surface_pres = None
     if ts.at("base"):
         ts.next()
@@ -784,38 +760,21 @@ def parse_bundle(text: str) -> TheoryBundle:
     while ts.at("strategy"):
         ts.next()
         target = ts.ident().text
-        tier = ts.ident().text
+        tok = ts.ident()
         if target == "base":
-            base_strategy = tier
+            tier_tok = tok
     ts.expect("end")
 
     if base_pres is None:
-        base_clone = VariableClone(sort_set)
-        values: tuple = ()
-    else:
-        values = tuple(
-            o.name.removeprefix("put_")
-            for o in base_pres.signature.operators
-            if o.name.startswith("put_")
-        )
-        if base_strategy == "rewrite":
-            base_clone = TmClone(base_pres, RewriteEq(RewriteSystem(base_pres)))
-        elif base_strategy == "state_table":
-            from .firstorder import CanonicalEq
-
-            vals = values
-            base_clone = TmClone(
-                base_pres,
-                CanonicalEq(lambda c, s, t: gs_canonical_form(vals, c, s, t)),
-            )
-        elif base_strategy == "search":
-            base_clone = TmClone(base_pres, SearchEq())
-        elif base_strategy == "structural":
-            base_clone = TmClone(base_pres)
-        else:
-            raise ParseError(f"unknown strategy {base_strategy!r}")
-    free = FreeAlgebra(surface_pres, base_clone, _nbe_strategy)
-    return TheoryBundle(name, sort_set, surface_pres, base_pres, base_clone, free, values)
+        return _bundle(name, surface_pres, variables(sort_set))
+    tier = tier_tok.text if tier_tok else "structural"
+    if tier not in TIERS:
+        raise ParseError(f"unknown strategy {tier!r}", tier_tok.line, tier_tok.col)
+    try:
+        theory = TIERS[tier](base_pres)
+    except PresentationMismatch as e:
+        raise ParseError(str(e), tier_tok.line, tier_tok.col) from None
+    return _bundle(name, surface_pres, theory)
 
 
 def _parse_params(ts: Tokens) -> tuple[str, ...]:

@@ -29,6 +29,12 @@ class TestNormalize:
         assert code == 0
         assert out.strip() == "put v2 x"
 
+    def test_pure_state_term_uses_the_certified_completion(self, capsys):
+        # `equal` says get x x = x; the bare oriented axioms leave it alone
+        code, out, _ = run(capsys, "normalize", "--variant", "gs", "get x x", "--context", "x : b")
+        assert code == 0
+        assert out.strip() == "x"
+
     def test_state_completed_with_eta_long(self, capsys):
         code, out, _ = run(
             capsys, "normalize", "--variant", "gs", "put v1 (put v2 x)",
@@ -91,6 +97,52 @@ class TestEqual:
     def test_self_equality_refl(self, capsys):
         code, out, _ = run(capsys, "equal", "true", "true")
         assert code == 0
+
+    def test_step_normalizer_disagreement_is_an_error_not_a_verdict(self, capsys):
+        # both sides evaluate to ff; the step normalizer stops at a redex
+        code, out, err = run(
+            capsys, "equal", "--json", "app (ite true (abs y : b. y) (abs y : b. y)) false", "false"
+        )
+        assert code == 1
+        assert out == ""
+        assert "NbE finds the terms equal" in err
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["normalize", "app (abs x. x) true", "--json"],
+        ["enumerate", "--sort", "b", "--budget", "1"],
+        # needs more than enumerate's default budget of 5 search nodes
+        ["equal", "--search", "app (abs f : b => b. app f (app f true)) (abs z : b. ite z false true)",
+         "true"],
+        ["enumerate", "--sort", "b", "--json"],
+    ]
+
+    def test_parser_is_built_once(self):
+        from clonal.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_back_to_back_calls_print_what_each_prints_alone(self, capsys):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        alone = []
+        for argv in self.ARGVS:
+            done = subprocess.run(
+                [sys.executable, "-m", "clonal.cli", *argv], capture_output=True, text=True,
+                env=env, timeout=120,
+            )
+            alone.append((done.returncode, done.stdout))
+        together = [run(capsys, *argv)[:2] for argv in self.ARGVS + self.ARGVS]
+        assert together == alone + alone
+        assert alone[2] == (0, "equal\n")
 
 
 class TestProvecheck:

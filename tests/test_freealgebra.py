@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from clonal.clones import Substitution, VariableClone
-from clonal.equality import free_equal, normalize_with_trace
+from clonal.equality import NormalizationError, free_equal, normalize_with_trace
 from clonal.firstorder import FoOp, FoVar
 from clonal.freealgebra import (
     CloneApp,
@@ -308,6 +308,42 @@ class TestFreeEqual:
         verdict = free_equal(free, E, B, true_term(), false_term(), model_hom=model_eval)
         assert verdict.status == "not_equal"
         assert verdict.certificate == ("tt", "ff")
+
+    def test_agreeing_model_values_are_no_certificate(self):
+        free = stlc_bool()
+        verdict = free_equal(
+            free, E, B, true_term(), false_term(), model_hom=lambda c, s, t: "same"
+        )
+        assert verdict.status == "not_equal"
+        assert verdict.certificate == (true_term(), false_term())  # distinct NbE normal forms
+
+    def test_open_terms_not_equal_by_distinct_nbe_forms(self):
+        from clonal.nbe import check_normal
+
+        free = stlc_bool()
+        negation = CloneApp(
+            FoOp("ite", (B,), (FoVar(1), false_term().element, true_term().element)),
+            ctx(B), B, (FreeVar(1),),
+        )
+        verdict = free_equal(free, ctx(B), B, FreeVar(1), negation)
+        assert verdict.status == "not_equal"
+        left, right = verdict.certificate
+        assert left != right
+        assert check_normal(free, ctx(B), B, left) and check_normal(free, ctx(B), B, right)
+
+    def test_step_and_nbe_disagreement_raises(self):
+        # the step normalizer stops at app(abs(x. x), false); NbE reaches false
+        from clonal.surface import parse_term, stock_bundle
+
+        bundle = stock_bundle("bool")
+        free = bundle.free
+        t = parse_term(bundle, "app (ite true (abs y : b. y) (abs y : b. y)) false", B)
+        model = set_model()
+        with pytest.raises(NormalizationError, match="NbE finds the terms equal"):
+            free_equal(
+                free, E, B, t, false_term(),
+                model_hom=lambda c, s, term: eval_closed(free, model, s, term),
+            )
 
     def test_search_mode_finds_beta(self):
         free = stlc_bool()
