@@ -821,52 +821,84 @@ def steps_to_derivation(start: FoTerm, steps: list[RewriteStep]) -> FoDerivation
 # --------------------------------------------------------------------------
 
 
-def _instantiations(schema: FoEquationSchema, matched: dict, eq_len: int, pool: list[FoTerm]):
-    """Complete a partial variable binding with candidates from ``pool``."""
-    missing = [i for i in range(1, eq_len + 1) if i not in matched]
-    if not missing:
-        yield dict(matched)
-        return
-    for combo in itertools.product(pool, repeat=len(missing)):
-        full = dict(matched)
-        full.update(dict(zip(missing, combo)))
-        yield full
+# Inside one prove_fo_equal call terms are plain tuples, so hashing,
+# equality and construction run in C: a variable is its index, and an
+# operator node is (head, *args), where head numbers one (name, sort
+# arguments, arity) triple in the call's _Heads table.  The encoding is
+# isomorphic to the terms: two encodings are equal exactly when the terms are.
 
 
-def _root_moves(ctx, sub: FoTerm, pool, instances) -> list[tuple]:
-    """Every one-step rewrite of ``sub`` at its root: each equation instance
-    in both directions, with each completion of its binding from ``pool``.
-    ``instances`` lists every (schema, sort arguments, context, lhs, rhs) to
-    try, in order.  Returns (replacement, equation, sort arguments,
-    instantiation, direction) in that order: instance, then direction, then
+class _Heads:
+    """The operator heads met in one search, numbered in order of meeting."""
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.keys: list = []
+
+    def encode(self, t: FoTerm):
+        if isinstance(t, FoVar):
+            return t.index
+        key = (t.name, t.sort_args, len(t.args))
+        head = self.ids.get(key)
+        if head is None:
+            head = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return (head, *map(self.encode, t.args))
+
+    def decode(self, e) -> FoTerm:
+        if type(e) is int:
+            return FoVar(e)
+        name, sort_args, _ = self.keys[e[0]]
+        return FoOp(name, sort_args, tuple(map(self.decode, e[1:])))
+
+
+def _enc_size(e) -> int:
+    if type(e) is int:
+        return 1
+    n = 1
+    for i in range(1, len(e)):
+        n += _enc_size(e[i])
+    return n
+
+
+def _size_change(pat, other) -> tuple[int, tuple]:
+    """How much rewriting an instance of ``pat`` to ``other`` grows the term:
+    a constant, plus (variable, factor) pairs, one per variable occurring a
+    different number of times on the two sides, to scale by the size of its
     instantiation."""
-    moves = []
-    for schema, combos, eq_ctx, lhs, rhs in instances:
-        for pat, other, forward in ((lhs, rhs, True), (rhs, lhs, False)):
-            var_binding: dict = {}
-            sort_binding: dict = {}
-            if not match_fo(pat, sub, var_binding, sort_binding):
-                continue
-            for full in _instantiations(schema, var_binding, len(eq_ctx), pool):
-                components = tuple(full[i] for i in range(1, len(eq_ctx) + 1))
-                inst = Substitution(ctx, eq_ctx, components)
-                moves.append((fo_subst(other, inst), schema.name, combos, components, forward))
-    return moves
+    count: dict = {}
+
+    def walk(e, sign) -> int:
+        if type(e) is int:
+            count[e] = count.get(e, 0) + sign
+            return 0
+        return sign + sum(walk(a, sign) for a in e[1:])
+
+    grow = walk(other, 1) + walk(pat, -1)
+    return grow, tuple((i, k) for i, k in count.items() if k)
 
 
-def _neighbours(t: FoTerm, root_moves):
-    """One-step convertibility moves: the root moves of each subterm,
-    outermost position first, placed back into ``t``.  ``root_moves`` maps a
-    subterm to its ``_root_moves``; the search memoizes it, so a subterm met
-    again, at another position or in another term, is matched only once.
+def _enc_match(pat, term, binding: dict) -> bool:
+    """match_fo on encodings, for patterns whose sort arguments are concrete:
+    equal heads then mean equal names, sort arguments and arities."""
+    if type(pat) is int:
+        seen = binding.get(pat)
+        if seen is None:
+            binding[pat] = term
+            return True
+        return seen == term
+    if type(term) is int or term[0] != pat[0]:
+        return False
+    for i in range(1, len(pat)):
+        if not _enc_match(pat[i], term[i], binding):
+            return False
+    return True
 
-    Yields (new term, path, equation, sort arguments, instantiation,
-    direction); the search builds the RewriteStep only for terms it has
-    not seen.
-    """
-    for path, sub in _positions(t, outermost=True):
-        for new_sub, name, combos, components, forward in root_moves(sub):
-            yield replace_at(t, path, new_sub), path, name, combos, components, forward
+
+def _enc_subst(e, components: tuple):
+    if type(e) is int:
+        return components[e - 1]
+    return (e[0], *[_enc_subst(a, components) for a in e[1:]])
 
 
 def _schema_sort_args(schema, instance_sorts):
@@ -901,10 +933,16 @@ def prove_fo_equal(
     variables in backward applications are instantiated from context
     variables and subterms of the two endpoints.
 
-    The context, the instantiation pool and the equation instances are
-    fixed for one call, so the root moves of a subterm are too: they are
-    memoized per call and shared by every position and popped term where
-    that subterm occurs.  The memo lives only as long as the call.
+    The search runs on terms encoded as plain tuples, with a table of
+    operator heads built for this call.  Each equation instance is compiled
+    once per call, in both directions, to an encoded pattern and other
+    side, and filed under the head of its pattern; a bare-variable pattern
+    is filed under every head.  The root moves of a subterm (every instance
+    in both directions, with each completion of its binding from the pool)
+    are memoized per call and shared by every position and popped term where
+    that subterm occurs.  The parent links hold encodings, and only the
+    steps of the returned proof are decoded to terms.  Nothing outlives the
+    call.
     """
     if t == u:
         return FoRefl(t)
@@ -912,56 +950,114 @@ def prove_fo_equal(
         instance_sorts = list(
             dict.fromkeys(list(ctx) + pres.signature.sort_set.base_sorts())
         )
-    pool = list(
-        dict.fromkeys(
+    heads = _Heads()
+    start, goal = heads.encode(t), heads.encode(u)
+    pool = [
+        heads.encode(p)
+        for p in dict.fromkeys(
             [FoVar(i) for i in range(1, len(ctx) + 1)] + _subterms(t) + _subterms(u)
         )
-    )
-
-    instances = [
-        (schema, combos, eq_ctx, lhs, rhs)
-        for schema in pres.equations
-        for combos in _schema_sort_args(schema, instance_sorts)
-        for eq_ctx, _, lhs, rhs in (schema.instantiate(combos),)
     ]
 
-    memo: dict[FoTerm, list[tuple]] = {}
+    # (pattern, other side, context length, size change, equation, sort
+    # arguments, direction), in the order instance, then direction
+    rules = []
+    for schema in pres.equations:
+        for combos in _schema_sort_args(schema, instance_sorts):
+            eq_ctx, _, lhs, rhs = schema.instantiate(combos)
+            lhs, rhs = heads.encode(lhs), heads.encode(rhs)
+            n = len(eq_ctx)
+            rules.append((lhs, rhs, n, _size_change(lhs, rhs), schema.name, combos, True))
+            rules.append((rhs, lhs, n, _size_change(rhs, lhs), schema.name, combos, False))
+    by_head = [
+        [r for r in rules if type(r[0]) is int or r[0][0] == head]
+        for head in range(len(heads.keys))
+    ]
+    var_rules = [r for r in rules if type(r[0]) is int]
 
-    def root_moves(sub):
+    memo: dict = {}
+
+    def root_moves(sub) -> list[tuple]:
+        """Every one-step rewrite of ``sub`` at its root, as (replacement,
+        its size minus the size of sub, equation, sort arguments,
+        instantiation, direction), in the order instance, then direction,
+        then instantiation."""
         moves = memo.get(sub)
-        if moves is None:
-            moves = memo[sub] = _root_moves(ctx, sub, pool, instances)
+        if moves is not None:
+            return moves
+        moves = memo[sub] = []
+        for pat, other, n, (grow, scaled), name, combos, forward in (
+            var_rules if type(sub) is int else by_head[sub[0]]
+        ):
+            binding: dict = {}
+            if not _enc_match(pat, sub, binding):
+                continue
+            missing = [i for i in range(1, n + 1) if i not in binding]
+            for combo in itertools.product(pool, repeat=len(missing)):
+                binding.update(zip(missing, combo))
+                components = tuple([binding[i] for i in range(1, n + 1)])
+                change = grow
+                for i, k in scaled:
+                    change += k * _enc_size(components[i - 1])
+                moves.append(
+                    (_enc_subst(other, components), change, name, combos, components, forward)
+                )
         return moves
 
-    parents = [{t: None}, {u: None}]
+    def neighbours(term) -> list[tuple]:
+        """(new term, path, move) for the root moves of each subterm of
+        ``term``, outermost position first, placed back into ``term``."""
+        out = []
+
+        def walk(sub, path, frames):
+            # frames: (prefix, suffix) of each enclosing node, innermost first
+            for move in root_moves(sub):
+                new = move[0]
+                for prefix, suffix in frames:
+                    new = prefix + (new,) + suffix
+                out.append((new, path, move))
+            if type(sub) is not int:
+                for i in range(1, len(sub)):
+                    walk(sub[i], path + (i,), ((sub[:i], sub[i + 1:]),) + frames)
+
+        walk(term, (), ())
+        return out
+
+    # parents: encoded term -> (encoded predecessor, path, move), None at the start
+    parents = [{start: None}, {goal: None}]
     seq = itertools.count()
-    heap = [(fo_size(t), next(seq), 0, t), (fo_size(u), next(seq), 1, u)]
+    heap = [(_enc_size(start), next(seq), 0, start), (_enc_size(goal), next(seq), 1, goal)]
     popped = 0
     while heap and popped < max_nodes:
-        _, _, which, current = heapq.heappop(heap)
+        size, _, which, current = heapq.heappop(heap)
         popped += 1
-        for new, *move in _neighbours(current, root_moves):
-            if new in parents[which]:
-                continue
-            parents[which][new] = (current, RewriteStep(*move, current, new))
-            if new in parents[1 - which]:
-                return _join_paths(t, u, new, parents[0], parents[1])
-            heapq.heappush(heap, (fo_size(new), next(seq), which, new))
+        mine, theirs = parents[which], parents[1 - which]
+        for new, path, move in neighbours(current):
+            link = (current, path, move)
+            if mine.setdefault(new, link) is not link:
+                continue  # seen before
+            if new in theirs:
+                return _join_paths(t, u, new, parents, heads.decode)
+            heapq.heappush(heap, (size + move[1], next(seq), which, new))
     return None
 
 
-def _trace_back(parents, node):
+def _trace_back(parents: dict, node, decode) -> list[RewriteStep]:
     steps = []
     while parents[node] is not None:
-        node, step = parents[node]
-        steps.append(step)
+        before, path, (_, _, name, combos, components, forward) = parents[node]
+        steps.append(RewriteStep(
+            path, name, combos, tuple(map(decode, components)), forward,
+            decode(before), decode(node),
+        ))
+        node = before
     steps.reverse()
     return steps
 
 
-def _join_paths(t, u, meet, left_parents, right_parents):
-    left_steps = _trace_back(left_parents, meet)
-    right_steps = _trace_back(right_parents, meet)
+def _join_paths(t, u, meet, parents, decode):
+    left_steps = _trace_back(parents[0], meet, decode)
+    right_steps = _trace_back(parents[1], meet, decode)
     left = steps_to_derivation(t, left_steps) if left_steps else None
     right = steps_to_derivation(u, right_steps) if right_steps else None
     if left is None and right is None:

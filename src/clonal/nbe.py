@@ -305,12 +305,20 @@ class Nbe:
         return self.reify(ctx, sort, self.eval(ctx, t, env))
 
 
+def _base_name(base) -> str:
+    """A base clone as messages name it: its presentation, and its tier when
+    it has a theory."""
+    presentation = getattr(base, "presentation", None)
+    name = presentation.name if presentation is not None else type(base).__name__
+    return name if base.theory is None else f"{name} (tier {base.theory.tier})"
+
+
 def nbe_for(free: FreeAlgebra) -> Nbe:
     """The engine of ``free``, built once on its base theory's domain."""
     if free.nbe is None:
         theory = free.base.theory
         if theory is None or theory.domain is None:
-            raise NbeError(f"no normalization domain registered for base {free.base!r}")
+            raise NbeError(f"no normalization domain registered for base {_base_name(free.base)}")
         free.nbe = Nbe(free, theory.domain)
     return free.nbe
 

@@ -273,6 +273,21 @@ end
         assert code != 0
         assert "beta" in err or "sort" in err
 
+    def test_generic_tier_failure_names_the_base_stably(self, capsys, tmp_path):
+        # a generic tier has no NbE domain, so check stops; the message must
+        # name the base, not print an object address
+        from clonal.cli import bundled_source
+
+        source = bundled_source("bool")
+        assert "strategy base boolean" in source
+        path = tmp_path / "rewrite.bundle"
+        path.write_text(source.replace("strategy base boolean", "strategy base rewrite"))
+        code, _, err = run(capsys, "check", "--bundle", str(path))
+        assert code != 0
+        assert "0x" not in err
+        assert "base bool (tier rewrite)" in err
+        assert run(capsys, "check", "--bundle", str(path))[2] == err
+
     def test_surface_only_bundle_passes_vacuously(self, capsys, tmp_path):
         empty = """bundle minimal
 sorts b

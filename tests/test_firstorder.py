@@ -1,5 +1,6 @@
 """First-order terms, equational derivations, rewriting, presented clones."""
 
+import hashlib
 import itertools
 import json
 import pickle
@@ -39,6 +40,7 @@ from clonal.firstorder import (
     bool_presentation,
     check_fo_derivation,
     enumerate_fo_terms,
+    enumerate_fo_terms_by_size,
     fo_check_term,
     fo_size,
     fo_subst,
@@ -82,6 +84,8 @@ def mul(a, b):
 
 
 UNIT = FoOp("unit", (), ())
+TRUE = FoOp("true", (), ())
+FALSE = FoOp("false", (), ())
 
 
 def axiom(name, *terms):
@@ -815,6 +819,67 @@ class TestSearch:
         assert v.ok and (v.lhs, v.rhs) == pair_a[2:4]
         assert prove_fo_equal(*pair_b) is None
         assert prove_fo_equal(*pair_a) == first
+
+    def test_corpus_proofs_are_pinned(self):
+        # Every GS2 term of at most 4 nodes over two variables against its
+        # state-table canonical form, every monoid term of at most 5 nodes
+        # against its normal form, and 8 GS2 and 9 monoid pairs of terms
+        # drawn at a stride.  The digest pins the exact proofs, and which
+        # pairs give None.
+        g, m = ctx(BASE, BASE), ctx(Sort("*"), Sort("*"))
+        mon = monoid_presentation()
+        gs = enumerate_fo_terms_by_size(GS2.signature, g, BASE, 4)
+        ms = enumerate_fo_terms_by_size(mon.signature, m, Sort("*"), 5)
+        rs = RewriteSystem(mon)
+        pairs = [(GS2, g, t, gs_canonical_form(V2, g, BASE, t)) for t in gs]
+        pairs += [(GS2, g, a, b) for a, b in zip(gs[::7], gs[3::7])]
+        pairs += [(mon, m, t, rewrite_normalize(rs, t)[0]) for t in ms]
+        pairs += [(mon, m, a, b) for a, b in zip(ms[::7], ms[3::7])]
+        results = [prove_fo_equal(p, c, t, u, max_nodes=120) for p, c, t, u in pairs]
+        assert len(pairs) == 141 and sum(r is None for r in results) == 20
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest == "19e37b2c0fd3b0928e867e5f6bea5fab4ea2e65e1ae4b5d1e245a804bf598180"
+
+
+class TestSortParametricSearch:
+    """Search over bool_presentation, whose ite family has a sort parameter,
+    with instances at b and b => b."""
+
+    G = ctx(BB, BB, BASE)
+    SORTS = [BASE, BB]
+
+    @staticmethod
+    def ite(sort, c, a, b):
+        return FoOp("ite", (sort,), (c, a, b))
+
+    def test_function_sort_instance_found(self):
+        pres = bool_presentation()
+        t = self.ite(BB, TRUE, x(1), x(2))
+        d = prove_fo_equal(pres, self.G, t, x(1), instance_sorts=self.SORTS)
+        assert d is not None
+        v = check_fo_derivation(pres, self.G, d)
+        assert v.ok and (v.lhs, v.rhs, v.sort) == (t, x(1), BB)
+
+    def test_instances_at_different_sorts_are_not_conflated(self):
+        # only ite[b] equations are instantiated, so ite[b => b](true, x1, x2)
+        # has no redex: a match keyed on the name alone would prove it ~ x1
+        pres = bool_presentation()
+        t = self.ite(BB, TRUE, x(1), x(2))
+        assert prove_fo_equal(pres, self.G, t, x(1), 200, instance_sorts=[BASE]) is None
+
+    def test_pinned_sort_parametric_derivation(self):
+        pres = bool_presentation()
+        t = self.ite(BB, self.ite(BASE, TRUE, FALSE, x(3)), x(1), x(2))
+        d = prove_fo_equal(pres, self.G, t, x(2), 400, instance_sorts=self.SORTS)
+        assert d == FoTrans(
+            FoCong("ite", (BB,), (
+                FoAxiom("ite_true", (BASE,), (FoRefl(FALSE), FoRefl(x(3)))),
+                FoRefl(x(1)),
+                FoRefl(x(2)),
+            )),
+            FoSym(FoSym(FoAxiom("ite_false", (BB,), (FoRefl(x(1)), FoRefl(x(2)))))),
+        )
+        assert check_fo_derivation(pres, self.G, d).ok
 
 
 # --------------------------------------------------------------------------
