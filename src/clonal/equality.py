@@ -42,9 +42,9 @@ from .freealgebra import (
     FreeTerm,
     FreeVar,
     free_check_term,
+    free_instantiate_last,
     free_rename,
     free_size,
-    free_subst,
     raw_eq,
 )
 from .sorts import Context, Sort
@@ -81,17 +81,17 @@ def element_use_order(e) -> list[int]:
     if isinstance(e, int):
         return [e]
     order: list[int] = []
-
-    def walk(t):
-        if isinstance(t, FoVar):
-            if t.index not in order:
-                order.append(t.index)
-        elif isinstance(t, FoOp):
-            for a in t.args:
-                walk(a)
-
-    walk(e)
+    _use_order(e, order)
     return order
+
+
+def _use_order(t, order: list[int]) -> None:
+    if isinstance(t, FoVar):
+        if t.index not in order:
+            order.append(t.index)
+    elif isinstance(t, FoOp):
+        for a in t.args:
+            _use_order(a, order)
 
 
 # --------------------------------------------------------------------------
@@ -147,10 +147,8 @@ def beta_step(free: FreeAlgebra, ctx: Context, t: FreeTerm):
         case FreeOp(name="app", sort_args=(A, B), args=((_, fun), (_, arg))) if isinstance(
             fun, FreeOp
         ) and fun.name == "abs":
-            binder, body = fun.args[0]
-            n = len(ctx)
-            components = tuple(FreeVar(i) for i in range(1, n + 1)) + (arg,)
-            reduced = free_subst(body, Substitution(ctx, ctx + binder, components))
+            body = fun.args[0][1]
+            reduced = free_instantiate_last(body, ctx, arg)
             return reduced, FAxiom("beta", (A, B), (FRefl(body), FRefl(arg)))
     return None
 
@@ -640,31 +638,32 @@ def _local_moves(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
 
 
 def _all_moves(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
-    """Single steps at every position of ``t``, embedded into whole terms.
+    """Single steps at every position of ``t``: (whole new term, path, local
+    derivation), the derivation still to be embedded at ``path`` of ``t``.
     Derivation None marks a silent canonical-representative swap."""
-    out = []
-
-    def visit(sub: FreeTerm, c: Context, s: Sort, path: tuple):
-        for new_sub, deriv in _local_moves(free, c, s, sub):
-            out.append((_replace(t, path, new_sub), _embed(t, path, deriv)))
-        if isinstance(sub, FreeOp):
-            arity = free.presentation.signature.arity(sub.name, sub.sort_args)
-            for i, ((binder, body), (_, bsort)) in enumerate(
-                zip(sub.args, arity.binders), start=1
-            ):
-                visit(body, c + binder, bsort, path + (("op", i),))
-        elif isinstance(sub, CloneApp):
-            canon = _canonical_element(free, sub)
-            if canon is not sub:
-                out.append((_replace(t, path, canon), None))
-            for i, a in enumerate(sub.args, start=1):
-                visit(a, c, sub.arity_ctx.sort_at(i), path + (("clone", i),))
-
-    visit(t, ctx, sort, ())
+    out: list = []
+    _visit_moves(free, t, t, ctx, sort, (), out)
     return out
 
 
+def _visit_moves(free, t, sub: FreeTerm, c: Context, s: Sort, path: tuple, out: list):
+    for new_sub, deriv in _local_moves(free, c, s, sub):
+        out.append((_replace(t, path, new_sub), path, deriv))
+    if isinstance(sub, FreeOp):
+        arity = free.presentation.signature.arity(sub.name, sub.sort_args)
+        for i, ((binder, body), (_, bsort)) in enumerate(zip(sub.args, arity.binders), start=1):
+            _visit_moves(free, t, body, c + binder, bsort, path + (("op", i),), out)
+    elif isinstance(sub, CloneApp):
+        canon = _canonical_element(free, sub)
+        if canon is not sub:
+            out.append((_replace(t, path, canon), path, None))
+        for i, a in enumerate(sub.args, start=1):
+            _visit_moves(free, t, a, c, sub.arity_ctx.sort_at(i), path + (("clone", i),), out)
+
+
 def _search_equal(free, ctx, sort, t, u, budget):
+    # parents: term -> (predecessor, path, local derivation), None at the start;
+    # only the steps of the returned proof are embedded into whole terms
     parents = [{t: None}, {u: None}]
     seq = itertools.count()
     heap = [(free_size(t), next(seq), 0, t), (free_size(u), next(seq), 1, u)]
@@ -672,10 +671,10 @@ def _search_equal(free, ctx, sort, t, u, budget):
     while heap and popped < budget:
         _, _, which, current = heapq.heappop(heap)
         popped += 1
-        for new, deriv in _all_moves(free, ctx, sort, current):
+        for new, path, deriv in _all_moves(free, ctx, sort, current):
             if new in parents[which]:
                 continue
-            parents[which][new] = (current, deriv)
+            parents[which][new] = (current, path, deriv)
             other = next(
                 (o for o in parents[1 - which] if raw_eq(free.base, ctx, sort, new, o)),
                 None,
@@ -692,9 +691,9 @@ def _search_equal(free, ctx, sort, t, u, budget):
 def _trace_nodes(parent_map, node):
     steps = []
     while parent_map[node] is not None:
-        node, deriv = parent_map[node]
+        node, path, deriv = parent_map[node]
         if deriv is not None:
-            steps.append(deriv)
+            steps.append(_embed(node, path, deriv))
     steps.reverse()
     return steps
 

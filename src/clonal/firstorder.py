@@ -273,31 +273,31 @@ def enumerate_fo_terms(
         pool = instance_sorts
     instances = [(n, sa, *sig.arity(n, sa)) for n, sa in sig.instances(pool)]
 
-    by_depth: dict[tuple[Sort, int], list[FoTerm]] = {}
+    return _fo_upto(sort, depth, ctx, instances, limit, {})
 
-    def upto(s: Sort, d: int) -> list[FoTerm]:
-        key = (s, d)
-        if key in by_depth:
-            return by_depth[key]
-        out = [FoVar(i) for i in range(1, len(ctx) + 1) if ctx.sort_at(i) == s]
-        if d > 0:
-            for name, sort_args, arg_ctx, result in instances:
-                if result != s:
-                    continue
-                if limit is not None and len(out) >= limit:
+
+def _fo_upto(s: Sort, d: int, ctx: Context, instances: list, limit, by_depth: dict) -> list[FoTerm]:
+    """enumerate_fo_terms at (s, d); ``by_depth`` memoizes each (sort, depth)."""
+    key = (s, d)
+    if key in by_depth:
+        return by_depth[key]
+    out = [FoVar(i) for i in range(1, len(ctx) + 1) if ctx.sort_at(i) == s]
+    if d > 0:
+        for name, sort_args, arg_ctx, result in instances:
+            if result != s:
+                continue
+            if limit is not None and len(out) >= limit:
+                break
+            pools = [_fo_upto(a, d - 1, ctx, instances, limit, by_depth) for a in arg_ctx]
+            for combo in itertools.product(*pools):
+                out.append(FoOp(name, sort_args, combo))
+                if limit is not None and len(out) >= 2 * limit:
                     break
-                pools = [upto(a, d - 1) for a in arg_ctx]
-                for combo in itertools.product(*pools):
-                    out.append(FoOp(name, sort_args, combo))
-                    if limit is not None and len(out) >= 2 * limit:
-                        break
-        dedup = list(dict.fromkeys(out))
-        if limit is not None:
-            dedup = dedup[:limit]
-        by_depth[key] = dedup
-        return dedup
-
-    return upto(sort, depth)
+    dedup = list(dict.fromkeys(out))
+    if limit is not None:
+        dedup = dedup[:limit]
+    by_depth[key] = dedup
+    return dedup
 
 
 def enumerate_fo_terms_by_size(
@@ -316,34 +316,36 @@ def enumerate_fo_terms_by_size(
     instances = [(n, sa, *sig.arity(n, sa)) for n, sa in sig.instances(pool)]
 
     exact: dict[tuple[Sort, int], list[FoTerm]] = {}
-
-    def of_size(s: Sort, n: int) -> list[FoTerm]:
-        key = (s, n)
-        if key in exact:
-            return exact[key]
-        out: list[FoTerm] = []
-        if n == 1:
-            out.extend(FoVar(i) for i in range(1, len(ctx) + 1) if ctx.sort_at(i) == s)
-        if n >= 1:
-            for name, sort_args, arg_ctx, result in instances:
-                if result != s:
-                    continue
-                k = len(arg_ctx)
-                if k == 0:
-                    if n == 1:
-                        out.append(FoOp(name, sort_args, ()))
-                    continue
-                for split in _compositions(n - 1, k):
-                    pools = [of_size(a, m) for a, m in zip(arg_ctx, split)]
-                    for combo in itertools.product(*pools):
-                        out.append(FoOp(name, sort_args, combo))
-        exact[key] = out
-        return out
-
     result: list[FoTerm] = []
     for n in range(1, size + 1):
-        result.extend(of_size(sort, n))
+        result.extend(_fo_of_size(sort, n, ctx, instances, exact))
     return list(dict.fromkeys(result))
+
+
+def _fo_of_size(s: Sort, n: int, ctx: Context, instances: list, exact: dict) -> list[FoTerm]:
+    """The terms of sort ``s`` with exactly ``n`` nodes; ``exact`` memoizes
+    each (sort, size)."""
+    key = (s, n)
+    if key in exact:
+        return exact[key]
+    out: list[FoTerm] = []
+    if n == 1:
+        out.extend(FoVar(i) for i in range(1, len(ctx) + 1) if ctx.sort_at(i) == s)
+    if n >= 1:
+        for name, sort_args, arg_ctx, result in instances:
+            if result != s:
+                continue
+            k = len(arg_ctx)
+            if k == 0:
+                if n == 1:
+                    out.append(FoOp(name, sort_args, ()))
+                continue
+            for split in _compositions(n - 1, k):
+                pools = [_fo_of_size(a, m, ctx, instances, exact) for a, m in zip(arg_ctx, split)]
+                for combo in itertools.product(*pools):
+                    out.append(FoOp(name, sort_args, combo))
+    exact[key] = out
+    return out
 
 
 def _compositions(total: int, parts: int):
@@ -419,29 +421,39 @@ def check_fo_derivation(pres: FoPresentation, ctx: Context, d: FoDerivation) -> 
 
     Rejection carries the path (child indices) to the first bad node.
     """
-    sig = pres.signature
-    refl_sorts: dict = {}  # sort of each well-sorted reflexivity term, this call only
+    return _FoChecker(pres, ctx).go(d, ())
 
-    def go(node, path) -> Verdict:
+
+class _FoChecker:
+    """One check_fo_derivation call: the presentation, the context, and the
+    sort of each well-sorted reflexivity term met."""
+
+    def __init__(self, pres: FoPresentation, ctx: Context):
+        self.pres = pres
+        self.sig = pres.signature
+        self.ctx = ctx
+        self.refl_sorts: dict = {}
+
+    def go(self, node, path) -> Verdict:
         match node:
             case FoRefl(term=t):
-                sort = refl_sorts.get(t)
+                sort = self.refl_sorts.get(t)
                 if sort is None:
                     try:
-                        sort = refl_sorts[t] = fo_check_term(sig, ctx, t)
+                        sort = self.refl_sorts[t] = fo_check_term(self.sig, self.ctx, t)
                     except FoSortError as e:
                         return Verdict(False, error=f"refl of ill-sorted term: {e}", path=path)
                 return Verdict(True, t, t, sort)
             case FoSym(child=c):
-                sub = go(c, path + (1,))
+                sub = self.go(c, path + (1,))
                 if not sub:
                     return sub
                 return Verdict(True, sub.rhs, sub.lhs, sub.sort)
             case FoTrans(left=l, right=r):
-                lv = go(l, path + (1,))
+                lv = self.go(l, path + (1,))
                 if not lv:
                     return lv
-                rv = go(r, path + (2,))
+                rv = self.go(r, path + (2,))
                 if not rv:
                     return rv
                 if lv.rhs != rv.lhs:
@@ -453,14 +465,14 @@ def check_fo_derivation(pres: FoPresentation, ctx: Context, d: FoDerivation) -> 
                 return Verdict(True, lv.lhs, rv.rhs, lv.sort)
             case FoCong(op=name, sort_args=sort_args, children=children):
                 try:
-                    arg_ctx, result = sig.arity(name, sort_args)
+                    arg_ctx, result = self.sig.arity(name, sort_args)
                 except FoSortError as e:
                     return Verdict(False, error=str(e), path=path)
                 if len(children) != len(arg_ctx):
                     return Verdict(False, error=f"congruence arity mismatch for {name}", path=path)
                 lhs_args, rhs_args = [], []
                 for i, (c, want) in enumerate(zip(children, arg_ctx), start=1):
-                    sub = go(c, path + (i,))
+                    sub = self.go(c, path + (i,))
                     if not sub:
                         return sub
                     if sub.sort != want:
@@ -479,7 +491,7 @@ def check_fo_derivation(pres: FoPresentation, ctx: Context, d: FoDerivation) -> 
                 )
             case FoAxiom(equation=eq_name, sort_args=sort_args, children=children):
                 try:
-                    schema = pres.equation(eq_name)
+                    schema = self.pres.equation(eq_name)
                     eq_ctx, eq_sort, lhs, rhs = schema.instantiate(sort_args)
                 except FoSortError as e:
                     return Verdict(False, error=str(e), path=path)
@@ -491,7 +503,7 @@ def check_fo_derivation(pres: FoPresentation, ctx: Context, d: FoDerivation) -> 
                     )
                 lefts, rights = [], []
                 for i, (c, want) in enumerate(zip(children, eq_ctx), start=1):
-                    sub = go(c, path + (i,))
+                    sub = self.go(c, path + (i,))
                     if not sub:
                         return sub
                     if sub.sort != want:
@@ -502,12 +514,10 @@ def check_fo_derivation(pres: FoPresentation, ctx: Context, d: FoDerivation) -> 
                         )
                     lefts.append(sub.lhs)
                     rights.append(sub.rhs)
-                lsub = Substitution(ctx, eq_ctx, tuple(lefts))
-                rsub = Substitution(ctx, eq_ctx, tuple(rights))
+                lsub = Substitution(self.ctx, eq_ctx, tuple(lefts))
+                rsub = Substitution(self.ctx, eq_ctx, tuple(rights))
                 return Verdict(True, fo_subst(lhs, lsub), fo_subst(rhs, rsub), eq_sort)
         return Verdict(False, error=f"unknown node {node!r}", path=path)
-
-    return go(d, ())
 
 
 # --------------------------------------------------------------------------
@@ -637,18 +647,18 @@ def _positions(t: FoTerm, outermost: bool) -> list[tuple[tuple[int, ...], FoTerm
     """Every position of ``t`` with its subterm, pre-order when
     ``outermost`` and post-order otherwise."""
     out: list = []
-
-    def walk(node, path):
-        if outermost:
-            out.append((path, node))
-        if isinstance(node, FoOp):
-            for i, a in enumerate(node.args, start=1):
-                walk(a, path + (i,))
-        if not outermost:
-            out.append((path, node))
-
-    walk(t, ())
+    _walk_positions(t, (), outermost, out)
     return out
+
+
+def _walk_positions(node: FoTerm, path: tuple[int, ...], outermost: bool, out: list) -> None:
+    if outermost:
+        out.append((path, node))
+    if isinstance(node, FoOp):
+        for i, a in enumerate(node.args, start=1):
+            _walk_positions(a, path + (i,), outermost, out)
+    if not outermost:
+        out.append((path, node))
 
 
 def _root_step(rs: RewriteSystem, sub: FoOp):
@@ -722,15 +732,28 @@ def innermost_normal_form(rs: RewriteSystem, t: FoTerm, memo: dict) -> FoTerm:
     it reaches MAX_REWRITE_STEPS the traced normalizer is run, which raises
     RewriteDivergence with its trace.
     """
-    steps = 0
+    try:
+        return _Innermost(rs, t, memo).norm(t)
+    except RecursionError:
+        raise RewriteDivergence(t, [], too_deep=True) from None
 
-    def count(n: int) -> None:
-        nonlocal steps
-        steps += n
-        if steps >= MAX_REWRITE_STEPS:
-            rewrite_normalize(rs, t, "innermost")  # raises: its run is as long
 
-    def norm(term: FoTerm) -> FoTerm:
+class _Innermost:
+    """One innermost_normal_form call: the rewrites counted so far."""
+
+    def __init__(self, rs: RewriteSystem, start: FoTerm, memo: dict):
+        self.rs = rs
+        self.start = start
+        self.memo = memo
+        self.steps = 0
+
+    def count(self, n: int) -> None:
+        self.steps += n
+        if self.steps >= MAX_REWRITE_STEPS:
+            rewrite_normalize(self.rs, self.start, "innermost")  # raises: its run is as long
+
+    def norm(self, term: FoTerm) -> FoTerm:
+        memo = self.memo
         seen = []  # (term met, rewrites done before meeting it)
         while True:
             if isinstance(term, FoVar):
@@ -738,31 +761,26 @@ def innermost_normal_form(rs: RewriteSystem, t: FoTerm, memo: dict) -> FoTerm:
             done = memo.get(term)
             if done is not None:
                 term, n = done
-                count(n)
+                self.count(n)
                 break
-            seen.append((term, steps))
-            args = tuple(map(norm, term.args))
+            seen.append((term, self.steps))
+            args = tuple(map(self.norm, term.args))
             if args != term.args:
                 term = FoOp(term.name, term.sort_args, args)
                 done = memo.get(term)
                 if done is not None:
                     term, n = done
-                    count(n)
+                    self.count(n)
                     break
-                seen.append((term, steps))
-            fired = _root_step(rs, term)
+                seen.append((term, self.steps))
+            fired = _root_step(self.rs, term)
             if fired is None:
                 break
-            count(1)
+            self.count(1)
             term = fired[4]
         for s, before in seen:
-            memo[s] = (term, steps - before)
+            memo[s] = (term, self.steps - before)
         return term
-
-    try:
-        return norm(t)
-    except RecursionError:
-        raise RewriteDivergence(t, [], too_deep=True) from None
 
 
 def _wrap_congruence(whole: FoTerm, path: tuple[int, ...], inner: FoDerivation) -> FoDerivation:
@@ -867,15 +885,17 @@ def _size_change(pat, other) -> tuple[int, tuple]:
     different number of times on the two sides, to scale by the size of its
     instantiation."""
     count: dict = {}
-
-    def walk(e, sign) -> int:
-        if type(e) is int:
-            count[e] = count.get(e, 0) + sign
-            return 0
-        return sign + sum(walk(a, sign) for a in e[1:])
-
-    grow = walk(other, 1) + walk(pat, -1)
+    grow = _count_nodes(other, 1, count) + _count_nodes(pat, -1, count)
     return grow, tuple((i, k) for i, k in count.items() if k)
+
+
+def _count_nodes(e, sign: int, count: dict) -> int:
+    """``sign`` times the operator nodes of ``e``; adds ``sign`` to the count
+    of each variable occurrence."""
+    if type(e) is int:
+        count[e] = count.get(e, 0) + sign
+        return 0
+    return sign + sum(_count_nodes(a, sign, count) for a in e[1:])
 
 
 def _enc_match(pat, term, binding: dict) -> bool:
@@ -1007,20 +1027,8 @@ def prove_fo_equal(
     def neighbours(term) -> list[tuple]:
         """(new term, path, move) for the root moves of each subterm of
         ``term``, outermost position first, placed back into ``term``."""
-        out = []
-
-        def walk(sub, path, frames):
-            # frames: (prefix, suffix) of each enclosing node, innermost first
-            for move in root_moves(sub):
-                new = move[0]
-                for prefix, suffix in frames:
-                    new = prefix + (new,) + suffix
-                out.append((new, path, move))
-            if type(sub) is not int:
-                for i in range(1, len(sub)):
-                    walk(sub[i], path + (i,), ((sub[:i], sub[i + 1:]),) + frames)
-
-        walk(term, (), ())
+        out: list = []
+        _place_moves(term, (), (), root_moves, out)
         return out
 
     # parents: encoded term -> (encoded predecessor, path, move), None at the start
@@ -1040,6 +1048,20 @@ def prove_fo_equal(
                 return _join_paths(t, u, new, parents, heads.decode)
             heapq.heappush(heap, (size + move[1], next(seq), which, new))
     return None
+
+
+def _place_moves(sub, path: tuple, frames: tuple, root_moves, out: list) -> None:
+    """Append (new term, path, move) for each root move of ``sub`` and of its
+    subterms, outermost first; ``frames`` holds the (prefix, suffix) of each
+    enclosing node, innermost first, to rebuild the whole term."""
+    for move in root_moves(sub):
+        new = move[0]
+        for prefix, suffix in frames:
+            new = prefix + (new,) + suffix
+        out.append((new, path, move))
+    if type(sub) is not int:
+        for i in range(1, len(sub)):
+            _place_moves(sub[i], path + (i,), ((sub[:i], sub[i + 1:]),) + frames, root_moves, out)
 
 
 def _trace_back(parents: dict, node, decode) -> list[RewriteStep]:
@@ -1252,22 +1274,23 @@ def gs_canonical_form(values: tuple, ctx: Context, sort: Sort, t: FoTerm) -> FoT
     """
     if sort != BASE:
         return t
-    label = {put_name(v): v for v in values}
-
-    def table(term) -> dict:
-        match term:
-            case FoVar():
-                return {v: (v, term) for v in values}
-            case FoOp(name="get", args=args):
-                ts = [table(a) for a in args]
-                return {v: ts[i][v] for i, v in enumerate(values)}
-            case FoOp(name=name, args=(arg,)) if name in label:
-                inner = table(arg)
-                return {v: inner[label[name]] for v in values}
-        raise FoSortError(f"not a global-state base term: {term}")
-
-    tbl = table(t)
+    tbl = _state_table(t, values, {put_name(v): v for v in values})
     return _get(*(_put(w, atom) for w, atom in (tbl[v] for v in values)))
+
+
+def _state_table(term: FoTerm, values: tuple, label: dict) -> dict:
+    """Initial state -> (final state, result atom) for a global-state term;
+    ``label`` maps each put operator to its value."""
+    match term:
+        case FoVar():
+            return {v: (v, term) for v in values}
+        case FoOp(name="get", args=args):
+            ts = [_state_table(a, values, label) for a in args]
+            return {v: ts[i][v] for i, v in enumerate(values)}
+        case FoOp(name=name, args=(arg,)) if name in label:
+            inner = _state_table(arg, values, label)
+            return {v: inner[label[name]] for v in values}
+    raise FoSortError(f"not a global-state base term: {term}")
 
 
 def gs_expand_witness(
@@ -1280,67 +1303,66 @@ def gs_expand_witness(
     get of puts; pushing a put through an expanded argument; and an outer
     get absorbing the puts of its expanded branches.
     """
-    k = len(values)
-    index = {v: i for i, v in enumerate(values, start=1)}
-    label = {put_name(v): v for v in values}
+    return _expand_state(t, values, {put_name(v): v for v in values})
 
-    def complete(term) -> FoDerivation:
-        # term ~ get(put_v1(term), ..., put_vk(term)), read right to left
-        return FoSym(FoAxiom("get_put", (), (FoRefl(term),)))
 
-    def expand(term) -> tuple[FoTerm, FoDerivation]:
-        match term:
-            case FoVar():
-                return _get(*(_put(v, term) for v in values)), complete(term)
-            case FoOp(name="get", args=args):
-                subs = [expand(a) for a in args]
-                # get(t_1..t_k) ~ get(T_1..T_k) by congruence on the branches
-                d = FoCong("get", (), tuple(s[1] for s in subs))
-                ts = tuple(s[0] for s in subs)
-                cur = FoOp("get", (), ts)
-                # ~ get(put_v1(cur), ..., put_vk(cur)), then select branch j
-                # inside each put and collapse the double put
-                d = FoTrans(d, complete(cur))
-                branch_ds = []
-                branches = []
-                for j, v in enumerate(values, start=1):
-                    # put_v(get(T_1..T_k)) ~ put_v(T_j)
-                    step1 = FoAxiom(f"put_get_{v}", (), tuple(FoRefl(s) for s in ts))
-                    tj = ts[j - 1]
-                    # put_v(T_j) ~ put_v(put_{u_jj}(b_jj)): T_j is itself a get
-                    # of puts, so this is another branch selection
-                    step2 = FoAxiom(f"put_get_{v}", (), tuple(FoRefl(a) for a in tj.args))
-                    inner = tj.args[j - 1]  # put_{u_jj}(b_jj)
-                    # put_v(put_u(b)) ~ put_u(b)
-                    u_val = label[inner.name]
-                    step3 = FoAxiom(f"put_put_{v}_{u_val}", (), (FoRefl(inner.args[0]),))
-                    branch_ds.append(FoTrans(FoTrans(step1, step2), step3))
-                    branches.append(inner)
-                d = FoTrans(d, FoCong("get", (), tuple(branch_ds)))
-                return FoOp("get", (), tuple(branches)), d
-            case FoOp(name=name, args=(arg,)) if name in label:
-                w = label[name]
-                inner_t, inner_d = expand(arg)
-                # put_w(t) ~ put_w(get(puts)) ~ put_w(put_u(b)) ~ put_u(b)
-                d = FoCong(name, (), (inner_d,))
-                j = index[w]
-                selected = inner_t.args[j - 1]  # put_{u}(b)
-                d = FoTrans(
-                    d, FoAxiom(f"put_get_{w}", (), tuple(FoRefl(a) for a in inner_t.args))
-                )
-                u_val = label[selected.name]
-                d = FoTrans(d, FoAxiom(f"put_put_{w}_{u_val}", (), (FoRefl(selected.args[0]),)))
-                # ~ get(put_v(sel), ...) with the double puts collapsed per branch
-                d = FoTrans(d, complete(selected))
-                collapse = tuple(
-                    FoAxiom(f"put_put_{v}_{u_val}", (), (FoRefl(selected.args[0]),))
-                    for v in values
-                )
-                d = FoTrans(d, FoCong("get", (), collapse))
-                return FoOp("get", (), tuple(selected for _ in range(k))), d
-        raise FoSortError(f"not a global-state base term: {term}")
+def _complete_state(term: FoTerm) -> FoDerivation:
+    # term ~ get(put_v1(term), ..., put_vk(term)), read right to left
+    return FoSym(FoAxiom("get_put", (), (FoRefl(term),)))
 
-    return expand(t)
+
+def _expand_state(term: FoTerm, values: tuple, label: dict) -> tuple[FoTerm, FoDerivation]:
+    """gs_expand_witness of ``term``; ``label`` maps each put operator to its
+    value."""
+    match term:
+        case FoVar():
+            return _get(*(_put(v, term) for v in values)), _complete_state(term)
+        case FoOp(name="get", args=args):
+            subs = [_expand_state(a, values, label) for a in args]
+            # get(t_1..t_k) ~ get(T_1..T_k) by congruence on the branches
+            d = FoCong("get", (), tuple(s[1] for s in subs))
+            ts = tuple(s[0] for s in subs)
+            cur = FoOp("get", (), ts)
+            # ~ get(put_v1(cur), ..., put_vk(cur)), then select branch j
+            # inside each put and collapse the double put
+            d = FoTrans(d, _complete_state(cur))
+            branch_ds = []
+            branches = []
+            for j, v in enumerate(values, start=1):
+                # put_v(get(T_1..T_k)) ~ put_v(T_j)
+                step1 = FoAxiom(f"put_get_{v}", (), tuple(FoRefl(s) for s in ts))
+                tj = ts[j - 1]
+                # put_v(T_j) ~ put_v(put_{u_jj}(b_jj)): T_j is itself a get
+                # of puts, so this is another branch selection
+                step2 = FoAxiom(f"put_get_{v}", (), tuple(FoRefl(a) for a in tj.args))
+                inner = tj.args[j - 1]  # put_{u_jj}(b_jj)
+                # put_v(put_u(b)) ~ put_u(b)
+                u_val = label[inner.name]
+                step3 = FoAxiom(f"put_put_{v}_{u_val}", (), (FoRefl(inner.args[0]),))
+                branch_ds.append(FoTrans(FoTrans(step1, step2), step3))
+                branches.append(inner)
+            d = FoTrans(d, FoCong("get", (), tuple(branch_ds)))
+            return FoOp("get", (), tuple(branches)), d
+        case FoOp(name=name, args=(arg,)) if name in label:
+            w = label[name]
+            inner_t, inner_d = _expand_state(arg, values, label)
+            # put_w(t) ~ put_w(get(puts)) ~ put_w(put_u(b)) ~ put_u(b)
+            d = FoCong(name, (), (inner_d,))
+            selected = inner_t.args[values.index(w)]  # put_{u}(b)
+            d = FoTrans(
+                d, FoAxiom(f"put_get_{w}", (), tuple(FoRefl(a) for a in inner_t.args))
+            )
+            u_val = label[selected.name]
+            d = FoTrans(d, FoAxiom(f"put_put_{w}_{u_val}", (), (FoRefl(selected.args[0]),)))
+            # ~ get(put_v(sel), ...) with the double puts collapsed per branch
+            d = FoTrans(d, _complete_state(selected))
+            collapse = tuple(
+                FoAxiom(f"put_put_{v}_{u_val}", (), (FoRefl(selected.args[0]),))
+                for v in values
+            )
+            d = FoTrans(d, FoCong("get", (), collapse))
+            return FoOp("get", (), tuple(selected for _ in values)), d
+    raise FoSortError(f"not a global-state base term: {term}")
 
 
 def gs_rewrite_system(values: tuple) -> RewriteSystem:

@@ -29,6 +29,7 @@ from .clones import (
     Renaming,
     Substitution,
     under_binders,
+    weakening,
 )
 from .firstorder import FoOp, FoVar, enumerate_fo_terms_by_size, fo_size
 from .secondorder import (
@@ -41,7 +42,7 @@ from .secondorder import (
     SoVar,
     interpret_term,
 )
-from .sorts import Context, Sort, stored_hash
+from .sorts import EMPTY, Context, Sort, stored_hash
 
 
 class FreeSortError(CloneError):
@@ -165,7 +166,8 @@ def free_check_term(
 def free_rename(t: FreeTerm, ren: Renaming) -> FreeTerm:
     match t:
         case FreeVar(index=i):
-            return FreeVar(ren.apply(i))
+            j = ren.apply(i)
+            return t if j == i else FreeVar(j)
         case CloneApp(element=e, arity_ctx=actx, arity_sort=asort, args=args):
             return CloneApp(e, actx, asort, tuple(free_rename(a, ren) for a in args))
         case FreeOp(name=name, sort_args=sort_args, args=args):
@@ -175,15 +177,62 @@ def free_rename(t: FreeTerm, ren: Renaming) -> FreeTerm:
 
 def free_subst(t: FreeTerm, sigma: Substitution) -> FreeTerm:
     """Structural substitution: variables look up, clone applications and
-    operators are homomorphic, with lifting under binders."""
+    operators are homomorphic, with lifting under binders.  The identity
+    substitution returns ``t`` itself."""
+    comps = sigma.components
+    if len(sigma.source) == len(comps) and all(
+        type(c) is FreeVar and c.index == i for i, c in enumerate(comps, start=1)
+    ):
+        return t
+    return _free_subst(t, sigma)
+
+
+def _free_subst(t: FreeTerm, sigma: Substitution) -> FreeTerm:
     match t:
         case FreeVar(index=j):
             return sigma.component(j)
         case CloneApp(element=e, arity_ctx=actx, arity_sort=asort, args=args):
-            return CloneApp(e, actx, asort, tuple(free_subst(a, sigma) for a in args))
+            return CloneApp(e, actx, asort, tuple(_free_subst(a, sigma) for a in args))
         case FreeOp(name=name, sort_args=sort_args, args=args):
-            lifted = under_binders(args, sigma, free_subst, free_rename, FreeVar)
+            lifted = under_binders(args, sigma, _free_subst, free_rename, FreeVar)
             return FreeOp(name, sort_args, lifted)
+    raise FreeSortError(f"not a free term: {t!r}")
+
+
+def free_instantiate_last(t: FreeTerm, ctx: Context, arg: FreeTerm) -> FreeTerm:
+    """``free_subst(t, Substitution(ctx, ctx + binder, (x1, ..., xn, arg)))``
+    for a one-sort ``binder``: the last variable of ``t``'s context becomes
+    ``arg``, with no lift of the identity part under binders.
+
+    In de Bruijn levels, variable i <= n is kept as the same object, variable
+    n+1 becomes ``arg`` weakened past the binders crossed so far (once per
+    distinct binder context), and a variable bound inside ``t`` moves down
+    one index."""
+    return _instantiate_last(t, ctx, arg, EMPTY, {EMPTY: arg})
+
+
+def _instantiate_last(t: FreeTerm, ctx: Context, arg: FreeTerm, extra: Context, weakened: dict):
+    match t:
+        case FreeVar(index=i):
+            n = len(ctx)
+            if i <= n:
+                return t
+            if i > n + 1:
+                return FreeVar(i - 1)
+            a = weakened.get(extra)
+            if a is None:
+                a = weakened[extra] = free_rename(arg, weakening(ctx, extra))
+            return a
+        case CloneApp(element=e, arity_ctx=actx, arity_sort=asort, args=args):
+            return CloneApp(e, actx, asort, tuple(
+                _instantiate_last(a, ctx, arg, extra, weakened) for a in args
+            ))
+        case FreeOp(name=name, sort_args=sort_args, args=args):
+            out = []
+            for binder, body in args:
+                inner = extra + binder if binder else extra
+                out.append((binder, _instantiate_last(body, ctx, arg, inner, weakened)))
+            return FreeOp(name, sort_args, tuple(out))
     raise FreeSortError(f"not a free term: {t!r}")
 
 
@@ -491,7 +540,10 @@ def enumerate_free_terms(
             memo[key] = res
             return res
 
-        return upto(ctx, sort, max_depth)
+        try:
+            return upto(ctx, sort, max_depth)
+        finally:
+            upto = None  # upto holds itself through its closure cell: break that cycle
 
     exact: dict = {}
 
@@ -551,8 +603,11 @@ def enumerate_free_terms(
         return res
 
     result: list[FreeTerm] = []
-    for n in range(1, max_size + 1):
-        result.extend(of_size(ctx, sort, n))
+    try:
+        for n in range(1, max_size + 1):
+            result.extend(of_size(ctx, sort, n))
+    finally:
+        of_size = None  # as upto above
     return list(dict.fromkeys(result))
 
 
@@ -592,37 +647,46 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
     are compared by raw_eq, so base-element representatives may differ by
     base-provable equalities.
     """
-    base = free.base
-    sig = free.presentation.signature
-    sorts: dict = {}  # sort of each well-sorted (term, context) checked, this call only
+    return _FreeChecker(free).go(d, ctx, ())
 
-    def sort_of(t, c):
-        s = sorts.get((t, c))
+
+class _FreeChecker:
+    """One check_free_derivation call: the free algebra, and the sort of each
+    well-sorted (term, context) checked."""
+
+    def __init__(self, free: FreeAlgebra):
+        self.free = free
+        self.base = free.base
+        self.sig = free.presentation.signature
+        self.sorts: dict = {}
+
+    def sort_of(self, t, c):
+        s = self.sorts.get((t, c))
         if s is None:
-            s = sorts[t, c] = free_check_term(base, sig, c, t)
+            s = self.sorts[t, c] = free_check_term(self.base, self.sig, c, t)
         return s
 
-    def go(node, c: Context, path) -> FreeVerdict:
+    def go(self, node, c: Context, path) -> FreeVerdict:
         match node:
             case FRefl(term=t):
                 try:
-                    s = sort_of(t, c)
+                    s = self.sort_of(t, c)
                 except FreeSortError as e:
                     return FreeVerdict(False, error=str(e), path=path)
                 return FreeVerdict(True, t, t, s)
             case FSym(child=ch):
-                sub = go(ch, c, path + (1,))
+                sub = self.go(ch, c, path + (1,))
                 if not sub:
                     return sub
                 return FreeVerdict(True, sub.rhs, sub.lhs, sub.sort)
             case FTrans(left=l, right=r):
-                lv = go(l, c, path + (1,))
+                lv = self.go(l, c, path + (1,))
                 if not lv:
                     return lv
-                rv = go(r, c, path + (2,))
+                rv = self.go(r, c, path + (2,))
                 if not rv:
                     return rv
-                if not raw_eq(base, c, lv.sort, lv.rhs, rv.lhs):
+                if not raw_eq(self.base, c, lv.sort, lv.rhs, rv.lhs):
                     return FreeVerdict(
                         False,
                         error=f"transitivity middles disagree: {lv.rhs} vs {rv.lhs}",
@@ -634,7 +698,7 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
                     return FreeVerdict(False, error="clone congruence arity mismatch", path=path)
                 ls, rs = [], []
                 for i, (ch, want) in enumerate(zip(children, actx), start=1):
-                    sub = go(ch, c, path + (i,))
+                    sub = self.go(ch, c, path + (i,))
                     if not sub:
                         return sub
                     if sub.sort != want:
@@ -652,7 +716,7 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
                 )
             case FCongOp(name=name, sort_args=sort_args, children=children):
                 try:
-                    arity = sig.arity(name, sort_args)
+                    arity = self.sig.arity(name, sort_args)
                 except CloneError as e:
                     return FreeVerdict(False, error=str(e), path=path)
                 if len(children) != len(arity.binders):
@@ -661,7 +725,7 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
                 for i, (ch, (binder, want)) in enumerate(
                     zip(children, arity.binders), start=1
                 ):
-                    sub = go(ch, c + binder, path + (i,))
+                    sub = self.go(ch, c + binder, path + (i,))
                     if not sub:
                         return sub
                     if sub.sort != want:
@@ -679,7 +743,7 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
                 )
             case FAxiom(equation=eq_name, sort_args=sort_args, children=children):
                 try:
-                    schema = free.presentation.equation(eq_name)
+                    schema = self.free.presentation.equation(eq_name)
                     metactx, eq_sort, lhs, rhs = schema.instantiate(sort_args)
                 except CloneError as e:
                     return FreeVerdict(False, error=str(e), path=path)
@@ -689,7 +753,7 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
                     )
                 linst, rinst = [], []
                 for i, (ch, decl) in enumerate(zip(children, metactx), start=1):
-                    sub = go(ch, c + decl.ctx, path + (i,))
+                    sub = self.go(ch, c + decl.ctx, path + (i,))
                     if not sub:
                         return sub
                     if sub.sort != decl.sort:
@@ -700,8 +764,8 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
                     rinst.append(sub.rhs)
                 return FreeVerdict(
                     True,
-                    so_to_free(free, lhs, metactx, c, tuple(linst)),
-                    so_to_free(free, rhs, metactx, c, tuple(rinst)),
+                    so_to_free(self.free, lhs, metactx, c, tuple(linst)),
+                    so_to_free(self.free, rhs, metactx, c, tuple(rinst)),
                     eq_sort,
                 )
             case FVarLaw(index=i, arg_ctx=actx, args=args):
@@ -709,14 +773,14 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
                     return FreeVerdict(False, error="variable-collapse arity mismatch", path=path)
                 for j, (a, want) in enumerate(zip(args, actx), start=1):
                     try:
-                        got = sort_of(a, c)
+                        got = self.sort_of(a, c)
                     except FreeSortError as e:
                         return FreeVerdict(False, error=str(e), path=path + (j,))
                     if got != want:
                         return FreeVerdict(
                             False, error=f"collapse argument {j} sort mismatch", path=path + (j,)
                         )
-                element = base.var(actx, i)
+                element = self.base.var(actx, i)
                 return FreeVerdict(
                     True,
                     CloneApp(element, actx, actx.sort_at(i), args),
@@ -735,7 +799,7 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
                     return FreeVerdict(False, error="substitution-collapse arity mismatch", path=path)
                 for j, (a, want) in enumerate(zip(args, actx), start=1):
                     try:
-                        got = sort_of(a, c)
+                        got = self.sort_of(a, c)
                     except FreeSortError as e:
                         return FreeVerdict(False, error=str(e), path=path + (j,))
                     if got != want:
@@ -747,9 +811,7 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
                     for j, s in enumerate(comps, start=1)
                 )
                 lhs = CloneApp(f, ectx, esort, inner)
-                composed = base.subst(f, Substitution(actx, ectx, comps))
+                composed = self.base.subst(f, Substitution(actx, ectx, comps))
                 rhs = CloneApp(composed, actx, esort, args)
                 return FreeVerdict(True, lhs, rhs, esort)
         return FreeVerdict(False, error=f"unknown node {node!r}", path=path)
-
-    return go(d, ctx, ())

@@ -318,33 +318,47 @@ def kripke_relation(
 ):
     """The context-indexed relation with the standard function-sort clause:
     membership at an arrow sort quantifies over all renamings into the
-    enumerated contexts and all member arguments there."""
-    clone = alg.clone
-    memo: dict = {}
+    enumerated contexts and all member arguments there.  Returns the
+    membership test ``member(ctx, sort, t) -> bool``."""
+    return _KripkeRelation(alg, base_member, contexts, arg_pool, base_sort, cap)
 
-    def member(ctx: Context, sort: Sort, t) -> bool:
+
+class _KripkeRelation:
+    """The relation built by kripke_relation; calling it tests membership,
+    memoized per (context, sort, term)."""
+
+    def __init__(self, alg, base_member, contexts, arg_pool, base_sort, cap):
+        self.alg = alg
+        self.base_member = base_member
+        self.contexts = contexts
+        self.arg_pool = arg_pool
+        self.base_sort = base_sort
+        self.cap = cap
+        self.memo: dict = {}
+
+    def __call__(self, ctx: Context, sort: Sort, t) -> bool:
         key = (ctx, sort, t)
-        if key in memo:
-            return memo[key]
-        if sort == base_sort:
-            result = base_member(ctx, t)
+        if key in self.memo:
+            return self.memo[key]
+        if sort == self.base_sort:
+            result = self.base_member(ctx, t)
         elif sort.former == "=>" and len(sort.args) == 2:
             A, B = sort.args
             result = True
-            for delta in contexts:
+            for delta in self.contexts:
                 for ren in all_renamings(delta, ctx):
-                    renamed = clone.rename(t, ren)
-                    candidates = arg_pool(delta, A)
-                    if cap is not None:
-                        candidates = candidates[:cap]
+                    renamed = self.alg.clone.rename(t, ren)
+                    candidates = self.arg_pool(delta, A)
+                    if self.cap is not None:
+                        candidates = candidates[:self.cap]
                     for a in candidates:
-                        if not member(delta, A, a):
+                        if not self(delta, A, a):
                             continue
-                        applied = alg.interpret(
+                        applied = self.alg.interpret(
                             "app", (A, B), delta,
                             (renamed, a),
                         )
-                        if not member(delta, B, applied):
+                        if not self(delta, B, applied):
                             result = False
                             break
                     if not result:
@@ -353,7 +367,5 @@ def kripke_relation(
                     break
         else:
             result = False
-        memo[key] = result
+        self.memo[key] = result
         return result
-
-    return member

@@ -141,19 +141,21 @@ class BoolDomain:
         return _canonical_bool_val(nf, tuple(atoms))
 
     def eval_element(self, nbe, ctx, element, actx, asort, arg_values):
-        def go(e, result_sort):
-            match e:
-                case FoVar(index=i):
-                    return arg_values[i - 1]
-                case FoOp(name="true"):
-                    return BoolVal(self.true, ())
-                case FoOp(name="false"):
-                    return BoolVal(self.false, ())
-                case FoOp(name="ite", sort_args=(A,), args=(c, t, u)):
-                    return self.ite(nbe, ctx, A, go(c, nbe.base_sort), go(t, A), go(u, A))
-            raise NbeError(f"unknown boolean element node {e!r}")
-
-        return go(element, asort)
+        match element:
+            case FoVar(index=i):
+                return arg_values[i - 1]
+            case FoOp(name="true"):
+                return BoolVal(self.true, ())
+            case FoOp(name="false"):
+                return BoolVal(self.false, ())
+            case FoOp(name="ite", sort_args=(A,), args=(c, t, u)):
+                return self.ite(
+                    nbe, ctx, A,
+                    self.eval_element(nbe, ctx, c, actx, nbe.base_sort, arg_values),
+                    self.eval_element(nbe, ctx, t, actx, A, arg_values),
+                    self.eval_element(nbe, ctx, u, actx, A, arg_values),
+                )
+        raise NbeError(f"unknown boolean element node {element!r}")
 
     def reify_base(self, nbe, ctx, sort, v: BoolVal) -> FreeTerm:
         if isinstance(v.term, FoVar):
@@ -199,21 +201,21 @@ class GsDomain:
     def rename_base(self, v: GsVal, ren):
         return GsVal(tuple((w, free_rename(m, ren)) for w, m in v.branches))
 
-    def eval_element(self, nbe, ctx, element, actx, asort, arg_values):
-        def go(e) -> GsVal:
-            match e:
-                case FoVar(index=i):
-                    return arg_values[i - 1]
-                case FoOp(name="get", args=args):
-                    # in initial state i, the i-th branch runs
-                    return GsVal(tuple(go(a).branches[i] for i, a in enumerate(args)))
-                case FoOp(name=name, args=(arg,)) if name in self.put_index:
-                    inner = go(arg)
-                    j = self.put_index[name]
-                    return GsVal(tuple(inner.branches[j] for _ in self.values))
-            raise NbeError(f"unknown state element node {e!r}")
-
-        return go(element)
+    def eval_element(self, nbe, ctx, element, actx, asort, arg_values) -> GsVal:
+        match element:
+            case FoVar(index=i):
+                return arg_values[i - 1]
+            case FoOp(name="get", args=args):
+                # in initial state i, the i-th branch runs
+                return GsVal(tuple(
+                    self.eval_element(nbe, ctx, a, actx, asort, arg_values).branches[i]
+                    for i, a in enumerate(args)
+                ))
+            case FoOp(name=name, args=(arg,)) if name in self.put_index:
+                inner = self.eval_element(nbe, ctx, arg, actx, asort, arg_values)
+                j = self.put_index[name]
+                return GsVal(tuple(inner.branches[j] for _ in self.values))
+        raise NbeError(f"unknown state element node {element!r}")
 
     def reify_base(self, nbe, ctx, sort, v: GsVal) -> FreeTerm:
         atoms: list = []
@@ -353,45 +355,48 @@ def check_normal(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> No
     base), or a canonical element application over neutral atoms and
     normal higher-sort arguments.
     """
-    def neutral(c: Context, s: Sort, term) -> NormalVerdict:
-        match term:
-            case FreeVar():
-                return NormalVerdict(True)
-            case FreeOp(name="app", sort_args=(A, B), args=((_, fun), (_, arg))):
-                head = neutral(c, Sort("=>", (A, B)), fun)
-                if not head:
-                    return head
-                return normal(c, A, arg)
-            case CloneApp() as ca if s.args:
-                return stuck_elements(c, ca)
-        return NormalVerdict(False, term, "not a neutral term")
-
-    def stuck_elements(c: Context, ca: CloneApp) -> NormalVerdict:
-        if not is_canonical_cloneapp(free, c, ca):
-            return NormalVerdict(False, ca, "element application not canonical")
-        for a, slot in zip(ca.args, ca.arity_ctx):
-            sub = neutral(c, slot, a) if not slot.args else normal(c, slot, a)
-            if not sub:
-                return sub
-        return NormalVerdict(True)
-
-    def normal(c: Context, s: Sort, term) -> NormalVerdict:
-        if s.former == "=>" and len(s.args) == 2:
-            match term:
-                case FreeOp(name="abs", args=((binder, body),)):
-                    return normal(c + binder, s.args[1], body)
-            return NormalVerdict(False, term, "arrow-sorted normal must be an abstraction")
-        # base sort
-        if isinstance(term, CloneApp):
-            return stuck_elements(c, term)
-        if base_completion_needed(free, s):
-            return NormalVerdict(False, term, "bare neutral not normal for this base")
-        return neutral(c, s, term)
-
     try:
         got = free_check_term(free.base, free.presentation.signature, ctx, t)
     except CloneError as e:
         return NormalVerdict(False, t, f"ill-sorted: {e}")
     if got != sort:
         return NormalVerdict(False, t, f"sort {got}, expected {sort}")
-    return normal(ctx, sort, t)
+    return _normal(free, ctx, sort, t)
+
+
+def _neutral(free: FreeAlgebra, c: Context, s: Sort, term) -> NormalVerdict:
+    match term:
+        case FreeVar():
+            return NormalVerdict(True)
+        case FreeOp(name="app", sort_args=(A, B), args=((_, fun), (_, arg))):
+            head = _neutral(free, c, Sort("=>", (A, B)), fun)
+            if not head:
+                return head
+            return _normal(free, c, A, arg)
+        case CloneApp() as ca if s.args:
+            return _stuck_elements(free, c, ca)
+    return NormalVerdict(False, term, "not a neutral term")
+
+
+def _stuck_elements(free: FreeAlgebra, c: Context, ca: CloneApp) -> NormalVerdict:
+    if not is_canonical_cloneapp(free, c, ca):
+        return NormalVerdict(False, ca, "element application not canonical")
+    for a, slot in zip(ca.args, ca.arity_ctx):
+        sub = _neutral(free, c, slot, a) if not slot.args else _normal(free, c, slot, a)
+        if not sub:
+            return sub
+    return NormalVerdict(True)
+
+
+def _normal(free: FreeAlgebra, c: Context, s: Sort, term) -> NormalVerdict:
+    if s.former == "=>" and len(s.args) == 2:
+        match term:
+            case FreeOp(name="abs", args=((binder, body),)):
+                return _normal(free, c + binder, s.args[1], body)
+        return NormalVerdict(False, term, "arrow-sorted normal must be an abstraction")
+    # base sort
+    if isinstance(term, CloneApp):
+        return _stuck_elements(free, c, term)
+    if base_completion_needed(free, s):
+        return NormalVerdict(False, term, "bare neutral not normal for this base")
+    return _neutral(free, c, s, term)

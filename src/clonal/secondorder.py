@@ -263,27 +263,30 @@ def so_metasubst(
     application becomes its replacement with the parameters substituted by
     the metasubstituted arguments.
     """
+    return _metasubst(t, Context(()), gamma, inst, inst_decls)
+
+
+def _metasubst(
+    term: SoTerm, primed: Context, gamma: Context, inst: tuple, inst_decls: MetaContext
+) -> SoTerm:
+    """so_metasubst of ``term``, which lives under the binders ``primed``."""
     n = len(gamma)
-
-    def go(term: SoTerm, primed: Context) -> SoTerm:
-        match term:
-            case SoVar(index=j):
-                return SoVar(n + j)
-            case MetaApp(index=j, args=args):
-                u = inst[j - 1]
-                decl = inst_decls.decl(j)
-                mapped = tuple(go(a, primed) for a in args)
-                src = gamma + primed
-                components = tuple(SoVar(i) for i in range(1, n + 1)) + mapped
-                return so_subst(u, Substitution(src, gamma + decl.ctx, components))
-            case SoOp(name=name, sort_args=sort_args, args=args):
-                out = []
-                for binder, body in args:
-                    out.append((binder, go(body, primed + binder)))
-                return SoOp(name, sort_args, tuple(out))
-        raise SoSortError(f"not a second-order term: {term!r}")
-
-    return go(t, Context(()))
+    match term:
+        case SoVar(index=j):
+            return SoVar(n + j)
+        case MetaApp(index=j, args=args):
+            u = inst[j - 1]
+            decl = inst_decls.decl(j)
+            mapped = tuple(_metasubst(a, primed, gamma, inst, inst_decls) for a in args)
+            src = gamma + primed
+            components = tuple(SoVar(i) for i in range(1, n + 1)) + mapped
+            return so_subst(u, Substitution(src, gamma + decl.ctx, components))
+        case SoOp(name=name, sort_args=sort_args, args=args):
+            out = []
+            for binder, body in args:
+                out.append((binder, _metasubst(body, primed + binder, gamma, inst, inst_decls)))
+            return SoOp(name, sort_args, tuple(out))
+    raise SoSortError(f"not a second-order term: {term!r}")
 
 
 # --------------------------------------------------------------------------
@@ -477,25 +480,22 @@ def interpret_term(
     """
     clone = alg.clone
     n = len(gamma)
-
-    def go(term: SoTerm, cur_xi: Context):
-        full = gamma + cur_xi
-        match term:
-            case SoVar(index=i):
-                return clone.var(full, n + i)
-            case MetaApp(index=i, args=args):
-                decl = metactx.decl(i)
-                head = tuple(clone.var(full, j) for j in range(1, n + 1))
-                tail = tuple(go(a, cur_xi) for a in args)
-                return clone.subst(
-                    sigma[i - 1], Substitution(full, gamma + decl.ctx, head + tail)
-                )
-            case SoOp(name=name, sort_args=sort_args, args=args):
-                interpreted = tuple(go(body, cur_xi + binder) for binder, body in args)
-                return alg.interpret(name, sort_args, full, interpreted)
-        raise SoSortError(f"not a second-order term: {term!r}")
-
-    return go(t, xi)
+    full = gamma + xi
+    match t:
+        case SoVar(index=i):
+            return clone.var(full, n + i)
+        case MetaApp(index=i, args=args):
+            decl = metactx.decl(i)
+            head = tuple(clone.var(full, j) for j in range(1, n + 1))
+            tail = tuple(interpret_term(alg, a, metactx, xi, gamma, sigma) for a in args)
+            return clone.subst(sigma[i - 1], Substitution(full, gamma + decl.ctx, head + tail))
+        case SoOp(name=name, sort_args=sort_args, args=args):
+            interpreted = tuple(
+                interpret_term(alg, body, metactx, xi + binder, gamma, sigma)
+                for binder, body in args
+            )
+            return alg.interpret(name, sort_args, full, interpreted)
+    raise SoSortError(f"not a second-order term: {t!r}")
 
 
 # --------------------------------------------------------------------------

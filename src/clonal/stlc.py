@@ -236,23 +236,17 @@ class BoolModelHom(CloneHom):
     def apply(self, ctx: Context, sort: Sort, t):
         m = self.model.clone
         cells = len(m.points(ctx))
-
-        def go(term, s: Sort):
-            match term:
-                case FoVar(index=i):
-                    return m.var(ctx, i)
-                case FoOp(name="true"):
-                    return tuple(TT for _ in range(cells))
-                case FoOp(name="false"):
-                    return tuple(FF for _ in range(cells))
-                case FoOp(name="ite", sort_args=(A,), args=(c, y, z)):
-                    ct, yt, zt = go(c, BASE), go(y, A), go(z, A)
-                    return tuple(
-                        yv if cv == TT else zv for cv, yv, zv in zip(ct, yt, zt)
-                    )
-            raise CloneError(f"not a boolean term: {term!r}")
-
-        return go(t, sort)
+        match t:
+            case FoVar(index=i):
+                return m.var(ctx, i)
+            case FoOp(name="true"):
+                return tuple(TT for _ in range(cells))
+            case FoOp(name="false"):
+                return tuple(FF for _ in range(cells))
+            case FoOp(name="ite", sort_args=(A,), args=(c, y, z)):
+                ct, yt, zt = self.apply(ctx, BASE, c), self.apply(ctx, A, y), self.apply(ctx, A, z)
+                return tuple(yv if cv == TT else zv for cv, yv, zv in zip(ct, yt, zt))
+        raise CloneError(f"not a boolean term: {t!r}")
 
 
 def bool_model_hom(free_bool: FreeAlgebra, model: SetModelAlgebra) -> BoolModelHom:

@@ -625,37 +625,40 @@ def render_sort(s: Sort) -> str:
 def render_free(t, names: list[str]) -> str:
     """Deterministic human syntax; element applications are resugared into
     operator applications."""
+    return _render(t, list(names))
 
-    def fresh(used):
-        i = len(used) + 1
-        while f"x{i}" in used:
-            i += 1
-        return f"x{i}"
 
-    def atom(s: str) -> str:
-        return f"({s})" if " " in s else s
+def _render(term, env: list[str]) -> str:
+    match term:
+        case FreeVar(index=i):
+            return env[i - 1]
+        case FreeOp(name="app", args=((_, f), (_, a))):
+            return f"{_head(_render(f, env))} {_atom(_render(a, env))}"
+        case FreeOp(name="abs", sort_args=(A, _), args=((_, body),)):
+            x = _fresh(env)
+            return f"abs {x} : {A}. {_render(body, env + [x])}"
+        case FreeOp(name=name, args=args):
+            rendered = " ".join(_atom(_render(b, env)) for _, b in args)
+            return f"{name} {rendered}" if rendered else name
+        case CloneApp(element=e, args=args):
+            return render_element(e, [_render(a, env) for a in args])
+    raise CloneError(f"cannot render {term!r}")
 
-    def go(term, env) -> str:
-        match term:
-            case FreeVar(index=i):
-                return env[i - 1]
-            case FreeOp(name="app", args=((_, f), (_, a))):
-                return f"{_head(go(f, env))} {atom(go(a, env))}"
-            case FreeOp(name="abs", sort_args=(A, _), args=((_, body),)):
-                x = fresh(env)
-                return f"abs {x} : {A}. {go(body, env + [x])}"
-            case FreeOp(name=name, args=args):
-                rendered = " ".join(atom(go(b, env)) for _, b in args)
-                return f"{name} {rendered}" if rendered else name
-            case CloneApp(element=e, args=args):
-                return render_element(e, [go(a, env) for a in args])
-        raise CloneError(f"cannot render {term!r}")
 
-    def _head(s: str) -> str:
-        # keep application chains left-grouped and unambiguous
-        return f"({s})" if s.startswith("abs ") else s
+def _fresh(used: list[str]) -> str:
+    i = len(used) + 1
+    while f"x{i}" in used:
+        i += 1
+    return f"x{i}"
 
-    return go(t, list(names))
+
+def _atom(s: str) -> str:
+    return f"({s})" if " " in s else s
+
+
+def _head(s: str) -> str:
+    # keep application chains left-grouped and unambiguous
+    return f"({s})" if s.startswith("abs ") else s
 
 
 def render_element(e, pieces: list[str]) -> str:

@@ -1,6 +1,6 @@
-"""Substitution and renaming under binders, stored free-term hashes,
-memoized equation instances, and the free-search pair whose cost grows
-exponentially with its node budget.
+"""Substitution and renaming under binders, the beta instantiation of one
+variable, stored free-term hashes, memoized equation instances, and the
+free-search pair whose cost grows exponentially with its node budget.
 
 The lifts under binders are built unchecked (``clones.under_binders``); the
 references here lift through the validated public constructors instead, so
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonal.clones import CloneError, Renaming, Substitution, under_binders, weakening
-from clonal.equality import free_equal
+from clonal.equality import beta_step, free_equal
 from clonal.firstorder import (
     BASE,
     FoEquationSchema,
@@ -43,6 +43,7 @@ from clonal.freealgebra import (
     FRefl,
     check_free_derivation,
     enumerate_free_terms,
+    free_instantiate_last,
     free_rename,
     free_subst,
     raw_eq,
@@ -276,6 +277,65 @@ class TestLiftMatchesValidatedReference:
             for extra in CONTEXTS:
                 wk = weakening(c, extra)
                 assert wk == Renaming(c + extra, c, tuple(range(1, len(c) + 1)))
+
+
+@st.composite
+def beta_cases(draw):
+    """(ctx, binder sort A, body over ctx + A, argument over ctx at A).  Half
+    the bodies sit under one more binder, so the bound variable occurs under
+    binders and the body may hold redexes there."""
+    c = draw(st.sampled_from(CONTEXTS))
+    a = draw(st.sampled_from(SORTS))
+    s = draw(st.sampled_from(SORTS))
+    inner = c + ctx(a)
+    if draw(st.booleans()):
+        d = draw(st.sampled_from(SORTS))
+        body = _build(draw, inner + ctx(d), s, draw(st.integers(1, 12)), False)
+        body = FreeOp("abs", (d, s), ((ctx(d), body),))
+    else:
+        body = _build(draw, inner, s, draw(st.integers(1, 14)), False)
+    return c, a, body, _build(draw, c, a, draw(st.integers(1, 8)), False)
+
+
+class TestBetaInstantiation:
+    @PROPERTY
+    @given(beta_cases())
+    def test_matches_the_validated_substitution(self, case):
+        c, a, body, arg = case
+        ids = tuple(FreeVar(i) for i in range(1, len(c) + 1))
+        sigma = Substitution(c, c + ctx(a), ids + (arg,))
+        got = free_instantiate_last(body, c, arg)
+        assert got == free_subst(body, sigma) == ref_free_subst(body, sigma)
+
+    @PROPERTY
+    @given(beta_cases())
+    def test_beta_step_reduces_by_the_substitution(self, case):
+        c, a, body, arg = case
+        free = stlc_bool()
+        s = free.check(c + ctx(a), body)
+        redex = FreeOp("app", (a, s), ((E, FreeOp("abs", (a, s), ((ctx(a), body),))), (E, arg)))
+        reduced, deriv = beta_step(free, c, redex)
+        ids = tuple(FreeVar(i) for i in range(1, len(c) + 1))
+        assert reduced == ref_free_subst(body, Substitution(c, c + ctx(a), ids + (arg,)))
+        verdict = check_free_derivation(free, c, deriv)
+        assert verdict.ok and verdict.lhs == redex and verdict.rhs == reduced
+
+    @PROPERTY
+    @given(subst_cases(second_order=False))
+    def test_identity_returns_the_same_object(self, case):
+        t, sigma, _ = case
+        delta = sigma.target
+        ident = Substitution(delta, delta, tuple(FreeVar(i) for i in range(1, len(delta) + 1)))
+        assert free_subst(t, ident) is t
+        # a weakening is no identity: bound variables move past the new entries
+        wk = Substitution(sigma.source, delta, ident.components)
+        assert free_subst(t, wk) == ref_free_subst(t, wk)
+
+    def test_variables_below_the_binder_are_kept(self):
+        x1 = FreeVar(1)
+        body = CloneApp(ITE, ctx(B, B, B), B, (x1, FreeVar(2), x1))
+        got = free_instantiate_last(body, ctx(B), TRUE)
+        assert got.args[0] is x1 and got.args[1] is TRUE and got.args[2] is x1
 
 
 class TestPublicConstructorsStillCheck:

@@ -1,0 +1,120 @@
+"""No hot path leaves cyclic garbage.
+
+A nested helper that calls itself by name holds itself through its closure
+cell, so every call of the function that defines it leaves a reference cycle
+(the helper, its cell and everything it captured) that only the cyclic
+collector frees.  Each entry point below is called once with automatic
+collection paused; ``gc.collect()`` must then find nothing unreachable.
+"""
+
+import gc
+
+import pytest
+
+from clonal.clones import Budget
+from clonal.equality import free_equal, normalize_with_trace
+from clonal.firstorder import (
+    BASE,
+    FoOp,
+    FoVar,
+    RewriteEq,
+    bool_presentation,
+    check_fo_derivation,
+    global_state_presentation,
+    gs_rewrite_system,
+    prove_fo_equal,
+    rewrite_normalize,
+)
+from clonal.freealgebra import CloneApp, FreeOp, FreeVar, check_free_derivation
+from clonal.nbe import check_normal, nbe_normalize
+from clonal.secondorder import check_algebra
+from clonal.sorts import Context, arrow
+from clonal.stlc import eval_closed, set_model, stlc_bool, stlc_gs
+from clonal.surface import render_free
+
+B = BASE
+BB = arrow(B, B)
+E = Context(())
+G1 = Context((B,))
+GS2 = global_state_presentation(("v1", "v2"))
+GS_RULES = gs_rewrite_system(("v1", "v2"))
+FREE = stlc_bool()
+FREE_GS = stlc_gs()
+MODEL = set_model()
+
+
+def _get(*args):
+    return FoOp("get", (), args)
+
+
+def _put(v, t):
+    return FoOp(f"put_{v}", (), (t,))
+
+
+def _app(f, a, A=B, R=B):
+    return FreeOp("app", (A, R), ((E, f), (E, a)))
+
+
+def _abs(body, A=B, R=B):
+    return FreeOp("abs", (A, R), ((Context((A,)), body),))
+
+
+TRUE = CloneApp(FoOp("true", (), ()), E, B, ())
+FALSE = CloneApp(FoOp("false", (), ()), E, B, ())
+ITE = FoOp("ite", (B,), (FoVar(1), FoVar(2), FoVar(3)))
+# (abs f : b => b. abs z : b. f (ite z true false)) (abs w : b. w): redexes
+# under binders, an element application and a binder at a function sort
+REDEX = _app(
+    _abs(_abs(_app(FreeVar(1), CloneApp(ITE, Context((B, B, B)), B, (FreeVar(2), TRUE, FALSE)))),
+         BB, BB),
+    _abs(FreeVar(1)), BB, BB,
+)
+NORMAL, TRACE = normalize_with_trace(FREE, E, BB, REDEX)
+STATE_TERM = _get(_put("v1", FoVar(1)), _put("v2", _get(FoVar(1), FoVar(1))))
+STATE_PROOF = prove_fo_equal(GS2, G1, _get(FoVar(1), FoVar(1)), FoVar(1), max_nodes=800)
+GS_REDEX = _app(_abs(CloneApp(_get(_put("v1", FoVar(1)), FoVar(1)), G1, B, (FreeVar(2),))),
+                FreeVar(1))
+
+ENTRY_POINTS = {
+    "prove_fo_equal": lambda: prove_fo_equal(
+        GS2, G1, _get(FoVar(1), _put("v2", FoVar(1))), _put("v2", FoVar(1)), max_nodes=300
+    ),
+    "free_equal_search": lambda: free_equal(
+        FREE, E, BB, REDEX, NORMAL, mode="search", budget=60
+    ),
+    "free_equal_normalize": lambda: free_equal(FREE, E, BB, REDEX, _abs(FreeVar(1))),
+    "normalize_with_trace": lambda: normalize_with_trace(FREE_GS, G1, B, GS_REDEX),
+    "check_free_derivation": lambda: check_free_derivation(FREE, E, TRACE),
+    "check_fo_derivation": lambda: check_fo_derivation(GS2, G1, STATE_PROOF),
+    "rewrite_normalize": lambda: rewrite_normalize(GS_RULES, STATE_TERM),
+    "RewriteEq.canonical": lambda: RewriteEq(GS_RULES).canonical(None, G1, B, STATE_TERM),
+    "nbe_normalize": lambda: nbe_normalize(FREE, E, BB, REDEX),
+    "check_normal": lambda: check_normal(FREE, E, BB, NORMAL),
+    "check_algebra": lambda: check_algebra(
+        MODEL,
+        Budget(max_context_len=1, max_depth=0, max_sort_height=1, max_terms=3, max_tuples=3),
+    ),
+    "eval_closed": lambda: eval_closed(FREE, MODEL, BB, REDEX),
+    "render_free": lambda: render_free(REDEX, []),
+}
+
+
+def test_inputs_exercise_the_full_paths():
+    assert check_normal(FREE, E, BB, NORMAL).ok and NORMAL != REDEX
+    assert check_free_derivation(FREE, E, TRACE).ok
+    assert STATE_PROOF is not None and check_fo_derivation(GS2, G1, STATE_PROOF).ok
+    assert free_equal(FREE, E, BB, REDEX, NORMAL, mode="search", budget=60).status == "equal"
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_entry_point_leaves_no_cyclic_garbage(name):
+    call = ENTRY_POINTS[name]
+    gc.collect()
+    gc.disable()
+    try:
+        result = call()
+        del result
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0, f"{name} left {unreachable} objects in reference cycles"
