@@ -2,8 +2,10 @@
 
 Terms evaluate into a semantic domain (functions at arrow sorts, a
 base-specific domain at the base sort) and read back as normal forms.  A
-separate step normalizer reaches the same forms while emitting one
-derivation node per step; the two routes cross-check each other.
+separate witnessed normalizer reaches the same forms by structural
+recursion on syntax and returns a derivation of term ~ normal form, built
+bottom-up from beta, eta and element-collapse steps; the two routes
+cross-check each other.
 
 The state variant shows the effect of the base domain: a base-sorted
 normal form is always a lookup over one update per state, so even a bare
@@ -46,12 +48,12 @@ def main():
     corpus = enumerate_free_terms(free, ctx1, B, max_size=4)
     agreements = 0
     for t in corpus:
-        step_nf, deriv = normalize_with_trace(free, ctx1, B, t)
+        witnessed_nf, deriv = normalize_with_trace(free, ctx1, B, t)
         sem_nf = nbe_normalize(free, ctx1, B, t)
-        assert raw_eq(free.base, ctx1, B, step_nf, sem_nf)
+        assert raw_eq(free.base, ctx1, B, witnessed_nf, sem_nf)
         assert check_free_derivation(free, ctx1, deriv).ok
         agreements += 1
-    print(f"  {agreements} terms: semantic and step normal forms agree, "
+    print(f"  {agreements} terms: semantic and witnessed normal forms agree, "
           "all witnesses check")
 
 

@@ -23,6 +23,7 @@ from .freealgebra import (
     check_free_derivation,
     enumerate_free_terms,
     fold_hom,
+    raw_eq,
 )
 from .jsonio import (
     document,
@@ -157,6 +158,11 @@ def cmd_normalize(args) -> int:
         replay = check_free_derivation(bundle.free, ctx, deriv)
         if not replay.ok:
             print(f"internal witness rejected: {replay.error}", file=sys.stderr)
+            return FAIL
+        base = bundle.free.base
+        if not (raw_eq(base, ctx, sort, replay.lhs, term) and raw_eq(base, ctx, sort, replay.rhs, nf)):
+            print(f"internal witness concludes {replay.lhs} ~ {replay.rhs}, "
+                  f"not {term} ~ {nf}", file=sys.stderr)
             return FAIL
         payload["witness"] = free_derivation_to_json(deriv)
     human = rendered if not args.witness else f"{rendered}\nwitness: checked"

@@ -2,16 +2,21 @@
 
 Two procedures produce checkable proof objects:
 
-  * a deterministic normalizer that drives a term to its eta-long
-    beta-normal form, emitting one derivation node per step (beta and eta
-    are presentation-equation instances; element applications are collapsed
-    with the variable- and substitution-collapse laws);
-  * a bidirectional best-first search over the same step set.
+  * a compositional normalizer (``norm`` and its helpers ``whnf``,
+    ``head_canon`` and ``norm_neutral``) that computes a term's eta-long
+    beta-normal form by structural recursion and returns the derivation of
+    term ~ normal form built bottom-up: beta and eta are
+    presentation-equation instances, element applications are collapsed
+    with the variable- and substitution-collapse laws, and steps under a
+    constructor sit under one congruence node;
+  * a bidirectional best-first search over the same steps, applied at any
+    position.
 
 Canonical element applications keep the element in base-canonical form,
 applied to pairwise-distinct non-element arguments listed in first-use
-order, with every position used.  The semantic normalizer produces the
-same shapes; the acceptance suite cross-checks the two routes.
+order, with every position used.  The semantic normalizer (``nbe``)
+produces the same shapes; normalize-mode ``free_equal`` cross-checks the
+two routes.
 
 Base clones whose canonical form rewrites a bare variable (global state
 turns x into its state table) get the matching treatment here: bare
@@ -41,13 +46,12 @@ from .freealgebra import (
     FreeOp,
     FreeTerm,
     FreeVar,
-    free_check_term,
     free_instantiate_last,
     free_rename,
     free_size,
     raw_eq,
 )
-from .sorts import Context, Sort
+from .sorts import EMPTY, Context, Sort
 
 
 class NormalizationError(CloneError):
@@ -97,12 +101,6 @@ def _use_order(t, order: list[int]) -> None:
 # --------------------------------------------------------------------------
 # Term paths
 # --------------------------------------------------------------------------
-
-
-def _subterm(t: FreeTerm, path: tuple) -> FreeTerm:
-    for kind, i in path:
-        t = t.args[i - 1][1] if kind == "op" else t.args[i - 1]
-    return t
 
 
 def _replace(whole: FreeTerm, path: tuple, new: FreeTerm) -> FreeTerm:
@@ -339,182 +337,137 @@ def _canonical_element(free: FreeAlgebra, t: CloneApp) -> CloneApp:
 
 # --------------------------------------------------------------------------
 # The witnessed normalizer
+#
+# Big-step normalization on syntax (Altenkirch & Chapman, "Big-step
+# normalisation", JFP 2009), by structural recursion.  Each function returns
+# (term, derivation of input ~ term), the derivation None when no step was
+# taken; steps under a constructor are wrapped in one congruence node there.
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class Trace:
-    start: FreeTerm
-    current: FreeTerm
-    nodes: list
-
-    def derivation(self):
-        if not self.nodes:
-            return FRefl(self.start)
-        d = self.nodes[0]
-        for n in self.nodes[1:]:
-            d = FTrans(d, n)
-        return d
+def _then(d, step):
+    """d followed by step, either of which may be None (no step)."""
+    if d is None:
+        return step
+    return d if step is None else FTrans(d, step)
 
 
-class StepNormalizer:
-    """Deterministic eta-long beta-normalization with a derivation trace."""
-
-    def __init__(self, free: FreeAlgebra, max_steps: int = 100_000):
-        self.free = free
-        self.max_steps = max_steps
-        self.steps = 0
-
-    def normalize(self, ctx: Context, sort: Sort, t: FreeTerm):
-        trace = Trace(t, t, [])
-        self._normalize(trace, ctx, sort, ())
-        return trace.current, trace.derivation()
-
-    # helpers --------------------------------------------------------------
-
-    def _apply(self, trace: Trace, path: tuple, result) -> bool:
-        if result is None:
-            return False
-        new_sub, deriv = result
-        whole = trace.current
-        trace.nodes.append(_embed(whole, path, deriv))
-        trace.current = _replace(whole, path, new_sub)
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise NormalizationError("step ceiling exceeded during normalization")
-        return True
-
-    def _swap_canonical(self, trace: Trace, path: tuple, sub: CloneApp) -> CloneApp:
-        canon = _canonical_element(self.free, sub)
-        if canon is not sub:
-            trace.current = _replace(trace.current, path, canon)
-        return canon
-
-    # head reduction --------------------------------------------------------
-
-    def _head_reduce(self, trace: Trace, ctx: Context, path: tuple):
-        """Reduce at ``path`` until head-stuck: an abstraction, a variable,
-        an application with a stuck head, or an element application."""
-        free = self.free
-        while True:
-            sub = _subterm(trace.current, path)
-            if isinstance(sub, FreeOp) and sub.name == "app":
-                fun = sub.args[0][1]
-                if isinstance(fun, FreeOp) and fun.name == "abs":
-                    self._apply(trace, path, beta_step(free, ctx, sub))
-                    continue
-                before = trace.current
-                self._head_reduce(trace, ctx, path + (("op", 1),))
-                if trace.current is not before:
-                    continue
-                return
-            if isinstance(sub, CloneApp):
-                sub = self._swap_canonical(trace, path, sub)
-                if self._apply(trace, path, var_collapse_step(free, ctx, sub)):
-                    continue
-                return
-            return
-
-    # normalization ----------------------------------------------------------
-
-    def _normalize(self, trace: Trace, ctx: Context, sort: Sort, path: tuple):
-        free = self.free
-        if sort.former == "=>" and len(sort.args) == 2:
-            self._head_reduce(trace, ctx, path)
-            sub = _subterm(trace.current, path)
-            if not (isinstance(sub, FreeOp) and sub.name == "abs"):
-                if isinstance(sub, CloneApp):
-                    self._canonical_cloneapp(trace, ctx, path)
-                    sub = _subterm(trace.current, path)
-                self._apply(trace, path, eta_expand_step(free, ctx, sort, sub))
-                sub = _subterm(trace.current, path)
-            binder, _ = sub.args[0]
-            _, B = sort.args
-            self._normalize(trace, ctx + binder, B, path + (("op", 1),))
-            return
-        # base sort
-        self._head_reduce(trace, ctx, path)
-        sub = _subterm(trace.current, path)
-        if isinstance(sub, CloneApp):
-            self._canonical_cloneapp(trace, ctx, path)
-            return
-        # variable or stuck application chain
-        if isinstance(sub, FreeOp) and sub.name == "app":
-            self._normalize_neutral(trace, ctx, path)
-        if base_completion_needed(free, sort):
-            sub = _subterm(trace.current, path)
-            self._apply(trace, path, complete_neutral_step(free, ctx, sort, sub))
-            self._canonical_cloneapp(trace, ctx, path)
-
-    def _normalize_neutral(self, trace: Trace, ctx: Context, path: tuple):
-        """Normalize the pieces of a stuck application chain: the head
-        recursively, each argument as a full normal form."""
-        sub = _subterm(trace.current, path)
-        if isinstance(sub, FreeOp) and sub.name == "app":
-            A, _ = sub.sort_args
-            self._normalize_neutral(trace, ctx, path + (("op", 1),))
-            self._normalize(trace, ctx, A, path + (("op", 2),))
-            return
-        if isinstance(sub, CloneApp):
-            self._canonical_cloneapp(trace, ctx, path)
-
-    def _canonical_cloneapp(self, trace: Trace, ctx: Context, path: tuple):
-        """Drive an element application to canonical shape: canonical
-        element, merged arguments, unused positions dropped, first-use
-        order, and the arguments themselves in normal form."""
-        free = self.free
-        for _ in range(10_000):
-            sub = _subterm(trace.current, path)
-            if not isinstance(sub, CloneApp):
-                # collapsed to one of its arguments: normalize it instead
-                sort = _sort_at(free, ctx, trace.current, path)
-                self._normalize(trace, ctx, sort, path)
-                return
-            sub = self._swap_canonical(trace, path, sub)
-            if self._apply(trace, path, var_collapse_step(free, ctx, sub)):
-                continue
-            if self._apply(trace, path, merge_step(free, ctx, sub)):
-                continue
-            if self._apply(trace, path, drop_unused_step(free, ctx, sub)):
-                continue
-            if self._apply(trace, path, reorder_step(free, ctx, sub)):
-                continue
-            changed = False
-            for i in range(1, len(sub.args) + 1):
-                slot_sort = sub.arity_ctx.sort_at(i)
-                slot_path = path + (("clone", i),)
-                before = trace.current
-                if slot_sort.args:
-                    self._normalize(trace, ctx, slot_sort, slot_path)
-                else:
-                    # base slots hold neutral atoms; reduce without completion
-                    self._head_reduce(trace, ctx, slot_path)
-                    inner = _subterm(trace.current, slot_path)
-                    if not isinstance(inner, CloneApp):
-                        self._normalize_neutral(trace, ctx, slot_path)
-                if trace.current is not before:
-                    changed = True
-            sub2 = _subterm(trace.current, path)
-            if isinstance(sub2, CloneApp) and any(
-                isinstance(a, CloneApp) for a in sub2.args
-            ):
-                continue
-            if not changed:
-                return
-        raise NormalizationError("canonicalization did not stabilize")
+def _is_abs(t: FreeTerm) -> bool:
+    return isinstance(t, FreeOp) and t.name == "abs"
 
 
-def _sort_at(free: FreeAlgebra, ctx: Context, whole: FreeTerm, path: tuple) -> Sort:
-    c = ctx
-    t = whole
-    for kind, i in path:
-        if kind == "op":
-            binder, body = t.args[i - 1]
-            c = c + binder
-            t = body
+def whnf(free: FreeAlgebra, ctx: Context, t: FreeTerm):
+    """Weak head normal form: beta at the head until the head is a variable
+    or a canonical element application."""
+    d = None
+    while True:
+        if isinstance(t, CloneApp):
+            t, step = head_canon(free, ctx, t)
+            d = _then(d, step)
+            if isinstance(t, CloneApp):
+                return t, d
+        elif isinstance(t, FreeOp) and t.name == "app":
+            (_, fun), (_, arg) = t.args
+            if not _is_abs(fun):
+                head, step = whnf(free, ctx, fun)
+                if step is not None:
+                    d = _then(d, FCongOp("app", t.sort_args, (step, FRefl(arg))))
+                if head is not fun:
+                    t = FreeOp("app", t.sort_args, ((EMPTY, head), (EMPTY, arg)))
+                if not _is_abs(head):
+                    return t, d
+            t, step = beta_step(free, ctx, t)
+            d = _then(d, step)
         else:
-            t = t.args[i - 1]
-    return free_check_term(free.base, free.presentation.signature, c, t)
+            return t, d
+
+
+def head_canon(free: FreeAlgebra, ctx: Context, t: CloneApp):
+    """An element application's collapse loop: collapse a variable element or
+    drop unused positions; else bring the arguments to head form, then merge
+    element-application arguments into the element and reorder.
+
+    Head form is the normal form (an abstraction) at a function sort, and a
+    normal neutral, never completed, at the base sort; base-sort element
+    applications are merged as they stand.  A stuck conditional at a
+    function sort is thus an abstraction before any merge and stays apart
+    from its parent, as in the semantic normalizer.  The result is a
+    canonical element application, or the term a variable element collapsed
+    to."""
+    d = None
+    for _ in range(10_000):
+        t = _canonical_element(free, t)
+        step = var_collapse_step(free, ctx, t) or drop_unused_step(free, ctx, t)
+        if step is None:
+            args, children = [], []
+            for a, s in zip(t.args, t.arity_ctx):
+                if s.args:
+                    a, da = norm(free, ctx, s, a)
+                elif isinstance(a, CloneApp):
+                    da = None
+                else:
+                    a, da = whnf(free, ctx, a)
+                    if not isinstance(a, CloneApp):
+                        a, dn = norm_neutral(free, ctx, a)
+                        da = _then(da, dn)
+                args.append(a)
+                children.append(da)
+            if any(c is not None for c in children):
+                d = _then(d, FCongClone(t.element, t.arity_ctx, t.arity_sort, tuple(
+                    FRefl(a) if c is None else c for a, c in zip(args, children)
+                )))
+            if any(a is not b for a, b in zip(args, t.args)):
+                t = CloneApp(t.element, t.arity_ctx, t.arity_sort, tuple(args))
+            step = merge_step(free, ctx, t) or reorder_step(free, ctx, t)
+            if step is None:
+                return t, d
+        t, d = step[0], _then(d, step[1])
+        if not isinstance(t, CloneApp):
+            return t, d
+    raise NormalizationError("canonicalization did not stabilize")
+
+
+def norm(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
+    """Eta-long beta-normal form of ``t`` at ``sort``."""
+    t, d = whnf(free, ctx, t)
+    if sort.former == "=>" and len(sort.args) == 2:
+        if not _is_abs(t):
+            t, step = norm_neutral(free, ctx, t)
+            d = _then(d, step)
+            t, step = eta_expand_step(free, ctx, sort, t)
+            d = _then(d, step)
+        ((binder, body),) = t.args
+        normal, step = norm(free, ctx + binder, sort.args[1], body)
+        if step is not None:
+            d = _then(d, FCongOp("abs", t.sort_args, (step,)))
+        if normal is not body:
+            t = FreeOp("abs", t.sort_args, ((binder, normal),))
+        return t, d
+    if isinstance(t, CloneApp):
+        return t, d
+    t, step = norm_neutral(free, ctx, t)
+    d = _then(d, step)
+    if base_completion_needed(free, sort):
+        t, step = complete_neutral_step(free, ctx, sort, t)
+        d = _then(d, step)
+        t, step = head_canon(free, ctx, t)
+        d = _then(d, step)
+    return t, d
+
+
+def norm_neutral(free: FreeAlgebra, ctx: Context, t: FreeTerm):
+    """Normalize the arguments along a spine whose head is in weak head
+    normal form: a variable or a canonical element application."""
+    if not (isinstance(t, FreeOp) and t.name == "app"):
+        return t, None
+    (_, fun), (_, arg) = t.args
+    head, df = norm_neutral(free, ctx, fun)
+    normal, da = norm(free, ctx, t.sort_args[0], arg)
+    if head is not fun or normal is not arg:
+        t = FreeOp("app", t.sort_args, ((EMPTY, head), (EMPTY, normal)))
+    if df is None and da is None:
+        return t, None
+    return t, FCongOp("app", t.sort_args, (df or FRefl(head), da or FRefl(normal)))
 
 
 def canonical_cloneapp(free: FreeAlgebra, ctx: Context, t: CloneApp) -> FreeTerm:
@@ -550,7 +503,8 @@ def is_canonical_cloneapp(free: FreeAlgebra, ctx: Context, t: FreeTerm) -> bool:
 
 def normalize_with_trace(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
     """Eta-long beta-normal form plus a derivation of input ~ output."""
-    return StepNormalizer(free).normalize(ctx, sort, t)
+    nf, d = norm(free, ctx, sort, t)
+    return nf, FRefl(t) if d is None else d
 
 
 # --------------------------------------------------------------------------
@@ -581,11 +535,11 @@ def free_equal(
 ) -> EqVerdict:
     """Decide t ~ u with a witness.
 
-    normalize mode compares step-normal forms and chains the two traces
-    into the witness.  When the forms differ, "not_equal" needs evidence:
+    normalize mode compares the witnessed normal forms and chains the two
+    witnesses.  When the forms differ, "not_equal" needs evidence:
     distinct values under ``model_hom``, else distinct NbE normal forms
     (without an NbE domain the verdict is "unknown").  NbE normal forms that
-    agree while the step forms differ raise NormalizationError.  search mode
+    agree while the witnessed forms differ raise NormalizationError.  search mode
     runs a bounded bidirectional best-first search; exhaustion yields the
     first-class verdict "unknown".
     """
@@ -609,7 +563,7 @@ def free_equal(
         forms = (nbe_normalize(free, ctx, sort, t), nbe_normalize(free, ctx, sort, u))
         if raw_eq(free.base, ctx, sort, *forms):
             raise NormalizationError(
-                f"step normal forms {nt} and {nu} differ, but NbE finds the terms equal"
+                f"witnessed normal forms {nt} and {nu} differ, but NbE finds the terms equal"
             )
         return EqVerdict("not_equal", certificate=forms)
     if mode == "search":

@@ -257,8 +257,13 @@ class FreeAlgebra(Algebra, Clone):
         self.base = base
         self.sort_set = base.sort_set
         self.normalizer = normalizer  # (free_algebra, ctx, sort, term) -> term
-        self.clone = self
         self.nbe = None  # the NbE engine, built by nbe.nbe_for on first use
+
+    @property
+    def clone(self) -> "FreeAlgebra":
+        """The algebra's carrier clone: itself (a property, so that a free
+        algebra holds no reference cycle)."""
+        return self
 
     # Clone interface ---------------------------------------------------
 

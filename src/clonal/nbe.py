@@ -18,12 +18,15 @@ A free algebra's domain comes from the descriptor of its base clone
 the engine once per free algebra.
 
 The read-back of an element application is exactly the canonical shape the
-step normalizer reaches, so the two normalizers can be cross-checked
-term-for-term.
+compositional witnessed normalizer (``equality.norm``) reaches, so the two
+normalizers can be cross-checked term-for-term.  This one emits no witness
+and is the faster of the two, so the stock free algebras decide ``term_eq``
+with it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .clones import CloneError, Renaming, identity_renaming, weakening
@@ -234,12 +237,16 @@ class Nbe:
     """Evaluator and read-back for one free algebra."""
 
     def __init__(self, free: FreeAlgebra, domain):
-        self.free = free
+        self._free = weakref.ref(free)  # free owns the engine: no back-reference
         self.domain = domain
         bases = free.sort_set.base_sorts()
         if len(bases) != 1:
             raise NbeError("normalization by evaluation needs exactly one base sort")
         (self.base_sort,) = bases
+
+    @property
+    def free(self) -> FreeAlgebra:
+        return self._free()
 
     # evaluation ----------------------------------------------------------
     #

@@ -111,7 +111,7 @@ def test_unknown_tier_is_a_parse_error():
 
 def test_generic_tier_gives_equality_only(capsys, tmp_path):
     # the same presentation under the generic rewrite tier: no NbE domain and
-    # no set model, so distinct step normal forms are not a verdict
+    # no set model, so distinct witnessed normal forms are not a verdict
     path = tmp_path / "generic.bundle"
     path.write_text(source("stlc_bool").replace("strategy base boolean", "strategy base rewrite"))
     code, out, _ = run(capsys, "equal", "--bundle", str(path), "true", "false")

@@ -9,6 +9,9 @@ from clonal.jsonio import context_to_json, document, free_derivation_to_json
 from clonal.sorts import Context, Sort
 
 
+B = Sort("b")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -54,6 +57,30 @@ class TestNormalize:
         assert code == 0
         assert "witness: checked" in out
 
+    @pytest.mark.parametrize("text, sort, printed", [
+        ("app (ite true (abs y : b. y) (abs y : b. y)) false", "b", "false"),
+        ("abs w : b. ite true (app (abs f : b => b. app f true) (abs z : b. z)) w", "b => b",
+         "abs x1 : b. true"),
+    ])
+    def test_json_witness_concludes_term_to_printed_form(self, capsys, text, sort, printed):
+        # the witness must prove exactly (parsed term) ~ (printed form)
+        from clonal.freealgebra import check_free_derivation
+        from clonal.jsonio import free_derivation_from_json, free_term_from_json
+        from clonal.surface import parse_term, stock_bundle
+
+        code, out, _ = run(capsys, "normalize", "--witness", "--json", "--sort", sort, text)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["term"] == printed
+        bundle = stock_bundle("bool")
+        s = B if sort == "b" else Sort("=>", (B, B))
+        replay = check_free_derivation(
+            bundle.free, Context(()), free_derivation_from_json(payload["witness"])
+        )
+        assert replay.ok
+        assert replay.lhs == parse_term(bundle, text, s)
+        assert replay.rhs == free_term_from_json(payload["tree"]) == parse_term(bundle, printed, s)
+
     def test_parse_error_is_usage(self, capsys):
         code, _, err = run(capsys, "normalize", "app (")
         assert code == 2
@@ -98,14 +125,21 @@ class TestEqual:
         code, out, _ = run(capsys, "equal", "true", "true")
         assert code == 0
 
-    def test_step_normalizer_disagreement_is_an_error_not_a_verdict(self, capsys):
-        # both sides evaluate to ff; the step normalizer stops at a redex
-        code, out, err = run(
+    def test_conditional_at_function_sort_is_equal(self, capsys):
+        # the conditional selects a function, which then meets its argument
+        code, out, _ = run(
             capsys, "equal", "--json", "app (ite true (abs y : b. y) (abs y : b. y)) false", "false"
         )
-        assert code == 1
-        assert out == ""
-        assert "NbE finds the terms equal" in err
+        assert code == 0
+        assert json.loads(out)["payload"]["status"] == "equal"
+
+    def test_redex_binder_at_function_sort_is_equal(self, capsys):
+        code, out, _ = run(
+            capsys, "equal", "--sort", "b => b",
+            "abs w : b. ite true (app (abs f : b => b. app f true) (abs z : b. z)) w",
+            "abs w : b. true",
+        )
+        assert code == 0 and out.strip() == "equal"
 
 
 class TestParserReuse:

@@ -3,14 +3,20 @@
 A nested helper that calls itself by name holds itself through its closure
 cell, so every call of the function that defines it leaves a reference cycle
 (the helper, its cell and everything it captured) that only the cyclic
-collector frees.  Each entry point below is called once with automatic
+collector frees.  So does an object that refers back to itself: a free
+algebra built by ``stock_bundle`` (and so by every CLI call) must not be its
+own ``clone`` attribute, nor be pointed back at by its NbE engine.  Each
+entry point below is called once with automatic
 collection paused; ``gc.collect()`` must then find nothing unreachable.
 """
 
+import contextlib
 import gc
+import io
 
 import pytest
 
+from clonal.cli import build_parser, main
 from clonal.clones import Budget
 from clonal.equality import free_equal, normalize_with_trace
 from clonal.firstorder import (
@@ -30,7 +36,7 @@ from clonal.nbe import check_normal, nbe_normalize
 from clonal.secondorder import check_algebra
 from clonal.sorts import Context, arrow
 from clonal.stlc import eval_closed, set_model, stlc_bool, stlc_gs
-from clonal.surface import render_free
+from clonal.surface import render_free, stock_bundle
 
 B = BASE
 BB = arrow(B, B)
@@ -75,6 +81,19 @@ STATE_PROOF = prove_fo_equal(GS2, G1, _get(FoVar(1), FoVar(1)), FoVar(1), max_no
 GS_REDEX = _app(_abs(CloneApp(_get(_put("v1", FoVar(1)), FoVar(1)), G1, B, (FreeVar(2),))),
                 FreeVar(1))
 
+build_parser()  # built once per process; argparse's own garbage is not measured
+
+
+def _nbe_on_fresh_bundle():
+    # the bundle's free algebra owns its NbE engine, built here on first use
+    return nbe_normalize(stock_bundle("bool").free, E, BB, REDEX)
+
+
+def _cli_normalize():
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["normalize", "--witness", "app (abs f : b => b. f) (abs x. x)", "--sort", "b => b"])
+
+
 ENTRY_POINTS = {
     "prove_fo_equal": lambda: prove_fo_equal(
         GS2, G1, _get(FoVar(1), _put("v2", FoVar(1))), _put("v2", FoVar(1)), max_nodes=300
@@ -96,6 +115,9 @@ ENTRY_POINTS = {
     ),
     "eval_closed": lambda: eval_closed(FREE, MODEL, BB, REDEX),
     "render_free": lambda: render_free(REDEX, []),
+    "stock_bundle": lambda: stock_bundle("bool"),
+    "nbe_normalize_fresh_bundle": _nbe_on_fresh_bundle,
+    "cli_normalize": _cli_normalize,
 }
 
 
@@ -104,6 +126,7 @@ def test_inputs_exercise_the_full_paths():
     assert check_free_derivation(FREE, E, TRACE).ok
     assert STATE_PROOF is not None and check_fo_derivation(GS2, G1, STATE_PROOF).ok
     assert free_equal(FREE, E, BB, REDEX, NORMAL, mode="search", budget=60).status == "equal"
+    assert _cli_normalize() == 0
 
 
 @pytest.mark.parametrize("name", list(ENTRY_POINTS))

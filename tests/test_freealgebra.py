@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonal.clones import Substitution, VariableClone
 from clonal.equality import NormalizationError, free_equal, normalize_with_trace
@@ -331,19 +333,49 @@ class TestFreeEqual:
         assert left != right
         assert check_normal(free, ctx(B), B, left) and check_normal(free, ctx(B), B, right)
 
-    def test_step_and_nbe_disagreement_raises(self):
-        # the step normalizer stops at app(abs(x. x), false); NbE reaches false
+    def test_conditional_at_function_sort_is_equal(self):
+        # the conditional selects a function, which then meets its argument
         from clonal.surface import parse_term, stock_bundle
 
         bundle = stock_bundle("bool")
         free = bundle.free
         t = parse_term(bundle, "app (ite true (abs y : b. y) (abs y : b. y)) false", B)
         model = set_model()
+        verdict = free_equal(
+            free, E, B, t, false_term(),
+            model_hom=lambda c, s, term: eval_closed(free, model, s, term),
+        )
+        assert verdict.status == "equal"
+        replay = check_free_derivation(free, E, verdict.witness)
+        assert replay.ok
+        assert raw_eq(free.base, E, B, replay.lhs, t)
+        assert raw_eq(free.base, E, B, replay.rhs, false_term())
+
+    def test_redex_binder_at_function_sort_normalizes(self):
+        # once raised FreeSortError: the redex binds f : b => b under a conditional
+        from clonal.nbe import nbe_normalize
+        from clonal.surface import parse_term, stock_bundle
+
+        bundle = stock_bundle("bool")
+        free = bundle.free
+        t = parse_term(
+            bundle, "abs w : b. ite true (app (abs f : b => b. app f true) (abs z : b. z)) w", BB
+        )
+        nf, deriv = normalize_with_trace(free, E, BB, t)
+        assert nf == nbe_normalize(free, E, BB, t) == abs_(true_term())
+        replay = check_free_derivation(free, E, deriv)
+        assert replay.ok and replay.lhs == t and raw_eq(free.base, E, BB, replay.rhs, nf)
+        assert free_equal(free, E, BB, t, abs_(true_term())).status == "equal"
+
+    def test_normalizer_and_nbe_disagreement_raises(self, monkeypatch):
+        # a witnessed normal form that NbE contradicts is an error, not a verdict
+        import clonal.equality as equality
+
+        free = stlc_bool()
+        t = app(abs_(FreeVar(1)), false_term())
+        monkeypatch.setattr(equality, "normalize_with_trace", lambda f, c, s, term: (term, FRefl(term)))
         with pytest.raises(NormalizationError, match="NbE finds the terms equal"):
-            free_equal(
-                free, E, B, t, false_term(),
-                model_hom=lambda c, s, term: eval_closed(free, model, s, term),
-            )
+            free_equal(free, E, B, t, false_term())
 
     def test_search_mode_finds_beta(self):
         free = stlc_bool()
@@ -357,6 +389,57 @@ class TestFreeEqual:
         t = app(abs_(FreeVar(1)), true_term())
         verdict = free_equal(free, E, B, t, false_term(), mode="search", budget=5)
         assert verdict.status == "unknown"
+
+
+def _lambda_term(draw, c, s, n):
+    """A boolean lambda term at ``s`` over ``c`` of about ``n`` nodes, with
+    conditionals at every sort and beta-redexes whose binders range over
+    base and function sorts."""
+    leaves = [FreeVar(i) for i in range(1, len(c) + 1) if c.sort_at(i) == s]
+    if s == B:
+        leaves += [true_term(), false_term()]
+    if n <= 1 and leaves:
+        return draw(st.sampled_from(leaves))
+    kind = "abs" if n <= 1 else draw(
+        st.sampled_from(["redex", "redex", "ite", "app"] + (["abs"] if s.args else []))
+    )
+    if kind == "abs":
+        return abs_(_lambda_term(draw, c + ctx(s.args[0]), s.args[1], n - 1), s.args)
+    if kind == "ite":
+        third = max(1, (n - 1) // 3)
+        parts = tuple(_lambda_term(draw, c, part, third) for part in (B, s, s))
+        element = FoOp("ite", (s,), (FoVar(1), FoVar(2), FoVar(3)))
+        return CloneApp(element, ctx(B, s, s), s, parts)
+    a = draw(st.sampled_from((B, BB)))
+    half = max(1, (n - 2) // 2)
+    if kind == "app":
+        head = _lambda_term(draw, c, arrow(a, s), half)
+    else:
+        head = abs_(_lambda_term(draw, c + ctx(a), s, half), (a, s))
+    return app(head, _lambda_term(draw, c, a, half), (a, s))
+
+
+@st.composite
+def normalization_cases(draw):
+    c = draw(st.sampled_from((E, ctx(B), ctx(BB, B), ctx(B, BB))))
+    s = draw(st.sampled_from((B, BB)))
+    return c, s, _lambda_term(draw, c, s, draw(st.integers(3, 18)))
+
+
+class TestWitnessedNormalizer:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(normalization_cases())
+    def test_agrees_with_nbe_and_witness_concludes_term_to_form(self, case):
+        from clonal.nbe import nbe_normalize
+
+        c, s, t = case
+        free = stlc_bool()
+        nf, deriv = normalize_with_trace(free, c, s, t)
+        assert raw_eq(free.base, c, s, nf, nbe_normalize(free, c, s, t))
+        replay = check_free_derivation(free, c, deriv)
+        assert replay.ok, replay.error
+        assert raw_eq(free.base, c, s, replay.lhs, t)
+        assert raw_eq(free.base, c, s, replay.rhs, nf)
 
 
 class TestUniversalProperty:

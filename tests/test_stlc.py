@@ -88,8 +88,8 @@ class TestNbe:
         g = ctx(B)
         for t in enumerate_free_terms(free, g, B, max_size=4)[:150]:
             nf = nbe_normalize(free, g, B, t)
-            step_nf, deriv = normalize_with_trace(free, g, B, t)
-            assert raw_eq(free.base, g, B, nf, step_nf), f"{t}: {nf} vs {step_nf}"
+            witnessed_nf, deriv = normalize_with_trace(free, g, B, t)
+            assert raw_eq(free.base, g, B, nf, witnessed_nf), f"{t}: {nf} vs {witnessed_nf}"
             v = check_free_derivation(free, g, deriv)
             assert v.ok and raw_eq(free.base, g, B, v.rhs, nf)
 
