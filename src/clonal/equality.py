@@ -13,10 +13,11 @@ Two procedures produce checkable proof objects:
     position.
 
 Canonical element applications keep the element in base-canonical form,
-applied to pairwise-distinct non-element arguments listed in first-use
-order, with every position used.  The semantic normalizer (``nbe``)
-produces the same shapes; normalize-mode ``free_equal`` cross-checks the
-two routes.
+with a variable at every proper subterm of a function sort, applied to
+pairwise-distinct non-element arguments listed in first-use order, with
+every position used.  ``head_canon`` is the one canonicalizer: the semantic
+normalizer (``nbe``) reads back through it and ``check_normal`` accepts its
+fixed points; normalize-mode ``free_equal`` cross-checks the two routes.
 
 Base clones whose canonical form rewrites a bare variable (global state
 turns x into its state table) get the matching treatment here: bare
@@ -270,6 +271,42 @@ def drop_unused_step(free: FreeAlgebra, ctx: Context, t: FreeTerm):
     return new_term, FTrans(FSym(law), cong)
 
 
+def split_step(free: FreeAlgebra, ctx: Context, t: FreeTerm):
+    """Give each maximal non-variable subterm s of the element at a function
+    sort an argument of its own: <e>(args) ~ <e'>(args, <s>(args)), where
+    e' has a fresh position in place of s."""
+    if not isinstance(t, CloneApp) or not isinstance(t.element, FoOp) or not t.element.args:
+        return None
+    n, found = len(t.arity_ctx), []
+    reduced = _split_element(free.base.presentation.signature, t.element, n, found)
+    if not found:
+        return None
+    new_ctx = t.arity_ctx + Context(tuple(s for _, s in found))
+    comps = tuple(FoVar(p) for p in range(1, n + 1)) + tuple(e for e, _ in found)
+    new_args = t.args + tuple(CloneApp(e, t.arity_ctx, s, t.args) for e, s in found)
+    # <e>(args) ~ <e'>(<var_p>(args)..., <s>(args)...) backwards, then collapse
+    law = FSubstLaw(reduced, new_ctx, t.arity_sort, comps, t.arity_ctx, t.args)
+    cong = FCongClone(reduced, new_ctx, t.arity_sort, tuple(
+        FVarLaw(p, t.arity_ctx, t.args) if p <= n else FRefl(a)
+        for p, a in enumerate(new_args, start=1)
+    ))
+    return CloneApp(reduced, new_ctx, t.arity_sort, new_args), FTrans(FSym(law), cong)
+
+
+def _split_element(sig, e: FoOp, n: int, found: list) -> FoOp:
+    """``e`` with each maximal non-variable proper subterm at a function sort
+    replaced by position n + j, the j-th (subterm, sort) appended to ``found``."""
+    args = []
+    for a, s in zip(e.args, sig.arity(e.name, e.sort_args)[0]):
+        if isinstance(a, FoOp) and s.args:
+            found.append((a, s))
+            a = FoVar(n + len(found))
+        elif isinstance(a, FoOp) and a.args:
+            a = _split_element(sig, a, n, found)
+        args.append(a)
+    return FoOp(e.name, e.sort_args, tuple(args))
+
+
 def reindex_element(e, mapping: dict[int, int]):
     """A base element with its positions renamed by ``mapping``."""
     if isinstance(e, int):
@@ -361,52 +398,60 @@ def whnf(free: FreeAlgebra, ctx: Context, t: FreeTerm):
     or a canonical element application."""
     d = None
     while True:
+        t, step = _head_beta(free, ctx, t)
+        d = _then(d, step)
+        if not isinstance(t, CloneApp):
+            return t, d
+        t, step = head_canon(free, ctx, t)
+        d = _then(d, step)
         if isinstance(t, CloneApp):
-            t, step = head_canon(free, ctx, t)
-            d = _then(d, step)
-            if isinstance(t, CloneApp):
-                return t, d
-        elif isinstance(t, FreeOp) and t.name == "app":
-            (_, fun), (_, arg) = t.args
-            if not _is_abs(fun):
-                head, step = whnf(free, ctx, fun)
-                if step is not None:
-                    d = _then(d, FCongOp("app", t.sort_args, (step, FRefl(arg))))
-                if head is not fun:
-                    t = FreeOp("app", t.sort_args, ((EMPTY, head), (EMPTY, arg)))
-                if not _is_abs(head):
-                    return t, d
-            t, step = beta_step(free, ctx, t)
-            d = _then(d, step)
-        else:
             return t, d
 
 
+def _head_beta(free: FreeAlgebra, ctx: Context, t: FreeTerm):
+    """Beta at the head until the head is a variable or an element
+    application, which is left as it stands."""
+    d = None
+    while isinstance(t, FreeOp) and t.name == "app":
+        (_, fun), (_, arg) = t.args
+        if not _is_abs(fun):
+            head, step = whnf(free, ctx, fun)
+            if step is not None:
+                d = _then(d, FCongOp("app", t.sort_args, (step, FRefl(arg))))
+            if head is not fun:
+                t = FreeOp("app", t.sort_args, ((EMPTY, head), (EMPTY, arg)))
+            if not _is_abs(head):
+                return t, d
+        t, step = beta_step(free, ctx, t)
+        d = _then(d, step)
+    return t, d
+
+
 def head_canon(free: FreeAlgebra, ctx: Context, t: CloneApp):
-    """An element application's collapse loop: collapse a variable element or
-    drop unused positions; else bring the arguments to head form, then merge
-    element-application arguments into the element and reorder.
+    """An element application's collapse loop, the one canonicalizer of both
+    normalizers and of ``check_normal``: collapse a variable element, drop
+    unused positions or split off function-sort subterms of the element;
+    else bring the arguments to head form, then merge element-application
+    arguments into the element and reorder.
 
     Head form is the normal form (an abstraction) at a function sort, and a
-    normal neutral, never completed, at the base sort; base-sort element
-    applications are merged as they stand.  A stuck conditional at a
-    function sort is thus an abstraction before any merge and stays apart
-    from its parent, as in the semantic normalizer.  The result is a
-    canonical element application, or the term a variable element collapsed
-    to."""
+    normal neutral, never completed, at the base sort; a base-sort element
+    application, also one that beta reaches, is merged as it stands.  A
+    stuck conditional at a function sort is thus an abstraction before any
+    merge and stays apart from its parent.  The result is a canonical
+    element application, or the term a variable element collapsed to."""
     d = None
     for _ in range(10_000):
         t = _canonical_element(free, t)
-        step = var_collapse_step(free, ctx, t) or drop_unused_step(free, ctx, t)
+        step = (var_collapse_step(free, ctx, t) or drop_unused_step(free, ctx, t)
+                or split_step(free, ctx, t))
         if step is None:
             args, children = [], []
             for a, s in zip(t.args, t.arity_ctx):
                 if s.args:
                     a, da = norm(free, ctx, s, a)
-                elif isinstance(a, CloneApp):
-                    da = None
                 else:
-                    a, da = whnf(free, ctx, a)
+                    a, da = _head_beta(free, ctx, a)
                     if not isinstance(a, CloneApp):
                         a, dn = norm_neutral(free, ctx, a)
                         da = _then(da, dn)
@@ -468,37 +513,6 @@ def norm_neutral(free: FreeAlgebra, ctx: Context, t: FreeTerm):
     if df is None and da is None:
         return t, None
     return t, FCongOp("app", t.sort_args, (df or FRefl(head), da or FRefl(normal)))
-
-
-def canonical_cloneapp(free: FreeAlgebra, ctx: Context, t: CloneApp) -> FreeTerm:
-    """The canonical shape reached by the collapse steps, without a trace.
-    Arguments are not recursed into; the result may be a non-element term
-    when the element is a variable."""
-    for _ in range(10_000):
-        if not isinstance(t, CloneApp):
-            return t
-        t = _canonical_element(free, t)
-        for builder in (var_collapse_step, merge_step, drop_unused_step, reorder_step):
-            res = builder(free, ctx, t)
-            if res is not None:
-                t = res[0]
-                break
-        else:
-            return t
-    raise NormalizationError("canonicalization did not stabilize")
-
-
-def is_canonical_cloneapp(free: FreeAlgebra, ctx: Context, t: FreeTerm) -> bool:
-    """Whether an element application is in canonical shape (canonical
-    element representative, no collapse step applies)."""
-    if not isinstance(t, CloneApp):
-        return False
-    if _canonical_element(free, t) is not t:
-        return False
-    return all(
-        builder(free, ctx, t) is None
-        for builder in (var_collapse_step, merge_step, drop_unused_step, reorder_step)
-    )
 
 
 def normalize_with_trace(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):

@@ -8,8 +8,8 @@ beta-normal forms; reflection injects neutral terms as values.
 Base domains supplied here:
 
   * variables      -- base values are bare neutral terms;
-  * booleans       -- base values are rewrite-normal boolean terms over
-                      neutral atoms, so a stuck conditional remains a value;
+  * booleans       -- base values are boolean terms over neutral atoms,
+                      so a stuck conditional remains a value;
   * global state   -- base values are state tables: for every initial state,
                       a final state and a neutral result.
 
@@ -17,11 +17,11 @@ A free algebra's domain comes from the descriptor of its base clone
 (``free.base.theory.domain``, see ``clonal.theories``); ``nbe_for`` builds
 the engine once per free algebra.
 
-The read-back of an element application is exactly the canonical shape the
-compositional witnessed normalizer (``equality.norm``) reaches, so the two
-normalizers can be cross-checked term-for-term.  This one emits no witness
-and is the faster of the two, so the stock free algebras decide ``term_eq``
-with it.
+The boolean read-back and ``check_normal`` canonicalize element applications
+with ``equality.head_canon``, the collapse loop of the witnessed normalizer
+(``equality.norm``), so both normalizers and the grammar share one canonical
+shape.  This one emits no witness and is the faster of the two, so the stock
+free algebras decide ``term_eq`` with it.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ import weakref
 from dataclasses import dataclass
 
 from .clones import CloneError, Renaming, identity_renaming, weakening
-from .equality import base_completion_needed, canonical_cloneapp, element_use_order
-from .equality import is_canonical_cloneapp, reindex_element
-from .firstorder import FoOp, FoVar, put_name, rewrite_normalize
+from .equality import base_completion_needed, head_canon, reindex_element
+from .firstorder import FoOp, FoVar, put_name
 from .freealgebra import (
     CloneApp,
     FreeAlgebra,
@@ -89,17 +88,17 @@ class VariableDomain:
 
 @dataclass(frozen=True)
 class BoolVal:
-    """A rewrite-normal boolean term whose variables index ``atoms``."""
+    """A boolean term whose variables index ``atoms``."""
 
     term: object  # FoTerm over atom positions
     atoms: tuple  # neutral free terms
 
 
 class BoolDomain:
-    """Base values are normal boolean element applications over atoms."""
+    """Base values are boolean element applications over atoms, read back
+    through ``head_canon``."""
 
-    def __init__(self, system):
-        self.system = system  # the boolean rewrite system
+    def __init__(self):
         self.true = FoOp("true", (), ())
         self.false = FoOp("false", (), ())
 
@@ -122,12 +121,10 @@ class BoolDomain:
         n_t = nbe.reify(ctx, A, tv)
         n_e = nbe.reify(ctx, A, ev)
         k = len(cond.atoms)
-        cond_part = cond.term
-        element = FoOp("ite", (A,), (cond_part, FoVar(k + 1), FoVar(k + 2)))
+        element = FoOp("ite", (A,), (cond.term, FoVar(k + 1), FoVar(k + 2)))
         actx = Context(tuple(nbe.base_sort for _ in range(k)) + (A, A))
         raw = CloneApp(element, actx, A, cond.atoms + (n_t, n_e))
-        neutral = canonical_cloneapp(nbe.free, ctx, raw)
-        return nbe.reflect(ctx, A, neutral)
+        return nbe.reflect(ctx, A, head_canon(nbe.free, ctx, raw)[0])
 
     def _combine(self, ctx, sort, cond: BoolVal, tv: BoolVal, ev: BoolVal):
         atoms = list(cond.atoms)
@@ -136,12 +133,8 @@ class BoolDomain:
             mapping = {i: _position(atoms, a) for i, a in enumerate(v.atoms, start=1)}
             return reindex_element(v.term, mapping)
 
-        cond_t = cond.term  # its atoms are already in place
-        t_t = embed(tv)
-        e_t = embed(ev)
-        combined = FoOp("ite", (sort,), (cond_t, t_t, e_t))
-        nf, _ = rewrite_normalize(self.system, combined)
-        return _canonical_bool_val(nf, tuple(atoms))
+        t_t, e_t = embed(tv), embed(ev)  # the condition's atoms are already in place
+        return BoolVal(FoOp("ite", (sort,), (cond.term, t_t, e_t)), tuple(atoms))
 
     def eval_element(self, nbe, ctx, element, actx, asort, arg_values):
         match element:
@@ -163,17 +156,8 @@ class BoolDomain:
     def reify_base(self, nbe, ctx, sort, v: BoolVal) -> FreeTerm:
         if isinstance(v.term, FoVar):
             return v.atoms[v.term.index - 1]
-        raw = CloneApp(
-            v.term, Context(tuple(sort for _ in v.atoms)), sort, v.atoms
-        )
-        return canonical_cloneapp(nbe.free, ctx, raw)
-
-
-def _canonical_bool_val(term, atoms):
-    """Drop unused atoms, renumber in first-use order, merge duplicates."""
-    kept: list = []
-    mapping = {p: _position(kept, atoms[p - 1]) for p in element_use_order(term)}
-    return BoolVal(reindex_element(term, mapping) if mapping else term, tuple(kept))
+        raw = CloneApp(v.term, Context(tuple(sort for _ in v.atoms)), sort, v.atoms)
+        return head_canon(nbe.free, ctx, raw)[0]
 
 
 def _position(atoms: list, a) -> int:
@@ -359,8 +343,8 @@ def check_normal(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> No
     argument, or (with a boolean-style base) a canonical stuck element
     application at an arrow sort.  Normal: an abstraction at arrow sorts;
     at the base sort a neutral (when bare neutrals are normal for the
-    base), or a canonical element application over neutral atoms and
-    normal higher-sort arguments.
+    base), or a canonical element application: one that
+    ``equality.head_canon`` returns as it stands, its arguments normal.
     """
     try:
         got = free_check_term(free.base, free.presentation.signature, ctx, t)
@@ -386,12 +370,8 @@ def _neutral(free: FreeAlgebra, c: Context, s: Sort, term) -> NormalVerdict:
 
 
 def _stuck_elements(free: FreeAlgebra, c: Context, ca: CloneApp) -> NormalVerdict:
-    if not is_canonical_cloneapp(free, c, ca):
+    if head_canon(free, c, ca)[0] is not ca:
         return NormalVerdict(False, ca, "element application not canonical")
-    for a, slot in zip(ca.args, ca.arity_ctx):
-        sub = _neutral(free, c, slot, a) if not slot.args else _normal(free, c, slot, a)
-        if not sub:
-            return sub
     return NormalVerdict(True)
 
 

@@ -75,7 +75,7 @@ def boolean_theory(presentation: FoPresentation) -> BaseTheory:
         return BoolModelHom(clone, model)
 
     return _attach(
-        BaseTheory("boolean", presentation, clone, BoolDomain(system), model_hom, lambda: system)
+        BaseTheory("boolean", presentation, clone, BoolDomain(), model_hom, lambda: system)
     )
 
 

@@ -78,6 +78,13 @@ REDEX = _app(
 NORMAL, TRACE = normalize_with_trace(FREE, E, BB, REDEX)
 STATE_TERM = _get(_put("v1", FoVar(1)), _put("v2", _get(FoVar(1), FoVar(1))))
 STATE_PROOF = prove_fo_equal(GS2, G1, _get(FoVar(1), FoVar(1)), FoVar(1), max_nodes=800)
+# an element nesting function-sort conditionals: the canonicalizer splits it
+FOUND_CTX = Context((B, B, BB, BB))
+FOUND = CloneApp(
+    FoOp("ite", (BB,), (FoVar(1), FoOp("ite", (BB,), (FoVar(2), FoVar(3), FoVar(4))),
+                        FoOp("ite", (BB,), (FoVar(2), FoVar(4), FoVar(3))))),
+    FOUND_CTX, BB, tuple(FreeVar(i) for i in range(1, 5)),
+)
 GS_REDEX = _app(_abs(CloneApp(_get(_put("v1", FoVar(1)), FoVar(1)), G1, B, (FreeVar(2),))),
                 FreeVar(1))
 
@@ -87,6 +94,11 @@ build_parser()  # built once per process; argparse's own garbage is not measured
 def _nbe_on_fresh_bundle():
     # the bundle's free algebra owns its NbE engine, built here on first use
     return nbe_normalize(stock_bundle("bool").free, E, BB, REDEX)
+
+
+def _found_term_routes():
+    nf, _ = normalize_with_trace(FREE, FOUND_CTX, BB, FOUND)
+    return nf, check_normal(FREE, FOUND_CTX, BB, nbe_normalize(FREE, FOUND_CTX, BB, FOUND))
 
 
 def _cli_normalize():
@@ -109,6 +121,7 @@ ENTRY_POINTS = {
     "RewriteEq.canonical": lambda: RewriteEq(GS_RULES).canonical(None, G1, B, STATE_TERM),
     "nbe_normalize": lambda: nbe_normalize(FREE, E, BB, REDEX),
     "check_normal": lambda: check_normal(FREE, E, BB, NORMAL),
+    "nested_element_routes": _found_term_routes,
     "check_algebra": lambda: check_algebra(
         MODEL,
         Budget(max_context_len=1, max_depth=0, max_sort_height=1, max_terms=3, max_tuples=3),
@@ -127,6 +140,7 @@ def test_inputs_exercise_the_full_paths():
     assert STATE_PROOF is not None and check_fo_derivation(GS2, G1, STATE_PROOF).ok
     assert free_equal(FREE, E, BB, REDEX, NORMAL, mode="search", budget=60).status == "equal"
     assert _cli_normalize() == 0
+    assert _found_term_routes()[1].ok
 
 
 @pytest.mark.parametrize("name", list(ENTRY_POINTS))

@@ -367,6 +367,32 @@ class TestFreeEqual:
         assert replay.ok and replay.lhs == t and raw_eq(free.base, E, BB, replay.rhs, nf)
         assert free_equal(free, E, BB, t, abs_(true_term())).status == "equal"
 
+    def test_nested_function_sort_conditionals_have_one_normal_form(self):
+        # the element nests function-sort conditionals; its normal form gives
+        # each nested conditional an element application of its own
+        from clonal.nbe import check_normal, nbe_normalize
+
+        free = stlc_bool()
+        c = ctx(B, B, BB, BB)
+
+        def ite(cond, then, other):
+            return FoOp("ite", (BB,), (FoVar(cond), then, other))
+
+        element = ite(1, ite(2, FoVar(3), FoVar(4)), ite(2, FoVar(4), FoVar(3)))
+        t = CloneApp(element, c, BB, tuple(FreeVar(i) for i in range(1, 5)))
+        form = nbe_normalize(free, c, BB, t)
+        nf, deriv = normalize_with_trace(free, c, BB, t)
+        assert raw_eq(free.base, c, BB, nf, form)
+        replay = check_free_derivation(free, c, deriv)
+        assert replay.ok and replay.lhs == t and raw_eq(free.base, c, BB, replay.rhs, form)
+        assert free_equal(free, c, BB, t, form).status == "equal"
+        assert check_normal(free, c, BB, form).ok
+        # the shape that keeps the nested element is not normal
+        branches = (abs_(app(FreeVar(3), FreeVar(6))), abs_(app(FreeVar(4), FreeVar(6))))
+        nested = abs_(app(CloneApp(element, c, BB, (FreeVar(1), FreeVar(2)) + branches), FreeVar(5)))
+        verdict = check_normal(free, c, BB, nested)
+        assert not verdict.ok and verdict.reason == "element application not canonical"
+
     def test_normalizer_and_nbe_disagreement_raises(self, monkeypatch):
         # a witnessed normal form that NbE contradicts is an error, not a verdict
         import clonal.equality as equality
@@ -393,8 +419,9 @@ class TestFreeEqual:
 
 def _lambda_term(draw, c, s, n):
     """A boolean lambda term at ``s`` over ``c`` of about ``n`` nodes, with
-    conditionals at every sort and beta-redexes whose binders range over
-    base and function sorts."""
+    conditionals at every sort (at function sorts, sometimes one nested in a
+    branch of another in the same element) and beta-redexes whose binders
+    range over base and function sorts."""
     leaves = [FreeVar(i) for i in range(1, len(c) + 1) if c.sort_at(i) == s]
     if s == B:
         leaves += [true_term(), false_term()]
@@ -406,10 +433,16 @@ def _lambda_term(draw, c, s, n):
     if kind == "abs":
         return abs_(_lambda_term(draw, c + ctx(s.args[0]), s.args[1], n - 1), s.args)
     if kind == "ite":
-        third = max(1, (n - 1) // 3)
-        parts = tuple(_lambda_term(draw, c, part, third) for part in (B, s, s))
-        element = FoOp("ite", (s,), (FoVar(1), FoVar(2), FoVar(3)))
-        return CloneApp(element, ctx(B, s, s), s, parts)
+        nested = bool(s.args) and draw(st.booleans())
+        sorts = (B, B, s, s) if nested else (B, s, s)
+        part = max(1, (n - 1) // len(sorts))
+        parts = tuple(_lambda_term(draw, c, p, part) for p in sorts)
+        if nested:
+            inner = FoOp("ite", (s,), (FoVar(2), FoVar(3), FoVar(4)))
+            element = FoOp("ite", (s,), (FoVar(1), inner, FoVar(4)))
+        else:
+            element = FoOp("ite", (s,), (FoVar(1), FoVar(2), FoVar(3)))
+        return CloneApp(element, Context(sorts), s, parts)
     a = draw(st.sampled_from((B, BB)))
     half = max(1, (n - 2) // 2)
     if kind == "app":
@@ -430,16 +463,18 @@ class TestWitnessedNormalizer:
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(normalization_cases())
     def test_agrees_with_nbe_and_witness_concludes_term_to_form(self, case):
-        from clonal.nbe import nbe_normalize
+        from clonal.nbe import check_normal, nbe_normalize
 
         c, s, t = case
         free = stlc_bool()
         nf, deriv = normalize_with_trace(free, c, s, t)
         assert raw_eq(free.base, c, s, nf, nbe_normalize(free, c, s, t))
+        assert check_normal(free, c, s, nf).ok
         replay = check_free_derivation(free, c, deriv)
         assert replay.ok, replay.error
         assert raw_eq(free.base, c, s, replay.lhs, t)
         assert raw_eq(free.base, c, s, replay.rhs, nf)
+        assert free_equal(free, c, s, t, nf).status == "equal"
 
 
 class TestUniversalProperty:
