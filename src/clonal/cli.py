@@ -16,7 +16,7 @@ from importlib import resources
 
 from .clones import Budget, CloneError, Substitution, check_clone_laws
 from .equality import free_equal, normalize_with_trace
-from .firstorder import FoVar, check_fo_derivation, fo_subst, rewrite_normalize
+from .firstorder import FoVar, check_fo_derivation, fo_subst, innermost_normal_form
 from .freealgebra import (
     CloneApp,
     FreeVar,
@@ -67,10 +67,23 @@ def bundled_source(variant: str) -> str:
 
 
 def _emit(args, human: str, data: dict) -> None:
-    if args.json:
-        print(json.dumps(data, indent=2))
+    print(_to_json(data) if args.json else human)
+
+
+def _to_json(data, pad: str = "\n") -> str:
+    """``json.dumps(data, indent=2)``.  The standard library indents with
+    closures that call each other, which leaves a reference cycle per call;
+    this recursion leaves only scalars and keys to ``json.dumps``."""
+    inner = pad + "  "
+    if isinstance(data, dict):
+        items, brackets = [f"{json.dumps(k)}: {_to_json(v, inner)}" for k, v in data.items()], "{}"
+    elif isinstance(data, (list, tuple)):
+        items, brackets = [_to_json(v, inner) for v in data], "[]"
     else:
-        print(human)
+        return json.dumps(data)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
 def _sort_arg(bundle, args) -> Sort:
@@ -141,7 +154,7 @@ def cmd_normalize(args) -> int:
     base_form = None if args.eta_long else _base_only(term)
     system = bundle.theory.rewrite_system if base_form is not None and not sort.args else None
     if system is not None:
-        nf, _ = rewrite_normalize(system, base_form)
+        nf = innermost_normal_form(system, base_form, {})
         human = render_fo(nf, names or [f"x{i}" for i in range(1, len(ctx) + 1)])
         _emit(args, human, document("base-normal-form", {"term": human}, bundle=bundle.name))
         return OK

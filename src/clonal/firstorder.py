@@ -530,9 +530,9 @@ MAX_REWRITE_STEPS = 10_000  # rewrites before normalizing gives up
 
 class RewriteDivergence(Exception):
     """Rewriting ``term`` found no normal form.  ``trace`` holds the steps
-    made: all MAX_REWRITE_STEPS of them at the step ceiling; when the term
-    grew past Python's recursion limit first, those made until then, or none
-    from the untraced ``innermost_normal_form``."""
+    made: all MAX_REWRITE_STEPS of them at the step ceiling, on every path;
+    when the term grew past Python's recursion limit first (innermost, on a
+    term growing at its root), those made until then, or none untraced."""
 
     def __init__(self, term, trace, too_deep=False):
         why = "term grew past the recursion limit" if too_deep else "step ceiling exceeded"
@@ -634,33 +634,6 @@ def match_fo(pattern: FoTerm, term: FoTerm, var_binding: dict, sort_binding: dic
     return False
 
 
-def replace_at(t: FoTerm, path: tuple[int, ...], new: FoTerm) -> FoTerm:
-    if not path:
-        return new
-    i = path[0]
-    args = list(t.args)
-    args[i - 1] = replace_at(args[i - 1], path[1:], new)
-    return FoOp(t.name, t.sort_args, tuple(args))
-
-
-def _positions(t: FoTerm, outermost: bool) -> list[tuple[tuple[int, ...], FoTerm]]:
-    """Every position of ``t`` with its subterm, pre-order when
-    ``outermost`` and post-order otherwise."""
-    out: list = []
-    _walk_positions(t, (), outermost, out)
-    return out
-
-
-def _walk_positions(node: FoTerm, path: tuple[int, ...], outermost: bool, out: list) -> None:
-    if outermost:
-        out.append((path, node))
-    if isinstance(node, FoOp):
-        for i, a in enumerate(node.args, start=1):
-            _walk_positions(a, path + (i,), outermost, out)
-    if not outermost:
-        out.append((path, node))
-
-
 def _root_step(rs: RewriteSystem, sub: FoOp):
     """The first rule, in firing order, that fires at the root of ``sub``:
     (schema, proof, sort arguments, instantiation, replacement), or None.
@@ -680,21 +653,6 @@ def _root_step(rs: RewriteSystem, sub: FoOp):
     return None
 
 
-def _one_step(rs: RewriteSystem, t: FoTerm, strategy: str) -> RewriteStep | None:
-    by_head = rs._by_head
-    for path, sub in _positions(t, strategy == "outermost"):
-        if isinstance(sub, FoVar) or sub.name not in by_head:
-            continue  # no left side is a bare variable or has another head
-        fired = _root_step(rs, sub)
-        if fired is not None:
-            schema, proof, sort_args, components, new_sub = fired
-            return RewriteStep(
-                path, schema.name, sort_args, components, True, t,
-                replace_at(t, path, new_sub), None if proof is None else (schema, proof),
-            )
-    return None
-
-
 def rewrite_normalize(
     rs: RewriteSystem,
     t: FoTerm,
@@ -702,80 +660,127 @@ def rewrite_normalize(
     max_steps: int = MAX_REWRITE_STEPS,
 ) -> tuple[FoTerm, list[RewriteStep]]:
     """Rewrite to a form containing no redex; the step trace witnesses the
-    equality and converts to a checkable derivation via steps_to_derivation."""
+    equality and converts to a checkable derivation via steps_to_derivation.
+
+    Innermost rewrites the leftmost innermost redex first, by the engine
+    ``innermost_normal_form`` runs; outermost rewrites the first redex in
+    pre-order (Baader & Nipkow, *Term Rewriting and All That*, 1998).  A
+    term growing at its root meets the step ceiling outermost and the
+    recursion limit innermost; both raise RewriteDivergence."""
     if strategy not in ("innermost", "outermost"):
         raise CloneError(f"unknown strategy {strategy!r}")
-    steps: list[RewriteStep] = []
-    current = t
+    run = _Rewriter(rs, t, None, max_steps)
     try:
-        for _ in range(max_steps):
-            step = _one_step(rs, current, strategy)
-            if step is None:
-                return current, steps
-            steps.append(step)
-            current = step.after
+        if strategy == "innermost":
+            return run.norm(t, None), run.trace
+        while (found := _outermost(rs, run.whole, None)) is not None:
+            run.record(*found)
+            run.count(1)
+        return run.whole, run.trace
     except RecursionError:
-        raise RewriteDivergence(t, steps, too_deep=True) from None
-    raise RewriteDivergence(t, steps)
+        raise RewriteDivergence(t, run.trace, too_deep=True) from None
+
+
+def _outermost(rs: RewriteSystem, t: FoTerm, frames):
+    """The first redex of ``t`` in pre-order: the rule fired there and the
+    redex's frames (as ``_Rewriter`` keeps them), or None."""
+    if isinstance(t, FoVar):
+        return None
+    fired = _root_step(rs, t)
+    if fired is not None:
+        return fired, frames
+    for i, a in enumerate(t.args, start=1):
+        found = _outermost(rs, a, (frames, t, t.args[: i - 1], i))
+        if found is not None:
+            return found
+    return None
 
 
 def innermost_normal_form(rs: RewriteSystem, t: FoTerm, memo: dict) -> FoTerm:
     """``rewrite_normalize(rs, t, "innermost")[0]``, without the trace.
 
-    Bottom-up: normalize the arguments left to right, then rewrite at the
-    root with the rule ``_root_step`` picks and normalize the result again.
-    This is the order in which innermost rewriting visits the term, so the
-    normal form is the traced one even when the system is not confluent.
     ``memo`` maps each subterm met to its normal form and the number of
     rewrites the traced run spends reaching it; the caller owns it.  Memo
-    hits add their count, so the total is the traced run's length, and when
-    it reaches MAX_REWRITE_STEPS the traced normalizer is run, which raises
-    RewriteDivergence with its trace.
-    """
+    hits add their count, so the total is the traced run's length; when it
+    reaches MAX_REWRITE_STEPS, the traced run raises RewriteDivergence."""
     try:
-        return _Innermost(rs, t, memo).norm(t)
+        return _Rewriter(rs, t, memo, MAX_REWRITE_STEPS).norm(t, None)
     except RecursionError:
         raise RewriteDivergence(t, [], too_deep=True) from None
 
 
-class _Innermost:
-    """One innermost_normal_form call: the rewrites counted so far."""
+class _Rewriter:
+    """One rewriting run from ``start``: untraced with a memo, or traced.
 
-    def __init__(self, rs: RewriteSystem, start: FoTerm, memo: dict):
+    ``norm``, the one innermost normalizer, normalizes a term's arguments
+    left to right, then rewrites at its root with the rule ``_root_step``
+    picks and normalizes the result again: leftmost-innermost order, so the
+    memoized normal form is the traced one even for a non-confluent system.
+    A traced run normalizes each argument under a frame (enclosing frames,
+    enclosing node, its arguments so far, hole index), from which a step
+    builds its path and whole term in time linear in the depth."""
+
+    def __init__(self, rs: RewriteSystem, start: FoTerm, memo: dict | None, max_steps: int):
         self.rs = rs
         self.start = start
         self.memo = memo
+        self.max_steps = max_steps
         self.steps = 0
+        self.trace: list[RewriteStep] = []
+        self.whole = start  # the whole term after the last traced step
 
     def count(self, n: int) -> None:
         self.steps += n
-        if self.steps >= MAX_REWRITE_STEPS:
-            rewrite_normalize(self.rs, self.start, "innermost")  # raises: its run is as long
+        if self.steps >= self.max_steps:
+            if self.memo is not None:  # the traced run is as long: it raises with its trace
+                rewrite_normalize(self.rs, self.start, "innermost", self.max_steps)
+            raise RewriteDivergence(self.start, self.trace)
 
-    def norm(self, term: FoTerm) -> FoTerm:
+    def record(self, fired, frames) -> None:
+        """Trace the step ``fired`` makes in the hole ``frames`` describe."""
+        schema, proof, sort_args, inst, after = fired
+        path = []
+        while frames is not None:
+            frames, node, left, i = frames
+            path.append(i)
+            after = FoOp(node.name, node.sort_args, (*left, after, *node.args[i:]))
+        derived = None if proof is None else (schema, proof)
+        self.trace.append(RewriteStep(
+            tuple(reversed(path)), schema.name, sort_args, inst, True, self.whole, after, derived))
+        self.whole = after
+
+    def norm(self, term: FoTerm, frames) -> FoTerm:
         memo = self.memo
-        seen = []  # (term met, rewrites done before meeting it)
-        while True:
-            if isinstance(term, FoVar):
-                break
-            done = memo.get(term)
-            if done is not None:
-                term, n = done
-                self.count(n)
-                break
-            seen.append((term, self.steps))
-            args = tuple(map(self.norm, term.args))
-            if args != term.args:
-                term = FoOp(term.name, term.sort_args, args)
+        seen = []  # (term met, rewrites done before meeting it), for the memo
+        while isinstance(term, FoOp):
+            if memo is not None:
                 done = memo.get(term)
                 if done is not None:
                     term, n = done
                     self.count(n)
                     break
                 seen.append((term, self.steps))
+            if memo is None:
+                normed: list = []
+                for i, a in enumerate(term.args, start=1):
+                    normed.append(self.norm(a, (frames, term, normed, i)))
+                args = tuple(normed)
+            else:
+                args = tuple([self.norm(a, None) for a in term.args])
+            if args != term.args:
+                term = FoOp(term.name, term.sort_args, args)
+                if memo is not None:
+                    done = memo.get(term)
+                    if done is not None:
+                        term, n = done
+                        self.count(n)
+                        break
+                    seen.append((term, self.steps))
             fired = _root_step(self.rs, term)
             if fired is None:
                 break
+            if memo is None:
+                self.record(fired, frames)
             self.count(1)
             term = fired[4]
         for s, before in seen:
@@ -1117,25 +1122,19 @@ class RewriteEq(EqStrategy):
     """Normalize with the oriented rules, then compare.  Decides the
     presented equality exactly when the system is confluent and terminating.
 
-    Innermost normal forms come from ``innermost_normal_form``, untraced,
-    with one memo per ``canonical``/``equal`` call; the outermost strategy
-    runs the traced normalizer."""
+    Normal forms are innermost, from ``innermost_normal_form``, untraced,
+    with one memo per ``canonical``/``equal`` call."""
 
-    def __init__(self, system: RewriteSystem, strategy: str = "innermost"):
+    def __init__(self, system: RewriteSystem):
         self.system = system
-        self.strategy = strategy
-
-    def _normal_form(self, t, memo: dict):
-        if self.strategy == "innermost":
-            return innermost_normal_form(self.system, t, memo)
-        return rewrite_normalize(self.system, t, self.strategy)[0]
 
     def canonical(self, clone, ctx, sort, t):
-        return self._normal_form(t, {})
+        return innermost_normal_form(self.system, t, {})
 
     def equal(self, clone, ctx, sort, t, u):
         memo: dict = {}  # shared by both sides, dropped after the call
-        return self._normal_form(t, memo) == self._normal_form(u, memo)
+        nf = innermost_normal_form(self.system, t, memo)
+        return nf == innermost_normal_form(self.system, u, memo)
 
 
 class SearchEq(EqStrategy):

@@ -31,7 +31,7 @@ from .clones import (
     under_binders,
     weakening,
 )
-from .firstorder import FoOp, FoVar, enumerate_fo_terms_by_size, fo_size
+from .firstorder import FoOp, FoVar, _compositions, enumerate_fo_terms_by_size, fo_size
 from .secondorder import (
     Algebra,
     MetaApp,
@@ -579,7 +579,7 @@ def enumerate_free_terms(
                 elements = base_elements_of_size(actx, s, esize)
                 if not elements:
                     continue
-                for split in _compositions_free(n - esize, k):
+                for split in _compositions(n - esize, k):
                     pools = [of_size(c, a, m) for a, m in zip(actx, split)]
                     for e in elements:
                         for combo in itertools.product(*pools):
@@ -590,7 +590,7 @@ def enumerate_free_terms(
             k = len(arity.binders)
             if k == 0 or n < 1 + k:
                 continue
-            for split in _compositions_free(n - 1, k):
+            for split in _compositions(n - 1, k):
                 pools = [
                     of_size(c + bc, bs, m)
                     for (bc, bs), m in zip(arity.binders, split)
@@ -614,16 +614,6 @@ def enumerate_free_terms(
     finally:
         of_size = None  # as upto above
     return list(dict.fromkeys(result))
-
-
-def _compositions_free(total: int, parts: int):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions_free(total - first, parts - 1):
-            yield (first,) + rest
 
 
 @dataclass

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .clones import Budget, Clone, CloneError, LawCheck, LawReport, ProductClone, Substitution
-from .clones import TerminalClone, under_binders
+from .clones import TerminalClone, _capped, under_binders
 from .sorts import (
     Context,
     Sort,
@@ -537,7 +537,7 @@ def check_algebra(
                 items = enumerated[ctx, sort] = clone.enumerate_terms(
                     ctx, sort, budget.max_depth
                 )
-            return _cap(items, budget.max_terms, law)
+            return _capped(items, budget.max_terms, law)
         except CloneError:
             # site too large to enumerate: fall back to seeded sampling;
             # a site too large even to sample is skipped, recorded as capped
@@ -550,12 +550,6 @@ def check_algebra(
             except CloneError:
                 return []
 
-    def _cap(items, cap, law):
-        if len(items) > cap:
-            law.capped = True
-            return items[:cap]
-        return items
-
     comm = LawCheck("operator interpretation commutes with substitution")
     for name, sort_args in sig.instances(sorts):
         arity = sig.arity(name, sort_args)
@@ -565,7 +559,7 @@ def check_algebra(
                 for binder_ctx, binder_sort in arity.binders
             ]
             tuples = list(itertools.product(*arg_pools))
-            tuples = _cap(tuples, budget.max_tuples, comm)
+            tuples = _capped(tuples, budget.max_tuples, comm)
             # Each tuple's interpretation at gamma, and each sub's lifts, are
             # computed once; a CloneError is kept as _FAILED and skips, and
             # caps, every pair that needs the result, as if raised there.
@@ -610,7 +604,7 @@ def check_algebra(
                 pools = [
                     site_terms(gamma + decl.ctx, decl.sort, eq_law) for decl in metactx
                 ]
-                tuples = _cap(list(itertools.product(*pools)), budget.max_tuples, eq_law)
+                tuples = _capped(list(itertools.product(*pools)), budget.max_tuples, eq_law)
                 for sigma in tuples:
                     try:
                         lv = interpret_term(alg, lhs, metactx, Context(()), gamma, sigma)

@@ -4,12 +4,31 @@ import json
 
 import pytest
 
+from clonal import cli
 from clonal.cli import main
 from clonal.jsonio import context_to_json, document, free_derivation_to_json
 from clonal.sorts import Context, Sort
 
 
 B = Sort("b")
+
+
+@pytest.fixture(autouse=True)
+def json_documents(monkeypatch):
+    """Every --json document printed by a test here must be byte-identical
+    to ``json.dumps(data, indent=2)``; the list collects them."""
+    documents = []
+    to_json = cli._to_json
+
+    def checked(data, pad="\n"):
+        out = to_json(data, pad)
+        if pad == "\n":  # a whole document, not a value nested in one
+            assert out == json.dumps(data, indent=2)
+            documents.append(out)
+        return out
+
+    monkeypatch.setattr(cli, "_to_json", checked)
+    return documents
 
 
 def run(capsys, *argv):
@@ -253,6 +272,24 @@ class TestAdequacy:
         code, out, _ = run(capsys, "adequacy", "--help")
         assert code == 0
         assert "(default: 5)" in " ".join(out.split())
+
+
+class TestJsonEmitter:
+    def test_every_json_command_is_checked(self, capsys, json_documents):
+        # the autouse fixture compares each document with json.dumps
+        for argv in (
+            ["normalize", "--variant", "gs", "get x x", "--context", "x : b", "--json"],
+            ["eval", "abs x : b. x", "--sort", "b => b", "--json"],
+            ["equal", "--search", "--json", "app (abs x. x) true", "true"],
+            ["enumerate", "--sort", "b", "--budget", "1", "--json"],
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out == json_documents[-1] + "\n"
+        assert len(json_documents) == 4
+
+    def test_empty_containers_and_scalars(self):
+        data = {"a": [], "b": {}, "c": [1, None, True, "é", 2.5, {"d": ()}]}
+        assert cli._to_json(data) == json.dumps(data, indent=2)
 
 
 class TestDeterminism:

@@ -28,6 +28,7 @@ from clonal.firstorder import (
     check_fo_derivation,
     global_state_presentation,
     gs_rewrite_system,
+    innermost_normal_form,
     prove_fo_equal,
     rewrite_normalize,
 )
@@ -77,6 +78,8 @@ REDEX = _app(
 )
 NORMAL, TRACE = normalize_with_trace(FREE, E, BB, REDEX)
 STATE_TERM = _get(_put("v1", FoVar(1)), _put("v2", _get(FoVar(1), FoVar(1))))
+# rewritten outermost, its first redex is below the root
+OUTER_TERM = _get(FoVar(1), _put("v1", _get(FoVar(1), FoVar(1))))
 STATE_PROOF = prove_fo_equal(GS2, G1, _get(FoVar(1), FoVar(1)), FoVar(1), max_nodes=800)
 # an element nesting function-sort conditionals: the canonicalizer splits it
 FOUND_CTX = Context((B, B, BB, BB))
@@ -101,9 +104,10 @@ def _found_term_routes():
     return nf, check_normal(FREE, FOUND_CTX, BB, nbe_normalize(FREE, FOUND_CTX, BB, FOUND))
 
 
-def _cli_normalize():
+def _cli_normalize(*flags):
     with contextlib.redirect_stdout(io.StringIO()):
-        return main(["normalize", "--witness", "app (abs f : b => b. f) (abs x. x)", "--sort", "b => b"])
+        return main(["normalize", "--witness", "app (abs f : b => b. f) (abs x. x)", "--sort", "b => b",
+                     *flags])
 
 
 ENTRY_POINTS = {
@@ -118,6 +122,8 @@ ENTRY_POINTS = {
     "check_free_derivation": lambda: check_free_derivation(FREE, E, TRACE),
     "check_fo_derivation": lambda: check_fo_derivation(GS2, G1, STATE_PROOF),
     "rewrite_normalize": lambda: rewrite_normalize(GS_RULES, STATE_TERM),
+    "rewrite_normalize_outermost": lambda: rewrite_normalize(GS_RULES, OUTER_TERM, "outermost"),
+    "innermost_normal_form": lambda: innermost_normal_form(GS_RULES, STATE_TERM, {}),
     "RewriteEq.canonical": lambda: RewriteEq(GS_RULES).canonical(None, G1, B, STATE_TERM),
     "nbe_normalize": lambda: nbe_normalize(FREE, E, BB, REDEX),
     "check_normal": lambda: check_normal(FREE, E, BB, NORMAL),
@@ -131,6 +137,7 @@ ENTRY_POINTS = {
     "stock_bundle": lambda: stock_bundle("bool"),
     "nbe_normalize_fresh_bundle": _nbe_on_fresh_bundle,
     "cli_normalize": _cli_normalize,
+    "cli_normalize_json": lambda: _cli_normalize("--json"),
 }
 
 
@@ -139,7 +146,9 @@ def test_inputs_exercise_the_full_paths():
     assert check_free_derivation(FREE, E, TRACE).ok
     assert STATE_PROOF is not None and check_fo_derivation(GS2, G1, STATE_PROOF).ok
     assert free_equal(FREE, E, BB, REDEX, NORMAL, mode="search", budget=60).status == "equal"
-    assert _cli_normalize() == 0
+    assert _cli_normalize() == 0 and _cli_normalize("--json") == 0
+    assert rewrite_normalize(GS_RULES, OUTER_TERM, "outermost")[1][0].path == (2,)
+    assert rewrite_normalize(GS_RULES, STATE_TERM)[1][0].path == (2, 1)
     assert _found_term_routes()[1].ok
 
 

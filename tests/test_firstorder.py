@@ -32,6 +32,7 @@ from clonal.firstorder import (
     FoVar,
     RewriteDivergence,
     RewriteEq,
+    RewriteStep,
     RewriteSystem,
     SearchEq,
     StructuralEq,
@@ -49,6 +50,7 @@ from clonal.firstorder import (
     gs_clone,
     gs_rewrite_system,
     innermost_normal_form,
+    match_fo,
     monoid_presentation,
     prove_fo_equal,
     rewrite_normalize,
@@ -344,6 +346,62 @@ class TestDerivationChecker:
 # --------------------------------------------------------------------------
 
 
+def _reference_normalize(rs, t, strategy, max_steps=firstorder.MAX_REWRITE_STEPS):
+    """The step-by-step normalizer the rewriting engine replaced, kept as an
+    oracle: each step lists every position of the whole term, pre-order for
+    outermost and post-order for innermost, and rewrites the first redex
+    with the first rule, in firing order, that fires there."""
+    steps = []
+    for _ in range(max_steps):
+        step = None
+        for path, sub in _reference_positions(t, (), strategy == "outermost"):
+            fired = _reference_root_step(rs, sub)
+            if fired is not None:
+                schema, proof, sort_args, inst, new = fired
+                derived = None if proof is None else (schema, proof)
+                after = _reference_replace_at(t, path, new)
+                step = RewriteStep(path, schema.name, sort_args, inst, True, t, after, derived)
+                break
+        if step is None:
+            return t, steps
+        steps.append(step)
+        t = step.after
+    raise RewriteDivergence(t, steps)
+
+
+def _reference_positions(t, path, outermost):
+    here = [(path, t)]
+    below = []
+    if isinstance(t, FoOp):
+        for i, a in enumerate(t.args, start=1):
+            below += _reference_positions(a, path + (i,), outermost)
+    return here + below if outermost else below + here
+
+
+def _reference_root_step(rs, sub):
+    if isinstance(sub, FoVar):
+        return None
+    for schema, proof in rs.rules():
+        var_binding, sort_binding = {}, {}
+        if not match_fo(schema.lhs, sub, var_binding, sort_binding):
+            continue
+        if set(var_binding) != set(range(1, len(schema.ctx) + 1)):
+            continue
+        sort_args = tuple(sort_binding[p] for p in schema.params)
+        eq_ctx, _, _, rhs = schema.instantiate(sort_args)
+        inst = tuple(var_binding[i] for i in range(1, len(eq_ctx) + 1))
+        return schema, proof, sort_args, inst, fo_subst(rhs, Substitution(ctx(), eq_ctx, inst))
+    return None
+
+
+def _reference_replace_at(t, path, new):
+    if not path:
+        return new
+    args = list(t.args)
+    args[path[0] - 1] = _reference_replace_at(args[path[0] - 1], path[1:], new)
+    return FoOp(t.name, t.sort_args, tuple(args))
+
+
 class TestRewrite:
     def test_put_put_collapses(self):
         rs = RewriteSystem(GS2)
@@ -482,6 +540,81 @@ def _term_with_steps(n: int) -> FoTerm:
 DUP = _dup_system()
 
 
+def _count_root_steps(monkeypatch) -> list:
+    """The subterms at which rewriting attempts a root step, from now on."""
+    attempts = []
+    root_step = firstorder._root_step
+
+    def counted(rs, sub):
+        attempts.append(sub)
+        return root_step(rs, sub)
+
+    monkeypatch.setattr(firstorder, "_root_step", counted)
+    return attempts
+
+
+def _grow_system() -> RewriteSystem:
+    """mul(x1, unit) -> mul(mul(x1, unit), unit): the term deepens by one at
+    every step, at its root."""
+    star = Sort("*")
+    grow = FoEquationSchema(
+        "grow", (), (star,), star, mul(x(1), UNIT), mul(mul(x(1), UNIT), UNIT)
+    )
+    return RewriteSystem(FoPresentation("grow", monoid_presentation().signature, (grow,)))
+
+
+def _get_put_tree(depth: int) -> FoTerm:
+    """get(put_v1(s), s) for s the tree one level down; x1 at the leaves."""
+    if depth == 0:
+        return x(1)
+    below = _get_put_tree(depth - 1)
+    return get(put("v1", below), below)
+
+
+ORACLE_SYSTEMS = {
+    **{name: (rs, 20) for name, rs in PROPERTY_SYSTEMS.items()},
+    "monoid": (RewriteSystem(monoid_presentation()), 20),
+    "dup": (DUP, 10),  # p(s^k z) takes 3 * 2^k - 2 rewrites: keep k small
+}
+
+
+class TestEngineAgainstReference:
+    """The rewriting engine makes exactly the reference stepper's steps."""
+
+    @pytest.mark.parametrize("strategy", ["innermost", "outermost"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+    def test_traces_are_the_reference_traces(self, name, strategy):
+        rs, max_nodes = ORACLE_SYSTEMS[name]
+
+        @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+        @given(fo_terms(rs.presentation, max_nodes=max_nodes))
+        def agrees(t):
+            assert rewrite_normalize(rs, t, strategy) == _reference_normalize(rs, t, strategy)
+
+        agrees()
+
+    def test_traced_innermost_resumes_where_it_fired(self, monkeypatch):
+        # a traced step does not rescan the whole term: on this 766-node tree,
+        # 510 steps cost 765 root-step attempts (2303 when each step rescanned)
+        rs = PROPERTY_SYSTEMS["completed_state"]
+        t = _get_put_tree(8)
+        assert fo_size(t) == 766
+        attempts = _count_root_steps(monkeypatch)
+        nf, steps = rewrite_normalize(rs, t, "innermost")
+        assert len(steps) == 510 and len(attempts) <= 1000
+        v = check_fo_derivation(rs.presentation, ctx(BASE), steps_to_derivation(t, steps))
+        assert v.ok and v.lhs == t and v.rhs == nf
+
+    def test_outermost_growth_at_the_root_reaches_the_step_ceiling(self):
+        # the redex is always the root, so the term never has to be walked
+        t = mul(x(1), UNIT)
+        with pytest.raises(RewriteDivergence, match=r"step ceiling .* mul\(x1, unit\(\)\)") as e:
+            rewrite_normalize(_grow_system(), t, "outermost")
+        steps = e.value.trace
+        assert len(steps) == firstorder.MAX_REWRITE_STEPS
+        assert steps[0].before == t and all(s.path == () for s in steps)
+
+
 class TestUntracedNormalForm:
     """RewriteEq's untraced innermost normal forms are the traced ones."""
 
@@ -494,7 +627,7 @@ class TestUntracedNormalForm:
         @given(fo_terms(rs.presentation))
         def agrees(t):
             nf = eq.canonical(None, ctx(BASE, BASE, BASE), BASE, t)
-            assert nf == rewrite_normalize(rs, t, "innermost")[0]
+            assert nf == _reference_normalize(rs, t, "innermost")[0]
 
         agrees()
 
@@ -524,14 +657,7 @@ class TestUntracedNormalForm:
     def test_no_memo_carries_over_between_calls(self, monkeypatch):
         # every root rewrite attempt goes through _root_step: a second equal
         # call must attempt exactly what the first did
-        attempts = []
-        root_step = firstorder._root_step
-
-        def counted(rs, sub):
-            attempts.append(sub)
-            return root_step(rs, sub)
-
-        monkeypatch.setattr(firstorder, "_root_step", counted)
+        attempts = _count_root_steps(monkeypatch)
         clone = bool_clone()
         tru = FoOp("true", (), ())
         ite = lambda c, a, b: FoOp("ite", (BASE,), (c, a, b))
@@ -582,19 +708,17 @@ class TestUntracedNormalForm:
 
     def test_growing_term_raises_divergence_not_recursion_error(self):
         # mul(x1, unit) -> mul(mul(x1, unit), unit) deepens the term by one at
-        # every step; it outgrows Python's recursion limit long before the
-        # step ceiling, and both normalizers must say so with the typed error
+        # every step; innermost rewriting outgrows Python's recursion limit
+        # long before the step ceiling, and must say so with the typed error
         star = Sort("*")
-        grow = FoEquationSchema(
-            "grow", (), (star,), star, mul(x(1), UNIT), mul(mul(x(1), UNIT), UNIT)
-        )
-        rs = RewriteSystem(FoPresentation("grow", monoid_presentation().signature, (grow,)))
+        rs = _grow_system()
         t = mul(x(1), UNIT)
         with pytest.raises(RewriteDivergence, match=r"recursion limit .* mul\(x1, unit\(\)\)") as e:
             RewriteEq(rs).canonical(None, ctx(star), star, t)
         assert e.value.trace == []
-        # the traced normalizer is quadratic in the depth per step, so it is
-        # run under a lower limit; its trace holds the steps made until then
+        # the traced run descends one call per level into the growing left
+        # argument and rebuilds the whole term at every step; a lower limit
+        # keeps the run short, and its trace holds the steps made until then
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(250)
         try:
