@@ -71,11 +71,15 @@ def _emit(args, human: str, data: dict) -> None:
 
 
 def _to_json(data, pad: str = "\n") -> str:
-    """``json.dumps(data, indent=2)``.  The standard library indents with
-    closures that call each other, which leaves a reference cycle per call;
-    this recursion leaves only scalars and keys to ``json.dumps``."""
+    """``json.dumps(data, indent=2)`` for dicts with string keys only.  The
+    standard library indents with closures that call each other, which
+    leaves a reference cycle per call; this recursion leaves only scalars
+    and keys to ``json.dumps``."""
     inner = pad + "  "
     if isinstance(data, dict):
+        for k in data:
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be str, not {type(k).__name__}")
         items, brackets = [f"{json.dumps(k)}: {_to_json(v, inner)}" for k, v in data.items()], "{}"
     elif isinstance(data, (list, tuple)):
         items, brackets = [_to_json(v, inner) for v in data], "[]"

@@ -716,9 +716,9 @@ class _Rewriter:
     left to right, then rewrites at its root with the rule ``_root_step``
     picks and normalizes the result again: leftmost-innermost order, so the
     memoized normal form is the traced one even for a non-confluent system.
-    A traced run normalizes each argument under a frame (enclosing frames,
-    enclosing node, its arguments so far, hole index), from which a step
-    builds its path and whole term in time linear in the depth."""
+    Each argument is normalized under a frame (enclosing frames, enclosing
+    node, its arguments so far, hole index), from which a traced step builds
+    its path and whole term in time linear in the depth."""
 
     def __init__(self, rs: RewriteSystem, start: FoTerm, memo: dict | None, max_steps: int):
         self.rs = rs
@@ -760,13 +760,10 @@ class _Rewriter:
                     self.count(n)
                     break
                 seen.append((term, self.steps))
-            if memo is None:
-                normed: list = []
-                for i, a in enumerate(term.args, start=1):
-                    normed.append(self.norm(a, (frames, term, normed, i)))
-                args = tuple(normed)
-            else:
-                args = tuple([self.norm(a, None) for a in term.args])
+            normed: list = []
+            for i, a in enumerate(term.args, start=1):
+                normed.append(self.norm(a, (frames, term, normed, i)))
+            args = tuple(normed)
             if args != term.args:
                 term = FoOp(term.name, term.sort_args, args)
                 if memo is not None:

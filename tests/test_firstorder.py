@@ -346,13 +346,13 @@ class TestDerivationChecker:
 # --------------------------------------------------------------------------
 
 
-def _reference_normalize(rs, t, strategy, max_steps=firstorder.MAX_REWRITE_STEPS):
+def _reference_normalize(rs, t, strategy):
     """The step-by-step normalizer the rewriting engine replaced, kept as an
     oracle: each step lists every position of the whole term, pre-order for
     outermost and post-order for innermost, and rewrites the first redex
     with the first rule, in firing order, that fires there."""
     steps = []
-    for _ in range(max_steps):
+    for _ in range(firstorder.MAX_REWRITE_STEPS):
         step = None
         for path, sub in _reference_positions(t, (), strategy == "outermost"):
             fired = _reference_root_step(rs, sub)
