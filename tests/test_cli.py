@@ -290,11 +290,9 @@ class TestJsonEmitter:
     def test_empty_containers_and_scalars(self):
         data = {"a": [], "b": {}, "c": [1, None, True, "é", 2.5, {"d": ()}]}
         assert cli._to_json(data) == json.dumps(data, indent=2)
-
-    @pytest.mark.parametrize("key", [1, 2.5, True, None, (1, 2)])
-    def test_non_string_key_is_rejected(self, key):
-        with pytest.raises(TypeError, match="keys must be str"):
-            cli._to_json({"a": {key: 1}})
+        for key in (1, 2.5, True, None, (1, 2)):
+            with pytest.raises(TypeError, match="keys must be str"):
+                cli._to_json({"a": {key: 1}})
 
 
 class TestDeterminism:
