@@ -16,7 +16,13 @@ from importlib import resources
 
 from .clones import Budget, CloneError, Substitution, check_clone_laws
 from .equality import free_equal, normalize_with_trace
-from .firstorder import FoVar, check_fo_derivation, fo_subst, innermost_normal_form
+from .firstorder import (
+    FoVar,
+    RewriteDivergence,
+    check_fo_derivation,
+    fo_subst,
+    innermost_normal_form,
+)
 from .freealgebra import (
     CloneApp,
     FreeVar,
@@ -26,13 +32,15 @@ from .freealgebra import (
     raw_eq,
 )
 from .jsonio import (
+    JsonError,
+    context_from_json,
     document,
+    field,
     fo_derivation_from_json,
     free_derivation_from_json,
     free_derivation_to_json,
     free_term_to_json,
     load_document,
-    context_from_json,
 )
 from .nbe import check_normal, nbe_normalize
 from .secondorder import check_algebra
@@ -258,8 +266,11 @@ def cmd_equal(args) -> int:
 def cmd_provecheck(args) -> int:
     bundle = load_bundle(args)
     with open(args.file, encoding="utf-8") as handle:
-        data = json.load(handle)
-    kind = data.get("kind")
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as e:
+            raise JsonError(f"not a JSON document: {e}") from None
+    kind = field(data, "kind")
     if kind not in ("fo-derivation", "free-derivation"):
         print(f"unknown derivation document kind {kind!r}", file=sys.stderr)
         return USAGE
@@ -267,7 +278,7 @@ def cmd_provecheck(args) -> int:
     if kind == "fo-derivation" and bundle.base is None:
         print("bundle has no base presentation", file=sys.stderr)
         return USAGE
-    ctx, raw = context_from_json(payload["context"]), payload["derivation"]
+    ctx, raw = context_from_json(field(payload, "context")), field(payload, "derivation")
     if kind == "fo-derivation":
         verdict = check_fo_derivation(bundle.base, ctx, fo_derivation_from_json(raw))
     else:
@@ -393,6 +404,12 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return USAGE
+    except JsonError as e:
+        print(f"JSON error: {e}", file=sys.stderr)
+        return USAGE
+    except RewriteDivergence as e:
+        print(e, file=sys.stderr)
+        return EXHAUSTED
     except FileNotFoundError as e:
         print(e, file=sys.stderr)
         return USAGE

@@ -796,31 +796,58 @@ def _wrap_congruence(whole: FoTerm, path: tuple[int, ...], inner: FoDerivation) 
     return FoCong(whole.name, whole.sort_args, children)
 
 
-def _subst_derivation(d: FoDerivation, sigma: Substitution) -> FoDerivation:
+def _instance_term(t: FoTerm, table: dict) -> FoTerm:
+    """The instance of ``t`` under the substitution ``table`` starts with
+    (each variable mapped to its term).  Every subterm instantiated is filed
+    in ``table``, so equal subterms are instantiated once and share one
+    instance."""
+    got = table.get(t)
+    if got is None:
+        args = tuple([_instance_term(a, table) for a in t.args])
+        got = table[t] = FoOp(t.name, t.sort_args, args)
+    return got
+
+
+def _instance_derivation(d: FoDerivation, table: dict) -> FoDerivation:
     """The derivation of lhs[sigma] ~ rhs[sigma] from one of lhs ~ rhs:
-    substitute into every reflexivity leaf."""
-    match d:
-        case FoRefl(term=t):
-            return FoRefl(fo_subst(t, sigma))
-        case FoSym(child=c):
-            return FoSym(_subst_derivation(c, sigma))
-        case FoTrans(left=l, right=r):
-            return FoTrans(_subst_derivation(l, sigma), _subst_derivation(r, sigma))
-        case FoCong(op=name, sort_args=sort_args, children=children):
-            return FoCong(name, sort_args, tuple(_subst_derivation(c, sigma) for c in children))
-        case FoAxiom(equation=name, sort_args=sort_args, children=children):
-            return FoAxiom(name, sort_args, tuple(_subst_derivation(c, sigma) for c in children))
+    instantiate every reflexivity leaf through ``table`` (see _instance_term).
+    Leaves, the most frequent nodes, are filed there too, so equal leaves
+    share one instance; nodes are told apart by type, which is cheaper here
+    than class patterns."""
+    kind = type(d)
+    if kind is FoRefl:
+        got = table.get(d)
+        if got is None:
+            got = table[d] = FoRefl(_instance_term(d.term, table))
+        return got
+    if kind is FoTrans:
+        return FoTrans(_instance_derivation(d.left, table), _instance_derivation(d.right, table))
+    if kind is FoSym:
+        return FoSym(_instance_derivation(d.child, table))
+    if kind is FoCong or kind is FoAxiom:
+        children = tuple([_instance_derivation(c, table) for c in d.children])
+        if kind is FoCong:
+            return FoCong(d.op, d.sort_args, children)
+        return FoAxiom(d.equation, d.sort_args, children)
     raise FoSortError(f"not a first-order derivation: {d!r}")
 
 
 def step_to_derivation(step: RewriteStep) -> FoDerivation:
+    """One step as a derivation of before ~ after.  A derived rule's proof
+    is instantiated in one pass whose table maps each proof term to its
+    instance; the kernel replays the result against the presentation."""
     if step.derived is None:
         children = tuple(FoRefl(t) for t in step.instantiation)
         node: FoDerivation = FoAxiom(step.equation, step.sort_args, children)
     else:
         schema, proof = step.derived
-        sigma = Substitution(Context(()), Context(schema.ctx), step.instantiation)
-        node = _subst_derivation(proof, sigma)
+        inst = step.instantiation
+        if len(inst) != len(schema.ctx):
+            raise CloneError(
+                f"step instantiates {schema.name} with {len(inst)} terms "
+                f"for an equation context of length {len(schema.ctx)}"
+            )
+        node = _instance_derivation(proof, {FoVar(i): u for i, u in enumerate(inst, start=1)})
     if not step.forward:
         node = FoSym(node)
     return _wrap_congruence(step.before, step.path, node)

@@ -239,6 +239,23 @@ class TestProvecheck:
         code, _, _ = run(capsys, "provecheck", "/nonexistent/file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("text, field", [
+        ("{not json", None),
+        ('{"rule": "refl"}', "'term'"),
+        ('{"rule": "refl", "term": {"kind": "var"}}', "'index'"),
+    ])
+    def test_malformed_witness_is_a_parse_error(self, capsys, tmp_path, text, field):
+        # not JSON at all, then a derivation and a term each missing a field
+        if field is not None:
+            text = json.dumps(document("free-derivation", {
+                "context": context_to_json(Context(())), "derivation": json.loads(text)}))
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "provecheck", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert (field or "not a JSON document") in err
+
 
 class TestEnumerate:
     def test_bound_one_booleans(self, capsys):
@@ -361,6 +378,27 @@ end
         assert "0x" not in err
         assert "base bool (tier rewrite)" in err
         assert run(capsys, "check", "--bundle", str(path))[2] == err
+
+    def test_rewriting_past_the_step_ceiling_is_budget_exhaustion(self, capsys, tmp_path):
+        # a rewrite-tier base whose one rule swaps arguments never stops
+        cyclic = """bundle cyc
+sorts b
+typeformers =>
+base cyc
+  op f : b, b ; b
+  eq comm : y : b, z : b |- f y z ~ f z y : b
+surface stlc
+  op app[A,B] : (; A => B) (; A) ; B
+  op abs[A,B] : (A ; B) ; A => B
+strategy base rewrite
+end
+"""
+        path = tmp_path / "cyc.bundle"
+        path.write_text(cyclic)
+        code, out, err = run(
+            capsys, "normalize", "--bundle", str(path), "f x y", "--context", "x : b, y : b")
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["step ceiling exceeded while rewriting f(x1, x2)"]
 
     def test_surface_only_bundle_passes_vacuously(self, capsys, tmp_path):
         empty = """bundle minimal

@@ -13,6 +13,7 @@ collection paused; ``gc.collect()`` must then find nothing unreachable.
 import contextlib
 import gc
 import io
+import json
 
 import pytest
 
@@ -31,8 +32,10 @@ from clonal.firstorder import (
     innermost_normal_form,
     prove_fo_equal,
     rewrite_normalize,
+    steps_to_derivation,
 )
 from clonal.freealgebra import CloneApp, FreeOp, FreeVar, check_free_derivation
+from clonal.jsonio import free_derivation_from_json, free_derivation_to_json
 from clonal.nbe import check_normal, nbe_normalize
 from clonal.secondorder import check_algebra
 from clonal.sorts import Context, arrow
@@ -80,6 +83,7 @@ NORMAL, TRACE = normalize_with_trace(FREE, E, BB, REDEX)
 STATE_TERM = _get(_put("v1", FoVar(1)), _put("v2", _get(FoVar(1), FoVar(1))))
 # rewritten outermost, its first redex is below the root
 OUTER_TERM = _get(FoVar(1), _put("v1", _get(FoVar(1), FoVar(1))))
+STATE_STEPS = rewrite_normalize(GS_RULES, STATE_TERM)[1]
 STATE_PROOF = prove_fo_equal(GS2, G1, _get(FoVar(1), FoVar(1)), FoVar(1), max_nodes=800)
 # an element nesting function-sort conditionals: the canonicalizer splits it
 FOUND_CTX = Context((B, B, BB, BB))
@@ -123,6 +127,9 @@ ENTRY_POINTS = {
     "check_fo_derivation": lambda: check_fo_derivation(GS2, G1, STATE_PROOF),
     "rewrite_normalize": lambda: rewrite_normalize(GS_RULES, STATE_TERM),
     "rewrite_normalize_outermost": lambda: rewrite_normalize(GS_RULES, OUTER_TERM, "outermost"),
+    "steps_to_derivation_derived": lambda: steps_to_derivation(STATE_TERM, STATE_STEPS),
+    "witness_json_roundtrip": lambda: free_derivation_from_json(
+        json.loads(json.dumps(free_derivation_to_json(TRACE)))),
     "innermost_normal_form": lambda: innermost_normal_form(GS_RULES, STATE_TERM, {}),
     "RewriteEq.canonical": lambda: RewriteEq(GS_RULES).canonical(None, G1, B, STATE_TERM),
     "nbe_normalize": lambda: nbe_normalize(FREE, E, BB, REDEX),
@@ -149,6 +156,8 @@ def test_inputs_exercise_the_full_paths():
     assert _cli_normalize() == 0 and _cli_normalize("--json") == 0
     assert rewrite_normalize(GS_RULES, OUTER_TERM, "outermost")[1][0].path == (2,)
     assert rewrite_normalize(GS_RULES, STATE_TERM)[1][0].path == (2, 1)
+    assert any(s.derived is not None for s in STATE_STEPS)
+    assert free_derivation_from_json(json.loads(json.dumps(free_derivation_to_json(TRACE)))) == TRACE
     assert _found_term_routes()[1].ok
 
 

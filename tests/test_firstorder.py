@@ -615,6 +615,93 @@ class TestEngineAgainstReference:
         assert steps[0].before == t and all(s.path == () for s in steps)
 
 
+def _reference_steps_to_derivation(start, steps):
+    """The per-leaf instantiation the one-pass instantiation replaced, kept
+    as an oracle: a derived rule's proof has every reflexivity leaf
+    substituted on its own, through a validated Substitution."""
+
+    def subst(d, sigma):
+        match d:
+            case FoRefl(term=t):
+                return FoRefl(fo_subst(t, sigma))
+            case FoSym(child=c):
+                return FoSym(subst(c, sigma))
+            case FoTrans(left=l, right=r):
+                return FoTrans(subst(l, sigma), subst(r, sigma))
+            case FoCong(op=name, sort_args=sargs, children=cs):
+                return FoCong(name, sargs, tuple(subst(c, sigma) for c in cs))
+            case FoAxiom(equation=name, sort_args=sargs, children=cs):
+                return FoAxiom(name, sargs, tuple(subst(c, sigma) for c in cs))
+
+    def wrap(whole, path, inner):
+        if not path:
+            return inner
+        return FoCong(whole.name, whole.sort_args, tuple(
+            wrap(a, path[1:], inner) if j == path[0] else FoRefl(a)
+            for j, a in enumerate(whole.args, start=1)))
+
+    d = FoRefl(start)
+    for i, step in enumerate(steps):
+        if step.derived is None:
+            node = FoAxiom(step.equation, step.sort_args, tuple(FoRefl(t) for t in step.instantiation))
+        else:
+            schema, proof = step.derived
+            node = subst(proof, Substitution(ctx(), ctx(*schema.ctx), step.instantiation))
+        node = wrap(step.before, step.path, node)
+        d = node if i == 0 else FoTrans(d, node)
+    return d
+
+
+class TestDerivedRuleInstantiation:
+    """steps_to_derivation instantiates each derived rule's proof in one
+    pass; the result is the per-leaf reference's, and the kernel replays it
+    against the bare presentation."""
+
+    @pytest.mark.parametrize("values", [V2, ("v1", "v2", "v3")])
+    def test_gs_traces_are_the_reference_derivations(self, values):
+        rs = gs_rewrite_system(values)
+        fired = []
+
+        @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+        @given(fo_terms(rs.presentation, max_nodes=30))
+        def agrees(t):
+            nf, steps = rewrite_normalize(rs, t)
+            d = steps_to_derivation(t, steps)
+            assert d == _reference_steps_to_derivation(t, steps)
+            v = check_fo_derivation(rs.presentation, ctx(BASE, BASE, BASE), d)
+            assert v.ok and (v.lhs, v.rhs) == (t, nf), v.error
+            fired.extend(s for s in steps if s.derived is not None)
+
+        agrees()
+        assert len({s.equation for s in fired}) >= 3
+
+    def test_equal_leaves_share_one_instance(self):
+        rs = gs_rewrite_system(V2)
+        t = get(put("v1", put("v2", x(1))), put("v1", put("v2", x(1))))
+        step = next(s for s in rewrite_normalize(rs, t)[1] if s.derived and not s.path)
+
+        def leaves(d):
+            if isinstance(d, FoRefl):
+                return [d.term]
+            subs = (getattr(d, "child", None), getattr(d, "left", None), getattr(d, "right", None))
+            return [u for c in (*subs, *getattr(d, "children", ())) if c is not None
+                    for u in leaves(c)]
+
+        proof, instance = leaves(step.derived[1]), leaves(firstorder.step_to_derivation(step))
+        pairs = [(i, j) for i in range(len(proof)) for j in range(i) if proof[i] == proof[j]]
+        assert pairs and all(instance[i] is instance[j] for i, j in pairs)
+
+    def test_wrong_instantiation_length_raises(self):
+        rs = gs_rewrite_system(V2)
+        t = get(x(1), x(1))
+        (step,) = rewrite_normalize(rs, t)[1]
+        assert step.derived is not None
+        bad = RewriteStep(step.path, step.equation, step.sort_args, step.instantiation + (x(2),),
+                          True, step.before, step.after, step.derived)
+        with pytest.raises(CloneError, match="instantiates"):
+            steps_to_derivation(t, [bad])
+
+
 class TestUntracedNormalForm:
     """RewriteEq's untraced innermost normal forms are the traced ones."""
 
