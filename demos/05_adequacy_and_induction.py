@@ -44,7 +44,7 @@ def main():
 
     print("\nthe same fact through the induction principle:")
     pres = stlc_presentation()
-    free = FreeAlgebra(pres, bool_clone(), lambda f, c, s, t: nbe_normalize(f, c, s, t))
+    free = FreeAlgebra(pres, bool_clone())
     model = set_model(presentation=pres)
     product = algebra_product(free, model)
     g = bool_model_hom(free, model)

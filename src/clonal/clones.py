@@ -151,6 +151,16 @@ class Clone:
     def term_eq(self, ctx: Context, sort: Sort, t, u) -> bool:
         return t == u
 
+    def canonical(self, ctx: Context, sort: Sort, t):
+        """A representative of ``t``'s class; ``t`` itself unless the clone
+        has a canonical form."""
+        return t
+
+    def check(self, ctx: Context, t) -> Sort:
+        """The sort of ``t`` over ``ctx``, or raise CloneError if ``t`` is
+        not a term there."""
+        raise NotImplementedError
+
     def enumerate_terms(self, ctx: Context, sort: Sort, depth: int, limit=None) -> list:
         """Deterministic, duplicate-free enumeration of terms up to ``depth``.
         A clone may use ``limit`` to cap its intermediate pools; callers cap
@@ -224,6 +234,11 @@ class VariableClone(Clone):
 
     def subst(self, t: int, sigma: Substitution):
         return sigma.component(t)
+
+    def check(self, ctx: Context, t) -> Sort:
+        if type(t) is not int or not 1 <= t <= len(ctx):
+            raise CloneError(f"position {t!r} out of range for {ctx}")
+        return ctx.sort_at(t)
 
     def enumerate_terms(self, ctx: Context, sort: Sort, depth: int, limit=None) -> list[int]:
         return [i for i in range(1, len(ctx) + 1) if ctx.sort_at(i) == sort]
@@ -472,7 +487,6 @@ class Budget:
     max_terms: int = 24
     max_tuples: int = 16
     max_context_triples: int = 200
-    search_nodes: int = 2000
     seed: int = 0
 
 
@@ -536,13 +550,10 @@ def _terms(clone: Clone, ctx: Context, sort: Sort, depth: int, cap: int, law: La
     return _capped(clone.enumerate_terms(ctx, sort, depth, limit=cap + 1), cap, law)
 
 
-def _subst_tuples(
-    clone: Clone, src: Context, tgt: Context, depth: int, budget: Budget, law: LawCheck
-) -> list[Substitution]:
-    pools = [
-        _terms(clone, src, tgt.sort_at(i), depth, budget.max_terms, law)
-        for i in range(1, len(tgt) + 1)
-    ]
+def _subst_tuples(terms, src: Context, tgt: Context, budget: Budget, law: LawCheck) -> list[Substitution]:
+    """Substitutions from ``src`` to ``tgt`` whose components come from the
+    pools ``terms(src, sort, law)``, at most ``budget.max_tuples`` of them."""
+    pools = [terms(src, tgt.sort_at(i), law) for i in range(1, len(tgt) + 1)]
     out = []
     for combo in itertools.product(*pools):
         out.append(Substitution(src, tgt, combo))
@@ -555,7 +566,6 @@ def _subst_tuples(
 def check_clone_laws(
     clone: Clone,
     budget: Budget = Budget(),
-    contexts: list[Context] | None = None,
     sorts: list[Sort] | None = None,
     subject: str = "clone",
 ) -> LawReport:
@@ -565,17 +575,19 @@ def check_clone_laws(
     """
     if sorts is None:
         sorts = clone.sort_set.sorts_up_to_height(budget.max_sort_height)
-    if contexts is None:
-        contexts = clone.sort_set.contexts_up_to(budget.max_context_len, sorts)
+    contexts = clone.sort_set.contexts_up_to(budget.max_context_len, sorts)
     report = LawReport(subject)
     depth = budget.max_depth
+
+    def terms(ctx, sort, law):
+        return _terms(clone, ctx, sort, depth, budget.max_terms, law)
 
     law1 = LawCheck("law 1: var_i[sigma] = sigma_i")
     for src in contexts:
         for tgt in contexts:
             if len(tgt) == 0:
                 continue
-            for sigma in _subst_tuples(clone, src, tgt, depth, budget, law1):
+            for sigma in _subst_tuples(terms, src, tgt, budget, law1):
                 for i in range(1, len(tgt) + 1):
                     lhs = clone.subst(clone.var(tgt, i), sigma)
                     law1.checked += 1
@@ -589,7 +601,7 @@ def check_clone_laws(
     law2 = LawCheck("law 2: t[var] = t")
     for ctx in contexts:
         for sort in sorts:
-            for t in _terms(clone, ctx, sort, depth, budget.max_terms, law2):
+            for t in terms(ctx, sort, law2):
                 law2.checked += 1
                 res = clone.subst(t, clone.identity(ctx))
                 if not clone.term_eq(ctx, sort, res, t):
@@ -604,11 +616,11 @@ def check_clone_laws(
         triples = triples[::stride][: budget.max_context_triples]
     for xi, delta, gamma in triples:
         for sort in sorts:
-            ts = _terms(clone, xi, sort, depth, budget.max_terms, law3)
+            ts = terms(xi, sort, law3)
             if not ts:
                 continue
-            outers = _subst_tuples(clone, delta, xi, depth, budget, law3)
-            inners = _subst_tuples(clone, gamma, delta, depth, budget, law3)
+            outers = _subst_tuples(terms, delta, xi, budget, law3)
+            inners = _subst_tuples(terms, gamma, delta, budget, law3)
             for t in ts:
                 for outer in outers:
                     for inner in inners:
@@ -624,21 +636,16 @@ def check_clone_laws(
     return report
 
 
-def check_clone_hom(
-    hom: CloneHom,
-    budget: Budget = Budget(),
-    contexts: list[Context] | None = None,
-    sorts: list[Sort] | None = None,
-    subject: str = "hom",
-) -> LawReport:
+def check_clone_hom(hom: CloneHom, budget: Budget = Budget(), subject: str = "hom") -> LawReport:
     """Check variable and substitution preservation on bounded enumerations."""
     src = hom.source
     tgt = hom.target
-    if sorts is None:
-        sorts = src.sort_set.sorts_up_to_height(budget.max_sort_height)
-    if contexts is None:
-        contexts = src.sort_set.contexts_up_to(budget.max_context_len, sorts)
+    sorts = src.sort_set.sorts_up_to_height(budget.max_sort_height)
+    contexts = src.sort_set.contexts_up_to(budget.max_context_len, sorts)
     report = LawReport(subject)
+
+    def terms(ctx, sort, law):
+        return _terms(src, ctx, sort, budget.max_depth, budget.max_terms, law)
 
     vars_law = LawCheck("hom preserves variables")
     for ctx in contexts:
@@ -654,10 +661,10 @@ def check_clone_hom(
     for tgt_ctx in contexts:
         for src_ctx in contexts:
             for sort in sorts:
-                ts = _terms(src, tgt_ctx, sort, budget.max_depth, budget.max_terms, subst_law)
+                ts = terms(tgt_ctx, sort, subst_law)
                 if not ts:
                     continue
-                sigmas = _subst_tuples(src, src_ctx, tgt_ctx, budget.max_depth, budget, subst_law)
+                sigmas = _subst_tuples(terms, src_ctx, tgt_ctx, budget, subst_law)
                 for t in ts:
                     for sigma in sigmas:
                         subst_law.checked += 1

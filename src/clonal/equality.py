@@ -59,11 +59,6 @@ class NormalizationError(CloneError):
     pass
 
 
-def base_canonical(base, actx: Context, asort: Sort, e):
-    fn = getattr(base, "canonical", None)
-    return fn(actx, asort, e) if fn is not None else e
-
-
 def base_completion_needed(free: FreeAlgebra, sort: Sort) -> bool:
     """True when the base canonicalizes a bare variable to something else
     (the state clone does); bare neutrals at that sort are then not normal
@@ -77,7 +72,7 @@ def base_completion_needed(free: FreeAlgebra, sort: Sort) -> bool:
     if sort not in cache:
         one = Context((sort,))
         x = free.base.var(one, 1)
-        cache[sort] = base_canonical(free.base, one, sort, x) != x
+        cache[sort] = free.base.canonical(one, sort, x) != x
     return cache[sort]
 
 
@@ -366,7 +361,7 @@ def complete_neutral_step(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTe
 
 
 def _canonical_element(free: FreeAlgebra, t: CloneApp) -> CloneApp:
-    e = base_canonical(free.base, t.arity_ctx, t.arity_sort, t.element)
+    e = free.base.canonical(t.arity_ctx, t.arity_sort, t.element)
     if e == t.element:
         return t
     return CloneApp(e, t.arity_ctx, t.arity_sort, t.args)

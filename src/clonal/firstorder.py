@@ -258,19 +258,16 @@ def enumerate_fo_terms(
     ctx: Context,
     sort: Sort,
     depth: int,
-    instance_sorts: list[Sort] | None = None,
     limit: int | None = None,
 ) -> list[FoTerm]:
     """All well-sorted terms of depth <= ``depth``, duplicate-free, in a
     deterministic order (variables first, then operator layers).
 
-    ``instance_sorts`` bounds the lazy instantiation of operator schemas;
-    ``limit`` caps every intermediate pool, keeping budgeted runs cheap.
+    Operator schemas are instantiated at the sorts of ``ctx``, ``sort`` and
+    the base sorts; ``limit`` caps every intermediate pool, keeping budgeted
+    runs cheap.
     """
-    if instance_sorts is None:
-        pool = list(dict.fromkeys(list(ctx) + [sort] + sig.sort_set.base_sorts()))
-    else:
-        pool = instance_sorts
+    pool = list(dict.fromkeys(list(ctx) + [sort] + sig.sort_set.base_sorts()))
     instances = [(n, sa, *sig.arity(n, sa)) for n, sa in sig.instances(pool)]
 
     return _fo_upto(sort, depth, ctx, instances, limit, {})
@@ -405,6 +402,10 @@ FoDerivation = FoRefl | FoSym | FoTrans | FoCong | FoAxiom
 
 @dataclass
 class Verdict:
+    """A kernel's answer: an accepted derivation's conclusion lhs ~ rhs at
+    ``sort``, or a rejection with its error and the derivation path.  Both
+    the first-order and the free-algebra kernels return it."""
+
     ok: bool
     lhs: FoTerm | None = None
     rhs: FoTerm | None = None
@@ -1126,10 +1127,11 @@ def _join_paths(t, u, meet, parents, decode):
 
 
 class EqStrategy:
-    """How a presented clone decides term equality."""
+    """How a presented clone decides term equality: by default, two terms
+    are equal when their ``canonical`` forms are."""
 
     def equal(self, clone: "TmClone", ctx: Context, sort: Sort, t: FoTerm, u: FoTerm) -> bool:
-        raise NotImplementedError
+        return self.canonical(clone, ctx, sort, t) == self.canonical(clone, ctx, sort, u)
 
     def canonical(self, clone: "TmClone", ctx: Context, sort: Sort, t: FoTerm) -> FoTerm:
         return t
@@ -1137,9 +1139,6 @@ class EqStrategy:
 
 class StructuralEq(EqStrategy):
     """Syntactic equality; only sound when the presentation has no equations."""
-
-    def equal(self, clone, ctx, sort, t, u):
-        return t == u
 
 
 class RewriteEq(EqStrategy):
@@ -1179,9 +1178,6 @@ class CanonicalEq(EqStrategy):
 
     def canonical(self, clone, ctx, sort, t):
         return self.fn(ctx, sort, t)
-
-    def equal(self, clone, ctx, sort, t, u):
-        return self.fn(ctx, sort, t) == self.fn(ctx, sort, u)
 
 
 class TmClone(Clone):

@@ -11,10 +11,11 @@ is represented by checkable proof trees whose rules are:
   * the substitution-collapse law
       <f>(<s_1>(ts), ..., <s_k>(ts)) ~ <f[s]>(ts);
 
-plus reflexivity, symmetry, and transitivity.  Base elements are stored as
-raw representatives; wherever the checker compares terms it uses the base
-clone's own equality, so a proof never depends on the representative chosen
-inside an element application.
+plus reflexivity, symmetry, and transitivity.  The checker checks every base
+element with the base clone's ``check`` at its declared arity.  Base
+elements are stored as raw representatives; wherever the checker compares
+terms it uses the base clone's own equality, so a proof never depends on the
+representative chosen inside an element application.
 """
 
 from __future__ import annotations
@@ -31,17 +32,16 @@ from .clones import (
     under_binders,
     weakening,
 )
-from .firstorder import FoOp, FoVar, _compositions, enumerate_fo_terms_by_size, fo_size
-from .secondorder import (
-    Algebra,
-    MetaApp,
-    MetaContext,
-    SoOp,
-    SoPresentation,
-    SoTerm,
-    SoVar,
-    interpret_term,
+from .firstorder import (
+    FoOp,
+    FoVar,
+    TmClone,
+    Verdict,
+    _compositions,
+    enumerate_fo_terms_by_size,
+    fo_size,
 )
+from .secondorder import Algebra, SoPresentation, interpret_term
 from .sorts import EMPTY, Context, Sort, stored_hash
 
 
@@ -107,8 +107,7 @@ def free_size(t: FreeTerm) -> int:
         case FreeVar():
             return 1
         case CloneApp(element=e, args=args):
-            base = e.size() if hasattr(e, "size") else _element_size(e)
-            return base + sum(free_size(a) for a in args)
+            return _element_size(e) + sum(free_size(a) for a in args)
         case FreeOp(args=args):
             return 1 + sum(free_size(b) for _, b in args)
     raise FreeSortError(f"not a free term: {t!r}")
@@ -123,13 +122,15 @@ def _element_size(e) -> int:
 def free_check_term(
     base: Clone, sig, ctx: Context, t: FreeTerm, path: tuple[int, ...] = ()
 ) -> Sort:
-    """Sort of a raw free term, or raise with the failing path."""
+    """Sort of a raw free term, or raise with the failing path.  Each base
+    element is checked at its declared arity."""
     match t:
         case FreeVar(index=i):
             if not 1 <= i <= len(ctx):
                 raise FreeSortError(f"variable x{i} out of range for {ctx}", path)
             return ctx.sort_at(i)
-        case CloneApp(element=_, arity_ctx=actx, arity_sort=asort, args=args):
+        case CloneApp(element=e, arity_ctx=actx, arity_sort=asort, args=args):
+            check_element(base, actx, asort, e, path)
             if len(args) != len(actx):
                 raise FreeSortError(
                     f"clone application expects {len(actx)} arguments, got {len(args)}", path
@@ -161,6 +162,16 @@ def free_check_term(
                     )
             return arity.result
     raise FreeSortError(f"not a free term: {t!r}", path)
+
+
+def check_element(base: Clone, actx: Context, asort: Sort, e, path: tuple[int, ...] = ()) -> None:
+    """Raise FreeSortError unless ``e`` is a term of ``base`` at (actx; asort)."""
+    try:
+        got = base.check(actx, e)
+    except CloneError as err:
+        raise FreeSortError(f"element {e} over {actx}: {err}", path) from None
+    if got != asort:
+        raise FreeSortError(f"element {e} has sort {got}, declared {asort}", path)
 
 
 def free_rename(t: FreeTerm, ren: Renaming) -> FreeTerm:
@@ -243,20 +254,19 @@ def _instantiate_last(t: FreeTerm, ctx: Context, arg: FreeTerm, extra: Context, 
 
 class FreeAlgebra(Algebra, Clone):
     """The free algebra of ``presentation`` on ``base``: simultaneously a
-    clone (raw free terms, equality decided by the registered strategy) and
-    an algebra (operators build syntax).
+    clone (raw free terms up to the presentation's equations) and an algebra
+    (operators build syntax).
 
-    The equality strategy is either a normalizer (a function term -> term
-    producing canonical forms) or bounded proof search; see free_equal.
+    ``term_eq`` compares normal forms by evaluation (``nbe.nbe_normalize``);
+    ``equality.free_equal`` decides equality with a witness.
     """
 
-    def __init__(self, presentation: SoPresentation, base: Clone, normalizer=None):
+    def __init__(self, presentation: SoPresentation, base: Clone):
         if presentation.signature.sort_set != base.sort_set:
             raise CloneError("presentation and base clone sort sets differ")
         self.presentation = presentation
         self.base = base
         self.sort_set = base.sort_set
-        self.normalizer = normalizer  # (free_algebra, ctx, sort, term) -> term
         self.nbe = None  # the NbE engine, built by nbe.nbe_for on first use
 
     @property
@@ -275,9 +285,11 @@ class FreeAlgebra(Algebra, Clone):
         return free_subst(t, sigma)
 
     def term_eq(self, ctx, sort, t, u) -> bool:
-        if self.normalizer is not None:
-            return self.normalizer(self, ctx, sort, t) == self.normalizer(self, ctx, sort, u)
-        return raw_eq(self.base, ctx, sort, t, u)
+        if t is u or t == u:  # equality is reflexive: no normalization needed
+            return True
+        from .nbe import nbe_normalize  # nbe imports this module
+
+        return nbe_normalize(self, ctx, sort, t) == nbe_normalize(self, ctx, sort, u)
 
     def enumerate_terms(self, ctx: Context, sort: Sort, depth: int, limit: int | None = None) -> list:
         return enumerate_free_terms(self, ctx, sort, max_depth=depth, limit=limit)
@@ -474,24 +486,20 @@ def enumerate_free_terms(
     sort: Sort,
     max_depth: int | None = None,
     max_size: int | None = None,
-    binder_sorts: list[Sort] | None = None,
-    element_ctx_len: int = 2,
     limit: int | None = None,
 ) -> list[FreeTerm]:
     """Deterministic, duplicate-free enumeration of well-sorted free terms.
 
     Exactly one of ``max_depth`` / ``max_size`` must be given.  Operator
-    schemas and binder sorts are instantiated from ``binder_sorts``
-    (default: sorts of height <= 1); base-clone elements range over
-    contexts of length <= ``element_ctx_len`` over the same sorts.
-    ``limit`` caps every intermediate pool.
+    schemas and binder sorts are instantiated at the sorts of height <= 1;
+    base-clone elements range over contexts of length <= 2 over the same
+    sorts.  ``limit`` caps every intermediate pool.
     """
     if (max_depth is None) == (max_size is None):
         raise CloneError("specify exactly one of max_depth / max_size")
-    if binder_sorts is None:
-        binder_sorts = free.sort_set.sorts_up_to_height(1)
+    binder_sorts = free.sort_set.sorts_up_to_height(1)
     sig = free.presentation.signature
-    element_contexts = free.sort_set.contexts_up_to(element_ctx_len, binder_sorts)
+    element_contexts = free.sort_set.contexts_up_to(2, binder_sorts)
     op_instances = [(n, sa, sig.arity(n, sa)) for n, sa in sig.instances(binder_sorts)]
 
     if max_depth is not None:
@@ -553,7 +561,7 @@ def enumerate_free_terms(
     exact: dict = {}
 
     def base_elements_of_size(actx: Context, s: Sort, n: int):
-        if isinstance(free.base, Clone) and hasattr(free.base, "presentation"):
+        if isinstance(free.base, TmClone):
             all_terms = enumerate_fo_terms_by_size(
                 free.base.presentation.signature, actx, s, n, binder_sorts
             )
@@ -616,26 +624,7 @@ def enumerate_free_terms(
     return list(dict.fromkeys(result))
 
 
-@dataclass
-class FreeVerdict:
-    ok: bool
-    lhs: FreeTerm | None = None
-    rhs: FreeTerm | None = None
-    sort: Sort | None = None
-    error: str | None = None
-    path: tuple[int, ...] = ()
-
-    def __bool__(self):
-        return self.ok
-
-
-def so_to_free(free: FreeAlgebra, t: SoTerm, metactx: MetaContext, gamma: Context, inst):
-    """Interpret an equation side in the free algebra: the metasubstitution
-    of free terms for metavariables, following the interpretation clauses."""
-    return interpret_term(free, t, metactx, Context(()), gamma, inst)
-
-
-def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) -> FreeVerdict:
+def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) -> Verdict:
     """Accept iff every node instantiates one of the construction's rules.
 
     Where two terms must coincide (transitivity middles, conclusions) they
@@ -661,19 +650,19 @@ class _FreeChecker:
             s = self.sorts[t, c] = free_check_term(self.base, self.sig, c, t)
         return s
 
-    def go(self, node, c: Context, path) -> FreeVerdict:
+    def go(self, node, c: Context, path) -> Verdict:
         match node:
             case FRefl(term=t):
                 try:
                     s = self.sort_of(t, c)
                 except FreeSortError as e:
-                    return FreeVerdict(False, error=str(e), path=path)
-                return FreeVerdict(True, t, t, s)
+                    return Verdict(False, error=str(e), path=path)
+                return Verdict(True, t, t, s)
             case FSym(child=ch):
                 sub = self.go(ch, c, path + (1,))
                 if not sub:
                     return sub
-                return FreeVerdict(True, sub.rhs, sub.lhs, sub.sort)
+                return Verdict(True, sub.rhs, sub.lhs, sub.sort)
             case FTrans(left=l, right=r):
                 lv = self.go(l, c, path + (1,))
                 if not lv:
@@ -682,28 +671,32 @@ class _FreeChecker:
                 if not rv:
                     return rv
                 if not raw_eq(self.base, c, lv.sort, lv.rhs, rv.lhs):
-                    return FreeVerdict(
+                    return Verdict(
                         False,
                         error=f"transitivity middles disagree: {lv.rhs} vs {rv.lhs}",
                         path=path,
                     )
-                return FreeVerdict(True, lv.lhs, rv.rhs, lv.sort)
+                return Verdict(True, lv.lhs, rv.rhs, lv.sort)
             case FCongClone(element=e, arity_ctx=actx, arity_sort=asort, children=children):
                 if len(children) != len(actx):
-                    return FreeVerdict(False, error="clone congruence arity mismatch", path=path)
+                    return Verdict(False, error="clone congruence arity mismatch", path=path)
+                try:
+                    check_element(self.base, actx, asort, e)
+                except FreeSortError as err:
+                    return Verdict(False, error=str(err), path=path)
                 ls, rs = [], []
                 for i, (ch, want) in enumerate(zip(children, actx), start=1):
                     sub = self.go(ch, c, path + (i,))
                     if not sub:
                         return sub
                     if sub.sort != want:
-                        return FreeVerdict(
+                        return Verdict(
                             False, error=f"clone congruence child {i} sort mismatch",
                             path=path + (i,),
                         )
                     ls.append(sub.lhs)
                     rs.append(sub.rhs)
-                return FreeVerdict(
+                return Verdict(
                     True,
                     CloneApp(e, actx, asort, tuple(ls)),
                     CloneApp(e, actx, asort, tuple(rs)),
@@ -713,9 +706,9 @@ class _FreeChecker:
                 try:
                     arity = self.sig.arity(name, sort_args)
                 except CloneError as e:
-                    return FreeVerdict(False, error=str(e), path=path)
+                    return Verdict(False, error=str(e), path=path)
                 if len(children) != len(arity.binders):
-                    return FreeVerdict(False, error="operator congruence arity mismatch", path=path)
+                    return Verdict(False, error="operator congruence arity mismatch", path=path)
                 largs, rargs = [], []
                 for i, (ch, (binder, want)) in enumerate(
                     zip(children, arity.binders), start=1
@@ -724,13 +717,13 @@ class _FreeChecker:
                     if not sub:
                         return sub
                     if sub.sort != want:
-                        return FreeVerdict(
+                        return Verdict(
                             False, error=f"operator congruence child {i} sort mismatch",
                             path=path + (i,),
                         )
                     largs.append((binder, sub.lhs))
                     rargs.append((binder, sub.rhs))
-                return FreeVerdict(
+                return Verdict(
                     True,
                     FreeOp(name, sort_args, tuple(largs)),
                     FreeOp(name, sort_args, tuple(rargs)),
@@ -741,9 +734,9 @@ class _FreeChecker:
                     schema = self.free.presentation.equation(eq_name)
                     metactx, eq_sort, lhs, rhs = schema.instantiate(sort_args)
                 except CloneError as e:
-                    return FreeVerdict(False, error=str(e), path=path)
+                    return Verdict(False, error=str(e), path=path)
                 if len(children) != len(metactx):
-                    return FreeVerdict(
+                    return Verdict(
                         False, error=f"axiom {eq_name} needs {len(metactx)} premises", path=path
                     )
                 linst, rinst = [], []
@@ -752,31 +745,31 @@ class _FreeChecker:
                     if not sub:
                         return sub
                     if sub.sort != decl.sort:
-                        return FreeVerdict(
+                        return Verdict(
                             False, error=f"axiom premise {i} sort mismatch", path=path + (i,)
                         )
                     linst.append(sub.lhs)
                     rinst.append(sub.rhs)
-                return FreeVerdict(
+                return Verdict(
                     True,
-                    so_to_free(self.free, lhs, metactx, c, tuple(linst)),
-                    so_to_free(self.free, rhs, metactx, c, tuple(rinst)),
+                    interpret_term(self.free, lhs, metactx, EMPTY, c, tuple(linst)),
+                    interpret_term(self.free, rhs, metactx, EMPTY, c, tuple(rinst)),
                     eq_sort,
                 )
             case FVarLaw(index=i, arg_ctx=actx, args=args):
                 if len(args) != len(actx) or not 1 <= i <= len(actx):
-                    return FreeVerdict(False, error="variable-collapse arity mismatch", path=path)
+                    return Verdict(False, error="variable-collapse arity mismatch", path=path)
                 for j, (a, want) in enumerate(zip(args, actx), start=1):
                     try:
                         got = self.sort_of(a, c)
                     except FreeSortError as e:
-                        return FreeVerdict(False, error=str(e), path=path + (j,))
+                        return Verdict(False, error=str(e), path=path + (j,))
                     if got != want:
-                        return FreeVerdict(
+                        return Verdict(
                             False, error=f"collapse argument {j} sort mismatch", path=path + (j,)
                         )
                 element = self.base.var(actx, i)
-                return FreeVerdict(
+                return Verdict(
                     True,
                     CloneApp(element, actx, actx.sort_at(i), args),
                     args[i - 1],
@@ -791,14 +784,20 @@ class _FreeChecker:
                 args=args,
             ):
                 if len(comps) != len(ectx) or len(args) != len(actx):
-                    return FreeVerdict(False, error="substitution-collapse arity mismatch", path=path)
+                    return Verdict(False, error="substitution-collapse arity mismatch", path=path)
+                try:
+                    check_element(self.base, ectx, esort, f)
+                    for j, s in enumerate(comps, start=1):
+                        check_element(self.base, actx, ectx.sort_at(j), s)
+                except FreeSortError as err:
+                    return Verdict(False, error=str(err), path=path)
                 for j, (a, want) in enumerate(zip(args, actx), start=1):
                     try:
                         got = self.sort_of(a, c)
                     except FreeSortError as e:
-                        return FreeVerdict(False, error=str(e), path=path + (j,))
+                        return Verdict(False, error=str(e), path=path + (j,))
                     if got != want:
-                        return FreeVerdict(
+                        return Verdict(
                             False, error=f"collapse argument {j} sort mismatch", path=path + (j,)
                         )
                 inner = tuple(
@@ -808,5 +807,5 @@ class _FreeChecker:
                 lhs = CloneApp(f, ectx, esort, inner)
                 composed = self.base.subst(f, Substitution(actx, ectx, comps))
                 rhs = CloneApp(composed, actx, esort, args)
-                return FreeVerdict(True, lhs, rhs, esort)
-        return FreeVerdict(False, error=f"unknown node {node!r}", path=path)
+                return Verdict(True, lhs, rhs, esort)
+        return Verdict(False, error=f"unknown node {node!r}", path=path)

@@ -70,32 +70,12 @@ def lift_closed_family(
     closed_pool,  # (sort) -> list of closed terms
     cap: int | None = None,
 ) -> ClonePredicate:
-    """The substitution-closed predicate induced by a closed-term family."""
-    approx = [False]
-    memo: dict = {}
-
-    def members_at(sort: Sort) -> list:
-        if sort not in memo:
-            pool = _pool(closed_pool(sort), cap)
-            approx[0] = approx[0] or pool.capped
-            memo[sort] = [u for u in pool.items if family(sort, u)]
-        return memo[sort]
-
-    pred = ClonePredicate(clone, None)
-
-    def member(ctx: Context, sort: Sort, t) -> bool:
-        pools = [members_at(s) for s in ctx]
-        ok = True
-        for combo in itertools.product(*pools):
-            sigma = Substitution(EMPTY, ctx, combo)
-            if not family(sort, clone.subst(t, sigma)):
-                ok = False
-                break
-        pred.approximate = pred.approximate or approx[0]
-        return ok
-
-    pred.member = member
-    return pred
+    """The substitution-closed predicate induced by a closed-term family:
+    ``lift_open_family`` at the one context ``[]``."""
+    return lift_open_family(
+        clone, lambda ctx, sort, t: family(sort, t), [EMPTY],
+        lambda ctx, sort: closed_pool(sort), cap,
+    )
 
 
 def lift_open_family(

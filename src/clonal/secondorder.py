@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .clones import Budget, Clone, CloneError, LawCheck, LawReport, ProductClone, Substitution
-from .clones import TerminalClone, _capped, under_binders
+from .clones import TerminalClone, _capped, _subst_tuples, under_binders
 from .sorts import (
     Context,
     Sort,
@@ -503,34 +503,24 @@ def interpret_term(
 # --------------------------------------------------------------------------
 
 
-def check_algebra(
-    alg: Algebra,
-    budget: Budget = Budget(),
-    contexts: list[Context] | None = None,
-    sorts: list[Sort] | None = None,
-    sampler=None,
-    subject: str = "algebra",
-):
+def check_algebra(alg: Algebra, budget: Budget = Budget(), subject: str = "algebra"):
     """Verify substitution-commutation and the presentation's equations on
     bounded enumerations.  Failures are reported with witnesses.
 
-    ``sampler(ctx, sort, count)`` supplies terms when exhaustive enumeration
-    at a site is too large (the clone's enumerate_terms is used otherwise).
+    Each site's terms come from the clone's enumerate_terms; where that
+    raises CloneError (the site is too large), from the clone's
+    ``sample_term``, seeded by ``budget.seed``, if it has one.
     """
     pres = alg.presentation
     sig = pres.signature
     clone = alg.clone
-    if sorts is None:
-        sorts = sig.sort_set.sorts_up_to_height(budget.max_sort_height)
-    if contexts is None:
-        contexts = sig.sort_set.contexts_up_to(budget.max_context_len, sorts)
+    sorts = sig.sort_set.sorts_up_to_height(budget.max_sort_height)
+    contexts = sig.sort_set.contexts_up_to(budget.max_context_len, sorts)
     report = LawReport(subject)
     rng = random.Random(budget.seed)
     enumerated: dict = {}  # (ctx, sort) -> the clone's enumeration, this call only
 
     def site_terms(ctx, sort, law):
-        if sampler is not None:
-            return sampler(ctx, sort, budget.max_terms)
         try:
             items = enumerated.get((ctx, sort))
             if items is None:
@@ -565,7 +555,7 @@ def check_algebra(
             # caps, every pair that needs the result, as if raised there.
             interpreted: dict = {}  # tuple index -> its interpretation at gamma
             for xi in contexts:
-                sigmas = _subst_tuples_for(clone, xi, gamma, site_terms, comm, budget)
+                sigmas = _subst_tuples(site_terms, xi, gamma, budget, comm)
                 lifts = [
                     _attempt(lambda: tuple(clone.lift(sub, b) for b, _ in arity.binders))
                     for sub in sigmas
@@ -632,13 +622,3 @@ def _attempt(compute):
     except CloneError:
         return _FAILED
 
-
-def _subst_tuples_for(clone, src, tgt, site_terms, law, budget):
-    pools = [site_terms(src, tgt.sort_at(i), law) for i in range(1, len(tgt) + 1)]
-    out = []
-    for combo in itertools.product(*pools):
-        out.append(Substitution(src, tgt, combo))
-        if len(out) >= budget.max_tuples:
-            law.capped = True
-            break
-    return out

@@ -69,9 +69,9 @@ def false_term() -> FreeTerm:
     return CloneApp(FoOp("false", (), ()), EMPTY, BASE, ())
 
 
-def enumerate_closed_terms(free: FreeAlgebra, sort: Sort, size: int, **kw) -> list[FreeTerm]:
+def enumerate_closed_terms(free: FreeAlgebra, sort: Sort, size: int) -> list[FreeTerm]:
     """Closed free terms with at most ``size`` nodes."""
-    return enumerate_free_terms(free, EMPTY, sort, max_size=size, **kw)
+    return enumerate_free_terms(free, EMPTY, sort, max_size=size)
 
 
 # --------------------------------------------------------------------------

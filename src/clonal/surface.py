@@ -633,7 +633,12 @@ def _render(term, env: list[str]) -> str:
         case FreeVar(index=i):
             return env[i - 1]
         case FreeOp(name="app", args=((_, f), (_, a))):
-            return f"{_head(_render(f, env))} {_atom(_render(a, env))}"
+            # application chains stay left-grouped; any other head with
+            # arguments (an abstraction, an operator or element) is bracketed
+            head = _render(f, env)
+            if not (isinstance(f, FreeVar) or isinstance(f, FreeOp) and f.name == "app"):
+                head = _atom(head)
+            return f"{head} {_atom(_render(a, env))}"
         case FreeOp(name="abs", sort_args=(A, _), args=((_, body),)):
             x = _fresh(env)
             return f"abs {x} : {A}. {_render(body, env + [x])}"
@@ -654,11 +659,6 @@ def _fresh(used: list[str]) -> str:
 
 def _atom(s: str) -> str:
     return f"({s})" if " " in s else s
-
-
-def _head(s: str) -> str:
-    # keep application chains left-grouped and unambiguous
-    return f"({s})" if s.startswith("abs ") else s
 
 
 def render_element(e, pieces: list[str]) -> str:

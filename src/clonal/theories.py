@@ -21,7 +21,7 @@ from .firstorder import TY, CanonicalEq, FoPresentation, RewriteEq, RewriteSyste
 from .firstorder import bool_presentation, global_state_presentation, gs_canonical_form
 from .firstorder import gs_rewrite_system
 from .freealgebra import FreeAlgebra
-from .nbe import BoolDomain, GsDomain, VariableDomain, nbe_normalize
+from .nbe import BoolDomain, GsDomain, VariableDomain
 from .secondorder import SoPresentation, stlc_presentation
 from .sorts import SortSet
 
@@ -55,7 +55,7 @@ def _attach(theory: BaseTheory) -> BaseTheory:
 def free_algebra(theory: BaseTheory, surface: SoPresentation | None = None) -> FreeAlgebra:
     """The free algebra of ``surface`` (default: the lambda calculus) on the
     theory's base clone, with equality decided by normalization."""
-    return FreeAlgebra(surface or stlc_presentation(), theory.clone, nbe_normalize)
+    return FreeAlgebra(surface or stlc_presentation(), theory.clone)
 
 
 @functools.cache
@@ -132,20 +132,22 @@ def _stock_state(presentation: FoPresentation) -> BaseTheory:
 
 
 def _generic(tier: str, strategy: Callable) -> Callable[[FoPresentation], BaseTheory]:
+    """A builder whose clone decides equality by ``strategy(system)``,
+    ``system`` giving the presentation's one rewrite system, built on first use."""
+
     def build(presentation: FoPresentation) -> BaseTheory:
-        clone = TmClone(presentation, strategy(presentation))
-        return _attach(
-            BaseTheory(tier, presentation, clone, build_system=lambda: RewriteSystem(presentation))
-        )
+        system = functools.cache(functools.partial(RewriteSystem, presentation))
+        clone = TmClone(presentation, strategy(system))
+        return _attach(BaseTheory(tier, presentation, clone, build_system=system))
 
     return build
 
 
 # tier -> builder of the descriptor for a parsed base presentation
 TIERS: dict[str, Callable[[FoPresentation], BaseTheory]] = {
-    "structural": _generic("structural", lambda p: None),
-    "rewrite": _generic("rewrite", lambda p: RewriteEq(RewriteSystem(p))),
-    "search": _generic("search", lambda p: SearchEq()),
+    "structural": _generic("structural", lambda system: None),
+    "rewrite": _generic("rewrite", lambda system: RewriteEq(system())),
+    "search": _generic("search", lambda system: SearchEq()),
     "boolean": _stock_boolean,
     "state_table": _stock_state,
 }

@@ -397,7 +397,7 @@ def test_criterion_4_set_model_algebra():
 def test_criterion_5_universal_property():
     started = time.time()
     pres = stlc_presentation()
-    free = FreeAlgebra(pres, bool_clone(), lambda f, c, s, t: nbe_normalize(f, c, s, t))
+    free = FreeAlgebra(pres, bool_clone())
     model = set_model(presentation=pres)
     g = bool_model_hom(free, model)
     fold = fold_hom(free, model, g)
@@ -631,7 +631,7 @@ def test_criterion_9_induction_coherence():
 
     # the adequacy logical relation over the product with the set model
     pres = stlc_presentation()
-    free2 = FreeAlgebra(pres, bool_clone(), lambda f, c, s, t: nbe_normalize(f, c, s, t))
+    free2 = FreeAlgebra(pres, bool_clone())
     model = set_model(presentation=pres)
     product = algebra_product(free2, model)
     g = bool_model_hom(free2, model)

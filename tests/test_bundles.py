@@ -118,3 +118,11 @@ def test_generic_tier_gives_equality_only(capsys, tmp_path):
     assert (code, out) == (3, "unknown")
     code, _, _ = run(capsys, "eval", "--bundle", str(path), "true")
     assert code == 2
+
+
+def test_rewrite_tier_builds_one_system():
+    # the certified normal form and the clone's equality share one system
+    theory = parse_bundle(
+        source("stlc_bool").replace("strategy base boolean", "strategy base rewrite")
+    ).theory
+    assert theory.rewrite_system is theory.clone.strategy.system

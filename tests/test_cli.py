@@ -235,6 +235,22 @@ class TestProvecheck:
         assert code == 1
         assert "rejected" in out
 
+    def test_rejects_out_of_range_element(self, capsys, tmp_path):
+        # the element x5 of the clone of variables at arity [b] |- b
+        from clonal.freealgebra import CloneApp, FRefl, FreeVar
+
+        d = FRefl(CloneApp(5, Context((B,)), B, (FreeVar(1),)))
+        doc = document("free-derivation", {
+            "context": context_to_json(Context((B,))),
+            "derivation": free_derivation_to_json(d),
+        })
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps(doc))
+        assert '{"kind": "index", "value": 5}' in path.read_text()
+        code, out, _ = run(capsys, "provecheck", "--variant", "stlc", str(path))
+        assert code == 1
+        assert out.startswith("rejected at []") and "out of range" in out
+
     def test_missing_file_is_usage(self, capsys):
         code, _, _ = run(capsys, "provecheck", "/nonexistent/file.json")
         assert code == 2

@@ -12,6 +12,7 @@ from clonal.firstorder import FoOp, FoVar
 from clonal.freealgebra import (
     CloneApp,
     FAxiom,
+    FCongClone,
     FCongOp,
     FRefl,
     FreeAlgebra,
@@ -217,6 +218,19 @@ class TestDerivationChecker:
         d = FAxiom("zeta", (B, B), ())
         assert not check_free_derivation(free, E, d).ok
 
+    @pytest.mark.parametrize("d", [
+        FRefl(CloneApp(FoOp("nosuchop", (), ()), E, B, ())),
+        FCongClone(FoOp("nosuchop", (), ()), E, B, ()),
+        FRefl(CloneApp(FoOp("true", (), (FoVar(7),)), ctx(B), B, (FreeVar(1),))),
+        # would conclude <x1>(<x9>(x1)) ~ <x9>(x1)
+        FSubstLaw(FoVar(1), ctx(B), B, (FoVar(9),), ctx(B), (FreeVar(1),)),
+    ], ids=["unknown-operator", "congruence-unknown-operator", "ill-formed-element",
+            "subst-component-out-of-range"])
+    def test_ill_formed_element_rejected(self, d):
+        v = check_free_derivation(stlc_bool(), ctx(B), d)
+        assert not v.ok and v.path == ()
+        assert "element" in v.error
+
 
 class TestFold:
     def test_fold_along_unit_is_identity_up_to_eq(self):
@@ -283,6 +297,14 @@ class TestEnumeration:
         free = stlc_bool()
         got = enumerate_free_terms(free, ctx(B), B, max_size=4)
         assert len(got) == len(set(got))
+
+
+class TestTermEq:
+    def test_free_algebra_on_the_boolean_clone_decides_beta(self):
+        from clonal.firstorder import bool_clone
+
+        free = FreeAlgebra(STLC, bool_clone())
+        assert free.term_eq(ctx(B), B, app(abs_(FreeVar(2)), FreeVar(1)), FreeVar(1))
 
 
 class TestFreeEqual:
@@ -475,6 +497,39 @@ class TestWitnessedNormalizer:
         assert raw_eq(free.base, c, s, replay.lhs, t)
         assert raw_eq(free.base, c, s, replay.rhs, nf)
         assert free_equal(free, c, s, t, nf).status == "equal"
+
+
+@st.composite
+def equality_cases(draw):
+    c, s, t = draw(normalization_cases())
+    return c, s, t, _lambda_term(draw, c, s, draw(st.integers(3, 18)))
+
+
+class TestNormalFormProperties:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(equality_cases())
+    def test_normalize_mode_is_equal_exactly_on_equal_forms(self, case):
+        c, s, t, u = case
+        free = stlc_bool()
+        same = raw_eq(
+            free.base, c, s, normalize_with_trace(free, c, s, t)[0],
+            normalize_with_trace(free, c, s, u)[0],
+        )
+        verdict = free_equal(free, c, s, t, u)
+        assert verdict.status == ("equal" if same else "not_equal")
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(normalization_cases())
+    def test_rendered_normal_form_parses_back_to_itself(self, case):
+        from clonal.nbe import nbe_normalize
+        from clonal.surface import parse_term, render_free, stock_bundle
+
+        c, s, t = case
+        bundle = stock_bundle("bool")
+        names = [f"x{i}" for i in range(1, len(c) + 1)]
+        nf = nbe_normalize(bundle.free, c, s, t)
+        again = parse_term(bundle, render_free(nf, names), s, c, names)
+        assert nbe_normalize(bundle.free, c, s, again) == nf
 
 
 class TestUniversalProperty:

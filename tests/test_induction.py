@@ -223,11 +223,10 @@ class TestAdequacyViaInduction:
     def setup_method(self):
         from clonal.firstorder import bool_clone
         from clonal.freealgebra import FreeAlgebra
-        from clonal.nbe import nbe_normalize as nbe
         from clonal.secondorder import stlc_presentation
 
         pres = stlc_presentation()
-        self.free = FreeAlgebra(pres, bool_clone(), lambda f, c, s, t: nbe(f, c, s, t))
+        self.free = FreeAlgebra(pres, bool_clone())
         self.model = set_model(presentation=pres)
         self.product = algebra_product(self.free, self.model)
         self.g = bool_model_hom(self.free, self.model)
