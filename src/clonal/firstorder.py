@@ -184,16 +184,31 @@ def _subst_sorts(t: FoTerm, binding: dict[str, Sort]) -> FoTerm:
 
 @dataclass(frozen=True)
 class FoPresentation:
+    """A signature with named equations.  ``_lemmas`` holds the conclusion
+    of each lemma the kernel has accepted against this presentation, keyed
+    by the value (context, proof); like a stored hash, it is not a field
+    for ``==``, ``hash``, ``repr`` or pickles."""
+
     name: str
     signature: FoSignature
     equations: tuple[FoEquationSchema, ...]
     _by_name: dict = field(init=False, repr=False, compare=False)
+    _lemmas: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_name: dict = {}
         for e in self.equations:
             by_name.setdefault(e.name, e)
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_lemmas", {})
+
+    def __getstate__(self):
+        return {"name": self.name, "signature": self.signature, "equations": self.equations}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def equation(self, name: str) -> FoEquationSchema:
         try:
@@ -360,23 +375,31 @@ def _compositions(total: int, parts: int):
 # Equational-logic derivations
 # --------------------------------------------------------------------------
 
+# Derivation nodes store their hash (``stored_hash``): a lemma's proof keys
+# the presentation's table of accepted lemmas, and is looked up there at
+# every firing.
 
+
+@stored_hash
 @dataclass(frozen=True)
 class FoRefl:
     term: FoTerm
 
 
+@stored_hash
 @dataclass(frozen=True)
 class FoSym:
     child: "FoDerivation"
 
 
+@stored_hash
 @dataclass(frozen=True)
 class FoTrans:
     left: "FoDerivation"
     right: "FoDerivation"
 
 
+@stored_hash
 @dataclass(frozen=True)
 class FoCong:
     op: str
@@ -384,6 +407,7 @@ class FoCong:
     children: tuple["FoDerivation", ...]
 
 
+@stored_hash
 @dataclass(frozen=True)
 class FoAxiom:
     """An equation instance: children derive the substituted terms pairwise.
@@ -397,7 +421,21 @@ class FoAxiom:
     children: tuple["FoDerivation", ...]
 
 
-FoDerivation = FoRefl | FoSym | FoTrans | FoCong | FoAxiom
+@stored_hash
+@dataclass(frozen=True)
+class FoLemma:
+    """Birkhoff's substitution rule on a proved equation: ``proof`` derives
+    l ~ r : s in ``ctx``, child i proves u_i ~ v_i at sort ctx_i, and the
+    node concludes l[u] ~ r[v] : s.  The kernel checks ``proof`` once per
+    presentation; a rejection inside it is reported under position 0, and
+    the children keep positions 1..n, as an axiom's do."""
+
+    ctx: Context
+    proof: "FoDerivation"
+    children: tuple["FoDerivation", ...]
+
+
+FoDerivation = FoRefl | FoSym | FoTrans | FoCong | FoAxiom | FoLemma
 
 
 @dataclass
@@ -425,6 +463,21 @@ def check_fo_derivation(pres: FoPresentation, ctx: Context, d: FoDerivation) -> 
     return _FoChecker(pres, ctx).go(d, ())
 
 
+def _proved(pres: FoPresentation, ctx: Context, proof: FoDerivation, path) -> Verdict:
+    """The conclusion of ``proof`` in ``ctx``, checked once per presentation:
+    an accepted conclusion is kept in ``pres._lemmas`` under the value
+    (ctx, proof), which is sound because both are frozen.  A rejection is
+    never kept, so it is found again, at ``path``, on every call."""
+    key = (ctx, proof)
+    found = pres._lemmas.get(key)
+    if found is None:
+        v = _FoChecker(pres, ctx).go(proof, path)
+        if not v:
+            return v
+        found = pres._lemmas[key] = (v.lhs, v.rhs, v.sort)
+    return Verdict(True, *found)
+
+
 class _FoChecker:
     """One check_fo_derivation call: the presentation, the context, and the
     sort of each well-sorted reflexivity term met."""
@@ -450,20 +503,8 @@ class _FoChecker:
                 if not sub:
                     return sub
                 return Verdict(True, sub.rhs, sub.lhs, sub.sort)
-            case FoTrans(left=l, right=r):
-                lv = self.go(l, path + (1,))
-                if not lv:
-                    return lv
-                rv = self.go(r, path + (2,))
-                if not rv:
-                    return rv
-                if lv.rhs != rv.lhs:
-                    return Verdict(
-                        False,
-                        error=f"transitivity middle terms disagree: {lv.rhs} vs {rv.lhs}",
-                        path=path,
-                    )
-                return Verdict(True, lv.lhs, rv.rhs, lv.sort)
+            case FoTrans():
+                return self.spine(node, path)
             case FoCong(op=name, sort_args=sort_args, children=children):
                 try:
                     arg_ctx, result = self.sig.arity(name, sort_args)
@@ -502,23 +543,68 @@ class _FoChecker:
                         error=f"axiom {eq_name} needs {len(eq_ctx)} substituted positions",
                         path=path,
                     )
-                lefts, rights = [], []
-                for i, (c, want) in enumerate(zip(children, eq_ctx), start=1):
-                    sub = self.go(c, path + (i,))
-                    if not sub:
-                        return sub
-                    if sub.sort != want:
-                        return Verdict(
-                            False,
-                            error=f"axiom child {i} has sort {sub.sort}, expected {want}",
-                            path=path + (i,),
-                        )
-                    lefts.append(sub.lhs)
-                    rights.append(sub.rhs)
-                lsub = Substitution(self.ctx, eq_ctx, tuple(lefts))
-                rsub = Substitution(self.ctx, eq_ctx, tuple(rights))
-                return Verdict(True, fo_subst(lhs, lsub), fo_subst(rhs, rsub), eq_sort)
+                return self.instance("axiom", children, eq_ctx, lhs, rhs, eq_sort, path)
+            case FoLemma(ctx=lemma_ctx, proof=proof, children=children):
+                if len(children) != len(lemma_ctx):
+                    return Verdict(
+                        False,
+                        error=f"lemma needs {len(lemma_ctx)} substituted positions",
+                        path=path,
+                    )
+                v = _proved(self.pres, lemma_ctx, proof, path + (0,))
+                if not v:
+                    return v
+                return self.instance("lemma", children, lemma_ctx, v.lhs, v.rhs, v.sort, path)
         return Verdict(False, error=f"unknown node {node!r}", path=path)
+
+    def spine(self, node: FoTrans, path) -> Verdict:
+        """A chain of transitivity nodes nested to the left, as
+        steps_to_derivation builds it, walked with a loop rather than one
+        recursive call per link; the paths and the order of checks are the
+        recursive walk's, so a rejection is the same."""
+        links = []
+        while type(node) is FoTrans:
+            links.append(node)
+            node = node.left
+        acc = self.go(node, path + (1,) * len(links))
+        for depth in range(len(links) - 1, -1, -1):
+            if not acc:
+                return acc
+            here = path + (1,) * depth
+            rv = self.go(links[depth].right, here + (2,))
+            if not rv:
+                return rv
+            if acc.rhs != rv.lhs:
+                return Verdict(
+                    False,
+                    error=f"transitivity middle terms disagree: {acc.rhs} vs {rv.lhs}",
+                    path=here,
+                )
+            acc = Verdict(True, acc.lhs, rv.rhs, acc.sort)
+        return acc
+
+    def instance(self, what, children, inst_ctx, lhs, rhs, sort, path) -> Verdict:
+        """lhs[u] ~ rhs[v] : sort, where child i proves u_i ~ v_i at sort
+        inst_ctx_i; both sides are instantiated through _instance_term
+        tables, one shared by the two sides when every u_i is v_i."""
+        lefts, rights = [], []
+        for i, (c, want) in enumerate(zip(children, inst_ctx), start=1):
+            sub = self.go(c, path + (i,))
+            if not sub:
+                return sub
+            if sub.sort != want:
+                return Verdict(
+                    False,
+                    error=f"{what} child {i} has sort {sub.sort}, expected {want}",
+                    path=path + (i,),
+                )
+            lefts.append(sub.lhs)
+            rights.append(sub.rhs)
+        ltable = {FoVar(i): u for i, u in enumerate(lefts, start=1)}
+        rtable = ltable if lefts == rights else {
+            FoVar(i): v for i, v in enumerate(rights, start=1)
+        }
+        return Verdict(True, _instance_term(lhs, ltable), _instance_term(rhs, rtable), sort)
 
 
 # --------------------------------------------------------------------------
@@ -561,12 +647,14 @@ class RewriteSystem:
     The rules are the presentation's equations read left to right, followed
     by the ``derived`` rules: each is an equation schema paired with a
     derivation of ``lhs ~ rhs`` from the presentation's axioms, replayed by
-    the kernel at construction.  A derived-rule step therefore converts to
-    that proof instantiated at the step, so every trace replays against the
-    presentation alone.  Derived rules are sort-monomorphic and carry names
-    distinct from the axioms; a rule whose left side is a bare variable is
-    rejected, so every rule is filed under the head symbol of its left side,
-    in firing order; a subterm is tried only against the rules of its head.
+    the kernel at construction, which keeps its conclusion on the
+    presentation.  A derived-rule step therefore converts to a lemma node
+    citing that proof, so every trace replays against the presentation
+    alone without checking the proof again.  Derived rules are
+    sort-monomorphic and carry names distinct from the axioms; a rule whose
+    left side is a bare variable is rejected, so every rule is filed under
+    the head symbol of its left side, in firing order; a subterm is tried
+    only against the rules of its head.
     """
 
     presentation: FoPresentation
@@ -594,7 +682,7 @@ class RewriteSystem:
                 raise CloneError(f"derived rule {schema.name} has sort parameters")
             if schema.name in axioms:
                 raise CloneError(f"derived rule {schema.name} reuses an axiom's name")
-            v = check_fo_derivation(self.presentation, Context(schema.ctx), proof)
+            v = _proved(self.presentation, Context(schema.ctx), proof, ())
             if not v.ok:
                 raise CloneError(f"derived rule {schema.name}: proof rejected: {v.error}")
             if (v.lhs, v.rhs, v.sort) != (schema.lhs, schema.rhs, schema.sort):
@@ -809,46 +897,21 @@ def _instance_term(t: FoTerm, table: dict) -> FoTerm:
     return got
 
 
-def _instance_derivation(d: FoDerivation, table: dict) -> FoDerivation:
-    """The derivation of lhs[sigma] ~ rhs[sigma] from one of lhs ~ rhs:
-    instantiate every reflexivity leaf through ``table`` (see _instance_term).
-    Leaves, the most frequent nodes, are filed there too, so equal leaves
-    share one instance; nodes are told apart by type, which is cheaper here
-    than class patterns."""
-    kind = type(d)
-    if kind is FoRefl:
-        got = table.get(d)
-        if got is None:
-            got = table[d] = FoRefl(_instance_term(d.term, table))
-        return got
-    if kind is FoTrans:
-        return FoTrans(_instance_derivation(d.left, table), _instance_derivation(d.right, table))
-    if kind is FoSym:
-        return FoSym(_instance_derivation(d.child, table))
-    if kind is FoCong or kind is FoAxiom:
-        children = tuple([_instance_derivation(c, table) for c in d.children])
-        if kind is FoCong:
-            return FoCong(d.op, d.sort_args, children)
-        return FoAxiom(d.equation, d.sort_args, children)
-    raise FoSortError(f"not a first-order derivation: {d!r}")
-
-
 def step_to_derivation(step: RewriteStep) -> FoDerivation:
-    """One step as a derivation of before ~ after.  A derived rule's proof
-    is instantiated in one pass whose table maps each proof term to its
-    instance; the kernel replays the result against the presentation."""
+    """One step as a derivation of before ~ after.  A derived rule's step
+    cites the rule's own proof in a lemma node, which the kernel checks
+    against the presentation once, not once per firing."""
+    children = tuple(FoRefl(t) for t in step.instantiation)
     if step.derived is None:
-        children = tuple(FoRefl(t) for t in step.instantiation)
         node: FoDerivation = FoAxiom(step.equation, step.sort_args, children)
     else:
         schema, proof = step.derived
-        inst = step.instantiation
-        if len(inst) != len(schema.ctx):
+        if len(children) != len(schema.ctx):
             raise CloneError(
-                f"step instantiates {schema.name} with {len(inst)} terms "
+                f"step instantiates {schema.name} with {len(children)} terms "
                 f"for an equation context of length {len(schema.ctx)}"
             )
-        node = _instance_derivation(proof, {FoVar(i): u for i, u in enumerate(inst, start=1)})
+        node = FoLemma(Context(schema.ctx), proof, children)
     if not step.forward:
         node = FoSym(node)
     return _wrap_congruence(step.before, step.path, node)

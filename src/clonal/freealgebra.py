@@ -124,44 +124,64 @@ def free_check_term(
 ) -> Sort:
     """Sort of a raw free term, or raise with the failing path.  Each base
     element is checked at its declared arity."""
-    match t:
-        case FreeVar(index=i):
-            if not 1 <= i <= len(ctx):
-                raise FreeSortError(f"variable x{i} out of range for {ctx}", path)
-            return ctx.sort_at(i)
-        case CloneApp(element=e, arity_ctx=actx, arity_sort=asort, args=args):
-            check_element(base, actx, asort, e, path)
-            if len(args) != len(actx):
-                raise FreeSortError(
-                    f"clone application expects {len(actx)} arguments, got {len(args)}", path
-                )
-            for i, (a, want) in enumerate(zip(args, actx), start=1):
-                got = free_check_term(base, sig, ctx, a, path + (i,))
-                if got != want:
+    return _TermChecker(base, sig).sort(ctx, t, path)
+
+
+class _TermChecker:
+    """Sorts of raw free terms over one base clone and signature.  Each
+    (element, arity context, sort) is checked once per checker: the ones
+    that passed are kept, a failure is raised again at each occurrence."""
+
+    def __init__(self, base: Clone, sig):
+        self.base = base
+        self.sig = sig
+        self.passed: set = set()
+
+    def element(self, actx: Context, asort: Sort, e, path: tuple[int, ...] = ()) -> None:
+        key = (e, actx, asort)
+        if key not in self.passed:
+            check_element(self.base, actx, asort, e, path)
+            self.passed.add(key)
+
+    def sort(self, ctx: Context, t: FreeTerm, path: tuple[int, ...] = ()) -> Sort:
+        match t:
+            case FreeVar(index=i):
+                if not 1 <= i <= len(ctx):
+                    raise FreeSortError(f"variable x{i} out of range for {ctx}", path)
+                return ctx.sort_at(i)
+            case CloneApp(element=e, arity_ctx=actx, arity_sort=asort, args=args):
+                self.element(actx, asort, e, path)
+                if len(args) != len(actx):
                     raise FreeSortError(
-                        f"clone argument {i} has sort {got}, expected {want}", path + (i,)
+                        f"clone application expects {len(actx)} arguments, got {len(args)}", path
                     )
-            return asort
-        case FreeOp(name=name, sort_args=sort_args, args=args):
-            arity = sig.arity(name, sort_args)
-            if len(args) != len(arity.binders):
-                raise FreeSortError(f"operator {name} arity mismatch", path)
-            for i, ((binder, body), (want_ctx, want_sort)) in enumerate(
-                zip(args, arity.binders), start=1
-            ):
-                if binder != want_ctx:
-                    raise FreeSortError(
-                        f"argument {i} of {name} binds {binder}, declared {want_ctx}",
-                        path + (i,),
-                    )
-                got = free_check_term(base, sig, ctx + binder, body, path + (i,))
-                if got != want_sort:
-                    raise FreeSortError(
-                        f"argument {i} of {name} has sort {got}, expected {want_sort}",
-                        path + (i,),
-                    )
-            return arity.result
-    raise FreeSortError(f"not a free term: {t!r}", path)
+                for i, (a, want) in enumerate(zip(args, actx), start=1):
+                    got = self.sort(ctx, a, path + (i,))
+                    if got != want:
+                        raise FreeSortError(
+                            f"clone argument {i} has sort {got}, expected {want}", path + (i,)
+                        )
+                return asort
+            case FreeOp(name=name, sort_args=sort_args, args=args):
+                arity = self.sig.arity(name, sort_args)
+                if len(args) != len(arity.binders):
+                    raise FreeSortError(f"operator {name} arity mismatch", path)
+                for i, ((binder, body), (want_ctx, want_sort)) in enumerate(
+                    zip(args, arity.binders), start=1
+                ):
+                    if binder != want_ctx:
+                        raise FreeSortError(
+                            f"argument {i} of {name} binds {binder}, declared {want_ctx}",
+                            path + (i,),
+                        )
+                    got = self.sort(ctx + binder, body, path + (i,))
+                    if got != want_sort:
+                        raise FreeSortError(
+                            f"argument {i} of {name} has sort {got}, expected {want_sort}",
+                            path + (i,),
+                        )
+                return arity.result
+        raise FreeSortError(f"not a free term: {t!r}", path)
 
 
 def check_element(base: Clone, actx: Context, asort: Sort, e, path: tuple[int, ...] = ()) -> None:
@@ -634,20 +654,19 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
     return _FreeChecker(free).go(d, ctx, ())
 
 
-class _FreeChecker:
-    """One check_free_derivation call: the free algebra, and the sort of each
-    well-sorted (term, context) checked."""
+class _FreeChecker(_TermChecker):
+    """One check_free_derivation call: the free algebra, the sort of each
+    well-sorted (term, context) checked, and the elements that passed."""
 
     def __init__(self, free: FreeAlgebra):
+        super().__init__(free.base, free.presentation.signature)
         self.free = free
-        self.base = free.base
-        self.sig = free.presentation.signature
         self.sorts: dict = {}
 
     def sort_of(self, t, c):
         s = self.sorts.get((t, c))
         if s is None:
-            s = self.sorts[t, c] = free_check_term(self.base, self.sig, c, t)
+            s = self.sorts[t, c] = self.sort(c, t)
         return s
 
     def go(self, node, c: Context, path) -> Verdict:
@@ -681,7 +700,7 @@ class _FreeChecker:
                 if len(children) != len(actx):
                     return Verdict(False, error="clone congruence arity mismatch", path=path)
                 try:
-                    check_element(self.base, actx, asort, e)
+                    self.element(actx, asort, e)
                 except FreeSortError as err:
                     return Verdict(False, error=str(err), path=path)
                 ls, rs = [], []
@@ -786,9 +805,9 @@ class _FreeChecker:
                 if len(comps) != len(ectx) or len(args) != len(actx):
                     return Verdict(False, error="substitution-collapse arity mismatch", path=path)
                 try:
-                    check_element(self.base, ectx, esort, f)
+                    self.element(ectx, esort, f)
                     for j, s in enumerate(comps, start=1):
-                        check_element(self.base, actx, ectx.sort_at(j), s)
+                        self.element(actx, ectx.sort_at(j), s)
                 except FreeSortError as err:
                     return Verdict(False, error=str(err), path=path)
                 for j, (a, want) in enumerate(zip(args, actx), start=1):

@@ -12,12 +12,22 @@ writes the same bytes as for an unshared copy, but a caller that mutates
 the result must copy it first.  Decoding builds one sort, context or term
 per distinct value, and malformed input raises ``JsonError``, naming the
 field that is missing or not an integer where that is the fault.
+
+A first-order derivation node is an object with a ``rule`` tag: ``refl``
+(``term``), ``sym`` and ``trans`` (``children``), ``cong`` (``op``,
+``sort_args``, ``children``), ``axiom`` (``equation``, ``sort_args``,
+``children``) and ``lemma``.  A ``lemma`` node has the fields ``context``
+(a context), ``proof`` (a derivation of l ~ r in that context) and
+``children`` (one derivation per context entry), and stands for the
+substitution instance of the proved equation that ``firstorder.FoLemma``
+describes.  The encoder writes each distinct proof once per call, shared
+like a term, and the decoder returns equal proofs as one object.
 """
 
 from __future__ import annotations
 
 from .clones import CloneError
-from .firstorder import FoAxiom, FoCong, FoOp, FoRefl, FoSym, FoTrans, FoVar
+from .firstorder import FoAxiom, FoCong, FoLemma, FoOp, FoRefl, FoSym, FoTrans, FoVar
 from .freealgebra import (
     CloneApp,
     FAxiom,
@@ -54,13 +64,15 @@ class _Table(dict):
 
 
 class _Encoder:
-    """One ``*_to_json`` call: equal sorts, contexts and terms are written
-    once and share the JSON object written for the first of them."""
+    """One ``*_to_json`` call: equal sorts, contexts, terms and lemma proofs
+    are written once and share the JSON object written for the first of
+    them."""
 
     def __init__(self):
         self.sorts: dict = {}
         self.contexts: dict = {}
         self.terms: dict = {}
+        self.proofs: dict = {}
 
     def sort(self, s: Sort) -> dict:
         got = self.sorts.get(s)
@@ -104,12 +116,14 @@ class _Encoder:
 
 class _Decoder:
     """One ``*_from_json`` call: each distinct sort, context and term is
-    built once; equal ones in the input come back as one object."""
+    built once; equal ones in the input, and equal lemma proofs, come back
+    as one object."""
 
     def __init__(self):
         self.sorts: dict = {}
         self.contexts: dict = {}
         self.terms: dict = {}  # (class, fields) -> the term
+        self.proofs: dict = {}
 
     def sort(self, data: dict) -> Sort:
         if "base" in data:
@@ -320,6 +334,18 @@ def _write_axiom(enc, d, table) -> dict:
     }
 
 
+def _write_lemma(enc, d, table) -> dict:
+    proof = enc.proofs.get(d.proof)
+    if proof is None:
+        proof = enc.proofs[d.proof] = enc.derivation(d.proof, table)
+    return {
+        "rule": "lemma",
+        "context": enc.context(d.ctx),
+        "proof": proof,
+        "children": _write_children(enc, d, table),
+    }
+
+
 def _write_cong_element(enc, d, table) -> dict:
     return {
         "rule": "cong_element",
@@ -357,6 +383,7 @@ _WRITE_FO_RULE = _Table("derivation node", {
     FoTrans: _write_trans,
     FoCong: _write_cong,
     FoAxiom: _write_axiom,
+    FoLemma: _write_lemma,
 }, _WRITE_FO_TERM)
 _WRITE_FREE_RULE = _Table("derivation node", {
     FRefl: _write_refl,
@@ -388,6 +415,12 @@ def _read_cong(dec, data, table) -> tuple:
 
 def _read_axiom(dec, data, table) -> tuple:
     return data["equation"], dec.sort_tuple(data["sort_args"]), _read_children(dec, data, table)
+
+
+def _read_lemma(dec, data, table) -> tuple:
+    proof = dec.derivation(data["proof"], table)
+    proof = dec.proofs.setdefault(proof, proof)
+    return dec.context(data["context"]), proof, _read_children(dec, data, table)
 
 
 def _read_cong_element(dec, data, table) -> tuple:
@@ -423,6 +456,7 @@ _READ_FO_RULE = _Table("rule", {
     "trans": (FoTrans, _read_children),
     "cong": (FoCong, _read_cong),
     "axiom": (FoAxiom, _read_axiom),
+    "lemma": (FoLemma, _read_lemma),
 }, _READ_FO_TERM)
 _READ_FREE_RULE = _Table("rule", {
     "refl": (FRefl, _read_refl),

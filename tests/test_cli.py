@@ -6,7 +6,7 @@ import pytest
 
 from clonal import cli
 from clonal.cli import main
-from clonal.jsonio import context_to_json, document, free_derivation_to_json
+from clonal.jsonio import context_to_json, document, fo_term_to_json, free_derivation_to_json
 from clonal.sorts import Context, Sort
 
 
@@ -250,6 +250,30 @@ class TestProvecheck:
         code, out, _ = run(capsys, "provecheck", "--variant", "stlc", str(path))
         assert code == 1
         assert out.startswith("rejected at []") and "out of range" in out
+
+    def test_fo_derivation_with_a_lemma(self, capsys, tmp_path):
+        # a completed-system trace cites a derived rule's proof in a lemma
+        # node; it replays against the bundle's bare state presentation
+        from clonal.firstorder import FoOp, FoVar, gs_rewrite_system, rewrite_normalize
+        from clonal.firstorder import steps_to_derivation
+        from clonal.jsonio import fo_derivation_to_json
+
+        t = FoOp("put_v1", (), (FoOp("get", (), (FoVar(1), FoVar(1))),))
+        d = steps_to_derivation(t, rewrite_normalize(gs_rewrite_system(("v1", "v2")), t)[1])
+        data = fo_derivation_to_json(d)
+        assert '"rule": "lemma"' in json.dumps(data)
+        for name, derivation, want in (("lemma.json", data, 0), ("tampered.json", None, 1)):
+            if derivation is None:  # the lemma's proof ends one put deeper
+                derivation = json.loads(json.dumps(data))
+                proof = derivation["children"][0]["proof"]
+                end = {"rule": "refl", "term": fo_term_to_json(FoOp("put_v2", (), (FoVar(1),)))}
+                derivation["children"][0]["proof"] = {"rule": "trans", "children": [proof, end]}
+            path = tmp_path / name
+            path.write_text(json.dumps(document("fo-derivation", {
+                "context": context_to_json(Context((B,))), "derivation": derivation})))
+            code, out, _ = run(capsys, "provecheck", "--variant", "gs", str(path))
+            assert code == want
+            assert out.strip() == "accepted" if want == 0 else out.startswith("rejected at [1, 0]")
 
     def test_missing_file_is_usage(self, capsys):
         code, _, _ = run(capsys, "provecheck", "/nonexistent/file.json")

@@ -35,7 +35,12 @@ from clonal.firstorder import (
     steps_to_derivation,
 )
 from clonal.freealgebra import CloneApp, FreeOp, FreeVar, check_free_derivation
-from clonal.jsonio import free_derivation_from_json, free_derivation_to_json
+from clonal.jsonio import (
+    fo_derivation_from_json,
+    fo_derivation_to_json,
+    free_derivation_from_json,
+    free_derivation_to_json,
+)
 from clonal.nbe import check_normal, nbe_normalize
 from clonal.secondorder import check_algebra
 from clonal.sorts import Context, arrow
@@ -84,6 +89,8 @@ STATE_TERM = _get(_put("v1", FoVar(1)), _put("v2", _get(FoVar(1), FoVar(1))))
 # rewritten outermost, its first redex is below the root
 OUTER_TERM = _get(FoVar(1), _put("v1", _get(FoVar(1), FoVar(1))))
 STATE_STEPS = rewrite_normalize(GS_RULES, STATE_TERM)[1]
+# its derived-rule steps are lemma nodes citing the system's proofs
+STATE_TRACE = steps_to_derivation(STATE_TERM, STATE_STEPS)
 STATE_PROOF = prove_fo_equal(GS2, G1, _get(FoVar(1), FoVar(1)), FoVar(1), max_nodes=800)
 # an element nesting function-sort conditionals: the canonicalizer splits it
 FOUND_CTX = Context((B, B, BB, BB))
@@ -128,6 +135,12 @@ ENTRY_POINTS = {
     "rewrite_normalize": lambda: rewrite_normalize(GS_RULES, STATE_TERM),
     "rewrite_normalize_outermost": lambda: rewrite_normalize(GS_RULES, OUTER_TERM, "outermost"),
     "steps_to_derivation_derived": lambda: steps_to_derivation(STATE_TERM, STATE_STEPS),
+    "check_fo_derivation_lemmas": lambda: check_fo_derivation(
+        GS_RULES.presentation, G1, STATE_TRACE),
+    "check_fo_derivation_lemmas_unseen": lambda: check_fo_derivation(
+        global_state_presentation(("v1", "v2")), G1, STATE_TRACE),
+    "lemma_trace_json_roundtrip": lambda: fo_derivation_from_json(
+        json.loads(json.dumps(fo_derivation_to_json(STATE_TRACE)))),
     "witness_json_roundtrip": lambda: free_derivation_from_json(
         json.loads(json.dumps(free_derivation_to_json(TRACE)))),
     "innermost_normal_form": lambda: innermost_normal_form(GS_RULES, STATE_TERM, {}),
@@ -157,6 +170,12 @@ def test_inputs_exercise_the_full_paths():
     assert rewrite_normalize(GS_RULES, OUTER_TERM, "outermost")[1][0].path == (2,)
     assert rewrite_normalize(GS_RULES, STATE_TERM)[1][0].path == (2, 1)
     assert any(s.derived is not None for s in STATE_STEPS)
+    assert '"rule": "lemma"' in json.dumps(fo_derivation_to_json(STATE_TRACE))
+    for pres in (GS_RULES.presentation, global_state_presentation(("v1", "v2"))):
+        v = check_fo_derivation(pres, G1, STATE_TRACE)
+        assert v.ok and v.lhs == STATE_TERM and v.rhs == STATE_STEPS[-1].after
+    assert fo_derivation_from_json(json.loads(json.dumps(fo_derivation_to_json(STATE_TRACE)))) \
+        == STATE_TRACE
     assert free_derivation_from_json(json.loads(json.dumps(free_derivation_to_json(TRACE)))) == TRACE
     assert _found_term_routes()[1].ok
 

@@ -20,6 +20,7 @@ from clonal.firstorder import (
     FoAxiom,
     FoCong,
     FoEquationSchema,
+    FoLemma,
     FoOp,
     FoOpSchema,
     FoPresentation,
@@ -37,6 +38,7 @@ from clonal.firstorder import (
     SearchEq,
     StructuralEq,
     TmClone,
+    Verdict,
     bool_clone,
     bool_presentation,
     check_fo_derivation,
@@ -57,7 +59,12 @@ from clonal.firstorder import (
     steps_to_derivation,
     tm_clone,
 )
-from clonal.jsonio import fo_term_from_json, fo_term_to_json
+from clonal.jsonio import (
+    fo_derivation_from_json,
+    fo_derivation_to_json,
+    fo_term_from_json,
+    fo_term_to_json,
+)
 from clonal.sorts import Context, Sort, SortSet, arrow
 
 V2 = ("v1", "v2")
@@ -615,23 +622,27 @@ class TestEngineAgainstReference:
         assert steps[0].before == t and all(s.path == () for s in steps)
 
 
-def _reference_steps_to_derivation(start, steps):
-    """The per-leaf instantiation the one-pass instantiation replaced, kept
-    as an oracle: a derived rule's proof has every reflexivity leaf
-    substituted on its own, through a validated Substitution."""
+def _reference_subst_derivation(d, sigma):
+    """``d`` with every reflexivity leaf substituted on its own."""
+    match d:
+        case FoRefl(term=t):
+            return FoRefl(fo_subst(t, sigma))
+        case FoSym(child=c):
+            return FoSym(_reference_subst_derivation(c, sigma))
+        case FoTrans(left=l, right=r):
+            return FoTrans(_reference_subst_derivation(l, sigma),
+                           _reference_subst_derivation(r, sigma))
+        case FoCong(op=name, sort_args=sargs, children=cs):
+            return FoCong(name, sargs, tuple(_reference_subst_derivation(c, sigma) for c in cs))
+        case FoAxiom(equation=name, sort_args=sargs, children=cs):
+            return FoAxiom(name, sargs, tuple(_reference_subst_derivation(c, sigma) for c in cs))
+    raise AssertionError(d)
 
-    def subst(d, sigma):
-        match d:
-            case FoRefl(term=t):
-                return FoRefl(fo_subst(t, sigma))
-            case FoSym(child=c):
-                return FoSym(subst(c, sigma))
-            case FoTrans(left=l, right=r):
-                return FoTrans(subst(l, sigma), subst(r, sigma))
-            case FoCong(op=name, sort_args=sargs, children=cs):
-                return FoCong(name, sargs, tuple(subst(c, sigma) for c in cs))
-            case FoAxiom(equation=name, sort_args=sargs, children=cs):
-                return FoAxiom(name, sargs, tuple(subst(c, sigma) for c in cs))
+
+def _reference_steps_to_derivation(start, steps):
+    """The per-leaf instantiation that lemma nodes replaced, kept as an
+    oracle: a derived rule's proof has every reflexivity leaf substituted
+    on its own, through a validated Substitution."""
 
     def wrap(whole, path, inner):
         if not path:
@@ -646,16 +657,46 @@ def _reference_steps_to_derivation(start, steps):
             node = FoAxiom(step.equation, step.sort_args, tuple(FoRefl(t) for t in step.instantiation))
         else:
             schema, proof = step.derived
-            node = subst(proof, Substitution(ctx(), ctx(*schema.ctx), step.instantiation))
+            sigma = Substitution(ctx(), ctx(*schema.ctx), step.instantiation)
+            node = _reference_subst_derivation(proof, sigma)
         node = wrap(step.before, step.path, node)
         d = node if i == 0 else FoTrans(d, node)
     return d
 
 
+def _expand_lemmas(d):
+    """``d`` with each lemma node replaced by its proof instantiated leaf by
+    leaf at the terms of its reflexivity children."""
+    match d:
+        case FoLemma(ctx=g, proof=proof, children=cs):
+            assert all(isinstance(c, FoRefl) for c in cs)
+            sigma = Substitution(ctx(), g, tuple(c.term for c in cs))
+            return _reference_subst_derivation(_expand_lemmas(proof), sigma)
+        case FoRefl():
+            return d
+        case FoSym(child=c):
+            return FoSym(_expand_lemmas(c))
+        case FoTrans(left=l, right=r):
+            return FoTrans(_expand_lemmas(l), _expand_lemmas(r))
+        case FoCong(op=name, sort_args=sargs, children=cs):
+            return FoCong(name, sargs, tuple(_expand_lemmas(c) for c in cs))
+        case FoAxiom(equation=name, sort_args=sargs, children=cs):
+            return FoAxiom(name, sargs, tuple(_expand_lemmas(c) for c in cs))
+    raise AssertionError(d)
+
+
+def _lemmas(d):
+    """Every lemma node of ``d`` outside lemma proofs, in pre-order."""
+    if isinstance(d, FoLemma):
+        return [d]
+    subs = (getattr(d, "child", None), getattr(d, "left", None), getattr(d, "right", None))
+    return [n for c in (*subs, *getattr(d, "children", ())) if c is not None for n in _lemmas(c)]
+
+
 class TestDerivedRuleInstantiation:
-    """steps_to_derivation instantiates each derived rule's proof in one
-    pass; the result is the per-leaf reference's, and the kernel replays it
-    against the bare presentation."""
+    """steps_to_derivation cites each derived rule's proof in a lemma node;
+    expanded, the result is the per-leaf reference's, and the kernel
+    replays both against the bare presentation."""
 
     @pytest.mark.parametrize("values", [V2, ("v1", "v2", "v3")])
     def test_gs_traces_are_the_reference_derivations(self, values):
@@ -667,29 +708,25 @@ class TestDerivedRuleInstantiation:
         def agrees(t):
             nf, steps = rewrite_normalize(rs, t)
             d = steps_to_derivation(t, steps)
-            assert d == _reference_steps_to_derivation(t, steps)
-            v = check_fo_derivation(rs.presentation, ctx(BASE, BASE, BASE), d)
-            assert v.ok and (v.lhs, v.rhs) == (t, nf), v.error
+            reference = _reference_steps_to_derivation(t, steps)
+            assert _expand_lemmas(d) == reference
+            for proof in (d, reference):
+                v = check_fo_derivation(rs.presentation, ctx(BASE, BASE, BASE), proof)
+                assert v.ok and (v.lhs, v.rhs) == (t, nf), v.error
             fired.extend(s for s in steps if s.derived is not None)
 
         agrees()
         assert len({s.equation for s in fired}) >= 3
 
-    def test_equal_leaves_share_one_instance(self):
+    def test_lemmas_hold_the_systems_own_proofs(self):
         rs = gs_rewrite_system(V2)
-        t = get(put("v1", put("v2", x(1))), put("v1", put("v2", x(1))))
-        step = next(s for s in rewrite_normalize(rs, t)[1] if s.derived and not s.path)
-
-        def leaves(d):
-            if isinstance(d, FoRefl):
-                return [d.term]
-            subs = (getattr(d, "child", None), getattr(d, "left", None), getattr(d, "right", None))
-            return [u for c in (*subs, *getattr(d, "children", ())) if c is not None
-                    for u in leaves(c)]
-
-        proof, instance = leaves(step.derived[1]), leaves(firstorder.step_to_derivation(step))
-        pairs = [(i, j) for i in range(len(proof)) for j in range(i) if proof[i] == proof[j]]
-        assert pairs and all(instance[i] is instance[j] for i, j in pairs)
+        proofs = {schema.name: proof for schema, proof in rs.derived}
+        t = get(get(x(1), x(1)), put("v2", get(put("v1", x(2)), x(2))))
+        steps = rewrite_normalize(rs, t)[1]
+        lemmas = _lemmas(steps_to_derivation(t, steps))
+        derived = [s.equation for s in steps if s.derived is not None]
+        assert len(lemmas) == len(derived) and len(set(derived)) == 3
+        assert all(n.proof is proofs[name] for n, name in zip(lemmas, derived))
 
     def test_wrong_instantiation_length_raises(self):
         rs = gs_rewrite_system(V2)
@@ -700,6 +737,215 @@ class TestDerivedRuleInstantiation:
                           True, step.before, step.after, step.derived)
         with pytest.raises(CloneError, match="instantiates"):
             steps_to_derivation(t, [bad])
+
+
+def _chain(pieces):
+    """The left-nested transitivity chain steps_to_derivation builds."""
+    d = pieces[0]
+    for p in pieces[1:]:
+        d = FoTrans(d, p)
+    return d
+
+
+def _recursive_check(pres, g, d, path=()):
+    """The kernel's transitivity rule as a recursive walk, one call per
+    link, kept as an oracle for the loop that replaced it; every other
+    node goes to the kernel."""
+    if isinstance(d, FoTrans):
+        lv = _recursive_check(pres, g, d.left, path + (1,))
+        if not lv:
+            return lv
+        rv = _recursive_check(pres, g, d.right, path + (2,))
+        if not rv:
+            return rv
+        if lv.rhs != rv.lhs:
+            return Verdict(False, error=f"transitivity middle terms disagree: {lv.rhs} vs {rv.lhs}",
+                           path=path)
+        return Verdict(True, lv.lhs, rv.rhs, lv.sort)
+    v = check_fo_derivation(pres, g, d)
+    return v if v.ok else Verdict(False, error=v.error, path=path + v.path)
+
+
+class TestTransitivityChains:
+    """A trace's chain of transitivity links is walked with a loop: a deep
+    trace replays, and a rejection is the recursive walk's."""
+
+    def test_deep_trace_replays(self):
+        rs = gs_rewrite_system(V2)
+        t = _get_put_tree(9)
+        assert fo_size(t) == 1534
+        nf, steps = rewrite_normalize(rs, t)
+        assert len(steps) == 1022 and len(steps) < firstorder.MAX_REWRITE_STEPS
+        v = check_fo_derivation(rs.presentation, ctx(BASE), steps_to_derivation(t, steps))
+        assert v.ok and (v.lhs, v.rhs) == (t, nf), v.error
+
+    def test_tampered_traces_are_rejected_where_the_recursive_walk_rejects(self):
+        rs = gs_rewrite_system(V2)
+        g = ctx(BASE, BASE)
+        seen_paths = set()
+        for t in (get(put("v1", _get_put_tree(2)), x(2)), _get_put_tree(3),
+                  get(get(x(1), x(1)), put("v2", get(put("v1", x(2)), x(2))))):
+            pieces = [firstorder.step_to_derivation(s) for s in rewrite_normalize(rs, t)[1]]
+            assert len(pieces) >= 3
+            variants = [_chain(pieces)]
+            for j, piece in enumerate(pieces):
+                variants.append(_chain(pieces[:j] + pieces[j + 1:]))  # a step left out
+                variants.append(_chain(pieces[:j] + [FoRefl(x(3))] + pieces[j + 1:]))  # ill-sorted
+                variants.append(_chain(pieces[:j] + [FoSym(piece)] + pieces[j + 1:]))  # reversed
+                for lemma in _lemmas(piece):  # a lemma citing a tampered proof
+                    bad = FoLemma(lemma.ctx, _first_leaf_ill_sorted(lemma.proof)[0], lemma.children)
+                    variants.append(_chain(pieces[:j] + [_replace(piece, lemma, bad)]
+                                           + pieces[j + 1:]))
+            for d in variants:
+                mine = check_fo_derivation(rs.presentation, g, d)
+                ref = _recursive_check(rs.presentation, g, d)
+                assert (mine.ok, mine.error, mine.path) == (ref.ok, ref.error, ref.path)
+                seen_paths.add(mine.path)
+        # rejections at many depths of the chain, some inside a lemma's proof
+        assert len(seen_paths) > 10 and any(0 in p for p in seen_paths)
+
+
+def _replace(d, old, new):
+    """``d`` with the node ``old`` (by identity) replaced by ``new``."""
+    if d is old:
+        return new
+    match d:
+        case FoSym(child=c):
+            return FoSym(_replace(c, old, new))
+        case FoCong(op=name, sort_args=sargs, children=cs):
+            return FoCong(name, sargs, tuple(_replace(c, old, new) for c in cs))
+    return d
+
+
+def _first_leaf_ill_sorted(d, path=()):
+    """``d`` with its first reflexivity leaf, in pre-order, replaced by the
+    ill-sorted x9, and that leaf's path."""
+    match d:
+        case FoRefl():
+            return FoRefl(x(9)), path
+        case FoSym(child=c):
+            c, leaf = _first_leaf_ill_sorted(c, path + (1,))
+            return FoSym(c), leaf
+        case FoTrans(left=l, right=r):
+            l, leaf = _first_leaf_ill_sorted(l, path + (1,))
+            return FoTrans(l, r), leaf
+        case FoCong(op=name, sort_args=sargs, children=cs) | FoAxiom(
+            equation=name, sort_args=sargs, children=cs
+        ):
+            c, leaf = _first_leaf_ill_sorted(cs[0], path + (1,))
+            return type(d)(name, sargs, (c,) + cs[1:]), leaf
+    raise AssertionError(d)
+
+
+def _verdict(v):
+    return v.ok, v.lhs, v.rhs, v.sort, v.error, v.path
+
+
+class TestLemmaNode:
+    """FoLemma is the substitution rule on a proved equation; the kernel
+    checks its proof against the bare presentation once per presentation
+    and keeps only accepted conclusions."""
+
+    rs = gs_rewrite_system(V2)
+    proofs = {schema.name: (schema, proof) for schema, proof in rs.derived}
+
+    def lemma(self, name, children):
+        schema, proof = self.proofs[name]
+        return FoLemma(Context(schema.ctx), proof, children)
+
+    def test_concludes_the_substitution_instance(self):
+        g = ctx(BASE, BASE)
+        for name, (schema, _) in self.proofs.items():
+            us = tuple(put("v1", x(1 + i % 2)) for i in range(len(schema.ctx)))
+            # child i proves put_v1(put_v1(u_i)) ~ put_v1(u_i)
+            children = tuple(FoAxiom("put_put_v1_v1", (), (FoRefl(u.args[0]),)) for u in us)
+            v = check_fo_derivation(self.rs.presentation, g, self.lemma(name, children))
+            lefts = tuple(put("v1", u) for u in us)
+            assert v.ok, v.error
+            assert v.lhs == fo_subst(schema.lhs, Substitution(g, Context(schema.ctx), lefts))
+            assert v.rhs == fo_subst(schema.rhs, Substitution(g, Context(schema.ctx), us))
+            assert v.sort == BASE
+
+    def test_tampered_proof_is_rejected_under_position_zero(self):
+        schema, proof = self.proofs["get_select_v2"]
+        bad, leaf = _first_leaf_ill_sorted(proof)
+        lemma = FoLemma(Context(schema.ctx), bad, tuple(FoRefl(x(1)) for _ in schema.ctx))
+        for d, at in ((lemma, ()), (FoCong("put_v1", (), (lemma,)), (1,))):
+            v = check_fo_derivation(self.rs.presentation, ctx(BASE), d)
+            assert not v.ok and v.path == at + (0,) + leaf and "ill-sorted" in v.error
+        assert (Context(schema.ctx), bad) not in self.rs.presentation._lemmas
+
+    def test_premise_at_the_wrong_sort_is_rejected(self):
+        lemma = self.lemma("get_same", (FoRefl(x(1)),))
+        v = check_fo_derivation(self.rs.presentation, ctx(BB), lemma)
+        assert not v.ok and v.path == (1,)
+        assert v.error == f"lemma child 1 has sort {BB}, expected {BASE}"
+
+    def test_wrong_premise_count_is_rejected(self):
+        for children in ((), (FoRefl(x(1)), FoRefl(x(1)))):
+            lemma = self.lemma("get_same", children)
+            v = check_fo_derivation(self.rs.presentation, ctx(BASE), lemma)
+            assert not v.ok and v.path == () and "needs 1 substituted positions" in v.error
+
+    def test_proof_that_does_not_hold_in_the_lemmas_context_is_rejected(self):
+        # get_select_v1 is proved over three variables and get_same over a
+        # variable of the base sort
+        _, select = self.proofs["get_select_v1"]
+        _, same = self.proofs["get_same"]
+        for g, proof in ((ctx(BASE), select), (ctx(BB), same)):
+            lemma = FoLemma(g, proof, (FoRefl(x(1)),))
+            v = check_fo_derivation(self.rs.presentation, g, lemma)
+            assert not v.ok and v.path[:1] == (0,) and len(v.path) > 1, v
+
+    def test_rejected_lemma_is_rejected_again(self):
+        pres = global_state_presentation(V2)
+        schema, proof = self.proofs["get_same"]
+        bad = FoLemma(Context(schema.ctx), _first_leaf_ill_sorted(proof)[0], (FoRefl(x(1)),))
+        first = check_fo_derivation(pres, ctx(BASE), bad)
+        assert not first.ok and pres._lemmas == {}
+        assert _verdict(check_fo_derivation(pres, ctx(BASE), bad)) == _verdict(first)
+        good = self.lemma("get_same", (FoRefl(x(1)),))
+        assert check_fo_derivation(pres, ctx(BASE), good).ok and len(pres._lemmas) == 1
+        assert _verdict(check_fo_derivation(pres, ctx(BASE), bad)) == _verdict(first)
+
+    def test_decoded_proof_gets_the_systems_verdict(self):
+        for name, (schema, proof) in self.proofs.items():
+            g = Context(schema.ctx)
+            children = tuple(FoRefl(x(1)) for _ in schema.ctx)
+            for p in (proof, _first_leaf_ill_sorted(proof)[0]):
+                own = FoLemma(g, p, children)
+                text = json.dumps(fo_derivation_to_json(own))
+                decoded = fo_derivation_from_json(json.loads(text))
+                assert decoded == own and decoded.proof is not p
+                for pres in (self.rs.presentation, global_state_presentation(V2)):
+                    assert _verdict(check_fo_derivation(pres, ctx(BASE), decoded)) == \
+                        _verdict(check_fo_derivation(pres, ctx(BASE), own)), name
+
+    def test_a_trace_never_checks_a_systems_proof_again(self, monkeypatch):
+        rs = gs_rewrite_system(V2)
+        kept = dict(rs.presentation._lemmas)
+        assert set(kept) == {(Context(s.ctx), p) for s, p in rs.derived}
+        checkers = []
+        init = firstorder._FoChecker.__init__
+        monkeypatch.setattr(firstorder._FoChecker, "__init__",
+                            lambda self, *a: checkers.append(a) or init(self, *a))
+        t = get(get(x(1), x(1)), put("v2", get(put("v1", x(2)), x(2))))
+        nf, steps = rewrite_normalize(rs, t)
+        d = steps_to_derivation(t, steps)
+        assert _lemmas(d)
+        for copy in (d, fo_derivation_from_json(json.loads(json.dumps(fo_derivation_to_json(d))))):
+            v = check_fo_derivation(rs.presentation, ctx(BASE, BASE), copy)
+            assert v.ok and (v.lhs, v.rhs) == (t, nf)
+        assert len(checkers) == 2 and rs.presentation._lemmas == kept
+
+    def test_kept_lemmas_stay_out_of_eq_hash_repr_and_pickles(self):
+        pres = self.rs.presentation
+        fresh = global_state_presentation(V2)
+        assert pres._lemmas and not fresh._lemmas
+        assert pres == fresh and hash(pres) == hash(fresh) and repr(pres) == repr(fresh)
+        copy = pickle.loads(pickle.dumps(pres))
+        assert copy == pres and copy._lemmas == {} and copy.equation("get_put") is not None
+        assert check_fo_derivation(copy, ctx(BASE), self.lemma("get_same", (FoRefl(x(1)),))).ok
 
 
 class TestUntracedNormalForm:

@@ -232,6 +232,29 @@ class TestDerivationChecker:
         assert "element" in v.error
 
 
+    def test_each_element_is_checked_once_per_call(self, monkeypatch):
+        from clonal import freealgebra
+
+        free = stlc_bool()
+        tru = CloneApp(FoOp("true", (), ()), E, B, ())
+        # two distinct terms carry the element: app(abs(_.true), true)
+        d = FCongOp("app", (B, B), (FRefl(abs_(tru)), FRefl(tru)))
+        calls = []
+        check = freealgebra.check_element
+        monkeypatch.setattr(freealgebra, "check_element",
+                            lambda *a: calls.append(a[1:4]) or check(*a))
+        assert check_free_derivation(free, E, d).ok
+        assert calls == [(E, B, tru.element)]
+
+    def test_repeated_bad_element_is_rejected_at_its_first_occurrence(self):
+        bad = CloneApp(FoOp("true", (), (FoVar(7),)), ctx(B), B, (FreeVar(1),))
+        d = FTrans(FRefl(FreeVar(1)), FTrans(FRefl(bad), FRefl(bad)))
+        v = check_free_derivation(stlc_bool(), ctx(B), d)
+        assert not v.ok and v.path == (2, 1) and "element" in v.error
+        # the failure is not kept: a second call reports it the same way
+        assert check_free_derivation(stlc_bool(), ctx(B), d).path == (2, 1)
+
+
 class TestFold:
     def test_fold_along_unit_is_identity_up_to_eq(self):
         free = stlc_bool()

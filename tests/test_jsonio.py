@@ -11,6 +11,7 @@ from clonal.equality import normalize_with_trace
 from clonal.firstorder import (
     FoAxiom,
     FoCong,
+    FoLemma,
     FoOp,
     FoRefl,
     FoSym,
@@ -191,6 +192,9 @@ def _ref_derivation(d):
         ):
             return {"rule": "axiom", "equation": eq, "sort_args": [_ref_sort(s) for s in sargs],
                     "children": [_ref_derivation(c) for c in cs]}
+        case FoLemma(ctx=g, proof=proof, children=cs):
+            return {"rule": "lemma", "context": _ref_context(g), "proof": _ref_derivation(proof),
+                    "children": [_ref_derivation(c) for c in cs]}
         case FCongClone(element=e, arity_ctx=actx, arity_sort=asort, children=cs):
             return {"rule": "cong_element", "element": _ref_element(e),
                     "arity_ctx": _ref_context(actx), "arity_sort": _ref_sort(asort),
@@ -258,6 +262,29 @@ class TestCodecProperties:
         assert back.left.term is back.right.term
         ctx = context_from_json(json.loads(json.dumps([context_to_json(Context((B, B)))] * 2))[0])
         assert ctx.entries[0] is ctx.entries[1]
+
+
+    def test_lemma_proofs_are_written_once_and_read_back_as_one(self):
+        # get(x1, x1) and get(x2, x2) both fire get_same
+        t = FoOp("get", (), (FoOp("get", (), (FoVar(1), FoVar(1))),
+                             FoOp("get", (), (FoVar(2), FoVar(2)))))
+        d = steps_to_derivation(t, rewrite_normalize(gs_rewrite_system(("v1", "v2")), t)[1])
+        data = fo_derivation_to_json(d)
+        lemmas = [n for n in _json_nodes(data) if n["rule"] == "lemma"]
+        assert len(lemmas) == 2 and lemmas[0]["proof"] is lemmas[1]["proof"]
+        assert json.dumps(data) == json.dumps(_ref_derivation(d))
+        back = fo_derivation_from_json(json.loads(json.dumps(data)))
+        assert back == d
+        first, second = back.left.children[0], back.right.children[1]
+        assert isinstance(first, FoLemma) and first.proof is second.proof
+
+
+def _json_nodes(data):
+    """Every derivation node of a JSON derivation outside lemma proofs, in
+    pre-order."""
+    yield data
+    for c in data.get("children", ()):
+        yield from _json_nodes(c)
 
 
 @pytest.mark.parametrize("read, data, message", [
