@@ -157,6 +157,22 @@ def _base_only(t):
     return None
 
 
+def _witness_holds(bundle, ctx, sort, deriv, lhs, rhs) -> bool:
+    """Whether the internal witness ``deriv`` replays in the bundle's free
+    algebra to lhs ~ rhs; when it does not, say why on stderr.  A command
+    answers from a witness only after this check."""
+    replay = check_free_derivation(bundle.free, ctx, deriv)
+    if not replay.ok:
+        print(f"internal witness rejected: {replay.error}", file=sys.stderr)
+        return False
+    base = bundle.free.base
+    if not (raw_eq(base, ctx, sort, replay.lhs, lhs) and raw_eq(base, ctx, sort, replay.rhs, rhs)):
+        print(f"internal witness concludes {replay.lhs} ~ {replay.rhs}, "
+              f"not {lhs} ~ {rhs}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_normalize(args) -> int:
     bundle = load_bundle(args)
     ctx, names = _context_arg(bundle, args)
@@ -180,14 +196,7 @@ def cmd_normalize(args) -> int:
     payload = {"term": rendered, "tree": free_term_to_json(nf)}
     if args.witness:
         _, deriv = normalize_with_trace(bundle.free, ctx, sort, term)
-        replay = check_free_derivation(bundle.free, ctx, deriv)
-        if not replay.ok:
-            print(f"internal witness rejected: {replay.error}", file=sys.stderr)
-            return FAIL
-        base = bundle.free.base
-        if not (raw_eq(base, ctx, sort, replay.lhs, term) and raw_eq(base, ctx, sort, replay.rhs, nf)):
-            print(f"internal witness concludes {replay.lhs} ~ {replay.rhs}, "
-                  f"not {term} ~ {nf}", file=sys.stderr)
+        if not _witness_holds(bundle, ctx, sort, deriv, term, nf):
             return FAIL
         payload["witness"] = free_derivation_to_json(deriv)
     human = rendered if not args.witness else f"{rendered}\nwitness: checked"
@@ -250,6 +259,10 @@ def cmd_equal(args) -> int:
         bundle.free, ctx, sort, left, right, mode=mode, budget=args.budget,
         model_hom=model_hom,
     )
+    if verdict.status == "equal" and not _witness_holds(
+        bundle, ctx, sort, verdict.witness, left, right
+    ):
+        return FAIL
     payload = {"status": verdict.status}
     if verdict.witness is not None and args.witness:
         payload["witness"] = free_derivation_to_json(verdict.witness)

@@ -442,7 +442,9 @@ FoDerivation = FoRefl | FoSym | FoTrans | FoCong | FoAxiom | FoLemma
 class Verdict:
     """A kernel's answer: an accepted derivation's conclusion lhs ~ rhs at
     ``sort``, or a rejection with its error and the derivation path.  Both
-    the first-order and the free-algebra kernels return it."""
+    the first-order and the free-algebra kernels return it; both are a
+    ``_Kernel``, whose one reflexivity, symmetry, transitivity and premise
+    loop they share."""
 
     ok: bool
     lhs: FoTerm | None = None
@@ -455,12 +457,95 @@ class Verdict:
         return self.ok
 
 
+class _Kernel:
+    """The equational rules every kernel shares, for one check call.
+
+    A kernel class gives ``term_sort(ctx, t)`` (raising CloneError on an
+    ill-sorted term), ``same(ctx, sort, t, u)`` for transitivity's middle
+    terms, and ``rules``: a class-level table from node class to a plain
+    function ``rule(kernel, node, ctx, path)``, so that no instance refers
+    to itself.  Each node is checked in its own context.  Paths: symmetry's
+    child is 1, transitivity's sides are 1 and 2, and premise i is i."""
+
+    rules: dict = {}
+
+    def __init__(self):
+        self.sorts: dict = {}  # (term, context) -> sort of each well-sorted refl term
+
+    def go(self, node, ctx: Context, path) -> Verdict:
+        rule = self.rules.get(type(node))
+        if rule is None:
+            return Verdict(False, error=f"unknown node {node!r}", path=path)
+        return rule(self, node, ctx, path)
+
+    def refl(self, node, ctx: Context, path) -> Verdict:
+        t = node.term
+        sort = self.sorts.get((t, ctx))
+        if sort is None:
+            try:
+                sort = self.sorts[t, ctx] = self.term_sort(ctx, t)
+            except CloneError as e:
+                return Verdict(False, error=f"refl of ill-sorted term: {e}", path=path)
+        return Verdict(True, t, t, sort)
+
+    def sym(self, node, ctx: Context, path) -> Verdict:
+        sub = self.go(node.child, ctx, path + (1,))
+        if not sub.ok:
+            return sub
+        return Verdict(True, sub.rhs, sub.lhs, sub.sort)
+
+    def trans(self, node, ctx: Context, path) -> Verdict:
+        """A chain of transitivity nodes nested to the left, as traces and
+        searches build it, walked with a loop rather than one recursive
+        call per link; the paths and the order of checks are the recursive
+        walk's, so a rejection is the same."""
+        link = type(node)
+        links = []
+        while type(node) is link:
+            links.append(node)
+            node = node.left
+        acc = self.go(node, ctx, path + (1,) * len(links))
+        for depth in range(len(links) - 1, -1, -1):
+            if not acc.ok:
+                return acc
+            here = path + (1,) * depth
+            rv = self.go(links[depth].right, ctx, here + (2,))
+            if not rv.ok:
+                return rv
+            if not self.same(ctx, acc.sort, acc.rhs, rv.lhs):
+                return Verdict(
+                    False,
+                    error=f"transitivity middle terms disagree: {acc.rhs} vs {rv.lhs}",
+                    path=here,
+                )
+            acc = Verdict(True, acc.lhs, rv.rhs, acc.sort)
+        return acc
+
+    def premises(self, rule: str, children, ctxs, sorts, path):
+        """Check child i in context ctxs_i at sort sorts_i: the lists of the
+        children's left and right sides, or the first rejection."""
+        lefts, rights = [], []
+        for i, (c, cx, want) in enumerate(zip(children, ctxs, sorts), start=1):
+            sub = self.go(c, cx, path + (i,))
+            if not sub.ok:
+                return sub
+            if sub.sort != want:
+                return Verdict(
+                    False,
+                    error=f"{rule} child {i} has sort {sub.sort}, expected {want}",
+                    path=path + (i,),
+                )
+            lefts.append(sub.lhs)
+            rights.append(sub.rhs)
+        return lefts, rights
+
+
 def check_fo_derivation(pres: FoPresentation, ctx: Context, d: FoDerivation) -> Verdict:
     """Accept iff every node is a correct instance of an equational-logic rule.
 
     Rejection carries the path (child indices) to the first bad node.
     """
-    return _FoChecker(pres, ctx).go(d, ())
+    return _FoChecker(pres).go(d, ctx, ())
 
 
 def _proved(pres: FoPresentation, ctx: Context, proof: FoDerivation, path) -> Verdict:
@@ -471,140 +556,90 @@ def _proved(pres: FoPresentation, ctx: Context, proof: FoDerivation, path) -> Ve
     key = (ctx, proof)
     found = pres._lemmas.get(key)
     if found is None:
-        v = _FoChecker(pres, ctx).go(proof, path)
-        if not v:
+        v = _FoChecker(pres).go(proof, ctx, path)
+        if not v.ok:
             return v
         found = pres._lemmas[key] = (v.lhs, v.rhs, v.sort)
     return Verdict(True, *found)
 
 
-class _FoChecker:
-    """One check_fo_derivation call: the presentation, the context, and the
-    sort of each well-sorted reflexivity term met."""
+class _FoChecker(_Kernel):
+    """One check_fo_derivation call over a presentation: terms are sorted
+    by fo_check_term and middle terms compared by ``==``."""
 
-    def __init__(self, pres: FoPresentation, ctx: Context):
+    def __init__(self, pres: FoPresentation):
+        super().__init__()
         self.pres = pres
         self.sig = pres.signature
-        self.ctx = ctx
-        self.refl_sorts: dict = {}
 
-    def go(self, node, path) -> Verdict:
-        match node:
-            case FoRefl(term=t):
-                sort = self.refl_sorts.get(t)
-                if sort is None:
-                    try:
-                        sort = self.refl_sorts[t] = fo_check_term(self.sig, self.ctx, t)
-                    except FoSortError as e:
-                        return Verdict(False, error=f"refl of ill-sorted term: {e}", path=path)
-                return Verdict(True, t, t, sort)
-            case FoSym(child=c):
-                sub = self.go(c, path + (1,))
-                if not sub:
-                    return sub
-                return Verdict(True, sub.rhs, sub.lhs, sub.sort)
-            case FoTrans():
-                return self.spine(node, path)
-            case FoCong(op=name, sort_args=sort_args, children=children):
-                try:
-                    arg_ctx, result = self.sig.arity(name, sort_args)
-                except FoSortError as e:
-                    return Verdict(False, error=str(e), path=path)
-                if len(children) != len(arg_ctx):
-                    return Verdict(False, error=f"congruence arity mismatch for {name}", path=path)
-                lhs_args, rhs_args = [], []
-                for i, (c, want) in enumerate(zip(children, arg_ctx), start=1):
-                    sub = self.go(c, path + (i,))
-                    if not sub:
-                        return sub
-                    if sub.sort != want:
-                        return Verdict(
-                            False,
-                            error=f"congruence child {i} has sort {sub.sort}, expected {want}",
-                            path=path + (i,),
-                        )
-                    lhs_args.append(sub.lhs)
-                    rhs_args.append(sub.rhs)
-                return Verdict(
-                    True,
-                    FoOp(name, sort_args, tuple(lhs_args)),
-                    FoOp(name, sort_args, tuple(rhs_args)),
-                    result,
-                )
-            case FoAxiom(equation=eq_name, sort_args=sort_args, children=children):
-                try:
-                    schema = self.pres.equation(eq_name)
-                    eq_ctx, eq_sort, lhs, rhs = schema.instantiate(sort_args)
-                except FoSortError as e:
-                    return Verdict(False, error=str(e), path=path)
-                if len(children) != len(eq_ctx):
-                    return Verdict(
-                        False,
-                        error=f"axiom {eq_name} needs {len(eq_ctx)} substituted positions",
-                        path=path,
-                    )
-                return self.instance("axiom", children, eq_ctx, lhs, rhs, eq_sort, path)
-            case FoLemma(ctx=lemma_ctx, proof=proof, children=children):
-                if len(children) != len(lemma_ctx):
-                    return Verdict(
-                        False,
-                        error=f"lemma needs {len(lemma_ctx)} substituted positions",
-                        path=path,
-                    )
-                v = _proved(self.pres, lemma_ctx, proof, path + (0,))
-                if not v:
-                    return v
-                return self.instance("lemma", children, lemma_ctx, v.lhs, v.rhs, v.sort, path)
-        return Verdict(False, error=f"unknown node {node!r}", path=path)
+    def term_sort(self, ctx: Context, t: FoTerm) -> Sort:
+        return fo_check_term(self.sig, ctx, t)
 
-    def spine(self, node: FoTrans, path) -> Verdict:
-        """A chain of transitivity nodes nested to the left, as
-        steps_to_derivation builds it, walked with a loop rather than one
-        recursive call per link; the paths and the order of checks are the
-        recursive walk's, so a rejection is the same."""
-        links = []
-        while type(node) is FoTrans:
-            links.append(node)
-            node = node.left
-        acc = self.go(node, path + (1,) * len(links))
-        for depth in range(len(links) - 1, -1, -1):
-            if not acc:
-                return acc
-            here = path + (1,) * depth
-            rv = self.go(links[depth].right, here + (2,))
-            if not rv:
-                return rv
-            if acc.rhs != rv.lhs:
-                return Verdict(
-                    False,
-                    error=f"transitivity middle terms disagree: {acc.rhs} vs {rv.lhs}",
-                    path=here,
-                )
-            acc = Verdict(True, acc.lhs, rv.rhs, acc.sort)
-        return acc
+    def same(self, ctx, sort, t: FoTerm, u: FoTerm) -> bool:
+        return t == u
 
-    def instance(self, what, children, inst_ctx, lhs, rhs, sort, path) -> Verdict:
+    def cong(self, node: FoCong, ctx: Context, path) -> Verdict:
+        name, sort_args, children = node.op, node.sort_args, node.children
+        try:
+            arg_ctx, result = self.sig.arity(name, sort_args)
+        except FoSortError as e:
+            return Verdict(False, error=str(e), path=path)
+        if len(children) != len(arg_ctx):
+            return Verdict(False, error=f"congruence arity mismatch for {name}", path=path)
+        sides = self.premises("congruence", children, itertools.repeat(ctx), arg_ctx, path)
+        if isinstance(sides, Verdict):
+            return sides
+        lefts, rights = sides
+        return Verdict(
+            True, FoOp(name, sort_args, tuple(lefts)), FoOp(name, sort_args, tuple(rights)), result
+        )
+
+    def axiom(self, node: FoAxiom, ctx: Context, path) -> Verdict:
+        eq_name, children = node.equation, node.children
+        try:
+            schema = self.pres.equation(eq_name)
+            eq_ctx, eq_sort, lhs, rhs = schema.instantiate(node.sort_args)
+        except FoSortError as e:
+            return Verdict(False, error=str(e), path=path)
+        if len(children) != len(eq_ctx):
+            return Verdict(
+                False, error=f"axiom {eq_name} needs {len(eq_ctx)} substituted positions", path=path
+            )
+        return self.instance("axiom", children, ctx, eq_ctx, lhs, rhs, eq_sort, path)
+
+    def lemma(self, node: FoLemma, ctx: Context, path) -> Verdict:
+        lemma_ctx, children = node.ctx, node.children
+        if len(children) != len(lemma_ctx):
+            return Verdict(
+                False, error=f"lemma needs {len(lemma_ctx)} substituted positions", path=path
+            )
+        v = _proved(self.pres, lemma_ctx, node.proof, path + (0,))
+        if not v.ok:
+            return v
+        return self.instance("lemma", children, ctx, lemma_ctx, v.lhs, v.rhs, v.sort, path)
+
+    def instance(self, what, children, ctx, inst_ctx, lhs, rhs, sort, path) -> Verdict:
         """lhs[u] ~ rhs[v] : sort, where child i proves u_i ~ v_i at sort
         inst_ctx_i; both sides are instantiated through _instance_term
         tables, one shared by the two sides when every u_i is v_i."""
-        lefts, rights = [], []
-        for i, (c, want) in enumerate(zip(children, inst_ctx), start=1):
-            sub = self.go(c, path + (i,))
-            if not sub:
-                return sub
-            if sub.sort != want:
-                return Verdict(
-                    False,
-                    error=f"{what} child {i} has sort {sub.sort}, expected {want}",
-                    path=path + (i,),
-                )
-            lefts.append(sub.lhs)
-            rights.append(sub.rhs)
+        sides = self.premises(what, children, itertools.repeat(ctx), inst_ctx, path)
+        if isinstance(sides, Verdict):
+            return sides
+        lefts, rights = sides
         ltable = {FoVar(i): u for i, u in enumerate(lefts, start=1)}
         rtable = ltable if lefts == rights else {
             FoVar(i): v for i, v in enumerate(rights, start=1)
         }
         return Verdict(True, _instance_term(lhs, ltable), _instance_term(rhs, rtable), sort)
+
+    rules = {
+        FoRefl: _Kernel.refl,
+        FoSym: _Kernel.sym,
+        FoTrans: _Kernel.trans,
+        FoCong: cong,
+        FoAxiom: axiom,
+        FoLemma: lemma,
+    }
 
 
 # --------------------------------------------------------------------------

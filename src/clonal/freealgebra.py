@@ -11,11 +11,16 @@ is represented by checkable proof trees whose rules are:
   * the substitution-collapse law
       <f>(<s_1>(ts), ..., <s_k>(ts)) ~ <f[s]>(ts);
 
-plus reflexivity, symmetry, and transitivity.  The checker checks every base
-element with the base clone's ``check`` at its declared arity.  Base
-elements are stored as raw representatives; wherever the checker compares
-terms it uses the base clone's own equality, so a proof never depends on the
-representative chosen inside an element application.
+plus reflexivity, symmetry, and transitivity.  Those three, and the loop
+over premises, are the rules every equational theory shares: the checker is
+a ``firstorder._Kernel``, as the first-order checker is, and adds only its
+term sorts, its comparison of middle terms and the rules above.  So a long
+transitivity chain is walked with a loop, as in the first-order kernel.
+The checker checks every base element with the base clone's ``check`` at
+its declared arity.  Base elements are stored as raw representatives;
+wherever the checker compares terms it uses the base clone's own equality,
+so a proof never depends on the representative chosen inside an element
+application.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .firstorder import (
     FoVar,
     TmClone,
     Verdict,
+    _Kernel,
     _compositions,
     enumerate_fo_terms_by_size,
     fo_size,
@@ -654,177 +660,128 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
     return _FreeChecker(free).go(d, ctx, ())
 
 
-class _FreeChecker(_TermChecker):
-    """One check_free_derivation call: the free algebra, the sort of each
-    well-sorted (term, context) checked, and the elements that passed."""
+class _FreeChecker(_Kernel):
+    """One check_free_derivation call over a free algebra: terms are sorted
+    by a _TermChecker, which keeps the elements that passed, and middle
+    terms compared by raw_eq."""
 
     def __init__(self, free: FreeAlgebra):
-        super().__init__(free.base, free.presentation.signature)
+        super().__init__()
         self.free = free
-        self.sorts: dict = {}
+        self.base = free.base
+        self.sig = free.presentation.signature
+        self.terms = _TermChecker(free.base, self.sig)
 
-    def sort_of(self, t, c):
-        s = self.sorts.get((t, c))
-        if s is None:
-            s = self.sorts[t, c] = self.sort(c, t)
-        return s
+    def term_sort(self, ctx: Context, t: FreeTerm) -> Sort:
+        return self.terms.sort(ctx, t)
 
-    def go(self, node, c: Context, path) -> Verdict:
-        match node:
-            case FRefl(term=t):
-                try:
-                    s = self.sort_of(t, c)
-                except FreeSortError as e:
-                    return Verdict(False, error=str(e), path=path)
-                return Verdict(True, t, t, s)
-            case FSym(child=ch):
-                sub = self.go(ch, c, path + (1,))
-                if not sub:
-                    return sub
-                return Verdict(True, sub.rhs, sub.lhs, sub.sort)
-            case FTrans(left=l, right=r):
-                lv = self.go(l, c, path + (1,))
-                if not lv:
-                    return lv
-                rv = self.go(r, c, path + (2,))
-                if not rv:
-                    return rv
-                if not raw_eq(self.base, c, lv.sort, lv.rhs, rv.lhs):
-                    return Verdict(
-                        False,
-                        error=f"transitivity middles disagree: {lv.rhs} vs {rv.lhs}",
-                        path=path,
-                    )
-                return Verdict(True, lv.lhs, rv.rhs, lv.sort)
-            case FCongClone(element=e, arity_ctx=actx, arity_sort=asort, children=children):
-                if len(children) != len(actx):
-                    return Verdict(False, error="clone congruence arity mismatch", path=path)
-                try:
-                    self.element(actx, asort, e)
-                except FreeSortError as err:
-                    return Verdict(False, error=str(err), path=path)
-                ls, rs = [], []
-                for i, (ch, want) in enumerate(zip(children, actx), start=1):
-                    sub = self.go(ch, c, path + (i,))
-                    if not sub:
-                        return sub
-                    if sub.sort != want:
-                        return Verdict(
-                            False, error=f"clone congruence child {i} sort mismatch",
-                            path=path + (i,),
-                        )
-                    ls.append(sub.lhs)
-                    rs.append(sub.rhs)
-                return Verdict(
-                    True,
-                    CloneApp(e, actx, asort, tuple(ls)),
-                    CloneApp(e, actx, asort, tuple(rs)),
-                    asort,
-                )
-            case FCongOp(name=name, sort_args=sort_args, children=children):
-                try:
-                    arity = self.sig.arity(name, sort_args)
-                except CloneError as e:
-                    return Verdict(False, error=str(e), path=path)
-                if len(children) != len(arity.binders):
-                    return Verdict(False, error="operator congruence arity mismatch", path=path)
-                largs, rargs = [], []
-                for i, (ch, (binder, want)) in enumerate(
-                    zip(children, arity.binders), start=1
-                ):
-                    sub = self.go(ch, c + binder, path + (i,))
-                    if not sub:
-                        return sub
-                    if sub.sort != want:
-                        return Verdict(
-                            False, error=f"operator congruence child {i} sort mismatch",
-                            path=path + (i,),
-                        )
-                    largs.append((binder, sub.lhs))
-                    rargs.append((binder, sub.rhs))
-                return Verdict(
-                    True,
-                    FreeOp(name, sort_args, tuple(largs)),
-                    FreeOp(name, sort_args, tuple(rargs)),
-                    arity.result,
-                )
-            case FAxiom(equation=eq_name, sort_args=sort_args, children=children):
-                try:
-                    schema = self.free.presentation.equation(eq_name)
-                    metactx, eq_sort, lhs, rhs = schema.instantiate(sort_args)
-                except CloneError as e:
-                    return Verdict(False, error=str(e), path=path)
-                if len(children) != len(metactx):
-                    return Verdict(
-                        False, error=f"axiom {eq_name} needs {len(metactx)} premises", path=path
-                    )
-                linst, rinst = [], []
-                for i, (ch, decl) in enumerate(zip(children, metactx), start=1):
-                    sub = self.go(ch, c + decl.ctx, path + (i,))
-                    if not sub:
-                        return sub
-                    if sub.sort != decl.sort:
-                        return Verdict(
-                            False, error=f"axiom premise {i} sort mismatch", path=path + (i,)
-                        )
-                    linst.append(sub.lhs)
-                    rinst.append(sub.rhs)
-                return Verdict(
-                    True,
-                    interpret_term(self.free, lhs, metactx, EMPTY, c, tuple(linst)),
-                    interpret_term(self.free, rhs, metactx, EMPTY, c, tuple(rinst)),
-                    eq_sort,
-                )
-            case FVarLaw(index=i, arg_ctx=actx, args=args):
-                if len(args) != len(actx) or not 1 <= i <= len(actx):
-                    return Verdict(False, error="variable-collapse arity mismatch", path=path)
-                for j, (a, want) in enumerate(zip(args, actx), start=1):
-                    try:
-                        got = self.sort_of(a, c)
-                    except FreeSortError as e:
-                        return Verdict(False, error=str(e), path=path + (j,))
-                    if got != want:
-                        return Verdict(
-                            False, error=f"collapse argument {j} sort mismatch", path=path + (j,)
-                        )
-                element = self.base.var(actx, i)
-                return Verdict(
-                    True,
-                    CloneApp(element, actx, actx.sort_at(i), args),
-                    args[i - 1],
-                    actx.sort_at(i),
-                )
-            case FSubstLaw(
-                element=f,
-                element_ctx=ectx,
-                element_sort=esort,
-                subst_components=comps,
-                arg_ctx=actx,
-                args=args,
-            ):
-                if len(comps) != len(ectx) or len(args) != len(actx):
-                    return Verdict(False, error="substitution-collapse arity mismatch", path=path)
-                try:
-                    self.element(ectx, esort, f)
-                    for j, s in enumerate(comps, start=1):
-                        self.element(actx, ectx.sort_at(j), s)
-                except FreeSortError as err:
-                    return Verdict(False, error=str(err), path=path)
-                for j, (a, want) in enumerate(zip(args, actx), start=1):
-                    try:
-                        got = self.sort_of(a, c)
-                    except FreeSortError as e:
-                        return Verdict(False, error=str(e), path=path + (j,))
-                    if got != want:
-                        return Verdict(
-                            False, error=f"collapse argument {j} sort mismatch", path=path + (j,)
-                        )
-                inner = tuple(
-                    CloneApp(s, actx, ectx.sort_at(j), args)
-                    for j, s in enumerate(comps, start=1)
-                )
-                lhs = CloneApp(f, ectx, esort, inner)
-                composed = self.base.subst(f, Substitution(actx, ectx, comps))
-                rhs = CloneApp(composed, actx, esort, args)
-                return Verdict(True, lhs, rhs, esort)
-        return Verdict(False, error=f"unknown node {node!r}", path=path)
+    def same(self, ctx: Context, sort: Sort, t: FreeTerm, u: FreeTerm) -> bool:
+        return raw_eq(self.base, ctx, sort, t, u)
+
+    def cong_clone(self, node: FCongClone, ctx: Context, path) -> Verdict:
+        e, actx, asort, children = node.element, node.arity_ctx, node.arity_sort, node.children
+        if len(children) != len(actx):
+            return Verdict(False, error="clone congruence arity mismatch", path=path)
+        try:
+            self.terms.element(actx, asort, e)
+        except FreeSortError as err:
+            return Verdict(False, error=str(err), path=path)
+        sides = self.premises("clone congruence", children, itertools.repeat(ctx), actx, path)
+        if isinstance(sides, Verdict):
+            return sides
+        ls, rs = sides
+        return Verdict(
+            True, CloneApp(e, actx, asort, tuple(ls)), CloneApp(e, actx, asort, tuple(rs)), asort
+        )
+
+    def cong_op(self, node: FCongOp, ctx: Context, path) -> Verdict:
+        name, sort_args, children = node.name, node.sort_args, node.children
+        try:
+            arity = self.sig.arity(name, sort_args)
+        except CloneError as e:
+            return Verdict(False, error=str(e), path=path)
+        if len(children) != len(arity.binders):
+            return Verdict(False, error="operator congruence arity mismatch", path=path)
+        binders = [b for b, _ in arity.binders]
+        sides = self.premises(
+            "operator congruence", children, [ctx + b for b in binders],
+            [s for _, s in arity.binders], path,
+        )
+        if isinstance(sides, Verdict):
+            return sides
+        ls, rs = sides
+        return Verdict(
+            True,
+            FreeOp(name, sort_args, tuple(zip(binders, ls))),
+            FreeOp(name, sort_args, tuple(zip(binders, rs))),
+            arity.result,
+        )
+
+    def axiom(self, node: FAxiom, ctx: Context, path) -> Verdict:
+        eq_name, children = node.equation, node.children
+        try:
+            schema = self.free.presentation.equation(eq_name)
+            metactx, eq_sort, lhs, rhs = schema.instantiate(node.sort_args)
+        except CloneError as e:
+            return Verdict(False, error=str(e), path=path)
+        if len(children) != len(metactx):
+            return Verdict(False, error=f"axiom {eq_name} needs {len(metactx)} premises", path=path)
+        sides = self.premises(
+            "axiom", children, [ctx + d.ctx for d in metactx], [d.sort for d in metactx], path
+        )
+        if isinstance(sides, Verdict):
+            return sides
+        ls, rs = sides
+        return Verdict(
+            True,
+            interpret_term(self.free, lhs, metactx, EMPTY, ctx, tuple(ls)),
+            interpret_term(self.free, rhs, metactx, EMPTY, ctx, tuple(rs)),
+            eq_sort,
+        )
+
+    def var_law(self, node: FVarLaw, ctx: Context, path) -> Verdict:
+        i, actx, args = node.index, node.arg_ctx, node.args
+        if len(args) != len(actx) or not 1 <= i <= len(actx):
+            return Verdict(False, error="variable-collapse arity mismatch", path=path)
+        sides = self.premises(  # the arguments are reflexivity premises
+            "variable-collapse", map(FRefl, args), itertools.repeat(ctx), actx, path
+        )
+        if isinstance(sides, Verdict):
+            return sides
+        sort = actx.sort_at(i)
+        return Verdict(True, CloneApp(self.base.var(actx, i), actx, sort, args), args[i - 1], sort)
+
+    def subst_law(self, node: FSubstLaw, ctx: Context, path) -> Verdict:
+        f, ectx, esort = node.element, node.element_ctx, node.element_sort
+        comps, actx, args = node.subst_components, node.arg_ctx, node.args
+        if len(comps) != len(ectx) or len(args) != len(actx):
+            return Verdict(False, error="substitution-collapse arity mismatch", path=path)
+        try:
+            self.terms.element(ectx, esort, f)
+            for j, s in enumerate(comps, start=1):
+                self.terms.element(actx, ectx.sort_at(j), s)
+        except FreeSortError as err:
+            return Verdict(False, error=str(err), path=path)
+        sides = self.premises(
+            "substitution-collapse", map(FRefl, args), itertools.repeat(ctx), actx, path
+        )
+        if isinstance(sides, Verdict):
+            return sides
+        inner = tuple(
+            CloneApp(s, actx, ectx.sort_at(j), args) for j, s in enumerate(comps, start=1)
+        )
+        composed = self.base.subst(f, Substitution(actx, ectx, comps))
+        return Verdict(
+            True, CloneApp(f, ectx, esort, inner), CloneApp(composed, actx, esort, args), esort
+        )
+
+    rules = {
+        FRefl: _Kernel.refl,
+        FSym: _Kernel.sym,
+        FTrans: _Kernel.trans,
+        FCongClone: cong_clone,
+        FCongOp: cong_op,
+        FAxiom: axiom,
+        FVarLaw: var_law,
+        FSubstLaw: subst_law,
+    }

@@ -475,14 +475,6 @@ _READ_FREE_RULE = _Table("rule", {
 # --------------------------------------------------------------------------
 
 
-def sort_to_json(s: Sort) -> dict:
-    return _Encoder().sort(s)
-
-
-def sort_from_json(data: dict) -> Sort:
-    return _decode(_Decoder.sort, data)
-
-
 def context_to_json(c: Context) -> list:
     return _Encoder().context(c)
 

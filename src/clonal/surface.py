@@ -618,10 +618,6 @@ def parse_term(
 # --------------------------------------------------------------------------
 
 
-def render_sort(s: Sort) -> str:
-    return str(s)
-
-
 def render_free(t, names: list[str]) -> str:
     """Deterministic human syntax; element applications are resugared into
     operator applications."""

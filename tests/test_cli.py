@@ -160,6 +160,23 @@ class TestEqual:
         )
         assert code == 0 and out.strip() == "equal"
 
+    @pytest.mark.parametrize("mode", [(), ("--search",)])
+    def test_witness_the_bundle_does_not_prove_is_no_verdict(self, capsys, tmp_path, mode):
+        # without beta and eta the witness cites equations the bundle lacks:
+        # the kernel rejects it, so equal is an internal error, not a verdict
+        from clonal.cli import bundled_source
+
+        source = bundled_source("bool")
+        lines = [line for line in source.splitlines()
+                 if not line.lstrip().startswith(("eq beta", "eq eta"))]
+        assert len(lines) == len(source.splitlines()) - 2
+        path = tmp_path / "noeq.bundle"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(
+            capsys, "equal", "--bundle", str(path), *mode, "app (abs x : b. x) true", "true")
+        assert code == 1 and "equal" not in out
+        assert err.startswith("internal witness rejected: unknown equation 'beta'")
+
 
 class TestParserReuse:
     ARGVS = [

@@ -121,6 +121,12 @@ def _cli_normalize(*flags):
                      *flags])
 
 
+def _cli_equal():
+    # equal replays its witness in the kernel before it answers
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["equal", "--witness", "--json", "app (abs x : b. x) true", "true"])
+
+
 ENTRY_POINTS = {
     "prove_fo_equal": lambda: prove_fo_equal(
         GS2, G1, _get(FoVar(1), _put("v2", FoVar(1))), _put("v2", FoVar(1)), max_nodes=300
@@ -158,6 +164,7 @@ ENTRY_POINTS = {
     "nbe_normalize_fresh_bundle": _nbe_on_fresh_bundle,
     "cli_normalize": _cli_normalize,
     "cli_normalize_json": lambda: _cli_normalize("--json"),
+    "cli_equal": _cli_equal,
 }
 
 
@@ -166,7 +173,7 @@ def test_inputs_exercise_the_full_paths():
     assert check_free_derivation(FREE, E, TRACE).ok
     assert STATE_PROOF is not None and check_fo_derivation(GS2, G1, STATE_PROOF).ok
     assert free_equal(FREE, E, BB, REDEX, NORMAL, mode="search", budget=60).status == "equal"
-    assert _cli_normalize() == 0 and _cli_normalize("--json") == 0
+    assert _cli_normalize() == 0 and _cli_normalize("--json") == 0 and _cli_equal() == 0
     assert rewrite_normalize(GS_RULES, OUTER_TERM, "outermost")[1][0].path == (2,)
     assert rewrite_normalize(GS_RULES, STATE_TERM)[1][0].path == (2, 1)
     assert any(s.derived is not None for s in STATE_STEPS)

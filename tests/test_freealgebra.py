@@ -1,6 +1,7 @@
 """Free algebra: raw terms, proof objects, unit, fold, witnessed equality."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from clonal.clones import Substitution, VariableClone
 from clonal.equality import NormalizationError, free_equal, normalize_with_trace
-from clonal.firstorder import FoOp, FoVar
+from clonal.firstorder import FoOp, FoVar, Verdict
 from clonal.freealgebra import (
     CloneApp,
     FAxiom,
@@ -190,7 +191,7 @@ class TestDerivationChecker:
         d = FTrans(FRefl(true_term()), FRefl(false_term()))
         v = check_free_derivation(free, E, d)
         assert not v.ok
-        assert "middles" in v.error
+        assert "middle terms disagree" in v.error
 
     def test_axiom_with_unequal_premise_instantiations(self):
         # the equation rule instantiates the two sides with the premises'
@@ -232,6 +233,11 @@ class TestDerivationChecker:
         assert "element" in v.error
 
 
+    def test_unknown_operator_in_a_term_is_a_rejection(self):
+        d = FTrans(FRefl(true_term()), FRefl(FreeOp("nosuch", (), ())))
+        v = check_free_derivation(stlc_bool(), E, d)
+        assert not v.ok and v.path == (2,) and "unknown operator 'nosuch'" in v.error
+
     def test_each_element_is_checked_once_per_call(self, monkeypatch):
         from clonal import freealgebra
 
@@ -253,6 +259,121 @@ class TestDerivationChecker:
         assert not v.ok and v.path == (2, 1) and "element" in v.error
         # the failure is not kept: a second call reports it the same way
         assert check_free_derivation(stlc_bool(), ctx(B), d).path == (2, 1)
+
+
+class TestTransitivityChains:
+    """The free kernel walks a left-nested chain of transitivity links with
+    the loop the first-order kernel uses: a deep chain replays, and a
+    rejection is the recursive walk's."""
+
+    def test_deep_chain_replays(self):
+        redex = app(abs_(FreeVar(1)), true_term())
+        beta = FAxiom("beta", (B, B), (FRefl(FreeVar(1)), FRefl(true_term())))
+        d = beta
+        for i in range(5000):  # there and back again, 2,500 times
+            d = FTrans(d, FSym(beta) if i % 2 == 0 else beta)
+        assert 5000 > sys.getrecursionlimit()
+        v = check_free_derivation(stlc_bool(), E, d)
+        assert v.ok, v.error
+        assert (v.lhs, v.rhs, v.sort) == (redex, true_term(), B)
+
+    def test_tampered_witnesses_are_rejected_where_the_recursive_walk_rejects(self):
+        ite = FoOp("ite", (B,), (FoVar(1), FoVar(2), FoVar(3)))
+        cond = CloneApp(ite, ctx(B, B, B), B, (FreeVar(2), FreeVar(1), false_term()))
+        # an element whose variable is out of range of its arity context
+        stray = FRefl(CloneApp(FoVar(9), ctx(B), B, (true_term(),)))
+        get_put = CloneApp(gs_el("get", gs_el("put_v1", FoVar(1)), FoVar(2)), ctx(B, B), B,
+                           (FreeVar(2), app(abs_(FreeVar(3)), FreeVar(1))))
+        cases = [
+            (stlc_bool(), E, B, app(abs_(FreeVar(1)), app(abs_(FreeVar(1)), app(
+                abs_(FreeVar(1)), true_term())))),
+            (stlc_bool(), ctx(B), B, app(abs_(cond), app(abs_(FreeVar(2)), true_term()))),
+            (stlc_bool(), E, BB, app(abs_(abs_(app(FreeVar(1), CloneApp(
+                ite, ctx(B, B, B), B, (FreeVar(2), true_term(), false_term()))), (B, B)),
+                (BB, BB)), abs_(FreeVar(1)), (BB, BB))),
+            (stlc_gs(("v1", "v2")), ctx(B), B, app(abs_(get_put), FreeVar(1))),
+        ]
+        seen_paths, errors = set(), set()
+        for free, g, s, t in cases:
+            pieces = _links(normalize_with_trace(free, g, s, t)[1])
+            assert len(pieces) >= 2
+            variants = [_chain(pieces)]
+            v = check_free_derivation(free, g, variants[0])
+            assert v.ok and raw_eq(free.base, g, s, v.lhs, t)
+            for j, piece in enumerate(pieces):
+                rest = pieces[j + 1:]
+                variants.append(_chain(pieces[:j] + rest))  # a step left out
+                variants.append(_chain(pieces[:j] + [FRefl(FreeVar(9))] + rest))  # ill-sorted
+                variants.append(_chain(pieces[:j] + [FSym(piece)] + rest))  # reversed
+                tampered = _first_refl_replaced(piece, stray)
+                if tampered is not None:  # an out-of-range element inside the step
+                    variants.append(_chain(pieces[:j] + [tampered] + rest))
+            for d in variants:
+                mine = check_free_derivation(free, g, d)
+                ref = _recursive_check(free, g, d)
+                assert (mine.ok, mine.error, mine.path) == (ref.ok, ref.error, ref.path)
+                seen_paths.add(mine.path)
+                errors.add(mine.error)
+        # rejections at many depths of the chains, some inside a step, of each kind
+        assert len(seen_paths) > 10 and any(len(p) > 4 for p in seen_paths)
+        for kind in ("transitivity middle terms disagree", "refl of ill-sorted term: variable x9",
+                     "element x9 over"):
+            assert any(e and kind in e for e in errors), kind
+
+
+def _links(d):
+    """The steps of ``d`` in order, every transitivity node flattened."""
+    if isinstance(d, FTrans):
+        return _links(d.left) + _links(d.right)
+    return [d]
+
+
+def _chain(pieces):
+    """The left-nested transitivity chain the witnessed normalizer builds."""
+    d = pieces[0]
+    for p in pieces[1:]:
+        d = FTrans(d, p)
+    return d
+
+
+def _first_refl_replaced(d, leaf):
+    """``d`` with its first reflexivity leaf, in pre-order, replaced by
+    ``leaf``; None when ``d`` has none."""
+    match d:
+        case FRefl():
+            return leaf
+        case FSym(child=c):
+            c = _first_refl_replaced(c, leaf)
+            return None if c is None else FSym(c)
+        case FTrans(left=l, right=r):
+            l = _first_refl_replaced(l, leaf)
+            return None if l is None else FTrans(l, r)
+        case FCongClone(children=cs) | FCongOp(children=cs) | FAxiom(children=cs) if cs:
+            c = _first_refl_replaced(cs[0], leaf)
+            if c is None:
+                return None
+            fields = [getattr(d, f) for f in d.__dataclass_fields__][:-1]
+            return type(d)(*fields, (c,) + cs[1:])
+    return None
+
+
+def _recursive_check(free, g, d, path=()):
+    """The kernel's transitivity rule as a recursive walk, one call per
+    link, kept as an oracle for the loop the free kernel shares with the
+    first-order one; every other node goes to the kernel."""
+    if isinstance(d, FTrans):
+        lv = _recursive_check(free, g, d.left, path + (1,))
+        if not lv:
+            return lv
+        rv = _recursive_check(free, g, d.right, path + (2,))
+        if not rv:
+            return rv
+        if not raw_eq(free.base, g, lv.sort, lv.rhs, rv.lhs):
+            return Verdict(False, error=f"transitivity middle terms disagree: {lv.rhs} vs {rv.lhs}",
+                           path=path)
+        return Verdict(True, lv.lhs, rv.rhs, lv.sort)
+    v = check_free_derivation(free, g, d)
+    return v if v.ok else Verdict(False, error=v.error, path=path + v.path)
 
 
 class TestFold:
