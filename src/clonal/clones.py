@@ -13,9 +13,10 @@ are the substitutions of the clone of variables, kept as a separate type
 so renaming can avoid building full substitutions.
 
 Trust boundary: the public ``Substitution(...)`` and ``Renaming(...)``
-constructors validate and raise ``CloneError`` on a malformed map.  The one
-unchecked path is the lift in ``under_binders`` (and ``weakening``): it
-builds maps that are well formed by construction.
+constructors validate and raise ``CloneError`` on a malformed map.  The
+unchecked paths are the lift in ``under_binders`` (and ``weakening``) and
+the product clone's split: they build maps that are well formed by
+construction.
 """
 
 from __future__ import annotations
@@ -23,16 +24,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .sorts import EMPTY, Context, Sort, SortSet
+from .sorts import EMPTY, Context, Sort, SortSet, stored_hash
 
 
 class CloneError(Exception):
     """Sort or arity mismatch in a clone operation."""
 
 
+@stored_hash
 @dataclass(frozen=True)
 class Substitution:
-    """A tuple of terms in ``source``, one per entry of ``target``."""
+    """A tuple of terms in ``source``, one per entry of ``target``.  Only the
+    fields are compared, hashed and pickled: a product clone's stored split
+    (``ProductClone._split``) rides along outside them."""
 
     source: Context
     target: Context
@@ -233,7 +237,7 @@ class VariableClone(Clone):
         return i
 
     def subst(self, t: int, sigma: Substitution):
-        return sigma.component(t)
+        return sigma.components[t - 1]
 
     def check(self, ctx: Context, t) -> Sort:
         if type(t) is not int or not 1 <= t <= len(ctx):
@@ -287,12 +291,15 @@ class ProductClone(Clone):
         return (self.left.var(ctx, i), self.right.var(ctx, i))
 
     def _split(self, sigma: Substitution) -> tuple[Substitution, Substitution]:
-        ls = tuple(c[0] for c in sigma.components)
-        rs = tuple(c[1] for c in sigma.components)
-        return (
-            Substitution(sigma.source, sigma.target, ls),
-            Substitution(sigma.source, sigma.target, rs),
-        )
+        """sigma's left and right halves, built once and stored on sigma."""
+        halves = vars(sigma).get("_split")
+        if halves is None:
+            src, tgt, cs = sigma.source, sigma.target, sigma.components
+            halves = vars(sigma)["_split"] = (
+                _unchecked(Substitution, src, tgt, tuple(c[0] for c in cs)),
+                _unchecked(Substitution, src, tgt, tuple(c[1] for c in cs)),
+            )
+        return halves
 
     def subst(self, t, sigma: Substitution):
         ls, rs = self._split(sigma)
@@ -546,8 +553,20 @@ def _capped(items: list, cap: int, law: LawCheck) -> list:
     return items
 
 
-def _terms(clone: Clone, ctx: Context, sort: Sort, depth: int, cap: int, law: LawCheck) -> list:
-    return _capped(clone.enumerate_terms(ctx, sort, depth, limit=cap + 1), cap, law)
+def _pools(clone: Clone, budget: Budget):
+    """``terms(ctx, sort, law)``: the clone's enumeration at (ctx; sort),
+    made once per call of a law harness and capped for each law."""
+    enumerated: dict = {}
+
+    def terms(ctx, sort, law):
+        items = enumerated.get((ctx, sort))
+        if items is None:
+            items = enumerated[ctx, sort] = clone.enumerate_terms(
+                ctx, sort, budget.max_depth, limit=budget.max_terms + 1
+            )
+        return _capped(items, budget.max_terms, law)
+
+    return terms
 
 
 def _subst_tuples(terms, src: Context, tgt: Context, budget: Budget, law: LawCheck) -> list[Substitution]:
@@ -577,10 +596,7 @@ def check_clone_laws(
         sorts = clone.sort_set.sorts_up_to_height(budget.max_sort_height)
     contexts = clone.sort_set.contexts_up_to(budget.max_context_len, sorts)
     report = LawReport(subject)
-    depth = budget.max_depth
-
-    def terms(ctx, sort, law):
-        return _terms(clone, ctx, sort, depth, budget.max_terms, law)
+    terms = _pools(clone, budget)
 
     law1 = LawCheck("law 1: var_i[sigma] = sigma_i")
     for src in contexts:
@@ -621,12 +637,15 @@ def check_clone_laws(
                 continue
             outers = _subst_tuples(terms, delta, xi, budget, law3)
             inners = _subst_tuples(terms, gamma, delta, budget, law3)
+            if not inners:
+                continue
             for t in ts:
                 for outer in outers:
+                    mid = clone.subst(t, outer)  # the same for every inner
                     for inner in inners:
                         law3.checked += 1
                         lhs = clone.subst(t, clone.compose(outer, inner))
-                        rhs = clone.subst(clone.subst(t, outer), inner)
+                        rhs = clone.subst(mid, inner)
                         if not clone.term_eq(gamma, sort, lhs, rhs):
                             law3.fail(
                                 f"t={clone.show_term(t)} sigma'={outer} sigma={inner}: "
@@ -643,9 +662,7 @@ def check_clone_hom(hom: CloneHom, budget: Budget = Budget(), subject: str = "ho
     sorts = src.sort_set.sorts_up_to_height(budget.max_sort_height)
     contexts = src.sort_set.contexts_up_to(budget.max_context_len, sorts)
     report = LawReport(subject)
-
-    def terms(ctx, sort, law):
-        return _terms(src, ctx, sort, budget.max_depth, budget.max_terms, law)
+    terms = _pools(src, budget)
 
     vars_law = LawCheck("hom preserves variables")
     for ctx in contexts:

@@ -509,7 +509,9 @@ def check_algebra(alg: Algebra, budget: Budget = Budget(), subject: str = "algeb
 
     Each site's terms come from the clone's enumerate_terms; where that
     raises CloneError (the site is too large), from the clone's
-    ``sample_term``, seeded by ``budget.seed``, if it has one.
+    ``sample_term``, seeded by ``budget.seed``, if it has one.  The
+    substitutions from each xi to each gamma, sampled or not, and their lifts
+    under each binder are made once per call and shared by every operator.
     """
     pres = alg.presentation
     sig = pres.signature
@@ -541,6 +543,17 @@ def check_algebra(alg: Algebra, budget: Budget = Budget(), subject: str = "algeb
                 return []
 
     comm = LawCheck("operator interpretation commutes with substitution")
+    substs: dict = {}  # (xi, gamma) -> the substitutions from xi to gamma, this call only
+    lifts: dict = {}  # (xi, gamma, binder) -> each of them lifted under binder, or _FAILED
+
+    def lifted(xi, gamma, binder):
+        found = lifts.get((xi, gamma, binder))
+        if found is None:
+            found = lifts[xi, gamma, binder] = [
+                _attempt(lambda: clone.lift(sub, binder)) for sub in substs[xi, gamma]
+            ]
+        return found
+
     for name, sort_args in sig.instances(sorts):
         arity = sig.arity(name, sort_args)
         for gamma in contexts:
@@ -550,29 +563,33 @@ def check_algebra(alg: Algebra, budget: Budget = Budget(), subject: str = "algeb
             ]
             tuples = list(itertools.product(*arg_pools))
             tuples = _capped(tuples, budget.max_tuples, comm)
-            # Each tuple's interpretation at gamma, and each sub's lifts, are
-            # computed once; a CloneError is kept as _FAILED and skips, and
-            # caps, every pair that needs the result, as if raised there.
+            # Each tuple's interpretation at gamma is computed once here, and
+            # each sub's lift under each binder once per call; a CloneError is
+            # kept as _FAILED and skips, and caps, every pair that needs the
+            # result, as if raised there.
             interpreted: dict = {}  # tuple index -> its interpretation at gamma
             for xi in contexts:
-                sigmas = _subst_tuples(site_terms, xi, gamma, budget, comm)
-                lifts = [
-                    _attempt(lambda: tuple(clone.lift(sub, b) for b, _ in arity.binders))
-                    for sub in sigmas
-                ]
+                sigmas = substs.get((xi, gamma))
+                if sigmas is None:
+                    sigmas = substs[xi, gamma] = _subst_tuples(site_terms, xi, gamma, budget, comm)
+                columns = [lifted(xi, gamma, b) for b, _ in arity.binders]
+                rows = (
+                    [_FAILED if _FAILED in row else row for row in zip(*columns)]
+                    if columns else [()] * len(sigmas)
+                )
                 for k, args in enumerate(tuples):
-                    for sub, lifted in zip(sigmas, lifts):
+                    for sub, row in zip(sigmas, rows):
                         if k not in interpreted:
                             interpreted[k] = _attempt(
                                 lambda: alg.interpret(name, sort_args, gamma, args)
                             )
-                        if interpreted[k] is _FAILED or lifted is _FAILED:
+                        if interpreted[k] is _FAILED or row is _FAILED:
                             comm.capped = True  # site beyond the clone's bounds
                             continue
                         try:
                             lhs = clone.subst(interpreted[k], sub)
                             lifted_args = tuple(
-                                clone.subst(a, lift) for a, lift in zip(args, lifted)
+                                clone.subst(a, lift) for a, lift in zip(args, row)
                             )
                             rhs = alg.interpret(name, sort_args, xi, lifted_args)
                         except CloneError:

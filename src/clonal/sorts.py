@@ -169,6 +169,11 @@ class Context:
         return self.entries[i - 1]
 
     def extend(self, other: "Context") -> "Context":
+        # immutable, so an empty operand gives back the other object itself
+        if not other.entries:
+            return self
+        if not self.entries:
+            return other
         return Context(self.entries + other.entries)
 
     def __add__(self, other: "Context") -> "Context":

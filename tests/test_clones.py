@@ -54,6 +54,13 @@ class TestContexts:
         assert EMPTY + g == g
         assert (g + d) + x == g + (d + x)
 
+    def test_empty_operand_gives_back_the_other_context(self):
+        g, d = ctx(B, N), ctx(N)
+        assert g + EMPTY is g and EMPTY + g is g and Context(()) + g is g
+        assert EMPTY + EMPTY is EMPTY
+        assert g + d == ctx(B, N, N) and hash(g + d) == hash(ctx(B, N, N))
+        assert d + g == ctx(N, B, N) and d + g != g + d
+
     def test_lookup(self):
         c = ctx(B, N, B)
         assert c.sort_at(1) == B and c.sort_at(2) == N
@@ -288,6 +295,18 @@ class TestTerminalAndProduct:
         v = VariableClone(FIN)
         report = check_clone_laws(ProductClone(v, v), Budget(max_context_len=2, max_sort_height=0))
         assert report.ok, report.summary()
+
+    def test_stored_split_stays_out_of_equality_hash_and_pickles(self):
+        p = ProductClone(VariableClone(FIN), VariableClone(FIN))
+        sigma = Substitution(ctx(B, N), ctx(N, B), ((2, 2), (1, 1)))
+        fresh = Substitution(ctx(B, N), ctx(N, B), ((2, 2), (1, 1)))
+        assert p.subst((2, 2), sigma) == (1, 1)
+        assert p._split(sigma) is p._split(sigma)  # split once, then reused
+        assert pickle.dumps(sigma) == pickle.dumps(fresh)
+        assert sigma == fresh and hash(sigma) == hash(fresh) and repr(sigma) == repr(fresh)
+        copy = pickle.loads(pickle.dumps(sigma))
+        assert set(vars(copy)) == {"source", "target", "components"}
+        assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
 
     def test_pairing_then_project_recovers(self):
         v = VariableClone(FIN)

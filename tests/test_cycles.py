@@ -18,16 +18,18 @@ import json
 import pytest
 
 from clonal.cli import build_parser, main
-from clonal.clones import Budget
+from clonal.clones import Budget, FuncHom, ProductClone, check_clone_hom, check_clone_laws
 from clonal.equality import free_equal, normalize_with_trace
 from clonal.firstorder import (
     BASE,
     FoOp,
     FoVar,
     RewriteEq,
+    bool_clone,
     bool_presentation,
     check_fo_derivation,
     global_state_presentation,
+    gs_clone,
     gs_rewrite_system,
     innermost_normal_form,
     prove_fo_equal,
@@ -102,6 +104,11 @@ FOUND = CloneApp(
 GS_REDEX = _app(_abs(CloneApp(_get(_put("v1", FoVar(1)), FoVar(1)), G1, B, (FreeVar(2),))),
                 FreeVar(1))
 
+BOOLS = bool_clone()
+IDENTITY = FuncHom(BOOLS, BOOLS, lambda c, s, t: t)
+LAW_BUDGET = Budget(max_context_len=2, max_depth=1, max_sort_height=0, max_terms=4,
+                    max_tuples=3, max_context_triples=8)
+
 build_parser()  # built once per process; argparse's own garbage is not measured
 
 
@@ -158,6 +165,10 @@ ENTRY_POINTS = {
         MODEL,
         Budget(max_context_len=1, max_depth=0, max_sort_height=1, max_terms=3, max_tuples=3),
     ),
+    # per-call site pools and substitution lists, and the product's stored split
+    "check_clone_laws_product": lambda: check_clone_laws(
+        ProductClone(bool_clone(), gs_clone(("v1", "v2"))), LAW_BUDGET),
+    "check_clone_hom": lambda: check_clone_hom(IDENTITY, LAW_BUDGET),
     "eval_closed": lambda: eval_closed(FREE, MODEL, BB, REDEX),
     "render_free": lambda: render_free(REDEX, []),
     "stock_bundle": lambda: stock_bundle("bool"),

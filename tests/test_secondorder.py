@@ -1,16 +1,30 @@
 """Second-order terms: checking, substitution, metasubstitution, algebras."""
 
+import collections
 import itertools
 
 import pytest
 
-from clonal.clones import Budget, Substitution, identity_renaming, weakening
+from clonal.clones import (
+    Budget,
+    FuncHom,
+    Substitution,
+    VariableClone,
+    check_clone_hom,
+    check_clone_laws,
+    identity_renaming,
+    weakening,
+)
 from clonal.secondorder import (
+    Algebra,
     AlgebraProduct,
     MetaApp,
     MetaContext,
     MetaDecl,
     SoOp,
+    SoOpSchema,
+    SoPresentation,
+    SoSignature,
     SoSortError,
     SoVar,
     algebra_product,
@@ -23,7 +37,7 @@ from clonal.secondorder import (
     so_subst,
     stlc_presentation,
 )
-from clonal.sorts import Context, Sort, arrow
+from clonal.sorts import Context, Sort, SortSet, SortVar, arrow
 
 B = Sort("b")
 BB = arrow(B, B)
@@ -268,3 +282,72 @@ class TestAlgebraCombinators:
         other = stlc_presentation()
         with pytest.raises(Exception):
             AlgebraProduct(algebra_terminal(STLC), algebra_terminal(other))
+
+
+class CountingVariables(VariableClone):
+    """The clone of variables, counting the enumerations and lifts it is asked for."""
+
+    def __init__(self, sort_set):
+        super().__init__(sort_set)
+        self.enumerated = collections.Counter()
+        self.lifted = collections.Counter()
+
+    def enumerate_terms(self, ctx, sort, depth, limit=None):
+        self.enumerated[ctx, sort] += 1
+        return super().enumerate_terms(ctx, sort, depth, limit)
+
+    def lift(self, sigma, extra):
+        self.lifted[sigma, extra] += 1
+        return super().lift(sigma, extra)
+
+
+FIN = SortSet("two", ("b", "n"))
+_A, _B = SortVar("A"), SortVar("B")
+# let x : A = a in t : B, so let[b, b] and let[b, n] share the binder (b)
+LET = SoPresentation(
+    "let", SoSignature(FIN, (SoOpSchema("let", ("A", "B"), (((), _A), ((_A,), _B)), _B),)), ()
+)
+
+
+class LetVariables(Algebra):
+    """``let`` interpreted by substitution in a clone of variables."""
+
+    presentation = LET
+
+    def __init__(self, clone):
+        self.clone = clone
+
+    def interpret(self, name, sort_args, ctx, args):
+        a, body = args
+        return a if body == len(ctx) + 1 else body
+
+
+class TestHarnessWorkCounts:
+    """A law harness enumerates each site once per call, and check_algebra
+    lifts each substitution under each binder once per call."""
+
+    BUDGET = Budget(max_context_len=2, max_depth=0, max_sort_height=0, max_terms=4, max_tuples=8)
+
+    def _sites(self):
+        sorts = FIN.sorts_up_to_height(0)
+        return {(c, s) for c in FIN.contexts_up_to(2, sorts) for s in sorts}
+
+    def test_clone_laws_enumerate_each_site_once(self):
+        clone = CountingVariables(FIN)
+        assert check_clone_laws(clone, self.BUDGET).ok
+        assert set(clone.enumerated) == self._sites()
+        assert set(clone.enumerated.values()) == {1}
+
+    def test_clone_hom_enumerates_each_site_once(self):
+        clone = CountingVariables(FIN)
+        assert check_clone_hom(FuncHom(clone, clone, lambda c, s, t: t), self.BUDGET).ok
+        assert set(clone.enumerated) == self._sites()
+        assert set(clone.enumerated.values()) == {1}
+
+    def test_algebra_lifts_each_substitution_under_each_binder_once(self):
+        clone = CountingVariables(FIN)
+        report = check_algebra(LetVariables(clone), self.BUDGET)
+        assert report.ok and report.laws[0].checked > 0
+        assert {extra for _, extra in clone.lifted} == {EMPTY, ctx(B), ctx(Sort("n"))}
+        assert set(clone.lifted.values()) == {1}
+        assert set(clone.enumerated.values()) == {1}
