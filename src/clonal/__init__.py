@@ -25,8 +25,6 @@ from .clones import (
     extend_context_hom,
     initial_hom,
     lift_subst,
-    product_clone,
-    terminal_clone,
     weaken_hom,
     weakening,
 )

@@ -53,7 +53,7 @@ from .surface import (
     parse_bundle,
     parse_context,
     parse_term,
-    render_fo,
+    render_element,
     render_free,
     sort_text,
     stock_bundle,
@@ -183,7 +183,7 @@ def cmd_normalize(args) -> int:
     system = bundle.theory.rewrite_system if base_form is not None and not sort.args else None
     if system is not None:
         nf = innermost_normal_form(system, base_form, {})
-        human = render_fo(nf, names or [f"x{i}" for i in range(1, len(ctx) + 1)])
+        human = render_element(nf, names or [f"x{i}" for i in range(1, len(ctx) + 1)])
         _emit(args, human, document("base-normal-form", {"term": human}, bundle=bundle.name))
         return OK
 

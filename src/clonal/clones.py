@@ -350,14 +350,6 @@ class ContextExtensionClone(Clone):
         return self.base.show_term(t)
 
 
-def terminal_clone(sort_set: SortSet) -> TerminalClone:
-    return TerminalClone(sort_set)
-
-
-def product_clone(left: Clone, right: Clone) -> ProductClone:
-    return ProductClone(left, right)
-
-
 def context_extension(base: Clone, extra: Context) -> ContextExtensionClone:
     return ContextExtensionClone(base, extra)
 

@@ -45,6 +45,7 @@ from .freealgebra import (
     FVarLaw,
     FreeAlgebra,
     FreeOp,
+    FreeSortError,
     FreeTerm,
     FreeVar,
     free_instantiate_last,
@@ -550,8 +551,13 @@ def free_equal(
     (without an NbE domain the verdict is "unknown").  NbE normal forms that
     agree while the witnessed forms differ raise NormalizationError.  search mode
     runs a bounded bidirectional best-first search; exhaustion yields the
-    first-class verdict "unknown".
+    first-class verdict "unknown".  Both terms must have ``sort`` in
+    ``ctx``; otherwise FreeSortError is raised.
     """
+    for side in (t, u):
+        got = free.check(ctx, side)
+        if got != sort:
+            raise FreeSortError(f"term has sort {got}, expected {sort}")
     if raw_eq(free.base, ctx, sort, t, u):
         return EqVerdict("equal", FRefl(t))
     if mode == "normalize":
@@ -563,13 +569,13 @@ def free_equal(
             values = (model_hom(ctx, sort, t), model_hom(ctx, sort, u))
             if values[0] != values[1]:
                 return EqVerdict("not_equal", certificate=values)
-        from .nbe import NbeError, nbe_for, nbe_normalize
+        from .nbe import NbeError, nbe_for
 
         try:
-            nbe_for(free)
+            engine = nbe_for(free)
         except NbeError:  # no base domain: no evidence either way
             return EqVerdict("unknown")
-        forms = (nbe_normalize(free, ctx, sort, t), nbe_normalize(free, ctx, sort, u))
+        forms = (engine.normalize(ctx, sort, t), engine.normalize(ctx, sort, u))
         if raw_eq(free.base, ctx, sort, *forms):
             raise NormalizationError(
                 f"witnessed normal forms {nt} and {nu} differ, but NbE finds the terms equal"

@@ -79,10 +79,6 @@ def fo_size(t: FoTerm) -> int:
     return n
 
 
-def op(name: str, *args: FoTerm, sorts: tuple[Sort, ...] = ()) -> FoOp:
-    return FoOp(name, sorts, tuple(args))
-
-
 # --------------------------------------------------------------------------
 # Signatures and presentations
 # --------------------------------------------------------------------------
@@ -781,7 +777,6 @@ def rewrite_normalize(
     rs: RewriteSystem,
     t: FoTerm,
     strategy: str = "innermost",
-    max_steps: int = MAX_REWRITE_STEPS,
 ) -> tuple[FoTerm, list[RewriteStep]]:
     """Rewrite to a form containing no redex; the step trace witnesses the
     equality and converts to a checkable derivation via steps_to_derivation.
@@ -793,7 +788,7 @@ def rewrite_normalize(
     recursion limit innermost; both raise RewriteDivergence."""
     if strategy not in ("innermost", "outermost"):
         raise CloneError(f"unknown strategy {strategy!r}")
-    run = _Rewriter(rs, t, None, max_steps)
+    run = _Rewriter(rs, t, None)
     try:
         if strategy == "innermost":
             return run.norm(t, None), run.trace
@@ -828,7 +823,7 @@ def innermost_normal_form(rs: RewriteSystem, t: FoTerm, memo: dict) -> FoTerm:
     hits add their count, so the total is the traced run's length; when it
     reaches MAX_REWRITE_STEPS, the traced run raises RewriteDivergence."""
     try:
-        return _Rewriter(rs, t, memo, MAX_REWRITE_STEPS).norm(t, None)
+        return _Rewriter(rs, t, memo).norm(t, None)
     except RecursionError:
         raise RewriteDivergence(t, [], too_deep=True) from None
 
@@ -844,20 +839,19 @@ class _Rewriter:
     node, its arguments so far, hole index), from which a traced step builds
     its path and whole term in time linear in the depth."""
 
-    def __init__(self, rs: RewriteSystem, start: FoTerm, memo: dict | None, max_steps: int):
+    def __init__(self, rs: RewriteSystem, start: FoTerm, memo: dict | None):
         self.rs = rs
         self.start = start
         self.memo = memo
-        self.max_steps = max_steps
         self.steps = 0
         self.trace: list[RewriteStep] = []
         self.whole = start  # the whole term after the last traced step
 
     def count(self, n: int) -> None:
         self.steps += n
-        if self.steps >= self.max_steps:
+        if self.steps >= MAX_REWRITE_STEPS:
             if self.memo is not None:  # the traced run is as long: it raises with its trace
-                rewrite_normalize(self.rs, self.start, "innermost", self.max_steps)
+                rewrite_normalize(self.rs, self.start, "innermost")
             raise RewriteDivergence(self.start, self.trace)
 
     def record(self, fired, frames) -> None:

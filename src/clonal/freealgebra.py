@@ -293,7 +293,6 @@ class FreeAlgebra(Algebra, Clone):
         self.presentation = presentation
         self.base = base
         self.sort_set = base.sort_set
-        self.nbe = None  # the NbE engine, built by nbe.nbe_for on first use
 
     @property
     def clone(self) -> "FreeAlgebra":
@@ -313,9 +312,10 @@ class FreeAlgebra(Algebra, Clone):
     def term_eq(self, ctx, sort, t, u) -> bool:
         if t is u or t == u:  # equality is reflexive: no normalization needed
             return True
-        from .nbe import nbe_normalize  # nbe imports this module
+        from .nbe import nbe_for  # nbe imports this module
 
-        return nbe_normalize(self, ctx, sort, t) == nbe_normalize(self, ctx, sort, u)
+        engine = nbe_for(self)
+        return engine.normalize(ctx, sort, t) == engine.normalize(ctx, sort, u)
 
     def enumerate_terms(self, ctx: Context, sort: Sort, depth: int, limit: int | None = None) -> list:
         return enumerate_free_terms(self, ctx, sort, max_depth=depth, limit=limit)

@@ -146,7 +146,7 @@ def check_predicate_closure(
                     [u for u in term_pool(src, s) if pred(src, s, u)][: budget.max_terms]
                     for s in tgt
                 ]
-                combos = list(itertools.product(*pools))[: budget.max_tuples]
+                combos = list(itertools.islice(itertools.product(*pools), budget.max_tuples))
                 for t in members:
                     for combo in combos:
                         closure.checked += 1
@@ -176,16 +176,6 @@ class HypothesisReport:
     def ok(self) -> bool:
         return self.operator_closure_ok and self.image_ok
 
-    def to_json(self):
-        return {
-            "schema_version": 1,
-            "operator_closure_ok": self.operator_closure_ok,
-            "image_ok": self.image_ok,
-            "checked": self.checked,
-            "approximate": self.approximate,
-            "witnesses": [str(w) for w in self.witnesses],
-        }
-
 
 def check_induction_hypotheses(
     alg: Algebra,
@@ -211,7 +201,7 @@ def check_induction_hypotheses(
                 pools.append(
                     [t for t in candidates if pred(gamma + binder_ctx, binder_sort, t)]
                 )
-            combos = list(itertools.product(*pools))[: budget.max_tuples]
+            combos = list(itertools.islice(itertools.product(*pools), budget.max_tuples))
             for combo in combos:
                 report.checked += 1
                 out = alg.interpret(name, sort_args, gamma, combo)
@@ -241,14 +231,6 @@ class ConclusionReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json(self):
-        return {
-            "schema_version": 1,
-            "checked": self.checked,
-            "ok": self.ok,
-            "violations": [str(v) for v in self.violations],
-        }
 
 
 def assert_conclusion(

@@ -41,7 +41,6 @@ from .freealgebra import (
     FreeOp,
     FreeVar,
 )
-from .secondorder import MetaApp, SoOp, SoVar
 from .sorts import Context, Sort
 
 SCHEMA_VERSION = 1
@@ -209,10 +208,6 @@ def _write_fo_op(enc, t, table) -> dict:
     }
 
 
-def _write_meta(enc, t, table) -> dict:
-    return {"kind": "meta", "index": t.index, "args": [enc.term(a, table) for a in t.args]}
-
-
 def _write_binding_op(enc, t, table) -> dict:
     return {
         "kind": "op",
@@ -236,9 +231,6 @@ def _write_element_app(enc, t, table) -> dict:
 
 
 _WRITE_FO_TERM = _Table("first-order term", {FoVar: _write_var, FoOp: _write_fo_op})
-_WRITE_SO_TERM = _Table(
-    "second-order term", {SoVar: _write_var, MetaApp: _write_meta, SoOp: _write_binding_op}
-)
 _WRITE_FREE_TERM = _Table(
     "free term", {FreeVar: _write_var, CloneApp: _write_element_app, FreeOp: _write_binding_op}
 )
@@ -250,10 +242,6 @@ def _read_index(dec, data, table) -> tuple:
 
 def _read_fo_op(dec, data, table) -> tuple:
     return data["name"], dec.sort_tuple(data["sort_args"]), dec.terms_of(data["args"], table)
-
-
-def _read_meta(dec, data, table) -> tuple:
-    return _integer(data, "index"), dec.terms_of(data["args"], table)
 
 
 def _read_binding_op(dec, data, table) -> tuple:
@@ -271,11 +259,6 @@ def _read_element_app(dec, data, table) -> tuple:
 
 
 _READ_FO_TERM = _Table("term kind", {"var": (FoVar, _read_index), "op": (FoOp, _read_fo_op)})
-_READ_SO_TERM = _Table("term kind", {
-    "var": (SoVar, _read_index),
-    "meta": (MetaApp, _read_meta),
-    "op": (SoOp, _read_binding_op),
-})
 _READ_FREE_TERM = _Table("term kind", {
     "var": (FreeVar, _read_index),
     "element": (CloneApp, _read_element_app),
@@ -497,14 +480,6 @@ def fo_derivation_to_json(d) -> dict:
 
 def fo_derivation_from_json(data: dict):
     return _decode(_Decoder.derivation, data, _READ_FO_RULE)
-
-
-def so_term_to_json(t) -> dict:
-    return _Encoder().term(t, _WRITE_SO_TERM)
-
-
-def so_term_from_json(data: dict):
-    return _decode(_Decoder.term, data, _READ_SO_TERM)
 
 
 def free_term_to_json(t) -> dict:

@@ -1,9 +1,10 @@
 """Normalization by evaluation for free algebras of the lambda presentation.
 
 Terms are evaluated into a semantic domain: functions at arrow sorts
-(Kripke-style, applied through a renaming into the current context) and a
-pluggable base domain at the base sort.  Reification reads back eta-long
-beta-normal forms; reflection injects neutral terms as values.
+(Kripke-style: such a value is a Python callable ``v(ren, arg)``, applied
+through a renaming into the current context) and a pluggable base domain at
+the base sort.  Reification reads back eta-long beta-normal forms;
+reflection injects neutral terms as values.
 
 Base domains supplied here:
 
@@ -14,8 +15,9 @@ Base domains supplied here:
                       a final state and a neutral result.
 
 A free algebra's domain comes from the descriptor of its base clone
-(``free.base.theory.domain``, see ``clonal.theories``); ``nbe_for`` builds
-the engine once per free algebra.
+(``free.base.theory.domain``, see ``clonal.theories``).  ``nbe_for`` builds
+an engine on that domain, which costs a few microseconds; a caller that
+normalizes many terms builds one and keeps it.
 
 The boolean read-back and ``check_normal`` canonicalize element applications
 with ``equality.head_canon``, the collapse loop of the witnessed normalizer
@@ -26,7 +28,6 @@ free algebras decide ``term_eq`` with it.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .clones import CloneError, Renaming, identity_renaming, weakening
@@ -48,20 +49,9 @@ class NbeError(CloneError):
     pass
 
 
-class Fn:
-    """A semantic function: applied at a renaming into the context where it
-    was built, plus an argument value."""
-
-    def __init__(self, apply):
-        self._apply = apply
-
-    def apply(self, ren: Renaming, arg):
-        return self._apply(ren, arg)
-
-
 def rename_value(domain, sort: Sort, v, ren: Renaming):
     if sort.former == "=>" and len(sort.args) == 2:
-        return Fn(lambda r2, a: v.apply(ren.compose(r2), a))
+        return lambda r2, a: v(ren.compose(r2), a)
     return domain.rename_base(v, ren)
 
 
@@ -221,16 +211,12 @@ class Nbe:
     """Evaluator and read-back for one free algebra."""
 
     def __init__(self, free: FreeAlgebra, domain):
-        self._free = weakref.ref(free)  # free owns the engine: no back-reference
+        self.free = free
         self.domain = domain
         bases = free.sort_set.base_sorts()
         if len(bases) != 1:
             raise NbeError("normalization by evaluation needs exactly one base sort")
         (self.base_sort,) = bases
-
-    @property
-    def free(self) -> FreeAlgebra:
-        return self._free()
 
     # evaluation ----------------------------------------------------------
     #
@@ -244,7 +230,7 @@ class Nbe:
             case FreeOp(name="app", args=((_, fun), (_, arg))):
                 vf = self.eval(ctx, fun, env)
                 va = self.eval(ctx, arg, env)
-                return vf.apply(identity_renaming(ctx), va)
+                return vf(identity_renaming(ctx), va)
             case FreeOp(name="abs", sort_args=(A, _), args=((_, body),)):
                 def closure(ren: Renaming, a, __body=body, __env=env, __A=A):
                     renamed = tuple(
@@ -252,7 +238,7 @@ class Nbe:
                     )
                     return self.eval(ren.source, __body, renamed + ((__A, a),))
 
-                return Fn(closure)
+                return closure
             case CloneApp(element=e, arity_ctx=actx, arity_sort=asort, args=args):
                 arg_values = tuple(self.eval(ctx, a, env) for a in args)
                 return self.domain.eval_element(self, ctx, e, actx, asort, arg_values)
@@ -276,7 +262,7 @@ class Nbe:
                 )
                 return self.reflect(new_ctx, __B, applied)
 
-            return Fn(stuck)
+            return stuck
         return self.domain.atom(self, ctx, sort, neutral)
 
     def reify(self, ctx: Context, sort: Sort, value) -> FreeTerm:
@@ -284,7 +270,7 @@ class Nbe:
             A, B = sort.args
             extended = ctx + Context((A,))
             fresh = self.reflect(extended, A, FreeVar(len(ctx) + 1))
-            body = self.reify(extended, B, value.apply(weakening(ctx, Context((A,))), fresh))
+            body = self.reify(extended, B, value(weakening(ctx, Context((A,))), fresh))
             return FreeOp("abs", (A, B), ((Context((A,)), body),))
         return self.domain.reify_base(self, ctx, sort, value)
 
@@ -307,13 +293,11 @@ def _base_name(base) -> str:
 
 
 def nbe_for(free: FreeAlgebra) -> Nbe:
-    """The engine of ``free``, built once on its base theory's domain."""
-    if free.nbe is None:
-        theory = free.base.theory
-        if theory is None or theory.domain is None:
-            raise NbeError(f"no normalization domain registered for base {_base_name(free.base)}")
-        free.nbe = Nbe(free, theory.domain)
-    return free.nbe
+    """An engine for ``free`` on its base theory's domain."""
+    theory = free.base.theory
+    if theory is None or theory.domain is None:
+        raise NbeError(f"no normalization domain registered for base {_base_name(free.base)}")
+    return Nbe(free, theory.domain)
 
 
 def nbe_normalize(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> FreeTerm:

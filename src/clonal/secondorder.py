@@ -44,10 +44,6 @@ class SoArity:
     binders: tuple[tuple[Context, Sort], ...]
     result: Sort
 
-    def __str__(self) -> str:
-        parts = ", ".join(f"({ctx}; {sort})" for ctx, sort in self.binders)
-        return f"({parts}; {self.result})"
-
 
 @dataclass(frozen=True)
 class SoOpSchema:
@@ -139,17 +135,11 @@ class MetaContext:
 class SoVar:
     index: int
 
-    def __str__(self):
-        return f"x{self.index}"
-
 
 @dataclass(frozen=True)
 class MetaApp:
     index: int
     args: tuple["SoTerm", ...]
-
-    def __str__(self):
-        return f"?m{self.index}({', '.join(map(str, self.args))})"
 
 
 @dataclass(frozen=True)
@@ -157,14 +147,6 @@ class SoOp:
     name: str
     sort_args: tuple[Sort, ...]
     args: tuple[tuple[Context, "SoTerm"], ...]  # (binder context, body)
-
-    def __str__(self):
-        inst = "" if not self.sort_args else "[" + ",".join(map(str, self.sort_args)) + "]"
-        rendered = []
-        for binder, body in self.args:
-            dot = "" if not len(binder) else f"{len(binder)}."
-            rendered.append(f"{dot}{body}")
-        return f"{self.name}{inst}({', '.join(rendered)})"
 
 
 SoTerm = SoVar | MetaApp | SoOp

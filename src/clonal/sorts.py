@@ -117,15 +117,6 @@ class SortSet:
     base: tuple[str, ...]
     formers: tuple[str, ...] = ()
 
-    def contains(self, sort: Sort) -> bool:
-        if not sort.args:
-            return sort.former in self.base
-        return (
-            sort.former in self.formers
-            and len(sort.args) == 2
-            and all(self.contains(a) for a in sort.args)
-        )
-
     def base_sorts(self) -> list[Sort]:
         return [Sort(n) for n in self.base]
 

@@ -20,7 +20,6 @@ from .freealgebra import (
     FreeTerm,
     enumerate_free_terms,
     fold_hom,
-    raw_eq,
 )
 from .nbe import check_normal, nbe_for, nbe_normalize
 from .secondorder import Algebra, SoPresentation, stlc_presentation

@@ -248,20 +248,51 @@ def term_syntax(sort_set: SortSet, text: str, params=()):
 # --------------------------------------------------------------------------
 
 
+def _no_lambda(*_):
+    raise ParseError("lambda syntax is not available at first order")
+
+
+def _fo_op(base: FoSignature, name, sort_args, args):
+    return FoOp(name, sort_args, args)
+
+
+def _element_app(base: FoSignature, name, sort_args, args):
+    """A base operator applied to free terms: its generic element (the
+    operator on the variables of its arity) applied to them."""
+    element_ctx, element_sort = base.arity(name, sort_args)
+    element = FoOp(name, sort_args, tuple(FoVar(i) for i in range(1, len(element_ctx) + 1)))
+    return CloneApp(element, element_ctx, element_sort, args)
+
+
+# mode -> (variable, binding operator, base operator applied to arguments)
+_MODES = {
+    "free": (FreeVar, FreeOp, _element_app),
+    "so": (SoVar, SoOp, None),
+    "fo": (FoVar, _no_lambda, _fo_op),
+}
+
+
 @dataclass
 class Elaborator:
     """Turns raw syntax into checked terms against an expected sort.
 
-    ``mode`` selects the target representation: "free" builds free-algebra
-    terms over the bundle's base clone, "so" second-order terms (metavariables
-    allowed), "fo" first-order terms of the base signature.
+    Operator-headed chains name operators of ``surface``, a second-order
+    signature, or of ``base``, a first-order one; ``put v`` names the base
+    operator ``put_v``.  ``mode`` selects the target representation, once:
+    "free" builds free-algebra terms, a base operator becoming an element
+    application; "so" second-order terms of ``surface``, metavariables
+    allowed; "fo" first-order terms of ``base``, with no surface.
     """
 
-    bundle: "TheoryBundle"
+    surface: SoSignature | None
+    base: FoSignature | None
     mode: str
     names: list = field(default_factory=list)  # binder names, innermost last
     ctx_sorts: list = field(default_factory=list)
     metas: list = field(default_factory=list)  # (name, MetaDecl)
+
+    def __post_init__(self):
+        self._var, self._op, self._base_op = _MODES[self.mode]
 
     def _fail(self, node, message):
         raise ParseError(message, getattr(node, "line", 0), getattr(node, "col", 0))
@@ -280,9 +311,6 @@ class Elaborator:
                 return i
         return None
 
-    def _var_term(self, i: int):
-        return {"free": FreeVar, "so": SoVar, "fo": FoVar}[self.mode](i)
-
     # entry points ----------------------------------------------------------
 
     def check(self, node, expected: Sort):
@@ -291,7 +319,7 @@ class Elaborator:
     def _check(self, node, expected):
         match node:
             case RLam(binder=x, annotation=ann, body=body):
-                if self.mode == "fo":
+                if self._op is _no_lambda:
                     self._fail(node, "binding abstraction is not first-order")
                 if not (getattr(expected, "former", None) == "=>" and len(expected.args) == 2):
                     self._fail(node, f"abstraction checked at non-arrow sort {expected}")
@@ -340,7 +368,7 @@ class Elaborator:
         if isinstance(node, RRaw):
             if not 1 <= node.index <= len(self.ctx_sorts):
                 self._fail(node, f"#{node.index} out of range")
-            return self._var_term(node.index), self.ctx_sorts[node.index - 1]
+            return self._var(node.index), self.ctx_sorts[node.index - 1]
         if isinstance(node, RLam):
             return self.synth(node)
         if isinstance(node, RChain):
@@ -348,14 +376,13 @@ class Elaborator:
         name = node.name
         i = self._lookup_var(name)
         if i is not None:
-            return self._var_term(i), self.ctx_sorts[i - 1]
-        if self.mode == "so":
-            m = self._lookup_meta(name)
-            if m is not None:
-                decl = self.metas[m - 1][1]
-                if len(decl.ctx) != 0:
-                    self._fail(node, f"metavariable {name} takes {len(decl.ctx)} arguments")
-                return MetaApp(m, ()), decl.sort
+            return self._var(i), self.ctx_sorts[i - 1]
+        m = self._lookup_meta(name)
+        if m is not None:
+            decl = self.metas[m - 1][1]
+            if len(decl.ctx) != 0:
+                self._fail(node, f"metavariable {name} takes {len(decl.ctx)} arguments")
+            return MetaApp(m, ()), decl.sort
         got = self._operator(node, name, [])
         if got is None:
             self._fail(node, f"unknown name {name!r}")
@@ -368,7 +395,7 @@ class Elaborator:
         if isinstance(head, RName):
             name = head.name
             if self._lookup_var(name) is None:
-                if self.mode == "so" and self._lookup_meta(name) is not None:
+                if self._lookup_meta(name) is not None:
                     term, got = self._metavar(node, name, items[1:])
                     if got != expected:
                         self._fail(node, f"term has sort {got}, expected {expected}")
@@ -386,7 +413,7 @@ class Elaborator:
     def _synth_chain(self, node, items):
         head = items[0]
         if isinstance(head, RName) and self._lookup_var(head.name) is None:
-            if self.mode == "so" and self._lookup_meta(head.name) is not None:
+            if self._lookup_meta(head.name) is not None:
                 return self._metavar(node, head.name, items[1:])
             got = self._operator(node, head.name, items[1:])
             if got is not None:
@@ -420,21 +447,10 @@ class Elaborator:
     # helpers -----------------------------------------------------------------
 
     def _make_app(self, a, b, fun, arg):
-        if self.mode == "free":
-            return FreeOp("app", (a, b), ((Context(()), fun), (Context(()), arg)))
-        if self.mode == "so":
-            return SoOp("app", (a, b), ((Context(()), fun), (Context(()), arg)))
-        self._fail_mode()
+        return self._op("app", (a, b), ((Context(()), fun), (Context(()), arg)))
 
     def _make_abs(self, a, b, body):
-        if self.mode == "free":
-            return FreeOp("abs", (a, b), ((Context((a,)), body),))
-        if self.mode == "so":
-            return SoOp("abs", (a, b), ((Context((a,)), body),))
-        self._fail_mode()
-
-    def _fail_mode(self):
-        raise ParseError("lambda syntax is not available at first order")
+        return self._op("abs", (a, b), ((Context((a,)), body),))
 
     def _metavar(self, node, name, arg_nodes):
         m = self._lookup_meta(name)
@@ -448,33 +464,43 @@ class Elaborator:
         """Resolve an operator-headed chain, instantiating sort parameters
         by matching the declared result against the expected sort and the
         argument templates against synthesized arguments."""
-        bundle = self.bundle
         # put takes its value label as the first atom
-        base_ops = bundle.base.signature.operators if bundle.base is not None else ()
+        base_ops = self.base.operators if self.base is not None else ()
         if name == "put" and arg_nodes and isinstance(arg_nodes[0], RName):
             labelled = f"put_{arg_nodes[0].name}"
             if any(o.name == labelled for o in base_ops):
                 name, arg_nodes = labelled, arg_nodes[1:]
 
-        schema = None
-        second_order = False
-        if self.mode in ("so", "free"):
-            for o in bundle.surface.signature.operators:
-                if o.name == name:
-                    schema = o
-                    second_order = True
-                    break
-        if schema is None and self.mode in ("fo", "free"):
-            for o in base_ops:
-                if o.name == name:
-                    schema = o
-                    break
-        if schema is None:
-            return None
+        for o in self.surface.operators if self.surface is not None else ():
+            if o.name == name:
+                # chain syntax covers non-binding argument positions (None
+                # marks a binding one); abs-style syntax builds abs directly
+                templates = [None if binders else body for binders, body in o.binders]
+                args, sort_args, result = self._apply(node, o, arg_nodes, templates, expected)
+                return self._op(o.name, sort_args, tuple((Context(()), a) for a in args)), result
+        for o in base_ops if self._base_op is not None else ():
+            if o.name == name:
+                args, sort_args, result = self._apply(
+                    node, o, arg_nodes, list(o.arg_sorts), expected
+                )
+                return self._base_op(self.base, o.name, sort_args, args), result
+        return None
 
-        if second_order:
-            return self._so_operator(node, schema, arg_nodes, expected)
-        return self._fo_operator(node, schema, arg_nodes, expected)
+    def _apply(self, node, schema, arg_nodes, templates, expected):
+        """The arguments, sort arguments and result sort of ``schema``
+        applied to ``arg_nodes``, one template per argument."""
+        if len(arg_nodes) != len(templates):
+            self._fail(node, f"operator {schema.name} takes {len(templates)} arguments")
+        binding = self._bind_params(node, schema, schema.result, expected)
+        for arg_node, template in zip(arg_nodes, templates):
+            if template is None:
+                self._fail(
+                    arg_node,
+                    f"operator {schema.name} binds variables; use abs-style syntax",
+                )
+        args = self._elaborate_args(node, schema, arg_nodes, templates, binding)
+        sort_args = tuple(binding[p] for p in schema.params)
+        return tuple(args), sort_args, instantiate_sort(schema.result, binding)
 
     def _bind_params(self, node, schema, result_template, expected):
         binding: dict = {}
@@ -530,44 +556,6 @@ class Elaborator:
             self._fail(node, f"cannot infer sort parameters {missing} of {schema.name}")
         return [results[i] for i in range(len(arg_nodes))]
 
-    def _fo_operator(self, node, schema, arg_nodes, expected):
-        if len(arg_nodes) != len(schema.arg_sorts):
-            self._fail(node, f"operator {schema.name} takes {len(schema.arg_sorts)} arguments")
-        binding = self._bind_params(node, schema, schema.result, expected)
-        args = tuple(
-            self._elaborate_args(node, schema, arg_nodes, list(schema.arg_sorts), binding)
-        )
-        sort_args = tuple(binding[p] for p in schema.params)
-        result = instantiate_sort(schema.result, binding)
-        if self.mode == "fo":
-            return FoOp(schema.name, sort_args, args), result
-        element_ctx, element_sort = self.bundle.base.signature.arity(schema.name, sort_args)
-        element = FoOp(
-            schema.name, sort_args, tuple(FoVar(i) for i in range(1, len(element_ctx) + 1))
-        )
-        return CloneApp(element, element_ctx, element_sort, args), result
-
-    def _so_operator(self, node, schema, arg_nodes, expected):
-        if len(arg_nodes) != len(schema.binders):
-            self._fail(node, f"operator {schema.name} takes {len(schema.binders)} arguments")
-        binding = self._bind_params(node, schema, schema.result, expected)
-        # chain syntax covers non-binding argument positions; binding ones
-        # arrive only through the lambda syntax, which builds abs directly
-        templates = []
-        for arg_node, (binder_templates, body_template) in zip(arg_nodes, schema.binders):
-            if binder_templates:
-                self._fail(
-                    arg_node,
-                    f"operator {schema.name} binds variables; use abs-style syntax",
-                )
-            templates.append(body_template)
-        elaborated = self._elaborate_args(node, schema, arg_nodes, templates, binding)
-        args = tuple((Context(()), term) for term in elaborated)
-        sort_args = tuple(binding[p] for p in schema.params)
-        result = instantiate_sort(schema.result, binding)
-        ctor = SoOp if self.mode == "so" else FreeOp
-        return ctor(schema.name, sort_args, tuple(args)), result
-
 
 def sort_closed(template, binding, params) -> bool:
     return all(v in binding for v in sort_vars(template) if v in params)
@@ -607,7 +595,8 @@ def parse_term(
 ):
     """Parse and elaborate a surface term as a free-algebra term."""
     node = term_syntax(bundle.sort_set, text)
-    elab = Elaborator(bundle, "free")
+    base = bundle.base.signature if bundle.base is not None else None
+    elab = Elaborator(bundle.surface.signature, base, "free")
     elab.ctx_sorts = list(context)
     elab.names = list(names) if names is not None else [f"x{i}" for i in range(1, len(context) + 1)]
     return elab.check(node, expected)
@@ -673,10 +662,6 @@ def render_element(e, pieces: list[str]) -> str:
             body = " ".join(rendered)
             return f"{name} {body}" if body else name
     raise CloneError(f"cannot render element {e!r}")
-
-
-def render_fo(t, names: list[str]) -> str:
-    return render_element(t, list(names))
 
 
 # --------------------------------------------------------------------------
@@ -746,12 +731,19 @@ def parse_bundle(text: str) -> TheoryBundle:
     if ts.at("base"):
         ts.next()
         base_name = ts.ident().text
-        ops, eqs = _parse_fo_items(ts, sort_set)
+        ops, eqs = _parse_items(
+            ts, sort_set, _parse_fo_op, _parse_fo_equation,
+            lambda ops: Elaborator(None, FoSignature(sort_set, ops), "fo"),
+        )
         base_pres = FoPresentation(base_name, FoSignature(sort_set, tuple(ops)), tuple(eqs))
     if ts.at("surface"):
         ts.next()
         so_name = ts.ident().text
-        ops, eqs = _parse_so_items(ts, sort_set, base_pres)
+        base = base_pres.signature if base_pres is not None else None
+        ops, eqs = _parse_items(
+            ts, sort_set, _parse_so_op, _parse_so_equation,
+            lambda ops: Elaborator(SoSignature(sort_set, ops), base, "so"),
+        )
         surface_pres = SoPresentation(so_name, SoSignature(sort_set, tuple(ops)), tuple(eqs))
     if surface_pres is None:
         raise ParseError("bundle has no surface presentation", ts.peek().line, 0)
@@ -795,93 +787,68 @@ def _parse_sort_list(ts: Tokens, sort_set, params, stop: str):
     return sorts
 
 
-def _parse_fo_items(ts: Tokens, sort_set: SortSet):
+def _parse_items(ts: Tokens, sort_set: SortSet, parse_op, parse_eq, elaborator):
+    """A presentation's ``op`` and ``eq`` declarations, in order.  Each
+    equation is elaborated by ``elaborator(ops)``, over the operators
+    declared before it."""
     ops, eqs = [], []
-    while True:
-        if ts.at("op"):
-            ts.next()
-            name = ts.ident().text
-            params = _parse_params(ts)
-            ts.expect(":")
-            args = _parse_sort_list(ts, sort_set, params, ";")
-            ts.expect(";")
-            result = parse_sort(ts, sort_set, params)
-            ops.append(FoOpSchema(name, params, tuple(args), result))
-        elif ts.at("eq"):
-            sig = FoSignature(sort_set, tuple(ops))
-            eqs.append(_parse_fo_equation(ts, sort_set, sig))
+    while ts.at("op") or ts.at("eq"):
+        elab = elaborator(tuple(ops)) if ts.at("eq") else None
+        ts.next()
+        name = ts.ident().text
+        params = _parse_params(ts)
+        ts.expect(":")
+        if elab is None:
+            ops.append(parse_op(ts, sort_set, name, params))
         else:
-            return ops, eqs
+            eqs.append(parse_eq(ts, sort_set, name, params, elab))
+    return ops, eqs
 
 
-def _parse_fo_equation(ts: Tokens, sort_set, sig: FoSignature):
-    ts.expect("eq")
-    name = ts.ident().text
-    params = _parse_params(ts)
-    ts.expect(":")
-    var_names, var_sorts = _parse_bindings(ts, sort_set, params)
+def _parse_sides(ts: Tokens, sort_set, params, elab: Elaborator):
+    """``|- lhs ~ rhs : sort``, both sides elaborated at ``sort``."""
     ts.expect("|-")
     lhs_node = parse_term_syntax(ts, sort_set, params)
     ts.expect("~")
     rhs_node = parse_term_syntax(ts, sort_set, params)
     ts.expect(":")
     sort = parse_sort(ts, sort_set, params)
-
-    shell = TheoryBundle(
-        "eq", sort_set, SoPresentation("none", SoSignature(sort_set, ()), ()),
-        FoPresentation("sig", sig, ()), None, None,
-    )
-    elab = Elaborator(shell, "fo")
-    elab.names = var_names
-    elab.ctx_sorts = var_sorts
-    lhs = elab.check(lhs_node, sort)
-    rhs = elab.check(rhs_node, sort)
-    return FoEquationSchema(name, params, tuple(var_sorts), sort, lhs, rhs)
+    return elab.check(lhs_node, sort), elab.check(rhs_node, sort), sort
 
 
-def _parse_bindings(ts: Tokens, sort_set, params):
-    names, sorts = [], []
+def _parse_fo_op(ts: Tokens, sort_set, name, params):
+    args = _parse_sort_list(ts, sort_set, params, ";")
+    ts.expect(";")
+    result = parse_sort(ts, sort_set, params)
+    return FoOpSchema(name, params, tuple(args), result)
+
+
+def _parse_fo_equation(ts: Tokens, sort_set, name, params, elab: Elaborator):
     while not ts.at("|-"):
-        names.append(ts.ident().text)
+        elab.names.append(ts.ident().text)
         ts.expect(":")
-        sorts.append(parse_sort(ts, sort_set, params))
+        elab.ctx_sorts.append(parse_sort(ts, sort_set, params))
         if not ts.take(","):
             break
-    return names, sorts
+    lhs, rhs, sort = _parse_sides(ts, sort_set, params, elab)
+    return FoEquationSchema(name, params, tuple(elab.ctx_sorts), sort, lhs, rhs)
 
 
-def _parse_so_items(ts: Tokens, sort_set: SortSet, base_pres):
-    ops, eqs = [], []
-    while True:
-        if ts.at("op"):
-            ts.next()
-            name = ts.ident().text
-            params = _parse_params(ts)
-            ts.expect(":")
-            binders = []
-            while ts.at("("):
-                ts.next()
-                binder_sorts = _parse_sort_list(ts, sort_set, params, ";")
-                ts.expect(";")
-                body_sort = parse_sort(ts, sort_set, params)
-                ts.expect(")")
-                binders.append((tuple(binder_sorts), body_sort))
-            ts.expect(";")
-            result = parse_sort(ts, sort_set, params)
-            ops.append(SoOpSchema(name, params, tuple(binders), result))
-        elif ts.at("eq"):
-            sig = SoSignature(sort_set, tuple(ops))
-            eqs.append(_parse_so_equation(ts, sort_set, sig, base_pres))
-        else:
-            return ops, eqs
+def _parse_so_op(ts: Tokens, sort_set, name, params):
+    binders = []
+    while ts.at("("):
+        ts.next()
+        binder_sorts = _parse_sort_list(ts, sort_set, params, ";")
+        ts.expect(";")
+        body_sort = parse_sort(ts, sort_set, params)
+        ts.expect(")")
+        binders.append((tuple(binder_sorts), body_sort))
+    ts.expect(";")
+    result = parse_sort(ts, sort_set, params)
+    return SoOpSchema(name, params, tuple(binders), result)
 
 
-def _parse_so_equation(ts: Tokens, sort_set, sig: SoSignature, base_pres):
-    ts.expect("eq")
-    name = ts.ident().text
-    params = _parse_params(ts)
-    ts.expect(":")
-    meta_names, meta_decls = [], []
+def _parse_so_equation(ts: Tokens, sort_set, name, params, elab: Elaborator):
     while not ts.at("|-"):
         mname = ts.ident().text
         ts.expect(":")
@@ -890,23 +857,9 @@ def _parse_so_equation(ts: Tokens, sort_set, sig: SoSignature, base_pres):
         ts.expect(";")
         msort = parse_sort(ts, sort_set, params)
         ts.expect(")")
-        meta_names.append(mname)
-        meta_decls.append(MetaDecl(Context(tuple(arg_sorts)), msort))
+        elab.metas.append((mname, MetaDecl(Context(tuple(arg_sorts)), msort)))
         if not ts.take(","):
             break
-    ts.expect("|-")
-    lhs_node = parse_term_syntax(ts, sort_set, params)
-    ts.expect("~")
-    rhs_node = parse_term_syntax(ts, sort_set, params)
-    ts.expect(":")
-    sort = parse_sort(ts, sort_set, params)
-
-    shell = TheoryBundle(
-        "eq", sort_set, SoPresentation("shell", sig, ()), base_pres, None, None,
-    )
-    elab = Elaborator(shell, "so")
-    elab.metas = list(zip(meta_names, meta_decls))
-    lhs = elab.check(lhs_node, sort)
-    rhs = elab.check(rhs_node, sort)
-    metactx_templates = tuple((tuple(d.ctx.entries), d.sort) for d in meta_decls)
+    lhs, rhs, sort = _parse_sides(ts, sort_set, params, elab)
+    metactx_templates = tuple((tuple(d.ctx.entries), d.sort) for _, d in elab.metas)
     return SoEquationSchema(name, params, metactx_templates, sort, lhs, rhs)

@@ -186,6 +186,12 @@ class TestDerivationChecker:
         assert v.lhs == CloneApp(f, ctx(B), B, (inner,))
         assert v.rhs == CloneApp(gs_el("put_v1", gs_el("put_v2", FoVar(1))), g, B, (FreeVar(1),))
 
+    def test_variable_clone_element_accepted(self):
+        free = pure_stlc()
+        d = FRefl(CloneApp(1, ctx(B), B, (FreeVar(1),)))
+        v = check_free_derivation(free, ctx(B), d)
+        assert v.ok and v.lhs == v.rhs == d.term
+
     def test_trans_with_disagreeing_middles_rejected(self):
         free = stlc_bool()
         d = FTrans(FRefl(true_term()), FRefl(false_term()))
@@ -575,6 +581,32 @@ class TestFreeEqual:
         verdict = free_equal(free, E, B, t, true_term(), mode="search", budget=50)
         assert verdict.status == "equal"
         assert check_free_derivation(free, E, verdict.witness).ok
+
+    def test_search_mode_completes_a_bare_state_variable(self):
+        # x1 ~ get(put_v1 x1, put_v2 x1): the search must first give the bare
+        # variable its state-table form
+        free = stlc_gs()
+        g = ctx(B)
+        table = gs_el("get", gs_el("put_v1", FoVar(1)), gs_el("put_v2", FoVar(1)))
+        t = CloneApp(table, g, B, (FreeVar(1),))
+        verdict = free_equal(free, g, B, FreeVar(1), t, mode="search", budget=50)
+        assert verdict.status == "equal"
+        replay = check_free_derivation(free, g, verdict.witness)
+        assert replay.ok and replay.lhs == FreeVar(1) and replay.rhs == t
+
+    def test_ill_sorted_input_rejected(self):
+        # the element receives f : b => b at a b position; once answered
+        # "equal" with a witness the kernel rejects
+        free = stlc_bool()
+        element = FoOp("ite", (B,), (FoVar(1), FoVar(2), FoVar(3)))
+        bad = CloneApp(element, ctx(B, B, B), B, (FreeVar(2), FreeVar(1), false_term()))
+        t = app(abs_(abs_(app(FreeVar(1), bad)), (BB, BB)), abs_(FreeVar(1)), (BB, BB))
+        nf, _ = normalize_with_trace(free, E, BB, t)
+        for left, right in ((t, nf), (nf, t)):
+            with pytest.raises(FreeSortError, match="clone argument 2 has sort b => b"):
+                free_equal(free, E, BB, left, right)
+        with pytest.raises(FreeSortError, match="term has sort b, expected b => b"):
+            free_equal(free, E, BB, true_term(), abs_(FreeVar(1)))
 
     def test_search_exhaustion_is_unknown(self):
         free = stlc_bool()

@@ -52,10 +52,7 @@ from clonal.jsonio import (
     free_term_from_json,
     free_term_to_json,
     load_document,
-    so_term_from_json,
-    so_term_to_json,
 )
-from clonal.secondorder import stlc_presentation
 from clonal.sorts import Context, Sort, arrow
 from clonal.stlc import stlc_bool, stlc_gs
 
@@ -94,13 +91,6 @@ def test_fo_rewrite_trace_replays_after_roundtrip():
         assert restored == d
         v = check_fo_derivation(pres, Context((B,)), restored)
         assert v.ok and v.lhs == t and v.rhs == nf
-
-
-def test_so_term_roundtrip():
-    pres = stlc_presentation()
-    _, _, lhs, rhs = pres.equation("beta").instantiate((B, arrow(B, B)))
-    for t in (lhs, rhs):
-        assert so_term_from_json(so_term_to_json(t)) == t
 
 
 def test_free_term_roundtrip_over_both_bases():

@@ -66,6 +66,14 @@ class TestTerms:
         inner = FreeOp("app", (B, arrow(B, B)), ((E, FreeVar(1)), (E, FreeVar(2))))
         assert t == FreeOp("app", (B, B), ((E, inner), (E, FreeVar(2))))
 
+    def test_unannotated_redex_head_takes_its_sort_from_the_argument(self):
+        bundle = stock_bundle("bool")
+        t = parse_term(bundle, "(abs x. x) true", B)
+        assert t == FreeOp(
+            "app", (B, B),
+            ((E, FreeOp("abs", (B, B), ((Context((B,)), FreeVar(1)),))), (E, true_term())),
+        )
+
     def test_put_value_label(self):
         bundle = stock_bundle("gs")
         ctx, names = parse_context(bundle, "x : b")
