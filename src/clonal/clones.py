@@ -35,8 +35,8 @@ class CloneError(Exception):
 @dataclass(frozen=True)
 class Substitution:
     """A tuple of terms in ``source``, one per entry of ``target``.  Only the
-    fields are compared, hashed and pickled: a product clone's stored split
-    (``ProductClone._split``) rides along outside them."""
+    fields are compared, hashed and pickled: what a clone stores on the
+    substitution (``stored_for``) rides along outside them."""
 
     source: Context
     target: Context
@@ -107,6 +107,19 @@ def _unchecked(cls, source: Context, target: Context, entries: tuple):
     m = object.__new__(cls)
     vars(m).update(zip(cls.__match_args__, (source, target, entries)))
     return m
+
+
+def stored_for(sigma: Substitution, clone: "Clone", name: str, build):
+    """``build(sigma)``, made once per substitution and clone and stored on
+    ``sigma`` under ``name``, tagged with ``clone``: another clone (another
+    set model, another extension context) builds its own value.  It is not a
+    field, so it stays out of ``==``, ``hash``, ``repr`` and pickles."""
+    stored = vars(sigma).get(name)
+    if stored is not None and stored[0] is clone:
+        return stored[1]
+    value = build(sigma)
+    vars(sigma)[name] = (clone, value)
+    return value
 
 
 def weakening(ctx: Context, extra: Context) -> Renaming:
@@ -277,6 +290,15 @@ class TerminalClone(Clone):
         return [self.POINT]
 
 
+def _halves(sigma: Substitution) -> tuple[Substitution, Substitution]:
+    """A product substitution's left and right halves."""
+    src, tgt, cs = sigma.source, sigma.target, sigma.components
+    return (
+        _unchecked(Substitution, src, tgt, tuple(c[0] for c in cs)),
+        _unchecked(Substitution, src, tgt, tuple(c[1] for c in cs)),
+    )
+
+
 class ProductClone(Clone):
     """Pointwise product of two clones over the same sort set."""
 
@@ -292,14 +314,7 @@ class ProductClone(Clone):
 
     def _split(self, sigma: Substitution) -> tuple[Substitution, Substitution]:
         """sigma's left and right halves, built once and stored on sigma."""
-        halves = vars(sigma).get("_split")
-        if halves is None:
-            src, tgt, cs = sigma.source, sigma.target, sigma.components
-            halves = vars(sigma)["_split"] = (
-                _unchecked(Substitution, src, tgt, tuple(c[0] for c in cs)),
-                _unchecked(Substitution, src, tgt, tuple(c[1] for c in cs)),
-            )
-        return halves
+        return stored_for(sigma, self, "_split", _halves)
 
     def subst(self, t, sigma: Substitution):
         ls, rs = self._split(sigma)
@@ -333,11 +348,16 @@ class ContextExtensionClone(Clone):
     def var(self, ctx: Context, i: int):
         return self.base.var(ctx + self.extra, i)
 
-    def subst(self, t, sigma: Substitution):
+    def _padded(self, sigma: Substitution) -> Substitution:
+        """sigma from Gamma to Delta as a substitution from (Gamma,Xi) to
+        (Delta,Xi): its components followed by the trailing Xi variables."""
         src = sigma.source + self.extra
         n = len(sigma.source)
         pad = tuple(self.base.var(src, n + j) for j in range(1, len(self.extra) + 1))
-        full = Substitution(src, sigma.target + self.extra, sigma.components + pad)
+        return _unchecked(Substitution, src, sigma.target + self.extra, sigma.components + pad)
+
+    def subst(self, t, sigma: Substitution):
+        full = stored_for(sigma, self, "_padded", self._padded)
         return self.base.subst(t, full)
 
     def term_eq(self, ctx, sort, t, u) -> bool:

@@ -5,13 +5,14 @@ bit-exact, so serialized derivations replay through the checkers
 unchanged.  Indices are 1-based, matching the in-memory representation.
 
 Each public call runs one codec object, an ``_Encoder`` or a ``_Decoder``,
-whose tables hold every sort, context and term met so far, so each distinct
-value is converted once per call.  The JSON one ``*_to_json`` call returns
-may therefore share one sub-object among equal values: ``json.dumps``
-writes the same bytes as for an unshared copy, but a caller that mutates
-the result must copy it first.  Decoding builds one sort, context or term
-per distinct value, and malformed input raises ``JsonError``, naming the
-field that is missing or not an integer where that is the fault.
+whose tables hold every value met so far (the encoder's every sort, context
+and term, the decoder's every term), so each distinct value is converted
+once per call.  The JSON one ``*_to_json`` call returns may therefore share
+one sub-object among equal values: ``json.dumps`` writes the same bytes as
+for an unshared copy, but a caller that mutates the result must copy it
+first.  Decoding builds one term per distinct value (sorts and contexts are
+interned), and malformed input raises ``JsonError``, naming the field that
+is missing or not an integer where that is the fault.
 
 A first-order derivation node is an object with a ``rule`` tag: ``refl``
 (``term``), ``sym`` and ``trans`` (``children``), ``cong`` (``op``,
@@ -114,35 +115,24 @@ class _Encoder:
 
 
 class _Decoder:
-    """One ``*_from_json`` call: each distinct sort, context and term is
-    built once; equal ones in the input, and equal lemma proofs, come back
-    as one object."""
+    """One ``*_from_json`` call: each distinct term is built once; equal
+    terms in the input, and equal lemma proofs, come back as one object.
+    Sorts and contexts need no table, since they are interned."""
 
     def __init__(self):
-        self.sorts: dict = {}
-        self.contexts: dict = {}
         self.terms: dict = {}  # (class, fields) -> the term
         self.proofs: dict = {}
 
     def sort(self, data: dict) -> Sort:
         if "base" in data:
-            key = data["base"]
-        else:
-            key = (data["former"], tuple([self.sort(a) for a in data["args"]]))
-        got = self.sorts.get(key)
-        if got is None:
-            got = self.sorts[key] = Sort(*key) if isinstance(key, tuple) else Sort(key)
-        return got
+            return Sort(data["base"])
+        return Sort(data["former"], tuple([self.sort(a) for a in data["args"]]))
 
     def sort_tuple(self, data: list) -> tuple:
         return tuple([self.sort(s) for s in data]) if data else ()
 
     def context(self, data: list) -> Context:
-        entries = tuple([self.sort(s) for s in data])
-        got = self.contexts.get(entries)
-        if got is None:
-            got = self.contexts[entries] = Context(entries)
-        return got
+        return Context(tuple([self.sort(s) for s in data]))
 
     def term(self, data: dict, table: _Table):
         kind = data["kind"]

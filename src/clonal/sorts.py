@@ -4,11 +4,21 @@ A sort is a base name or a binary type former applied to two sorts
 (e.g. ``b`` and ``b => b``).  A context is a finite sequence of sorts;
 variables are positional, so contexts carry no names.  All indices into
 contexts are 1-based.
+
+Sorts and contexts are hash-consed (Filliatre & Conchon, "Type-safe
+modular hash-consing", ML Workshop 2006): the constructor returns the one
+live object of each value, so ``==`` is identity, and every table keyed by
+a sort or a context finds its key without comparing fields.  The intern
+tables hold their objects weakly: a value that nobody holds is dropped once
+the 256 values made after it are made.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import threading
+import weakref
 from dataclasses import dataclass, fields
 
 
@@ -37,14 +47,56 @@ def stored_hash(cls):
     return cls
 
 
-@stored_hash
-@dataclass(frozen=True)
+_SORTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # (former, args) -> Sort
+_CONTEXTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # entries -> Context
+# A hit reads the weak references in the tables' own dicts, one probe and one
+# call with no Python frame; ``_interned`` handles a miss and a dead reference.
+_SORT_REFS, _CONTEXT_REFS = _SORTS.data, _CONTEXTS.data
+# The last values made stay alive, so a context that a walk rebuilds for each
+# sibling (``extra + binder``) is found again rather than made and dropped.
+_RECENT: collections.deque = collections.deque(maxlen=256)
+_LOCK = threading.Lock()
+
+
+def _interned(table: weakref.WeakValueDictionary, cls, key, fields: tuple):
+    """The live ``cls`` object stored under ``key``, made with ``fields`` if
+    there is none.  The lock makes the check and the insertion one step, so
+    two threads never make two equal objects.  The hash stored is the one
+    the dataclass would compute from the fields, so iteration orders of sets
+    and dicts of sorts and contexts do not depend on interning."""
+    with _LOCK:
+        obj = table.get(key)
+        if obj is None:
+            obj = object.__new__(cls)
+            vars(obj).update(zip(cls.__match_args__, fields), _hash=hash(fields))
+            table[key] = obj
+            _RECENT.append(obj)
+    return obj
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Sort:
-    """A base sort (no args) or a former applied to argument sorts.  Sorts
-    and contexts key the set model's tables, so their hashes are stored."""
+    """A base sort (no args) or a former applied to argument sorts, which
+    are sorts or, in a schema's sort template, ``SortVar`` parameters.
+    Interned: equal sorts are one object, and pickling or copying one gives
+    that object back."""
 
     former: str
     args: tuple["Sort", ...] = ()
+
+    def __new__(cls, former: str, args: tuple = ()):
+        if type(args) is not tuple:
+            args = tuple(args)
+        key = (former, args)
+        ref = _SORT_REFS.get(key)
+        found = ref() if ref is not None else None
+        return found if found is not None else _interned(_SORTS, cls, key, key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Sort, (self.former, self.args)
 
     def height(self) -> int:
         if not self.args:
@@ -55,7 +107,7 @@ class Sort:
         if not self.args:
             return self.former
         left, right = self.args
-        ls = f"({left})" if left.args else str(left)
+        ls = f"({left})" if isinstance(left, Sort) and left.args else str(left)
         return f"{ls} {self.former} {right}"
 
 
@@ -104,6 +156,8 @@ def match_sort(template, concrete: Sort, binding: dict[str, Sort]) -> bool:
             binding[template.name] = concrete
             return True
         return seen == concrete
+    if not isinstance(concrete, Sort):  # a parameter fits only a parameter
+        return False
     if template.former != concrete.former or len(template.args) != len(concrete.args):
         return False
     return all(match_sort(t, c, binding) for t, c in zip(template.args, concrete.args))
@@ -144,12 +198,25 @@ class SortSet:
         return out
 
 
-@stored_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Context:
-    """A typing context: a finite sequence of sorts, indexed 1-based."""
+    """A typing context: a finite sequence of sorts, indexed 1-based.
+    Interned, like ``Sort``."""
 
     entries: tuple[Sort, ...] = ()
+
+    def __new__(cls, entries: tuple = ()):
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+        ref = _CONTEXT_REFS.get(entries)
+        found = ref() if ref is not None else None
+        return found if found is not None else _interned(_CONTEXTS, cls, entries, (entries,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Context, (self.entries,)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -160,15 +227,15 @@ class Context:
         return self.entries[i - 1]
 
     def extend(self, other: "Context") -> "Context":
-        # immutable, so an empty operand gives back the other object itself
+        # Interning would give back the same object; the shortcut skips the
+        # lookup, which hashes every entry, for the common empty binder.
         if not other.entries:
             return self
         if not self.entries:
             return other
         return Context(self.entries + other.entries)
 
-    def __add__(self, other: "Context") -> "Context":
-        return self.extend(other)
+    __add__ = extend
 
     def __iter__(self):
         return iter(self.entries)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import getitem
 
-from .clones import Clone, CloneError, CloneHom, Substitution
+from .clones import Clone, CloneError, CloneHom, Substitution, stored_for
 from .firstorder import FoOp, FoVar, TmClone
 from .freealgebra import (
     CloneApp,
@@ -82,7 +83,9 @@ class SetModelClone(Clone):
     """Function tables over finite value spaces.
 
     A term over (Gamma; A) is a tuple of A-values indexed by the points of
-    Gamma's product space, which are enumerated in a fixed order.
+    Gamma's product space, which are enumerated in a fixed order.  A
+    substitution acts through its cell map, made once per substitution and
+    model and stored on the substitution (``clones.stored_for``).
     """
 
     def __init__(self, sort_set: SortSet, base_values: tuple, max_cells: int = 200_000):
@@ -125,8 +128,11 @@ class SetModelClone(Clone):
 
     def value_indices(self, sort: Sort) -> dict:
         """Each value of ``sort`` mapped to its position in ``space(sort)``."""
-        self.space(sort)
-        return self._index[sort]
+        index = self._index.get(sort)
+        if index is None:
+            self.space(sort)
+            index = self._index[sort]
+        return index
 
     def cell_count(self, ctx: Context) -> int:
         n = 1
@@ -161,11 +167,15 @@ class SetModelClone(Clone):
             self._vars[key] = cached
         return cached
 
-    def subst(self, t, sigma: Substitution):
-        tgt_index = self.point_index(sigma.target)
+    def _cells(self, sigma: Substitution) -> tuple:
+        """For each point of sigma's source, the index of the target point
+        that sigma's components send it to."""
         if not sigma.components:
-            return tuple(t[0] for _ in range(self.cell_count(sigma.source)))
-        return tuple(t[tgt_index[args]] for args in zip(*sigma.components))
+            return (0,) * self.cell_count(sigma.source)
+        return tuple(map(self.point_index(sigma.target).__getitem__, zip(*sigma.components)))
+
+    def subst(self, t, sigma: Substitution):
+        return tuple(map(t.__getitem__, stored_for(sigma, self, "_cells", self._cells)))
 
     def enumerate_terms(self, ctx: Context, sort: Sort, depth: int, limit=None) -> list:
         size, cells = self.space_size(sort), self.cell_count(ctx)
@@ -179,8 +189,7 @@ class SetModelClone(Clone):
         cells = self.cell_count(ctx)
         if cells > self.max_cells or self.space_size(sort) > self.max_cells:
             raise CloneError("set-model site too large to sample")
-        space = self.space(sort)
-        return tuple(rng.choice(space) for _ in range(cells))
+        return tuple(map(rng.choice, itertools.repeat(self.space(sort), cells)))
 
     def show_term(self, t) -> str:
         return f"table{list(t)}"
@@ -199,16 +208,12 @@ class SetModelAlgebra(Algebra):
         if name == "app":
             A, _ = sort_args
             f_tab, a_tab = args
-            index = m.value_indices(A)
-            return tuple(f[index[a]] for f, a in zip(f_tab, a_tab))
+            return tuple(map(getitem, f_tab, map(m.value_indices(A).__getitem__, a_tab)))
         if name == "abs":
             A, _ = sort_args
             (body,) = args
-            width = len(m.space(A))
-            return tuple(
-                tuple(body[k * width + j] for j in range(width))
-                for k in range(len(body) // width)
-            )
+            # consecutive groups of width cells, one per point of ctx
+            return tuple(zip(*(iter(body),) * len(m.space(A))))
         raise CloneError(f"the set model does not interpret {name}")
 
 

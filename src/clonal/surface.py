@@ -421,7 +421,7 @@ class Elaborator:
             self._fail(head, f"unknown name {head.name!r}")
         term, sort = self.synth(head)
         for arg in items[1:]:
-            if not (sort.former == "=>" and len(sort.args) == 2):
+            if not (isinstance(sort, Sort) and sort.former == "=>" and len(sort.args) == 2):
                 self._fail(node, f"applying a term of non-arrow sort {sort}")
             a, b = sort.args
             arg_term = self._check(arg, a)

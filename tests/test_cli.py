@@ -104,6 +104,14 @@ class TestNormalize:
         code, _, err = run(capsys, "normalize", "app (")
         assert code == 2
 
+    def test_sort_mismatch_against_a_parameter_is_usage(self, capsys):
+        # the message names the operator's template A => B, sort parameters and all
+        code, out, err = run(
+            capsys, "normalize", "app (abs x : b. x) y", "--variant", "stlc", "--sort", "b => b"
+        )
+        assert code == 2 and out == ""
+        assert "does not fit A => B (line 1, column 6)" in err
+
 
 class TestEval:
     def test_true(self, capsys):

@@ -1,10 +1,16 @@
 """Core clone structure: variables, substitution, renamings, stock clones, homs."""
 
+import copy as stdcopy
 import itertools
+import json
 import pickle
+import sys
+import threading
+import weakref
 
 import pytest
 
+from clonal import sorts
 from clonal.clones import (
     Budget,
     CloneError,
@@ -30,7 +36,10 @@ from clonal.clones import (
     weaken_hom,
     weakening,
 )
+from clonal.jsonio import context_from_json, context_to_json
 from clonal.sorts import EMPTY, Context, Sort, SortSet, arrow
+from clonal.stlc import set_model
+from clonal.surface import sort_text
 
 B = Sort("b")
 BB = arrow(B, B)
@@ -77,14 +86,77 @@ class TestContexts:
         assert hash(arrow(B, N)) == hash(("=>", (B, N)))
         assert hash(ctx(arrow(B, N), B)) == hash(c) and ctx(arrow(B, N), B) == c
 
-    def test_pickled_copy_recomputes_its_hash(self):
+    def test_pickled_copy_is_the_original(self):
         c = ctx(arrow(B, N), B)
-        hash(c)
+        # a pickle carries the fields only, and loading it re-interns them
+        assert c.__reduce__() == (Context, (c.entries,))
+        assert c.entries[0].__reduce__() == (Sort, ("=>", (B, N)))
         copy = pickle.loads(pickle.dumps(c))
-        assert "_hash" not in vars(copy) and "_hash" not in vars(copy.entries[0])
-        assert copy == c and hash(copy) == hash(c)
+        assert copy is c and hash(copy) == hash(c)
         assert repr(copy) == "Context(entries=(Sort(former='=>', args=(Sort(former='b', " \
             "args=()), Sort(former='n', args=()))), Sort(former='b', args=())))"
+
+
+class TestInterning:
+    """Equal sorts and contexts are one object, whichever way they are made."""
+
+    def test_every_route_gives_the_one_object(self):
+        s, c = arrow(B, arrow(N, B)), ctx(B, arrow(B, N))
+        routes = [
+            (Sort("=>", (Sort("b"), Sort("=>", (Sort("n"), Sort("b"))))), s),
+            (Sort(former="=>", args=[B, arrow(N, B)]), s),
+            (sort_text(SortSet("two", ("b", "n"), ("=>",)), "b => n => b"), s),
+            (context_from_json(context_to_json(c)).sort_at(2), arrow(B, N)),
+            (context_from_json(json.loads(json.dumps(context_to_json(c)))), c),
+            (Context([B]) + Context((arrow(B, N),)), c),
+            (ctx(B).extend(ctx(arrow(B, N))), c),
+            (c + EMPTY, c),
+            (EMPTY + c, c),
+        ]
+        for copy in (lambda v: pickle.loads(pickle.dumps(v)), stdcopy.copy, stdcopy.deepcopy):
+            routes += [(copy(s), s), (copy(c), c), (copy((c, [s])), (c, [s]))]
+        for got, want in routes:
+            if isinstance(want, tuple):
+                assert got[0] is want[0] and got[1][0] is want[1][0]
+            else:
+                assert got is want, (got, want)
+
+    def test_threads_building_fresh_values_get_one_object(self):
+        # fresh names, so every thread races to make each value first
+        names = [f"fresh{id(self)}_{k}" for k in range(300)]
+        start = threading.Barrier(8)
+        built = [None] * 8
+
+        def build(slot):
+            start.wait(timeout=60)
+            built[slot] = [
+                (Sort(n), arrow(Sort(n), B), Context((Sort(n), B))) for n in names
+            ]
+
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and None not in built
+        for got in built[1:]:
+            assert all(a is b for row, first in zip(got, built[0]) for a, b in zip(row, first))
+
+    def test_unreferenced_values_leave_the_tables(self):
+        name = f"dropped{id(self)}"
+        s = Sort(name)
+        c = weakref.ref(Context((s, s)))
+        assert (name, ()) in sorts._SORTS and c() is not None
+        del s
+        # kept only among the values made last, until as many newer ones are made
+        for k in range(sorts._RECENT.maxlen):
+            Sort(f"{name}_{k}")
+        assert (name, ()) not in sorts._SORTS and c() is None
 
 
 class TestVariableClone:
@@ -307,6 +379,25 @@ class TestTerminalAndProduct:
         copy = pickle.loads(pickle.dumps(sigma))
         assert set(vars(copy)) == {"source", "target", "components"}
         assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+
+    def test_stored_values_are_kept_per_clone(self):
+        # the same substitution in two extension clones with different Xi:
+        # each pads it with its own trailing variables
+        v = VariableClone(FIN)
+        e1, e2 = ContextExtensionClone(v, ctx(B)), ContextExtensionClone(v, ctx(N, B))
+        sigma = Substitution(ctx(B), ctx(B), (1,))
+        for _ in range(2):
+            assert e1.subst(2, sigma) == 2  # Xi's b, after Gamma's one entry
+            assert e2.subst(3, sigma) == 3 and e2.subst(2, sigma) == 2
+        assert vars(sigma)["_padded"][0] is e2
+        # and in two set models whose points are enumerated in other orders
+        m1, m2 = set_model(("tt", "ff")).clone, set_model(("ff", "tt")).clone
+        const = Substitution(EMPTY, ctx(B), (("tt",),))
+        for _ in range(2):
+            for m in (m1, m2):
+                assert m.subst(m.var(ctx(B), 1), const) == ("tt",)
+        assert const == Substitution(EMPTY, ctx(B), (("tt",),))
+        assert pickle.dumps(const) == pickle.dumps(Substitution(EMPTY, ctx(B), (("tt",),)))
 
     def test_pairing_then_project_recovers(self):
         v = VariableClone(FIN)

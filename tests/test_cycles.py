@@ -18,7 +18,14 @@ import json
 import pytest
 
 from clonal.cli import build_parser, main
-from clonal.clones import Budget, FuncHom, ProductClone, check_clone_hom, check_clone_laws
+from clonal.clones import (
+    Budget,
+    ContextExtensionClone,
+    FuncHom,
+    ProductClone,
+    check_clone_hom,
+    check_clone_laws,
+)
 from clonal.equality import free_equal, normalize_with_trace
 from clonal.firstorder import (
     BASE,
@@ -168,6 +175,9 @@ ENTRY_POINTS = {
     # per-call site pools and substitution lists, and the product's stored split
     "check_clone_laws_product": lambda: check_clone_laws(
         ProductClone(bool_clone(), gs_clone(("v1", "v2"))), LAW_BUDGET),
+    # the extension clone's padded substitutions, stored per substitution
+    "check_clone_laws_extension": lambda: check_clone_laws(
+        ContextExtensionClone(bool_clone(), G1), LAW_BUDGET),
     "check_clone_hom": lambda: check_clone_hom(IDENTITY, LAW_BUDGET),
     "eval_closed": lambda: eval_closed(FREE, MODEL, BB, REDEX),
     "render_free": lambda: render_free(REDEX, []),

@@ -181,6 +181,24 @@ class TestBundleFiles:
         with pytest.raises(ParseError):
             parse_bundle("bundle broken\nsorts b\nsurface s\n  op app : oops\nend")
 
+    def test_operator_template_clash_with_a_parameter_reports_position(self):
+        # app's function argument must now have result sort b, but beta's m1 x has sort B
+        source = bundle_source("stlc").replace(
+            "op app[A,B] : (; A => B)", "op app[A,B] : (; A => b)"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_bundle(source)
+        assert "does not fit A => b" in str(info.value)
+        assert (info.value.line, info.value.col) == (8, 51)
+
+    def test_applying_a_variable_of_parameter_sort_reports_position(self):
+        # x : A is not known to be a function, so x m cannot be elaborated
+        source = bundle_source("stlc").replace("abs x : A. app m x", "abs x : A. x m")
+        with pytest.raises(ParseError) as info:
+            parse_bundle(source)
+        assert "term has sort A" in str(info.value)
+        assert (info.value.line, info.value.col) == (9, 46)
+
 
 class TestContexts:
     def test_empty(self):
