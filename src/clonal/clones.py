@@ -31,6 +31,16 @@ class CloneError(Exception):
     """Sort or arity mismatch in a clone operation."""
 
 
+class SortError(CloneError):
+    """An ill-sorted term: ``message`` says what is wrong and ``path`` holds
+    the child indices from the checked term down to the offending node."""
+
+    def __init__(self, message: str, path: tuple[int, ...] = ()):
+        super().__init__(f"{message} (at path {list(path)})")
+        self.message = message
+        self.path = path
+
+
 @stored_hash
 @dataclass(frozen=True)
 class Substitution:
@@ -150,6 +160,101 @@ def under_binders(args: tuple, m, go, rename=None, var=None) -> tuple:
             lifted[binder] = sub
         out.append((binder, go(body, sub)))
     return tuple(out)
+
+
+class SortChecker:
+    """The sort of a term, found by one loop over an explicit stack, so a
+    term's depth is not bounded by Python's recursion limit.  A language
+    gives ``node(ctx, t)`` (dispatching on ``type(t)``, as it runs once per
+    node): the sort of the node ``t`` in ``ctx`` and its (child, child
+    context, expected sort) triples, or a SortError for a fault at ``t``
+    itself, its path relative to ``t``.  Children are checked left to right,
+    each one's subtree before its sort, as a recursive walk would.  The
+    stack's child indices are the path, read only to raise ``error``."""
+
+    error = SortError
+
+    def argument(self, t, i: int) -> str:
+        return f"argument {i} of {t.name}"
+
+    def variable(self, ctx: Context, i: int) -> tuple[Sort, tuple]:
+        if not 1 <= i <= len(ctx.entries):
+            raise SortError(f"variable x{i} out of range for {ctx}")
+        return ctx.entries[i - 1], ()
+
+    def bodies(self, t, ctx: Context, declared) -> list:
+        """The children of ``t``, whose arguments are (binder, body) pairs
+        declared as the (binder, sort) pairs ``declared``."""
+        out = []
+        for (binder, body), (want_ctx, want) in zip(t.args, declared):
+            if binder is not want_ctx:  # contexts are interned
+                i = len(out) + 1
+                raise SortError(f"{self.argument(t, i)} binds {binder}, declared {want_ctx}", (i,))
+            out.append((body, ctx + binder if binder.entries else ctx, want))
+        return out
+
+    def sort(self, ctx: Context, t) -> Sort:
+        node, frames, i = self.node, [], 0  # frames: (node, sort, children, child index)
+        try:
+            sort, children = node(ctx, t)
+            while True:
+                if i < len(children):  # enter the next child of t
+                    child, ctx, want = children[i]
+                    i += 1
+                    child_sort, grandchildren = node(ctx, child)
+                    if grandchildren:
+                        frames.append((t, sort, children, i))
+                        t, sort, children, i = child, child_sort, grandchildren, 0
+                        continue
+                elif frames:  # t is done: compare its sort in its parent
+                    child_sort = sort
+                    t, sort, children, i = frames.pop()
+                    want = children[i - 1][2]
+                else:
+                    return sort
+                if child_sort != want:
+                    raise SortError(f"{self.argument(t, i)} has sort {child_sort}, expected {want}")
+        except SortError as e:  # at the root, i is 0
+            path = tuple(f[3] for f in frames) + ((i,) if i else ()) + e.path
+            raise self.error(e.message, path) from None
+
+
+@dataclass(frozen=True)
+class Signature:
+    """Operator schemas by name, each with ``name``, ``params`` and
+    ``arity(sort_args)``; a subclass names the ``error`` for an unknown
+    operator.  Each arity is built once."""
+
+    sort_set: SortSet
+    operators: tuple
+    # lookup tables, built at construction and filled as instances are used
+    _by_name: dict = field(init=False, repr=False, compare=False)
+    _arities: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_name = {o.name: o for o in self.operators}
+        if len(by_name) != len(self.operators):
+            raise CloneError("duplicate operator names in signature")
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_arities", {})
+
+    def schema(self, name: str):
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise self.error(f"unknown operator {name!r}") from None
+
+    def arity(self, name: str, sort_args: tuple[Sort, ...]):
+        key = (name, sort_args)
+        found = self._arities.get(key)
+        if found is None:
+            found = self._arities[key] = self.schema(name).arity(sort_args)
+        return found
+
+    def instances(self, sorts: list[Sort]) -> list[tuple[str, tuple[Sort, ...]]]:
+        """All operator instances with parameters drawn from ``sorts``."""
+        return [(o.name, combo) for o in self.operators
+                for combo in itertools.product(sorts, repeat=len(o.params))]
 
 
 class Clone:

@@ -45,9 +45,9 @@ from .freealgebra import (
     FVarLaw,
     FreeAlgebra,
     FreeOp,
-    FreeSortError,
     FreeTerm,
     FreeVar,
+    check_input,
     free_instantiate_last,
     free_rename,
     free_size,
@@ -512,7 +512,9 @@ def norm_neutral(free: FreeAlgebra, ctx: Context, t: FreeTerm):
 
 
 def normalize_with_trace(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
-    """Eta-long beta-normal form plus a derivation of input ~ output."""
+    """Eta-long beta-normal form plus a derivation of input ~ output.  ``t``
+    must have ``sort`` in ``ctx``; otherwise FreeSortError is raised."""
+    check_input(free, ctx, sort, t)
     nf, d = norm(free, ctx, sort, t)
     return nf, FRefl(t) if d is None else d
 
@@ -554,17 +556,15 @@ def free_equal(
     first-class verdict "unknown".  Both terms must have ``sort`` in
     ``ctx``; otherwise FreeSortError is raised.
     """
-    for side in (t, u):
-        got = free.check(ctx, side)
-        if got != sort:
-            raise FreeSortError(f"term has sort {got}, expected {sort}")
+    check_input(free, ctx, sort, t)
+    check_input(free, ctx, sort, u)
     if raw_eq(free.base, ctx, sort, t, u):
         return EqVerdict("equal", FRefl(t))
     if mode == "normalize":
-        nt, dt = normalize_with_trace(free, ctx, sort, t)
-        nu, du = normalize_with_trace(free, ctx, sort, u)
+        nt, dt = norm(free, ctx, sort, t)
+        nu, du = norm(free, ctx, sort, u)
         if raw_eq(free.base, ctx, sort, nt, nu):
-            return EqVerdict("equal", FTrans(dt, FSym(du)))
+            return EqVerdict("equal", FTrans(dt or FRefl(t), FSym(du or FRefl(u))))
         if model_hom is not None:
             values = (model_hom(ctx, sort, t), model_hom(ctx, sort, u))
             if values[0] != values[1]:

@@ -13,7 +13,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from .clones import Clone, CloneError, Substitution
+from .clones import Clone, CloneError, Signature, SortChecker, SortError, Substitution
 from .sorts import (
     Context,
     Sort,
@@ -25,12 +25,8 @@ from .sorts import (
 )
 
 
-class FoSortError(CloneError):
+class FoSortError(SortError):
     """Ill-sorted first-order term; carries the path to the offending node."""
-
-    def __init__(self, message: str, path: tuple[int, ...] = ()):
-        super().__init__(f"{message} (at path {list(path)})")
-        self.path = path
 
 
 # --------------------------------------------------------------------------
@@ -105,40 +101,24 @@ class FoOpSchema:
 
 
 @dataclass(frozen=True)
-class FoSignature:
-    sort_set: SortSet
-    operators: tuple[FoOpSchema, ...]
-    # lookup tables, built at construction and filled as instances are used
-    _by_name: dict = field(init=False, repr=False, compare=False)
-    _arities: dict = field(init=False, repr=False, compare=False)
+class FoSignature(Signature, SortChecker):
+    """``FoOpSchema``s by name; also the node case of first-order terms for
+    the shared sort checker, so ``sig.sort(ctx, t)`` is the sort of ``t``."""
 
-    def __post_init__(self):
-        by_name = {o.name: o for o in self.operators}
-        if len(by_name) != len(self.operators):
-            raise CloneError("duplicate operator names in signature")
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_arities", {})
+    error = FoSortError
 
-    def schema(self, name: str) -> FoOpSchema:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise FoSortError(f"unknown operator {name!r}") from None
-
-    def arity(self, name: str, sort_args: tuple[Sort, ...]) -> tuple[Context, Sort]:
-        key = (name, sort_args)
-        found = self._arities.get(key)
-        if found is None:
-            found = self._arities[key] = self.schema(name).arity(sort_args)
-        return found
-
-    def instances(self, sorts: list[Sort]) -> list[tuple[str, tuple[Sort, ...]]]:
-        """All operator instances with parameters drawn from ``sorts``."""
-        out = []
-        for o in self.operators:
-            for combo in itertools.product(sorts, repeat=len(o.params)):
-                out.append((o.name, combo))
-        return out
+    def node(self, ctx: Context, t: FoTerm):
+        if type(t) is FoVar:
+            return self.variable(ctx, t.index)
+        if type(t) is FoOp:
+            args = t.args
+            arg_ctx, result = self.arity(t.name, t.sort_args)
+            if len(args) != len(arg_ctx.entries):
+                raise FoSortError(
+                    f"operator {t.name} expects {len(arg_ctx)} arguments, got {len(args)}"
+                )
+            return result, tuple(zip(args, itertools.repeat(ctx), arg_ctx.entries))
+        raise FoSortError(f"not a first-order term: {t!r}")
 
 
 @dataclass(frozen=True)
@@ -231,27 +211,9 @@ class FoPresentation:
 # --------------------------------------------------------------------------
 
 
-def fo_check_term(sig: FoSignature, ctx: Context, t: FoTerm, path: tuple[int, ...] = ()) -> Sort:
+def fo_check_term(sig: FoSignature, ctx: Context, t: FoTerm) -> Sort:
     """Return the sort of ``t`` in ``ctx``, or raise with the failing path."""
-    match t:
-        case FoVar(index=i):
-            if not 1 <= i <= len(ctx):
-                raise FoSortError(f"variable x{i} out of range for {ctx}", path)
-            return ctx.sort_at(i)
-        case FoOp(name=name, sort_args=sort_args, args=args):
-            arg_ctx, result = sig.arity(name, sort_args)
-            if len(args) != len(arg_ctx):
-                raise FoSortError(
-                    f"operator {name} expects {len(arg_ctx)} arguments, got {len(args)}", path
-                )
-            for i, (a, want) in enumerate(zip(args, arg_ctx), start=1):
-                got = fo_check_term(sig, ctx, a, path + (i,))
-                if got != want:
-                    raise FoSortError(
-                        f"argument {i} of {name} has sort {got}, expected {want}", path + (i,)
-                    )
-            return result
-    raise FoSortError(f"not a first-order term: {t!r}", path)
+    return sig.sort(ctx, t)
 
 
 def fo_subst(t: FoTerm, sigma: Substitution) -> FoTerm:
@@ -561,7 +523,8 @@ def _proved(pres: FoPresentation, ctx: Context, proof: FoDerivation, path) -> Ve
 
 class _FoChecker(_Kernel):
     """One check_fo_derivation call over a presentation: terms are sorted
-    by fo_check_term and middle terms compared by ``==``."""
+    by the shared sort checker (``FoSignature.node``) and middle terms
+    compared by ``==``."""
 
     def __init__(self, pres: FoPresentation):
         super().__init__()
@@ -569,7 +532,7 @@ class _FoChecker(_Kernel):
         self.sig = pres.signature
 
     def term_sort(self, ctx: Context, t: FoTerm) -> Sort:
-        return fo_check_term(self.sig, ctx, t)
+        return self.sig.sort(ctx, t)
 
     def same(self, ctx, sort, t: FoTerm, u: FoTerm) -> bool:
         return t == u
@@ -1314,7 +1277,7 @@ class TmClone(Clone):
         return enumerate_fo_terms(self.presentation.signature, ctx, sort, depth, limit=limit)
 
     def check(self, ctx: Context, t: FoTerm) -> Sort:
-        return fo_check_term(self.presentation.signature, ctx, t)
+        return self.presentation.signature.sort(ctx, t)
 
 
 def tm_clone(presentation: FoPresentation, strategy: EqStrategy | None = None) -> TmClone:

@@ -33,6 +33,8 @@ from .clones import (
     CloneError,
     CloneHom,
     Renaming,
+    SortChecker,
+    SortError,
     Substitution,
     under_binders,
     weakening,
@@ -51,10 +53,8 @@ from .secondorder import Algebra, SoPresentation, interpret_term
 from .sorts import EMPTY, Context, Sort, stored_hash
 
 
-class FreeSortError(CloneError):
-    def __init__(self, message: str, path: tuple[int, ...] = ()):
-        super().__init__(f"{message} (at path {list(path)})")
-        self.path = path
+class FreeSortError(SortError):
+    """Ill-sorted free term; carries the path to the offending node."""
 
 
 # --------------------------------------------------------------------------
@@ -125,79 +125,67 @@ def _element_size(e) -> int:
     return 1
 
 
-def free_check_term(
-    base: Clone, sig, ctx: Context, t: FreeTerm, path: tuple[int, ...] = ()
-) -> Sort:
+def free_check_term(base: Clone, sig, ctx: Context, t: FreeTerm) -> Sort:
     """Sort of a raw free term, or raise with the failing path.  Each base
     element is checked at its declared arity."""
-    return _TermChecker(base, sig).sort(ctx, t, path)
+    return _TermChecker(base, sig).sort(ctx, t)
 
 
-class _TermChecker:
-    """Sorts of raw free terms over one base clone and signature.  Each
-    (element, arity context, sort) is checked once per checker: the ones
-    that passed are kept, a failure is raised again at each occurrence."""
+class _TermChecker(SortChecker):
+    """The node case of raw free terms for the shared sort checker.  Each
+    (element, arity context, sort) that passed is kept and not checked
+    again, up to 1,024 (then the set starts afresh, so it stays small); a
+    failure is raised at each occurrence.  A free algebra keeps one."""
+
+    error = FreeSortError
 
     def __init__(self, base: Clone, sig):
         self.base = base
         self.sig = sig
         self.passed: set = set()
 
-    def element(self, actx: Context, asort: Sort, e, path: tuple[int, ...] = ()) -> None:
+    def element(self, actx: Context, asort: Sort, e) -> None:
+        """Raise FreeSortError unless ``e`` is a base term at (actx; asort)."""
         key = (e, actx, asort)
-        if key not in self.passed:
-            check_element(self.base, actx, asort, e, path)
-            self.passed.add(key)
+        if key in self.passed:
+            return
+        try:
+            got = self.base.check(actx, e)
+        except CloneError as err:
+            raise FreeSortError(f"element {e} over {actx}: {err}") from None
+        if got != asort:
+            raise FreeSortError(f"element {e} has sort {got}, declared {asort}")
+        if len(self.passed) >= 1024:
+            self.passed.clear()
+        self.passed.add(key)
 
-    def sort(self, ctx: Context, t: FreeTerm, path: tuple[int, ...] = ()) -> Sort:
-        match t:
-            case FreeVar(index=i):
-                if not 1 <= i <= len(ctx):
-                    raise FreeSortError(f"variable x{i} out of range for {ctx}", path)
-                return ctx.sort_at(i)
-            case CloneApp(element=e, arity_ctx=actx, arity_sort=asort, args=args):
-                self.element(actx, asort, e, path)
-                if len(args) != len(actx):
-                    raise FreeSortError(
-                        f"clone application expects {len(actx)} arguments, got {len(args)}", path
-                    )
-                for i, (a, want) in enumerate(zip(args, actx), start=1):
-                    got = self.sort(ctx, a, path + (i,))
-                    if got != want:
-                        raise FreeSortError(
-                            f"clone argument {i} has sort {got}, expected {want}", path + (i,)
-                        )
-                return asort
-            case FreeOp(name=name, sort_args=sort_args, args=args):
-                arity = self.sig.arity(name, sort_args)
-                if len(args) != len(arity.binders):
-                    raise FreeSortError(f"operator {name} arity mismatch", path)
-                for i, ((binder, body), (want_ctx, want_sort)) in enumerate(
-                    zip(args, arity.binders), start=1
-                ):
-                    if binder != want_ctx:
-                        raise FreeSortError(
-                            f"argument {i} of {name} binds {binder}, declared {want_ctx}",
-                            path + (i,),
-                        )
-                    got = self.sort(ctx + binder, body, path + (i,))
-                    if got != want_sort:
-                        raise FreeSortError(
-                            f"argument {i} of {name} has sort {got}, expected {want_sort}",
-                            path + (i,),
-                        )
-                return arity.result
-        raise FreeSortError(f"not a free term: {t!r}", path)
+    def argument(self, t: FreeTerm, i: int) -> str:
+        return f"clone argument {i}" if type(t) is CloneApp else super().argument(t, i)
+
+    def node(self, ctx: Context, t: FreeTerm):
+        if type(t) is FreeVar:
+            return self.variable(ctx, t.index)
+        if type(t) is CloneApp:
+            actx, args = t.arity_ctx, t.args
+            self.element(actx, t.arity_sort, t.element)
+            if len(args) != len(actx.entries):
+                raise FreeSortError(
+                    f"clone application expects {len(actx)} arguments, got {len(args)}"
+                )
+            return t.arity_sort, tuple(zip(args, itertools.repeat(ctx), actx.entries))
+        if type(t) is FreeOp:
+            arity = self.sig.arity(t.name, t.sort_args)
+            if len(t.args) != len(arity.binders):
+                raise FreeSortError(f"operator {t.name} arity mismatch")
+            return arity.result, self.bodies(t, ctx, arity.binders)
+        raise FreeSortError(f"not a free term: {t!r}")
 
 
-def check_element(base: Clone, actx: Context, asort: Sort, e, path: tuple[int, ...] = ()) -> None:
-    """Raise FreeSortError unless ``e`` is a term of ``base`` at (actx; asort)."""
-    try:
-        got = base.check(actx, e)
-    except CloneError as err:
-        raise FreeSortError(f"element {e} over {actx}: {err}", path) from None
-    if got != asort:
-        raise FreeSortError(f"element {e} has sort {got}, declared {asort}", path)
+def check_input(free: "FreeAlgebra", ctx: Context, sort: Sort, t: FreeTerm) -> None:
+    """Raise FreeSortError unless ``t`` is a term of ``free`` at (ctx; sort)."""
+    got = free.check(ctx, t)
+    if got != sort:
+        raise FreeSortError(f"term has sort {got}, expected {sort}")
 
 
 def free_rename(t: FreeTerm, ren: Renaming) -> FreeTerm:
@@ -293,6 +281,7 @@ class FreeAlgebra(Algebra, Clone):
         self.presentation = presentation
         self.base = base
         self.sort_set = base.sort_set
+        self.terms = _TermChecker(base, presentation.signature)
 
     @property
     def clone(self) -> "FreeAlgebra":
@@ -321,7 +310,7 @@ class FreeAlgebra(Algebra, Clone):
         return enumerate_free_terms(self, ctx, sort, max_depth=depth, limit=limit)
 
     def check(self, ctx: Context, t: FreeTerm) -> Sort:
-        return free_check_term(self.base, self.presentation.signature, ctx, t)
+        return self.terms.sort(ctx, t)
 
     # Algebra interface --------------------------------------------------
 
@@ -526,7 +515,10 @@ def enumerate_free_terms(
     binder_sorts = free.sort_set.sorts_up_to_height(1)
     sig = free.presentation.signature
     element_contexts = free.sort_set.contexts_up_to(2, binder_sorts)
-    op_instances = [(n, sa, sig.arity(n, sa)) for n, sa in sig.instances(binder_sorts)]
+    op_instances = []  # (name, sort arguments, arity, binder contexts)
+    for name, sort_args in sig.instances(binder_sorts):
+        arity = sig.arity(name, sort_args)
+        op_instances.append((name, sort_args, arity, tuple(bc for bc, _ in arity.binders)))
 
     if max_depth is not None:
         memo: dict = {}
@@ -554,23 +546,12 @@ def enumerate_free_terms(
                                 break
                         if full(out):
                             break
-                for name, sort_args, arity in op_instances:
+                for name, sort_args, arity, binders in op_instances:
                     if arity.result != s or full(out):
                         continue
-                    pools = [
-                        upto(c + bc, bs, d - 1) for bc, bs in arity.binders
-                    ]
+                    pools = [upto(c + bc, bs, d - 1) for bc, bs in arity.binders]
                     for combo in itertools.product(*pools):
-                        out.append(
-                            FreeOp(
-                                name,
-                                sort_args,
-                                tuple(
-                                    (bc, body)
-                                    for (bc, _), body in zip(arity.binders, combo)
-                                ),
-                            )
-                        )
+                        out.append(FreeOp(name, sort_args, tuple(zip(binders, combo))))
                         if full(out):
                             break
             res = list(dict.fromkeys(out))
@@ -618,25 +599,16 @@ def enumerate_free_terms(
                     for e in elements:
                         for combo in itertools.product(*pools):
                             out.append(CloneApp(e, actx, s, combo))
-        for name, sort_args, arity in op_instances:
+        for name, sort_args, arity, binders in op_instances:
             if arity.result != s:
                 continue
             k = len(arity.binders)
             if k == 0 or n < 1 + k:
                 continue
             for split in _compositions(n - 1, k):
-                pools = [
-                    of_size(c + bc, bs, m)
-                    for (bc, bs), m in zip(arity.binders, split)
-                ]
+                pools = [of_size(c + bc, bs, m) for (bc, bs), m in zip(arity.binders, split)]
                 for combo in itertools.product(*pools):
-                    out.append(
-                        FreeOp(
-                            name,
-                            sort_args,
-                            tuple((bc, body) for (bc, _), body in zip(arity.binders, combo)),
-                        )
-                    )
+                    out.append(FreeOp(name, sort_args, tuple(zip(binders, combo))))
         res = list(dict.fromkeys(out))
         exact[key] = res
         return res
@@ -662,18 +634,17 @@ def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) ->
 
 class _FreeChecker(_Kernel):
     """One check_free_derivation call over a free algebra: terms are sorted
-    by a _TermChecker, which keeps the elements that passed, and middle
-    terms compared by raw_eq."""
+    by the algebra's ``check`` (its sort checker ``terms`` keeps the
+    elements that passed) and middle terms compared by raw_eq."""
 
     def __init__(self, free: FreeAlgebra):
         super().__init__()
         self.free = free
         self.base = free.base
         self.sig = free.presentation.signature
-        self.terms = _TermChecker(free.base, self.sig)
 
     def term_sort(self, ctx: Context, t: FreeTerm) -> Sort:
-        return self.terms.sort(ctx, t)
+        return self.free.check(ctx, t)
 
     def same(self, ctx: Context, sort: Sort, t: FreeTerm, u: FreeTerm) -> bool:
         return raw_eq(self.base, ctx, sort, t, u)
@@ -683,7 +654,7 @@ class _FreeChecker(_Kernel):
         if len(children) != len(actx):
             return Verdict(False, error="clone congruence arity mismatch", path=path)
         try:
-            self.terms.element(actx, asort, e)
+            self.free.terms.element(actx, asort, e)
         except FreeSortError as err:
             return Verdict(False, error=str(err), path=path)
         sides = self.premises("clone congruence", children, itertools.repeat(ctx), actx, path)
@@ -757,9 +728,9 @@ class _FreeChecker(_Kernel):
         if len(comps) != len(ectx) or len(args) != len(actx):
             return Verdict(False, error="substitution-collapse arity mismatch", path=path)
         try:
-            self.terms.element(ectx, esort, f)
+            self.free.terms.element(ectx, esort, f)
             for j, s in enumerate(comps, start=1):
-                self.terms.element(actx, ectx.sort_at(j), s)
+                self.free.terms.element(actx, ectx.sort_at(j), s)
         except FreeSortError as err:
             return Verdict(False, error=str(err), path=path)
         sides = self.premises(

@@ -39,7 +39,7 @@ from .freealgebra import (
     FreeOp,
     FreeTerm,
     FreeVar,
-    free_check_term,
+    check_input,
     free_rename,
 )
 from .sorts import Context, Sort
@@ -301,7 +301,9 @@ def nbe_for(free: FreeAlgebra) -> Nbe:
 
 
 def nbe_normalize(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> FreeTerm:
-    """Eta-long beta-normal form computed by evaluation."""
+    """Eta-long beta-normal form computed by evaluation.  ``t`` must have
+    ``sort`` in ``ctx``; otherwise FreeSortError is raised."""
+    check_input(free, ctx, sort, t)
     return nbe_for(free).normalize(ctx, sort, t)
 
 
@@ -331,7 +333,7 @@ def check_normal(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> No
     ``equality.head_canon`` returns as it stands, its arguments normal.
     """
     try:
-        got = free_check_term(free.base, free.presentation.signature, ctx, t)
+        got = free.check(ctx, t)
     except CloneError as e:
         return NormalVerdict(False, t, f"ill-sorted: {e}")
     if got != sort:

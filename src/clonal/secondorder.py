@@ -15,8 +15,9 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .clones import Budget, Clone, CloneError, LawCheck, LawReport, ProductClone, Substitution
-from .clones import TerminalClone, _capped, _subst_tuples, under_binders
+from .clones import Budget, Clone, CloneError, LawCheck, LawReport, ProductClone, Signature
+from .clones import SortChecker, SortError, Substitution, TerminalClone, _capped, _subst_tuples
+from .clones import under_binders
 from .sorts import (
     Context,
     Sort,
@@ -26,10 +27,8 @@ from .sorts import (
 )
 
 
-class SoSortError(CloneError):
-    def __init__(self, message: str, path: tuple[int, ...] = ()):
-        super().__init__(f"{message} (at path {list(path)})")
-        self.path = path
+class SoSortError(SortError):
+    """Ill-sorted second-order term; carries the path to the offending node."""
 
 
 # --------------------------------------------------------------------------
@@ -71,35 +70,10 @@ class SoOpSchema:
 
 
 @dataclass(frozen=True)
-class SoSignature:
-    sort_set: SortSet
-    operators: tuple[SoOpSchema, ...]
-    # each arity built so far, by (name, sort arguments)
-    _arities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class SoSignature(Signature):
+    """``SoOpSchema``s by name."""
 
-    def __post_init__(self):
-        names = [o.name for o in self.operators]
-        if len(names) != len(set(names)):
-            raise CloneError("duplicate operator names in signature")
-
-    def schema(self, name: str) -> SoOpSchema:
-        for o in self.operators:
-            if o.name == name:
-                return o
-        raise SoSortError(f"unknown operator {name!r}")
-
-    def arity(self, name: str, sort_args: tuple[Sort, ...]) -> SoArity:
-        found = self._arities.get((name, sort_args))
-        if found is None:
-            found = self._arities[name, sort_args] = self.schema(name).arity(sort_args)
-        return found
-
-    def instances(self, sorts: list[Sort]) -> list[tuple[str, tuple[Sort, ...]]]:
-        out = []
-        for o in self.operators:
-            for combo in itertools.product(sorts, repeat=len(o.params)):
-                out.append((o.name, combo))
-        return out
+    error = SoSortError
 
 
 @dataclass(frozen=True)
@@ -152,58 +126,42 @@ class SoOp:
 SoTerm = SoVar | MetaApp | SoOp
 
 
-def so_check_term(
-    sig: SoSignature,
-    metactx: MetaContext,
-    ctx: Context,
-    t: SoTerm,
-    path: tuple[int, ...] = (),
-) -> Sort:
+def so_check_term(sig: SoSignature, metactx: MetaContext, ctx: Context, t: SoTerm) -> Sort:
     """Sort of ``t`` under the three formation rules, or raise with a path."""
-    match t:
-        case SoVar(index=i):
-            if not 1 <= i <= len(ctx):
-                raise SoSortError(f"variable x{i} out of range for {ctx}", path)
-            return ctx.sort_at(i)
-        case MetaApp(index=i, args=args):
-            try:
-                decl = metactx.decl(i)
-            except IndexError:
-                raise SoSortError(f"metavariable m{i} not declared", path) from None
-            if len(args) != len(decl.ctx):
+    return _SoSorts(sig, metactx).sort(ctx, t)
+
+
+class _SoSorts(SortChecker):
+    """The node case of second-order terms for the shared sort checker."""
+
+    error = SoSortError
+
+    def __init__(self, sig: SoSignature, metactx: MetaContext):
+        self.sig = sig
+        self.metactx = metactx
+
+    def argument(self, t: SoTerm, i: int) -> str:
+        return f"argument {i} of m{t.index}" if type(t) is MetaApp else super().argument(t, i)
+
+    def node(self, ctx: Context, t: SoTerm):
+        if type(t) is SoVar:
+            return self.variable(ctx, t.index)
+        if type(t) is MetaApp:
+            i, args, decls = t.index, t.args, self.metactx.entries
+            if not 1 <= i <= len(decls):
+                raise SoSortError(f"metavariable m{i} not declared")
+            decl = decls[i - 1]
+            if len(args) != len(decl.ctx.entries):
                 raise SoSortError(
-                    f"metavariable m{i} expects {len(decl.ctx)} arguments, got {len(args)}",
-                    path,
+                    f"metavariable m{i} expects {len(decl.ctx)} arguments, got {len(args)}"
                 )
-            for j, (a, want) in enumerate(zip(args, decl.ctx), start=1):
-                got = so_check_term(sig, metactx, ctx, a, path + (j,))
-                if got != want:
-                    raise SoSortError(
-                        f"argument {j} of m{i} has sort {got}, expected {want}", path + (j,)
-                    )
-            return decl.sort
-        case SoOp(name=name, sort_args=sort_args, args=args):
-            arity = sig.arity(name, sort_args)
-            if len(args) != len(arity.binders):
-                raise SoSortError(
-                    f"operator {name} expects {len(arity.binders)} arguments", path
-                )
-            for j, ((binder, body), (want_ctx, want_sort)) in enumerate(
-                zip(args, arity.binders), start=1
-            ):
-                if binder != want_ctx:
-                    raise SoSortError(
-                        f"argument {j} of {name} binds {binder}, declared {want_ctx}",
-                        path + (j,),
-                    )
-                got = so_check_term(sig, metactx, ctx + binder, body, path + (j,))
-                if got != want_sort:
-                    raise SoSortError(
-                        f"argument {j} of {name} has sort {got}, expected {want_sort}",
-                        path + (j,),
-                    )
-            return arity.result
-    raise SoSortError(f"not a second-order term: {t!r}", path)
+            return decl.sort, tuple(zip(args, itertools.repeat(ctx), decl.ctx.entries))
+        if type(t) is SoOp:
+            arity = self.sig.arity(t.name, t.sort_args)
+            if len(t.args) != len(arity.binders):
+                raise SoSortError(f"operator {t.name} expects {len(arity.binders)} arguments")
+            return arity.result, self.bodies(t, ctx, arity.binders)
+        raise SoSortError(f"not a second-order term: {t!r}")
 
 
 def so_rename(t: SoTerm, ren) -> SoTerm:

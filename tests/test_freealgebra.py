@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonal.clones import Substitution, VariableClone
-from clonal.equality import NormalizationError, free_equal, normalize_with_trace
+from clonal.equality import NormalizationError, free_equal, norm, normalize_with_trace
 from clonal.firstorder import FoOp, FoVar, Verdict
 from clonal.freealgebra import (
     CloneApp,
@@ -82,6 +82,15 @@ class TestCheckTerm:
         free = pure_stlc()
         t = abs_(FreeVar(1))
         assert free.check(E, t) == BB
+
+    def test_kept_elements_stay_bounded(self):
+        free = stlc_bool()
+        actx = Context((B,) * 11)
+        args = tuple(FreeVar(p) for p in range(1, 12))
+        for i, j, k in itertools.product(range(1, 12), repeat=3):  # 1,331 distinct elements
+            element = FoOp("ite", (B,), (FoVar(i), FoVar(j), FoVar(k)))
+            assert free.check(actx, CloneApp(element, actx, B, args)) == B
+        assert 0 < len(free.terms.passed) <= 1024
 
     def test_bad_clone_argument_sort(self):
         free = stlc_gs(("v1", "v2"))
@@ -245,18 +254,18 @@ class TestDerivationChecker:
         assert not v.ok and v.path == (2,) and "unknown operator 'nosuch'" in v.error
 
     def test_each_element_is_checked_once_per_call(self, monkeypatch):
-        from clonal import freealgebra
-
         free = stlc_bool()
         tru = CloneApp(FoOp("true", (), ()), E, B, ())
         # two distinct terms carry the element: app(abs(_.true), true)
         d = FCongOp("app", (B, B), (FRefl(abs_(tru)), FRefl(tru)))
         calls = []
-        check = freealgebra.check_element
-        monkeypatch.setattr(freealgebra, "check_element",
-                            lambda *a: calls.append(a[1:4]) or check(*a))
+        check = free.base.check
+        monkeypatch.setattr(free.base, "check", lambda *a: calls.append(a) or check(*a))
         assert check_free_derivation(free, E, d).ok
-        assert calls == [(E, B, tru.element)]
+        assert calls == [(E, tru.element)]
+        # the algebra keeps it: later calls and checks do not check it again
+        assert check_free_derivation(free, E, d).ok and free.check(E, tru) == B
+        assert len(calls) == 1
 
     def test_repeated_bad_element_is_rejected_at_its_first_occurrence(self):
         bad = CloneApp(FoOp("true", (), (FoVar(7),)), ctx(B), B, (FreeVar(1),))
@@ -571,7 +580,7 @@ class TestFreeEqual:
 
         free = stlc_bool()
         t = app(abs_(FreeVar(1)), false_term())
-        monkeypatch.setattr(equality, "normalize_with_trace", lambda f, c, s, term: (term, FRefl(term)))
+        monkeypatch.setattr(equality, "norm", lambda f, c, s, term: (term, None))
         with pytest.raises(NormalizationError, match="NbE finds the terms equal"):
             free_equal(free, E, B, t, false_term())
 
@@ -601,12 +610,29 @@ class TestFreeEqual:
         element = FoOp("ite", (B,), (FoVar(1), FoVar(2), FoVar(3)))
         bad = CloneApp(element, ctx(B, B, B), B, (FreeVar(2), FreeVar(1), false_term()))
         t = app(abs_(abs_(app(FreeVar(1), bad)), (BB, BB)), abs_(FreeVar(1)), (BB, BB))
-        nf, _ = normalize_with_trace(free, E, BB, t)
+        nf, _ = norm(free, E, BB, t)  # the unchecked core
         for left, right in ((t, nf), (nf, t)):
             with pytest.raises(FreeSortError, match="clone argument 2 has sort b => b"):
                 free_equal(free, E, BB, left, right)
         with pytest.raises(FreeSortError, match="term has sort b, expected b => b"):
             free_equal(free, E, BB, true_term(), abs_(FreeVar(1)))
+
+    def test_normalizers_reject_ill_sorted_input(self):
+        # the term of test_ill_sorted_input_rejected: NbE once raised
+        # AttributeError on it, and the step normalizer returned a witness
+        # that the kernel rejects
+        from clonal.nbe import nbe_normalize
+
+        free = stlc_bool()
+        element = FoOp("ite", (B,), (FoVar(1), FoVar(2), FoVar(3)))
+        bad = CloneApp(element, ctx(B, B, B), B, (FreeVar(2), FreeVar(1), false_term()))
+        t = app(abs_(abs_(app(FreeVar(1), bad)), (BB, BB)), abs_(FreeVar(1)), (BB, BB))
+        for normalize in (nbe_normalize, normalize_with_trace):
+            with pytest.raises(FreeSortError, match=r"clone argument 2 has sort b => b, "
+                               r"expected b \(at path \[1, 1, 1, 2, 2\]\)"):
+                normalize(free, E, BB, t)
+            with pytest.raises(FreeSortError, match="term has sort b => b, expected b"):
+                normalize(free, E, B, abs_(FreeVar(1)))
 
     def test_search_exhaustion_is_unknown(self):
         free = stlc_bool()
