@@ -32,14 +32,15 @@ def main():
     free = bundle.free
 
     redex = parse_term(bundle, "app (abs x. ite x false true) true", B)
-    print("input:   ", render_free(redex, []))
+    print("input:   ", render_free(redex, [], bundle.surface))
 
     nf, deriv = normalize_with_trace(free, E, B, redex)
-    print("normal:  ", render_free(nf, []))
+    print("normal:  ", render_free(nf, [], bundle.surface))
 
     verdict = check_free_derivation(free, E, deriv)
     print("witness replays through the checker:", verdict.ok)
-    print("witness concludes:", render_free(verdict.lhs, []), "~", render_free(verdict.rhs, []))
+    print("witness concludes:", render_free(verdict.lhs, [], bundle.surface), "~",
+          render_free(verdict.rhs, [], bundle.surface))
 
     print("\nprovable equality with certificates:")
     v1 = free_equal(free, E, B, redex, false_term())
@@ -58,7 +59,7 @@ def main():
 
     ite = FoOp("ite", (B,), (FoVar(1), FoVar(2), FoVar(3)))
     included = eta.apply(Context((B, B, B)), B, ite)
-    print("  unit(ite) =", render_free(included, ["c", "y", "z"]))
+    print("  unit(ite) =", render_free(included, ["c", "y", "z"], bundle.surface))
 
     print("\nevaluation in the finite set model (the fold):")
     print("  redex evaluates to", eval_closed(free, model, B, redex))

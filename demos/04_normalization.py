@@ -40,7 +40,7 @@ def main():
         term = parse_term(bundle, text, sort, ctx, names)
         nf = nbe_normalize(bundle.free, ctx, sort, term)
         print(f"[{variant}] {text}")
-        print(f"    ~  {render_free(nf, names)}")
+        print(f"    ~  {render_free(nf, names, bundle.surface)}")
         assert check_normal(bundle.free, ctx, sort, nf).ok
 
     print("\ncross-checking the two normalizers on an enumeration:")

@@ -192,7 +192,7 @@ def cmd_normalize(args) -> int:
     if not verdict:
         print(f"normalization produced a non-normal form: {verdict.reason}", file=sys.stderr)
         return FAIL
-    rendered = render_free(nf, names or [f"x{i}" for i in range(1, len(ctx) + 1)])
+    rendered = render_free(nf, names or [f"x{i}" for i in range(1, len(ctx) + 1)], bundle.surface)
     payload = {"term": rendered, "tree": free_term_to_json(nf)}
     if args.witness:
         _, deriv = normalize_with_trace(bundle.free, ctx, sort, term)
@@ -253,7 +253,8 @@ def cmd_equal(args) -> int:
     left = parse_term(bundle, args.left, sort, ctx, names)
     right = parse_term(bundle, args.right, sort, ctx, names)
     mode = "search" if args.search else "normalize"
-    model_fold = _model_fold(bundle) if len(ctx) == 0 else None
+    # the set model is a model of the bundle, and so evidence, only in the lambda calculus
+    model_fold = _model_fold(bundle) if not ctx and bundle.surface.calculus is not None else None
     model_hom = model_fold[1].apply if model_fold is not None else None
     verdict = free_equal(
         bundle.free, ctx, sort, left, right, mode=mode, budget=args.budget,
@@ -310,7 +311,8 @@ def cmd_enumerate(args) -> int:
     ctx, names = _context_arg(bundle, args)
     sort = _sort_arg(bundle, args)
     terms = enumerate_free_terms(bundle.free, ctx, sort, max_size=args.budget)
-    shown = [render_free(t, names or [f"x{i}" for i in range(1, len(ctx) + 1)]) for t in terms]
+    names = names or [f"x{i}" for i in range(1, len(ctx) + 1)]
+    shown = [render_free(t, names, bundle.surface) for t in terms]
     _emit(args, "\n".join(shown) if shown else "(none)", document("enumeration", {
         "count": len(terms),
         "terms": shown,

@@ -1,4 +1,4 @@
-"""Witnessed equality for free algebras of the binding-lambda presentation.
+"""Witnessed equality for free algebras of the simply typed lambda calculus.
 
 Two procedures produce checkable proof objects:
 
@@ -18,6 +18,9 @@ pairwise-distinct non-element arguments listed in first-use order, with
 every position used.  ``head_canon`` is the one canonicalizer: the semantic
 normalizer (``nbe``) reads back through it and ``check_normal`` accepts its
 fixed points; normalize-mode ``free_equal`` cross-checks the two routes.
+Steps read the names of the parts from the surface's ``calculus``; on a
+surface that is not the lambda calculus the normalizer raises
+NotLambdaCalculus, and the search has no beta or eta step.
 
 Base clones whose canonical form rewrites a bare variable (global state
 turns x into its state table) get the matching treatment here: bare
@@ -137,31 +140,29 @@ def _embed(whole: FreeTerm, path: tuple, inner):
 
 
 def beta_step(free: FreeAlgebra, ctx: Context, t: FreeTerm):
-    """app(abs(x. body), a) ~ body[a]."""
+    """app(abs(x. body), a) ~ body[a]; None outside the lambda calculus."""
+    lam = free.presentation.calculus
     match t:
-        case FreeOp(name="app", sort_args=(A, B), args=((_, fun), (_, arg))) if isinstance(
-            fun, FreeOp
-        ) and fun.name == "abs":
+        case FreeOp(name=name, sort_args=(A, B), args=((_, fun), (_, arg))) if (
+            lam is not None and name == lam.app and _is_abs(lam, fun)
+        ):
             body = fun.args[0][1]
             reduced = free_instantiate_last(body, ctx, arg)
-            return reduced, FAxiom("beta", (A, B), (FRefl(body), FRefl(arg)))
+            return reduced, FAxiom(lam.beta, (A, B), (FRefl(body), FRefl(arg)))
     return None
 
 
 def eta_expand_step(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
     """t ~ abs(x. app(t', x)) at an arrow sort, t not an abstraction."""
-    if not (sort.former == "=>" and len(sort.args) == 2):
-        return None
-    if isinstance(t, FreeOp) and t.name == "abs":
+    lam = free.presentation.calculus
+    if lam is None or not (sort.former == "=>" and len(sort.args) == 2) or _is_abs(lam, t):
         return None
     A, B = sort.args
     binder = Context((A,))
     lifted = free_rename(t, weakening(ctx, binder))
-    body = FreeOp(
-        "app", (A, B), ((Context(()), lifted), (Context(()), FreeVar(len(ctx) + 1)))
-    )
-    expanded = FreeOp("abs", (A, B), ((binder, body),))
-    return expanded, FSym(FAxiom("eta", (A, B), (FRefl(t),)))
+    body = FreeOp(lam.app, (A, B), ((Context(()), lifted), (Context(()), FreeVar(len(ctx) + 1))))
+    expanded = FreeOp(lam.abs, (A, B), ((binder, body),))
+    return expanded, FSym(FAxiom(lam.eta, (A, B), (FRefl(t),)))
 
 
 def var_collapse_step(free: FreeAlgebra, ctx: Context, t: FreeTerm):
@@ -385,8 +386,8 @@ def _then(d, step):
     return d if step is None else FTrans(d, step)
 
 
-def _is_abs(t: FreeTerm) -> bool:
-    return isinstance(t, FreeOp) and t.name == "abs"
+def _is_abs(lam, t: FreeTerm) -> bool:
+    return isinstance(t, FreeOp) and t.name == lam.abs
 
 
 def whnf(free: FreeAlgebra, ctx: Context, t: FreeTerm):
@@ -407,16 +408,16 @@ def whnf(free: FreeAlgebra, ctx: Context, t: FreeTerm):
 def _head_beta(free: FreeAlgebra, ctx: Context, t: FreeTerm):
     """Beta at the head until the head is a variable or an element
     application, which is left as it stands."""
-    d = None
-    while isinstance(t, FreeOp) and t.name == "app":
+    lam, d = free.presentation.calculus, None
+    while isinstance(t, FreeOp) and t.name == lam.app:
         (_, fun), (_, arg) = t.args
-        if not _is_abs(fun):
+        if not _is_abs(lam, fun):
             head, step = whnf(free, ctx, fun)
             if step is not None:
-                d = _then(d, FCongOp("app", t.sort_args, (step, FRefl(arg))))
+                d = _then(d, FCongOp(lam.app, t.sort_args, (step, FRefl(arg))))
             if head is not fun:
-                t = FreeOp("app", t.sort_args, ((EMPTY, head), (EMPTY, arg)))
-            if not _is_abs(head):
+                t = FreeOp(lam.app, t.sort_args, ((EMPTY, head), (EMPTY, arg)))
+            if not _is_abs(lam, head):
                 return t, d
         t, step = beta_step(free, ctx, t)
         d = _then(d, step)
@@ -472,7 +473,8 @@ def norm(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
     """Eta-long beta-normal form of ``t`` at ``sort``."""
     t, d = whnf(free, ctx, t)
     if sort.former == "=>" and len(sort.args) == 2:
-        if not _is_abs(t):
+        lam = free.presentation.calculus
+        if not _is_abs(lam, t):
             t, step = norm_neutral(free, ctx, t)
             d = _then(d, step)
             t, step = eta_expand_step(free, ctx, sort, t)
@@ -480,9 +482,9 @@ def norm(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
         ((binder, body),) = t.args
         normal, step = norm(free, ctx + binder, sort.args[1], body)
         if step is not None:
-            d = _then(d, FCongOp("abs", t.sort_args, (step,)))
+            d = _then(d, FCongOp(lam.abs, t.sort_args, (step,)))
         if normal is not body:
-            t = FreeOp("abs", t.sort_args, ((binder, normal),))
+            t = FreeOp(lam.abs, t.sort_args, ((binder, normal),))
         return t, d
     if isinstance(t, CloneApp):
         return t, d
@@ -499,21 +501,23 @@ def norm(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
 def norm_neutral(free: FreeAlgebra, ctx: Context, t: FreeTerm):
     """Normalize the arguments along a spine whose head is in weak head
     normal form: a variable or a canonical element application."""
-    if not (isinstance(t, FreeOp) and t.name == "app"):
+    app = free.presentation.calculus.app
+    if not (isinstance(t, FreeOp) and t.name == app):
         return t, None
     (_, fun), (_, arg) = t.args
     head, df = norm_neutral(free, ctx, fun)
     normal, da = norm(free, ctx, t.sort_args[0], arg)
     if head is not fun or normal is not arg:
-        t = FreeOp("app", t.sort_args, ((EMPTY, head), (EMPTY, normal)))
+        t = FreeOp(app, t.sort_args, ((EMPTY, head), (EMPTY, normal)))
     if df is None and da is None:
         return t, None
-    return t, FCongOp("app", t.sort_args, (df or FRefl(head), da or FRefl(normal)))
+    return t, FCongOp(app, t.sort_args, (df or FRefl(head), da or FRefl(normal)))
 
 
 def normalize_with_trace(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
-    """Eta-long beta-normal form plus a derivation of input ~ output.  ``t``
-    must have ``sort`` in ``ctx``; otherwise FreeSortError is raised."""
+    """Eta-long beta-normal form plus a derivation of input ~ output, in the
+    lambda calculus (else NotLambdaCalculus); ``t`` must have ``sort`` in ``ctx``."""
+    free.presentation.lambda_calculus()
     check_input(free, ctx, sort, t)
     nf, d = norm(free, ctx, sort, t)
     return nf, FRefl(t) if d is None else d
@@ -551,16 +555,19 @@ def free_equal(
     witnesses.  When the forms differ, "not_equal" needs evidence:
     distinct values under ``model_hom``, else distinct NbE normal forms
     (without an NbE domain the verdict is "unknown").  NbE normal forms that
-    agree while the witnessed forms differ raise NormalizationError.  search mode
-    runs a bounded bidirectional best-first search; exhaustion yields the
-    first-class verdict "unknown".  Both terms must have ``sort`` in
-    ``ctx``; otherwise FreeSortError is raised.
+    agree while the witnessed forms differ raise NormalizationError; without
+    the lambda calculus it is "unknown".  search mode runs a bounded
+    bidirectional best-first search; exhaustion yields the first-class
+    verdict "unknown".  Both terms must have ``sort`` in ``ctx``; otherwise
+    FreeSortError is raised.
     """
     check_input(free, ctx, sort, t)
     check_input(free, ctx, sort, u)
     if raw_eq(free.base, ctx, sort, t, u):
         return EqVerdict("equal", FRefl(t))
     if mode == "normalize":
+        if free.presentation.calculus is None:  # no normalizer: no evidence either way
+            return EqVerdict("unknown")
         nt, dt = norm(free, ctx, sort, t)
         nu, du = norm(free, ctx, sort, u)
         if raw_eq(free.base, ctx, sort, nt, nu):

@@ -275,14 +275,10 @@ def enumerate_fo_terms_by_size(
     ctx: Context,
     sort: Sort,
     size: int,
-    instance_sorts: list[Sort] | None = None,
 ) -> list[FoTerm]:
     """All well-sorted terms with at most ``size`` nodes, deterministic and
     duplicate-free."""
-    if instance_sorts is None:
-        pool = list(dict.fromkeys(list(ctx) + [sort] + sig.sort_set.base_sorts()))
-    else:
-        pool = instance_sorts
+    pool = list(dict.fromkeys(list(ctx) + [sort] + sig.sort_set.base_sorts()))
     instances = [(n, sa, *sig.arity(n, sa)) for n, sa in sig.instances(pool)]
 
     exact: dict[tuple[Sort, int], list[FoTerm]] = {}

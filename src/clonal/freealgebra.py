@@ -46,7 +46,7 @@ from .firstorder import (
     Verdict,
     _Kernel,
     _compositions,
-    enumerate_fo_terms_by_size,
+    _fo_of_size,
     fo_size,
 )
 from .secondorder import Algebra, SoPresentation, interpret_term
@@ -301,6 +301,8 @@ class FreeAlgebra(Algebra, Clone):
     def term_eq(self, ctx, sort, t, u) -> bool:
         if t is u or t == u:  # equality is reflexive: no normalization needed
             return True
+        if self.presentation.calculus is None:  # no normalizer; raw_eq is sound
+            return raw_eq(self.base, ctx, sort, t, u)
         from .nbe import nbe_for  # nbe imports this module
 
         engine = nbe_for(self)
@@ -566,13 +568,14 @@ def enumerate_free_terms(
             upto = None  # upto holds itself through its closure cell: break that cycle
 
     exact: dict = {}
+    if isinstance(free.base, TmClone):
+        base_sig = free.base.presentation.signature
+        base_ops = [(o, sa, *base_sig.arity(o, sa)) for o, sa in base_sig.instances(binder_sorts)]
+        base_exact: dict = {}  # arity context -> its (sort, size) table, this call only
 
     def base_elements_of_size(actx: Context, s: Sort, n: int):
         if isinstance(free.base, TmClone):
-            all_terms = enumerate_fo_terms_by_size(
-                free.base.presentation.signature, actx, s, n, binder_sorts
-            )
-            return [e for e in all_terms if fo_size(e) == n]
+            return _fo_of_size(s, n, actx, base_ops, base_exact.setdefault(actx, {}))
         # variable-like bases: elements are the positions, each of size 1
         if n == 1:
             return free.base.enumerate_terms(actx, s, 0)

@@ -280,7 +280,8 @@ def kripke_relation(
 ):
     """The context-indexed relation with the standard function-sort clause:
     membership at an arrow sort quantifies over all renamings into the
-    enumerated contexts and all member arguments there.  Returns the
+    enumerated contexts and all member arguments there, applied by the
+    lambda calculus's application (else NotLambdaCalculus).  Returns the
     membership test ``member(ctx, sort, t) -> bool``."""
     return _KripkeRelation(alg, base_member, contexts, arg_pool, base_sort, cap)
 
@@ -291,6 +292,7 @@ class _KripkeRelation:
 
     def __init__(self, alg, base_member, contexts, arg_pool, base_sort, cap):
         self.alg = alg
+        self.app = alg.presentation.lambda_calculus().app
         self.base_member = base_member
         self.contexts = contexts
         self.arg_pool = arg_pool
@@ -316,10 +318,7 @@ class _KripkeRelation:
                     for a in candidates:
                         if not self(delta, A, a):
                             continue
-                        applied = self.alg.interpret(
-                            "app", (A, B), delta,
-                            (renamed, a),
-                        )
+                        applied = self.alg.interpret(self.app, (A, B), delta, (renamed, a))
                         if not self(delta, B, applied):
                             result = False
                             break

@@ -1,4 +1,4 @@
-"""Normalization by evaluation for free algebras of the lambda presentation.
+"""Normalization by evaluation for free algebras of the lambda calculus.
 
 Terms are evaluated into a semantic domain: functions at arrow sorts
 (Kripke-style: such a value is a Python callable ``v(ren, arg)``, applied
@@ -17,7 +17,8 @@ Base domains supplied here:
 A free algebra's domain comes from the descriptor of its base clone
 (``free.base.theory.domain``, see ``clonal.theories``).  ``nbe_for`` builds
 an engine on that domain, which costs a few microseconds; a caller that
-normalizes many terms builds one and keeps it.
+normalizes many terms builds one and keeps it.  It reads the operators'
+names from the surface's ``calculus``, and refuses other surfaces.
 
 The boolean read-back and ``check_normal`` canonicalize element applications
 with ``equality.head_canon``, the collapse loop of the witnessed normalizer
@@ -213,6 +214,7 @@ class Nbe:
     def __init__(self, free: FreeAlgebra, domain):
         self.free = free
         self.domain = domain
+        self.lam = free.presentation.lambda_calculus()
         bases = free.sort_set.base_sorts()
         if len(bases) != 1:
             raise NbeError("normalization by evaluation needs exactly one base sort")
@@ -227,11 +229,11 @@ class Nbe:
         match t:
             case FreeVar(index=i):
                 return env[i - 1][1]
-            case FreeOp(name="app", args=((_, fun), (_, arg))):
+            case FreeOp(name=self.lam.app, args=((_, fun), (_, arg))):
                 vf = self.eval(ctx, fun, env)
                 va = self.eval(ctx, arg, env)
                 return vf(identity_renaming(ctx), va)
-            case FreeOp(name="abs", sort_args=(A, _), args=((_, body),)):
+            case FreeOp(name=self.lam.abs, sort_args=(A, _), args=((_, body),)):
                 def closure(ren: Renaming, a, __body=body, __env=env, __A=A):
                     renamed = tuple(
                         (s, rename_value(self.domain, s, v, ren)) for s, v in __env
@@ -252,14 +254,8 @@ class Nbe:
 
             def stuck(ren: Renaming, a, __n=neutral, __A=A, __B=B):
                 new_ctx = ren.source
-                applied = FreeOp(
-                    "app",
-                    (__A, __B),
-                    (
-                        (Context(()), free_rename(__n, ren)),
-                        (Context(()), self.reify(new_ctx, __A, a)),
-                    ),
-                )
+                fun, arg = free_rename(__n, ren), self.reify(new_ctx, __A, a)
+                applied = FreeOp(self.lam.app, (__A, __B), ((Context(()), fun), (Context(()), arg)))
                 return self.reflect(new_ctx, __B, applied)
 
             return stuck
@@ -271,7 +267,7 @@ class Nbe:
             extended = ctx + Context((A,))
             fresh = self.reflect(extended, A, FreeVar(len(ctx) + 1))
             body = self.reify(extended, B, value(weakening(ctx, Context((A,))), fresh))
-            return FreeOp("abs", (A, B), ((Context((A,)), body),))
+            return FreeOp(self.lam.abs, (A, B), ((Context((A,)), body),))
         return self.domain.reify_base(self, ctx, sort, value)
 
     # entry point ----------------------------------------------------------
@@ -332,6 +328,7 @@ def check_normal(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> No
     base), or a canonical element application: one that
     ``equality.head_canon`` returns as it stands, its arguments normal.
     """
+    free.presentation.lambda_calculus()
     try:
         got = free.check(ctx, t)
     except CloneError as e:
@@ -342,10 +339,11 @@ def check_normal(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> No
 
 
 def _neutral(free: FreeAlgebra, c: Context, s: Sort, term) -> NormalVerdict:
+    lam = free.presentation.calculus
     match term:
         case FreeVar():
             return NormalVerdict(True)
-        case FreeOp(name="app", sort_args=(A, B), args=((_, fun), (_, arg))):
+        case FreeOp(name=lam.app, sort_args=(A, B), args=((_, fun), (_, arg))):
             head = _neutral(free, c, Sort("=>", (A, B)), fun)
             if not head:
                 return head
@@ -363,8 +361,9 @@ def _stuck_elements(free: FreeAlgebra, c: Context, ca: CloneApp) -> NormalVerdic
 
 def _normal(free: FreeAlgebra, c: Context, s: Sort, term) -> NormalVerdict:
     if s.former == "=>" and len(s.args) == 2:
+        lam = free.presentation.calculus
         match term:
-            case FreeOp(name="abs", args=((binder, body),)):
+            case FreeOp(name=lam.abs, args=((binder, body),)):
                 return _normal(free, c + binder, s.args[1], body)
         return NormalVerdict(False, term, "arrow-sorted normal must be an abstraction")
     # base sort

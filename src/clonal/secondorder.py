@@ -11,9 +11,10 @@ equations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .clones import Budget, Clone, CloneError, LawCheck, LawReport, ProductClone, Signature
 from .clones import SortChecker, SortError, Substitution, TerminalClone, _capped, _subst_tuples
@@ -74,6 +75,13 @@ class SoSignature(Signature):
     """``SoOpSchema``s by name."""
 
     error = SoSortError
+
+    @functools.cached_property
+    def lambda_syntax(self) -> tuple[str | None, str | None]:
+        """The first operators that are ``stlc_presentation()``'s application
+        and abstraction up to name, or None: what juxtaposition and ``abs x.`` build."""
+        return tuple(next((o.name for o in self.operators if replace(o, name=ref.name) == ref),
+                          None) for ref in stlc_presentation().signature.operators)
 
 
 @dataclass(frozen=True)
@@ -294,17 +302,67 @@ def _so_subst_sorts(t: SoTerm, binding: dict[str, Sort]) -> SoTerm:
     raise SoSortError(f"not a second-order term: {t!r}")
 
 
+class NotLambdaCalculus(CloneError):
+    """A route that needs the lambda calculus got a surface that is not it."""
+
+
+@dataclass(frozen=True)
+class LambdaCalculus:
+    """A surface's names for the lambda calculus's parts (``SoPresentation.calculus``)."""
+
+    app: str
+    abs: str
+    beta: str
+    eta: str
+
+
 @dataclass(frozen=True)
 class SoPresentation:
+    """Operators and named equations.  ``calculus`` is worked out once; like a
+    stored hash, it is not a field for ``==``, ``hash``, ``repr`` or pickles."""
+
     name: str
     signature: SoSignature
     equations: tuple[SoEquationSchema, ...]
+
+    def __getstate__(self):
+        return {"name": self.name, "signature": self.signature, "equations": self.equations}
 
     def equation(self, name: str) -> SoEquationSchema:
         for e in self.equations:
             if e.name == name:
                 return e
         raise SoSortError(f"unknown equation {name!r}")
+
+    @functools.cached_property
+    def calculus(self) -> LambdaCalculus | None:
+        """The names of the lambda calculus's parts; None if this is not it."""
+        return self._calculus if type(self._calculus) is LambdaCalculus else None
+
+    def lambda_calculus(self) -> LambdaCalculus:
+        """``calculus``, or raise NotLambdaCalculus naming the first difference."""
+        if type(self._calculus) is not LambdaCalculus:
+            raise NotLambdaCalculus(self._calculus)
+        return self._calculus
+
+    @functools.cached_property
+    def _calculus(self) -> LambdaCalculus | str:
+        """The descriptor, or the first difference from ``stlc_presentation()``
+        named as this one's first two operators and equations, checked as
+        ``theories._check_stock`` checks a base."""
+        ref, ours = stlc_presentation(), (self.signature.operators, self.equations)
+        lam = LambdaCalculus(*(
+            x.name for mine, theirs in zip(ours, (ref.signature.operators, ref.equations))
+            for x in (mine + theirs[len(mine):])[:len(theirs)]))
+        ref = _lambda_presentation(lam)
+        for kind, mine, theirs in zip(("operator", "equation"), ours,
+                                      (ref.signature.operators, ref.equations)):
+            for g, w in itertools.zip_longest(mine, theirs):
+                if g != w:
+                    name = g.name if g is not None else f"(missing {w.name})"
+                    return (f"surface {self.name} is not the lambda calculus: "
+                            f"{kind} {name} differs from stlc_presentation()")
+        return lam
 
     def check_well_formed(self, sorts: list[Sort]):
         for schema in self.equations:
@@ -318,37 +376,35 @@ class SoPresentation:
                         )
 
 
+@functools.cache
 def stlc_presentation() -> SoPresentation:
-    """Application and binding abstraction per sort pair, with beta and eta."""
+    """Application and binding abstraction per sort pair, with beta and eta:
+    the one reference for the lambda calculus, one object per process."""
+    return _lambda_presentation(LambdaCalculus("app", "abs", "beta", "eta"))
+
+
+def _lambda_presentation(lam: LambdaCalculus) -> SoPresentation:
     A, B = SortVar("A"), SortVar("B")
     arrow_t = Sort("=>", (A, B))
     sort_set = SortSet("ty", ("b",), ("=>",))
     ops = (
-        SoOpSchema("app", ("A", "B"), (((), arrow_t), ((), A)), B),
-        SoOpSchema("abs", ("A", "B"), (((A,), B),), arrow_t),
+        SoOpSchema(lam.app, ("A", "B"), (((), arrow_t), ((), A)), B),
+        SoOpSchema(lam.abs, ("A", "B"), (((A,), B),), arrow_t),
     )
 
     def app(f, a):
-        return SoOp("app", (A, B), ((Context(()), f), (Context(()), a)))
+        return SoOp(lam.app, (A, B), ((Context(()), f), (Context(()), a)))
 
     def abs_(body):
-        return SoOp("abs", (A, B), (((Context((A,))), body),))
+        return SoOp(lam.abs, (A, B), (((Context((A,))), body),))
 
     beta = SoEquationSchema(
-        "beta",
-        ("A", "B"),
-        (((A,), B), ((), A)),
-        B,
-        app(abs_(MetaApp(1, (SoVar(1),))), MetaApp(2, ())),
-        MetaApp(1, (MetaApp(2, ()),)),
+        lam.beta, ("A", "B"), (((A,), B), ((), A)), B,
+        app(abs_(MetaApp(1, (SoVar(1),))), MetaApp(2, ())), MetaApp(1, (MetaApp(2, ()),)),
     )
     eta = SoEquationSchema(
-        "eta",
-        ("A", "B"),
-        (((), arrow_t),),
-        arrow_t,
-        abs_(app(MetaApp(1, ()), SoVar(1))),
-        MetaApp(1, ()),
+        lam.eta, ("A", "B"), (((), arrow_t),), arrow_t,
+        abs_(app(MetaApp(1, ()), SoVar(1))), MetaApp(1, ()),
     )
     return SoPresentation("stlc", SoSignature(sort_set, ops), (beta, eta))
 

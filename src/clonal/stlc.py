@@ -196,20 +196,21 @@ class SetModelClone(Clone):
 
 
 class SetModelAlgebra(Algebra):
-    """The set model as an algebra: application is pointwise, abstraction
-    is currying."""
+    """The set model of the lambda calculus (else NotLambdaCalculus) as an
+    algebra: application is pointwise, abstraction is currying."""
 
     def __init__(self, presentation: SoPresentation, base_values: tuple, max_cells: int = 200_000):
         self.presentation = presentation
+        self.calculus = presentation.lambda_calculus()
         self.clone = SetModelClone(presentation.signature.sort_set, base_values, max_cells)
 
     def interpret(self, name, sort_args, ctx, args):
         m = self.clone
-        if name == "app":
+        if name == self.calculus.app:
             A, _ = sort_args
             f_tab, a_tab = args
             return tuple(map(getitem, f_tab, map(m.value_indices(A).__getitem__, a_tab)))
-        if name == "abs":
+        if name == self.calculus.abs:
             A, _ = sort_args
             (body,) = args
             # consecutive groups of width cells, one per point of ctx

@@ -248,10 +248,6 @@ def term_syntax(sort_set: SortSet, text: str, params=()):
 # --------------------------------------------------------------------------
 
 
-def _no_lambda(*_):
-    raise ParseError("lambda syntax is not available at first order")
-
-
 def _fo_op(base: FoSignature, name, sort_args, args):
     return FoOp(name, sort_args, args)
 
@@ -268,7 +264,7 @@ def _element_app(base: FoSignature, name, sort_args, args):
 _MODES = {
     "free": (FreeVar, FreeOp, _element_app),
     "so": (SoVar, SoOp, None),
-    "fo": (FoVar, _no_lambda, _fo_op),
+    "fo": (FoVar, None, _fo_op),  # no surface, so no lambda syntax
 }
 
 
@@ -314,12 +310,9 @@ class Elaborator:
     # entry points ----------------------------------------------------------
 
     def check(self, node, expected: Sort):
-        return self._check(node, expected)
-
-    def _check(self, node, expected):
         match node:
             case RLam(binder=x, annotation=ann, body=body):
-                if self._op is _no_lambda:
+                if self.surface is None:
                     self._fail(node, "binding abstraction is not first-order")
                 if not (getattr(expected, "former", None) == "=>" and len(expected.args) == 2):
                     self._fail(node, f"abstraction checked at non-arrow sort {expected}")
@@ -329,11 +322,11 @@ class Elaborator:
                 self.names.append(x)
                 self.ctx_sorts.append(a)
                 try:
-                    inner = self._check(body, b)
+                    inner = self.check(body, b)
                 finally:
                     self.names.pop()
                     self.ctx_sorts.pop()
-                return self._make_abs(a, b, inner)
+                return self._make_abs(node, a, b, inner)
             case RName() | RRaw():
                 term, got = self._synth_atom(node)
                 if got != expected:
@@ -357,7 +350,7 @@ class Elaborator:
                 finally:
                     self.names.pop()
                     self.ctx_sorts.pop()
-                return self._make_abs(ann, bsort, inner), Sort("=>", (ann, bsort))
+                return self._make_abs(node, ann, bsort, inner), Sort("=>", (ann, bsort))
             case RChain(items=items):
                 return self._synth_chain(node, items)
         self._fail(node, "unrecognized term")
@@ -369,10 +362,6 @@ class Elaborator:
             if not 1 <= node.index <= len(self.ctx_sorts):
                 self._fail(node, f"#{node.index} out of range")
             return self._var(node.index), self.ctx_sorts[node.index - 1]
-        if isinstance(node, RLam):
-            return self.synth(node)
-        if isinstance(node, RChain):
-            return self._synth_chain(node, node.items)
         name = node.name
         i = self._lookup_var(name)
         if i is not None:
@@ -424,8 +413,8 @@ class Elaborator:
             if not (isinstance(sort, Sort) and sort.former == "=>" and len(sort.args) == 2):
                 self._fail(node, f"applying a term of non-arrow sort {sort}")
             a, b = sort.args
-            arg_term = self._check(arg, a)
-            term = self._make_app(a, b, term, arg_term)
+            arg_term = self.check(arg, a)
+            term = self._make_app(node, a, b, term, arg_term)
             sort = b
         return term, sort
 
@@ -438,26 +427,37 @@ class Elaborator:
             if len(items) != 2:
                 raise
             arg_term, arg_sort = self.synth(items[1])
-            fun = self._check(items[0], Sort("=>", (arg_sort, expected)))
-            return self._make_app(arg_sort, expected, fun, arg_term)
+            fun = self.check(items[0], Sort("=>", (arg_sort, expected)))
+            return self._make_app(node, arg_sort, expected, fun, arg_term)
         if sort != expected:
             self._fail(node, f"term has sort {sort}, expected {expected}")
         return term
 
     # helpers -----------------------------------------------------------------
 
-    def _make_app(self, a, b, fun, arg):
-        return self._op("app", (a, b), ((Context(()), fun), (Context(()), arg)))
+    def _make_app(self, node, a, b, fun, arg):
+        args = ((Context(()), fun), (Context(()), arg))
+        return self._op(self._lambda_op(node, 0), (a, b), args)
 
-    def _make_abs(self, a, b, body):
-        return self._op("abs", (a, b), ((Context((a,)), body),))
+    def _make_abs(self, node, a, b, body):
+        return self._op(self._lambda_op(node, 1), (a, b), ((Context((a,)), body),))
+
+    def _lambda_op(self, node, k: int):
+        """The surface's application (k = 0) or abstraction (k = 1), found by
+        shape: a bundle's equations are elaborated before its presentation."""
+        if self.surface is None:
+            self._fail(node, "lambda syntax is not available at first order")
+        name = self.surface.lambda_syntax[k]
+        if name is None:
+            self._fail(node, f"the surface has no {('application', 'abstraction')[k]} operator")
+        return name
 
     def _metavar(self, node, name, arg_nodes):
         m = self._lookup_meta(name)
         decl = self.metas[m - 1][1]
         if len(arg_nodes) != len(decl.ctx):
             self._fail(node, f"metavariable {name} takes {len(decl.ctx)} arguments")
-        args = tuple(self._check(a, s) for a, s in zip(arg_nodes, decl.ctx))
+        args = tuple(self.check(a, s) for a, s in zip(arg_nodes, decl.ctx))
         return MetaApp(m, args), decl.sort
 
     def _operator(self, node, name, arg_nodes, expected=None):
@@ -523,7 +523,7 @@ class Elaborator:
             progressed = False
             for i in list(pending):
                 if sort_closed(templates[i], binding, schema.params):
-                    results[i] = self._check(
+                    results[i] = self.check(
                         arg_nodes[i], instantiate_sort(templates[i], binding)
                     )
                     pending.remove(i)
@@ -559,12 +559,6 @@ class Elaborator:
 
 def sort_closed(template, binding, params) -> bool:
     return all(v in binding for v in sort_vars(template) if v in params)
-
-
-# --------------------------------------------------------------------------
-# The abs/app special case: surface `abs x. t` elaborates through _check /
-# synth above; chains headed by `app` resolve through the operator path.
-# --------------------------------------------------------------------------
 
 
 def parse_context(bundle: "TheoryBundle", text: str) -> tuple[Context, list[str]]:
@@ -607,31 +601,34 @@ def parse_term(
 # --------------------------------------------------------------------------
 
 
-def render_free(t, names: list[str]) -> str:
+def render_free(t, names: list[str], surface: SoPresentation) -> str:
     """Deterministic human syntax; element applications are resugared into
-    operator applications."""
-    return _render(t, list(names))
+    operator applications.  The surface's application and abstraction
+    operators print as juxtaposition and ``abs x.``, as the elaborator reads
+    them."""
+    return _render(t, list(names), surface.signature.lambda_syntax)
 
 
-def _render(term, env: list[str]) -> str:
+def _render(term, env: list[str], syntax: tuple) -> str:
+    app, abs_ = syntax
     match term:
         case FreeVar(index=i):
             return env[i - 1]
-        case FreeOp(name="app", args=((_, f), (_, a))):
+        case FreeOp(name=name, args=((_, f), (_, a))) if name == app:
             # application chains stay left-grouped; any other head with
             # arguments (an abstraction, an operator or element) is bracketed
-            head = _render(f, env)
-            if not (isinstance(f, FreeVar) or isinstance(f, FreeOp) and f.name == "app"):
+            head = _render(f, env, syntax)
+            if not (isinstance(f, FreeVar) or isinstance(f, FreeOp) and f.name == app):
                 head = _atom(head)
-            return f"{head} {_atom(_render(a, env))}"
-        case FreeOp(name="abs", sort_args=(A, _), args=((_, body),)):
+            return f"{head} {_atom(_render(a, env, syntax))}"
+        case FreeOp(name=name, sort_args=(A, _), args=((_, body),)) if name == abs_:
             x = _fresh(env)
-            return f"abs {x} : {A}. {_render(body, env + [x])}"
+            return f"abs {x} : {A}. {_render(body, env + [x], syntax)}"
         case FreeOp(name=name, args=args):
-            rendered = " ".join(_atom(_render(b, env)) for _, b in args)
+            rendered = " ".join(_atom(_render(b, env, syntax)) for _, b in args)
             return f"{name} {rendered}" if rendered else name
         case CloneApp(element=e, args=args):
-            return render_element(e, [_render(a, env) for a in args])
+            return render_element(e, [_render(a, env, syntax) for a in args])
     raise CloneError(f"cannot render {term!r}")
 
 

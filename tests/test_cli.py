@@ -6,6 +6,7 @@ import pytest
 
 from clonal import cli
 from clonal.cli import main
+from clonal.freealgebra import FAxiom, FRefl
 from clonal.jsonio import context_to_json, document, fo_term_to_json, free_derivation_to_json
 from clonal.sorts import Context, Sort
 
@@ -170,8 +171,8 @@ class TestEqual:
 
     @pytest.mark.parametrize("mode", [(), ("--search",)])
     def test_witness_the_bundle_does_not_prove_is_no_verdict(self, capsys, tmp_path, mode):
-        # without beta and eta the witness cites equations the bundle lacks:
-        # the kernel rejects it, so equal is an internal error, not a verdict
+        # without beta and eta the surface is not the lambda calculus: there
+        # is no normalizer and no beta step to search with, so no verdict
         from clonal.cli import bundled_source
 
         source = bundled_source("bool")
@@ -182,8 +183,33 @@ class TestEqual:
         path.write_text("\n".join(lines) + "\n")
         code, out, err = run(
             capsys, "equal", "--bundle", str(path), *mode, "app (abs x : b. x) true", "true")
-        assert code == 1 and "equal" not in out
-        assert err.startswith("internal witness rejected: unknown equation 'beta'")
+        assert (code, out.strip(), err) == (3, "unknown", "")
+
+    @pytest.mark.parametrize("argv", [
+        ("equal", "app (abs x : b. x) true", "true"),
+        ("normalize", "app (abs x : b. x) true", "--witness"),
+    ])
+    @pytest.mark.parametrize("wrong, message", [
+        (lambda nf: FAxiom("bogus", (), ()), "internal witness rejected: unknown equation 'bogus'"),
+        (FRefl, "internal witness concludes <true()> ~ <true()>, not app(abs(_.x1), <true()>)"),
+    ])
+    def test_a_witness_that_does_not_conclude_the_pair_is_no_verdict(
+        self, capsys, monkeypatch, argv, wrong, message
+    ):
+        # the step normalizer answers with the right normal form but a
+        # witness the kernel rejects, or one of another equation: the
+        # command replays it and gives no answer
+        from clonal import equality
+        from clonal.nbe import nbe_normalize
+
+        def norm(free, ctx, sort, t):
+            nf = nbe_normalize(free, ctx, sort, t)
+            return nf, wrong(nf)
+
+        monkeypatch.setattr(equality, "norm", norm)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(message) and len(err.splitlines()) == 1
 
 
 class TestParserReuse:

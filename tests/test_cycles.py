@@ -180,7 +180,7 @@ ENTRY_POINTS = {
         ContextExtensionClone(bool_clone(), G1), LAW_BUDGET),
     "check_clone_hom": lambda: check_clone_hom(IDENTITY, LAW_BUDGET),
     "eval_closed": lambda: eval_closed(FREE, MODEL, BB, REDEX),
-    "render_free": lambda: render_free(REDEX, []),
+    "render_free": lambda: render_free(REDEX, [], FREE.presentation),
     "stock_bundle": lambda: stock_bundle("bool"),
     "nbe_normalize_fresh_bundle": _nbe_on_fresh_bundle,
     "cli_normalize": _cli_normalize,

@@ -730,7 +730,7 @@ class TestNormalFormProperties:
         bundle = stock_bundle("bool")
         names = [f"x{i}" for i in range(1, len(c) + 1)]
         nf = nbe_normalize(bundle.free, c, s, t)
-        again = parse_term(bundle, render_free(nf, names), s, c, names)
+        again = parse_term(bundle, render_free(nf, names, bundle.surface), s, c, names)
         assert nbe_normalize(bundle.free, c, s, again) == nf
 
 

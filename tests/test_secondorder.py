@@ -1,7 +1,9 @@
 """Second-order terms: checking, substitution, metasubstitution, algebras."""
 
 import collections
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 
@@ -18,9 +20,11 @@ from clonal.clones import (
 from clonal.secondorder import (
     Algebra,
     AlgebraProduct,
+    LambdaCalculus,
     MetaApp,
     MetaContext,
     MetaDecl,
+    NotLambdaCalculus,
     SoOp,
     SoOpSchema,
     SoPresentation,
@@ -279,7 +283,9 @@ class TestAlgebraCombinators:
         assert out.ok
 
     def test_product_requires_same_presentation(self):
-        other = stlc_presentation()
+        # an equal presentation is not the same one; stlc_presentation() is
+        other = SoPresentation(STLC.name, STLC.signature, STLC.equations)
+        assert other == STLC and stlc_presentation() is stlc_presentation()
         with pytest.raises(Exception):
             AlgebraProduct(algebra_terminal(STLC), algebra_terminal(other))
 
@@ -351,3 +357,99 @@ class TestHarnessWorkCounts:
         assert {extra for _, extra in clone.lifted} == {EMPTY, ctx(B), ctx(Sort("n"))}
         assert set(clone.lifted.values()) == {1}
         assert set(clone.enumerated.values()) == {1}
+
+
+def _renamed(pres, names):
+    """``pres`` with its operators and equations renamed by ``names``, in
+    their terms too."""
+    def term(t):
+        if isinstance(t, SoOp):
+            return SoOp(names.get(t.name, t.name), t.sort_args,
+                        tuple((b, term(body)) for b, body in t.args))
+        if isinstance(t, MetaApp):
+            return MetaApp(t.index, tuple(term(a) for a in t.args))
+        return t
+
+    ops = tuple(dataclasses.replace(o, name=names.get(o.name, o.name))
+                for o in pres.signature.operators)
+    eqs = tuple(dataclasses.replace(e, name=names.get(e.name, e.name), lhs=term(e.lhs),
+                                    rhs=term(e.rhs)) for e in pres.equations)
+    return SoPresentation(pres.name, SoSignature(pres.signature.sort_set, ops), eqs)
+
+
+class TestLambdaCalculus:
+    """The descriptor: a surface is the lambda calculus up to the names of
+    application, abstraction, beta and eta, checked as a stock base is."""
+
+    def test_the_reference_names_its_parts(self):
+        assert STLC.calculus == LambdaCalculus("app", "abs", "beta", "eta")
+        assert STLC.lambda_calculus() is STLC.calculus
+        assert SIG.lambda_syntax == ("app", "abs")
+
+    def test_a_renamed_surface_is_the_lambda_calculus(self):
+        names = {"app": "ap", "abs": "lam", "beta": "b1", "eta": "e1"}
+        renamed = _renamed(STLC, names)
+        assert renamed.calculus == LambdaCalculus("ap", "lam", "b1", "e1")
+        assert renamed.signature.lambda_syntax == ("ap", "lam")
+
+    @pytest.mark.parametrize("edit, differs", [
+        (lambda p: SoPresentation("s", p.signature, p.equations[:1]), "equation (missing eta)"),
+        (lambda p: SoPresentation("s", p.signature, p.equations[::-1]), "equation eta"),
+        (lambda p: SoPresentation("s", p.signature, p.equations + p.equations[:1]),
+         "equation beta"),
+        (lambda p: SoPresentation("s", SoSignature(
+            p.signature.sort_set, p.signature.operators[::-1]), p.equations), "operator abs"),
+        (lambda p: SoPresentation("s", SoSignature(p.signature.sort_set, (
+            dataclasses.replace(p.signature.operators[0], params=("X", "B")),
+            p.signature.operators[1])), p.equations), "operator app"),
+        # beta's sides swapped: the same names, another equation
+        (lambda p: SoPresentation("s", p.signature, (dataclasses.replace(
+            p.equations[0], lhs=p.equations[0].rhs, rhs=p.equations[0].lhs), p.equations[1])),
+         "equation beta"),
+    ])
+    def test_any_other_surface_is_not_and_the_first_difference_is_named(self, edit, differs):
+        other = edit(STLC)
+        assert other.calculus is None
+        with pytest.raises(NotLambdaCalculus) as e:
+            other.lambda_calculus()
+        assert str(e.value) == (
+            f"surface s is not the lambda calculus: {differs} differs from stlc_presentation()")
+
+    def test_descriptor_stays_out_of_eq_hash_repr_and_pickles(self):
+        assert STLC.calculus is not None and "_calculus" in STLC.__dict__
+        fresh = SoPresentation(STLC.name, STLC.signature, STLC.equations)
+        assert "_calculus" not in fresh.__dict__
+        assert fresh == STLC and hash(fresh) == hash(STLC) and repr(fresh) == repr(STLC)
+        copy = pickle.loads(pickle.dumps(STLC))
+        assert not {"calculus", "_calculus"} & copy.__dict__.keys() and copy == STLC
+        assert copy.calculus == STLC.calculus
+
+    def test_routes_outside_the_lambda_calculus(self):
+        # the normalizers, the set model and the Kripke relation refuse;
+        # equality answers only what syntax shows
+        from clonal.equality import beta_step, free_equal, normalize_with_trace
+        from clonal.freealgebra import FreeAlgebra, FreeOp, FreeVar
+        from clonal.induction import kripke_relation
+        from clonal.nbe import check_normal, nbe_for, nbe_normalize
+        from clonal.stlc import set_model
+        from clonal.theories import variables
+
+        bare = SoPresentation("bare", SIG, ())
+        free = FreeAlgebra(bare, variables().clone)
+        one = ctx(B)
+        redex = FreeOp("app", (B, B), ((EMPTY, FreeOp("abs", (B, B), ((one, FreeVar(2)),))),
+                                       (EMPTY, FreeVar(1))))
+        for refuse in (
+            lambda: nbe_for(free), lambda: nbe_normalize(free, one, B, redex),
+            lambda: normalize_with_trace(free, one, B, redex),
+            lambda: check_normal(free, one, B, FreeVar(1)),
+            lambda: set_model(presentation=bare),
+            lambda: kripke_relation(algebra_terminal(bare), lambda c, t: True, [EMPTY], None, B),
+        ):
+            with pytest.raises(NotLambdaCalculus, match="surface bare is not the lambda calculus"):
+                refuse()
+        assert beta_step(free, one, redex) is None
+        assert free_equal(free, one, B, redex, FreeVar(1)).status == "unknown"
+        assert free_equal(free, one, B, redex, redex).status == "equal"
+        assert free_equal(free, one, B, redex, FreeVar(1), mode="search").status == "unknown"
+        assert not free.term_eq(one, B, redex, FreeVar(1))  # beta would say equal

@@ -122,7 +122,7 @@ class TestRenderRoundTrip:
         names = ["x1", "x2"]
         for sort in (B, BB):
             for t in enumerate_free_terms(bundle.free, ctx, sort, max_size=5)[:200]:
-                text = render_free(t, names)
+                text = render_free(t, names, bundle.surface)
                 again = parse_term(bundle, text, sort, ctx, names)
                 assert bundle.free.term_eq(ctx, sort, again, t), f"{t} -> {text} -> {again}"
 
@@ -132,7 +132,45 @@ class TestRenderRoundTrip:
             FoOp("get", (), (FoOp("put_v1", (), (FoVar(1),)), FoOp("put_v2", (), (FoVar(1),)))),
             Context((B,)), B, (FreeVar(1),),
         )
-        assert render_free(t, ["x"]) == "get (put v1 x) (put v2 x)"
+        assert render_free(t, ["x"], bundle.surface) == "get (put v1 x) (put v2 x)"
+
+
+class TestLambdaSyntax:
+    """Juxtaposition and ``abs x.`` build whichever operators of the surface
+    have the shape of application and abstraction, whatever their names."""
+
+    RENAMED = """bundle named
+sorts b
+typeformers =>
+surface lam
+  op ap[A,B] : (; A => B) (; A) ; B
+  op lam[A,B] : (A ; B) ; A => B
+  eq b1[A,B] : m1 : (A ; B), m2 : (; A) |- (abs x : A. m1 x) m2 ~ m1 m2 : B
+end
+"""
+
+    def test_syntax_builds_the_surfaces_own_operators(self):
+        bundle = parse_bundle(self.RENAMED)
+        lhs = bundle.surface.equations[0].lhs
+        assert (lhs.name, lhs.args[0][1].name) == ("ap", "lam")
+        ctx, names = parse_context(bundle, "y : b")
+        t = parse_term(bundle, "(abs x : b. x) y", B, ctx, names)
+        assert t == FreeOp("ap", (B, B), ((E, FreeOp("lam", (B, B), ((Context((B,)), FreeVar(2)),))),
+                                          (E, FreeVar(1))))
+        assert render_free(t, names, bundle.surface) == "(abs x2 : b. x2) y"
+
+    @pytest.mark.parametrize("text, missing", [
+        ("f y", "application"), ("abs x : b. x", "abstraction"),
+    ])
+    def test_a_surface_without_the_operator_rejects_the_syntax(self, text, missing):
+        source = self.RENAMED.split("  eq b1")[0] + "end\n"
+        kept = [line for line in source.splitlines(keepends=True)
+                if not line.startswith(f"  op {'ap' if missing == 'application' else 'lam'}[")]
+        bundle = parse_bundle("".join(kept))
+        ctx, names = parse_context(bundle, "f : b => b, y : b")
+        sort = B if missing == "application" else BB
+        with pytest.raises(ParseError, match=f"the surface has no {missing} operator"):
+            parse_term(bundle, text, sort, ctx, names)
 
 
 class TestBundleFiles:
