@@ -179,7 +179,8 @@ def cmd_normalize(args) -> int:
     sort = _sort_arg(bundle, args)
     term = parse_term(bundle, args.term, sort, ctx, names)
 
-    base_form = None if args.eta_long else _base_only(term)
+    # elsewhere the surface's equations may relate base terms (true ~ false)
+    base_form = None if args.eta_long or bundle.surface.calculus is None else _base_only(term)
     system = bundle.theory.rewrite_system if base_form is not None and not sort.args else None
     if system is not None:
         nf = innermost_normal_form(system, base_form, {})

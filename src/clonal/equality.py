@@ -10,7 +10,8 @@ Two procedures produce checkable proof objects:
     with the variable- and substitution-collapse laws, and steps under a
     constructor sit under one congruence node;
   * a bidirectional best-first search over the same steps, applied at any
-    position.
+    position: the frontier loop of the first-order search
+    (``firstorder._best_first``), meeting up to the base's equality.
 
 Canonical element applications keep the element in base-canonical form,
 with a variable at every proper subterm of a function sort, applied to
@@ -30,12 +31,10 @@ variable elements at that sort are never collapsed back.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 
 from .clones import CloneError, Substitution, weakening
-from .firstorder import FoOp, FoVar
+from .firstorder import FoOp, FoVar, _best_first
 from .freealgebra import (
     CloneApp,
     FAxiom,
@@ -596,88 +595,81 @@ def free_equal(
     raise CloneError(f"unknown equality mode {mode!r}")
 
 
-def _local_moves(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
-    moves = []
-    for builder in (beta_step, var_collapse_step, merge_step, drop_unused_step, reorder_step):
-        res = builder(free, ctx, t)
-        if res is not None:
-            moves.append(res)
-    res = eta_expand_step(free, ctx, sort, t)
-    if res is not None:
-        moves.append(res)
-    if (
-        base_completion_needed(free, sort)
-        and not isinstance(t, CloneApp)
-    ):
-        moves.append(complete_neutral_step(free, ctx, sort, t))
-    return moves
-
-
-def _all_moves(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm):
-    """Single steps at every position of ``t``: (whole new term, path, local
-    derivation), the derivation still to be embedded at ``path`` of ``t``.
+def _moves_here(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> list:
+    """The single steps at the root of ``t``: (new term, local derivation).
     Derivation None marks a silent canonical-representative swap."""
-    out: list = []
-    _visit_moves(free, t, t, ctx, sort, (), out)
-    return out
+    moves = [step(free, ctx, t) for step in
+             (beta_step, var_collapse_step, merge_step, drop_unused_step, reorder_step)]
+    moves.append(eta_expand_step(free, ctx, sort, t))
+    if isinstance(t, CloneApp):
+        canon = _canonical_element(free, t)
+        if canon is not t:
+            moves.append((canon, None))
+    elif base_completion_needed(free, sort):
+        moves.append(complete_neutral_step(free, ctx, sort, t))
+    return [m for m in moves if m is not None]
 
 
-def _visit_moves(free, t, sub: FreeTerm, c: Context, s: Sort, path: tuple, out: list):
-    for new_sub, deriv in _local_moves(free, c, s, sub):
-        out.append((_replace(t, path, new_sub), path, deriv))
+def _visit_moves(free, t, size: int, sub: FreeTerm, c: Context, s: Sort, path: tuple, out: list):
+    """Append (whole new term, path, step) for the steps at every position
+    of ``sub``, the subterm at ``path`` of ``t``, whose size is ``size``;
+    the step's derivation is still to be embedded at ``path`` of ``t``."""
+    for new_sub, deriv in _moves_here(free, c, s, sub):
+        new = _replace(t, path, new_sub)
+        out.append((new, path, _Step(deriv, new, size)))
     if isinstance(sub, FreeOp):
         arity = free.presentation.signature.arity(sub.name, sub.sort_args)
         for i, ((binder, body), (_, bsort)) in enumerate(zip(sub.args, arity.binders), start=1):
-            _visit_moves(free, t, body, c + binder, bsort, path + (("op", i),), out)
+            _visit_moves(free, t, size, body, c + binder, bsort, path + (("op", i),), out)
     elif isinstance(sub, CloneApp):
-        canon = _canonical_element(free, sub)
-        if canon is not sub:
-            out.append((_replace(t, path, canon), path, None))
         for i, a in enumerate(sub.args, start=1):
-            _visit_moves(free, t, a, c, sub.arity_ctx.sort_at(i), path + (("clone", i),), out)
+            _visit_moves(free, t, size, a, c, sub.arity_ctx.sort_at(i), path + (("clone", i),), out)
+
+
+class _Step:
+    """A step of the free search: its local derivation, and as ``step[1]``,
+    the only item ``_best_first`` reads, the size change from a term of size
+    ``size`` to ``new``.  The change is counted only when read, on a push,
+    since most steps reach a term seen before."""
+
+    __slots__ = ("deriv", "new", "size")
+
+    def __init__(self, deriv, new, size):
+        self.deriv, self.new, self.size = deriv, new, size
+
+    def __getitem__(self, i):
+        if i != 1:
+            raise IndexError(i)
+        return free_size(self.new) - self.size
 
 
 def _search_equal(free, ctx, sort, t, u, budget):
-    # parents: term -> (predecessor, path, local derivation), None at the start;
-    # only the steps of the returned proof are embedded into whole terms
-    parents = [{t: None}, {u: None}]
-    seq = itertools.count()
-    heap = [(free_size(t), next(seq), 0, t), (free_size(u), next(seq), 1, u)]
-    popped = 0
-    while heap and popped < budget:
-        _, _, which, current = heapq.heappop(heap)
-        popped += 1
-        for new, path, deriv in _all_moves(free, ctx, sort, current):
-            if new in parents[which]:
-                continue
-            parents[which][new] = (current, path, deriv)
-            other = next(
-                (o for o in parents[1 - which] if raw_eq(free.base, ctx, sort, new, o)),
-                None,
-            )
-            if other is not None:
-                left_end, right_end = (new, other) if which == 0 else (other, new)
-                left = _chain(_trace_nodes(parents[0], left_end), t)
-                right = _chain(_trace_nodes(parents[1], right_end), u)
-                return FTrans(left, FSym(right))
-            heapq.heappush(heap, (free_size(new), next(seq), which, new))
-    return None
+    """``firstorder._best_first`` over single steps at every position.  A
+    newly reached term meets the first term of the other side, in order of
+    insertion, that is ``raw_eq`` to it: equal up to the base's equality,
+    for which no canonical key exists.  Only the steps of the returned
+    proof are embedded into whole terms."""
+
+    def moves(term, size):
+        out: list = []
+        _visit_moves(free, term, size, term, ctx, sort, (), out)
+        return out
+
+    def meet(new, theirs):
+        return next((o for o in theirs if raw_eq(free.base, ctx, sort, new, o)), None)
+
+    found = _best_first(t, free_size(t), u, free_size(u), moves, budget, meet)
+    if found is None:
+        return None
+    return FTrans(_chain(found[0], t), FSym(_chain(found[1], u)))
 
 
-def _trace_nodes(parent_map, node):
-    steps = []
-    while parent_map[node] is not None:
-        node, path, deriv = parent_map[node]
-        if deriv is not None:
-            steps.append(_embed(node, path, deriv))
-    steps.reverse()
-    return steps
-
-
-def _chain(nodes, start):
-    if not nodes:
-        return FRefl(start)
-    d = nodes[0]
-    for n in nodes[1:]:
-        d = FTrans(d, n)
-    return d
+def _chain(trail, start):
+    """The steps of a search trail chained into one derivation from
+    ``start``; a silent canonical-representative swap adds no step."""
+    d = None
+    for before, path, step, _ in trail:
+        if step.deriv is not None:
+            e = _embed(before, path, step.deriv)
+            d = e if d is None else FTrans(d, e)
+    return FRefl(start) if d is None else d

@@ -494,6 +494,46 @@ class _Kernel:
         return lefts, rights
 
 
+def _best_first(t, t_size: int, u, u_size: int, moves, budget: int, meet):
+    """Bidirectional best-first search (Pohl 1971) from t and u: the one loop
+    of ``prove_fo_equal`` and of ``free_equal``'s search mode.
+
+    One heap holds both frontiers, smallest term first, then first pushed;
+    at most ``budget`` terms are popped.  ``moves(term, size)`` yields (new,
+    path, step), ``step[1]`` the size change; ``meet(new, theirs)`` is the
+    term of the other side's parent map that a newly reached term meets, or
+    None.  Returns the trails of (before, path, step, after) from t and from
+    u to the meeting terms, or None."""
+    parents = ({t: None}, {u: None})  # term -> (before, path, step), None at a start
+    seq = itertools.count()
+    heap = [(t_size, next(seq), 0, t), (u_size, next(seq), 1, u)]
+    popped, push = 0, heapq.heappush
+    while heap and popped < budget:
+        size, _, which, current = heapq.heappop(heap)
+        popped += 1
+        mark, theirs = parents[which].setdefault, parents[1 - which]
+        for new, path, step in moves(current, size):
+            link = (current, path, step)
+            if mark(new, link) is not link:
+                continue  # seen before
+            other = meet(new, theirs)
+            if other is not None:
+                ends = (new, other) if which == 0 else (other, new)
+                return _trail(parents[0], ends[0]), _trail(parents[1], ends[1])
+            push(heap, (size + step[1], next(seq), which, new))
+    return None
+
+
+def _trail(parents: dict, term) -> list[tuple]:
+    trail = []
+    while parents[term] is not None:
+        before, path, step = parents[term]
+        trail.append((before, path, step, term))
+        term = before
+    trail.reverse()
+    return trail
+
+
 def check_fo_derivation(pres: FoPresentation, ctx: Context, d: FoDerivation) -> Verdict:
     """Accept iff every node is a correct instance of an equational-logic rule.
 
@@ -1002,12 +1042,6 @@ def _enc_subst(e, components: tuple):
     return (e[0], *[_enc_subst(a, components) for a in e[1:]])
 
 
-def _schema_sort_args(schema, instance_sorts):
-    if not schema.params:
-        return [()]
-    return list(itertools.product(instance_sorts, repeat=len(schema.params)))
-
-
 def _subterms(t: FoTerm) -> list[FoTerm]:
     out = [t]
     if isinstance(t, FoOp):
@@ -1041,9 +1075,11 @@ def prove_fo_equal(
     is filed under every head.  The root moves of a subterm (every instance
     in both directions, with each completion of its binding from the pool)
     are memoized per call and shared by every position and popped term where
-    that subterm occurs.  The parent links hold encodings, and only the
-    steps of the returned proof are decoded to terms.  Nothing outlives the
-    call.
+    that subterm occurs.  The frontier loop is ``_best_first``, which the
+    free algebra's search runs too; here a move carries its size change as
+    its entry 1, and a term meets the other side when it is in it.  The
+    parent links hold encodings, and only the steps of the returned proof
+    are decoded to terms.  Nothing outlives the call.
     """
     if t == u:
         return FoRefl(t)
@@ -1064,7 +1100,7 @@ def prove_fo_equal(
     # arguments, direction), in the order instance, then direction
     rules = []
     for schema in pres.equations:
-        for combos in _schema_sort_args(schema, instance_sorts):
+        for combos in itertools.product(instance_sorts, repeat=len(schema.params)):
             eq_ctx, _, lhs, rhs = schema.instantiate(combos)
             lhs, rhs = heads.encode(lhs), heads.encode(rhs)
             n = len(eq_ctx)
@@ -1105,30 +1141,24 @@ def prove_fo_equal(
                 )
         return moves
 
-    def neighbours(term) -> list[tuple]:
-        """(new term, path, move) for the root moves of each subterm of
-        ``term``, outermost position first, placed back into ``term``."""
+    def neighbours(term, size) -> list[tuple]:
         out: list = []
         _place_moves(term, (), (), root_moves, out)
         return out
 
-    # parents: encoded term -> (encoded predecessor, path, move), None at the start
-    parents = [{start: None}, {goal: None}]
-    seq = itertools.count()
-    heap = [(_enc_size(start), next(seq), 0, start), (_enc_size(goal), next(seq), 1, goal)]
-    popped = 0
-    while heap and popped < max_nodes:
-        size, _, which, current = heapq.heappop(heap)
-        popped += 1
-        mine, theirs = parents[which], parents[1 - which]
-        for new, path, move in neighbours(current):
-            link = (current, path, move)
-            if mine.setdefault(new, link) is not link:
-                continue  # seen before
-            if new in theirs:
-                return _join_paths(t, u, new, parents, heads.decode)
-            heapq.heappush(heap, (size + move[1], next(seq), which, new))
-    return None
+    found = _best_first(start, _enc_size(start), goal, _enc_size(goal), neighbours, max_nodes,
+                        lambda new, theirs: new if new in theirs else None)
+    if found is None:
+        return None
+    left, right = ([
+        RewriteStep(path, name, combos, tuple(map(heads.decode, components)), forward,
+                    heads.decode(before), heads.decode(after))
+        for before, path, (_, _, name, combos, components, forward), after in trail
+    ] for trail in found)
+    if not right:
+        return steps_to_derivation(t, left)
+    back = FoSym(steps_to_derivation(u, right))
+    return FoTrans(steps_to_derivation(t, left), back) if left else back
 
 
 def _place_moves(sub, path: tuple, frames: tuple, root_moves, out: list) -> None:
@@ -1143,33 +1173,6 @@ def _place_moves(sub, path: tuple, frames: tuple, root_moves, out: list) -> None
     if type(sub) is not int:
         for i in range(1, len(sub)):
             _place_moves(sub[i], path + (i,), ((sub[:i], sub[i + 1:]),) + frames, root_moves, out)
-
-
-def _trace_back(parents: dict, node, decode) -> list[RewriteStep]:
-    steps = []
-    while parents[node] is not None:
-        before, path, (_, _, name, combos, components, forward) = parents[node]
-        steps.append(RewriteStep(
-            path, name, combos, tuple(map(decode, components)), forward,
-            decode(before), decode(node),
-        ))
-        node = before
-    steps.reverse()
-    return steps
-
-
-def _join_paths(t, u, meet, parents, decode):
-    left_steps = _trace_back(parents[0], meet, decode)
-    right_steps = _trace_back(parents[1], meet, decode)
-    left = steps_to_derivation(t, left_steps) if left_steps else None
-    right = steps_to_derivation(u, right_steps) if right_steps else None
-    if left is None and right is None:
-        return FoRefl(t)
-    if right is None:
-        return left
-    if left is None:
-        return FoSym(right)
-    return FoTrans(left, FoSym(right))
 
 
 # --------------------------------------------------------------------------

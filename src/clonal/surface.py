@@ -621,15 +621,25 @@ def _render(term, env: list[str], syntax: tuple) -> str:
             if not (isinstance(f, FreeVar) or isinstance(f, FreeOp) and f.name == app):
                 head = _atom(head)
             return f"{head} {_atom(_render(a, env, syntax))}"
-        case FreeOp(name=name, sort_args=(A, _), args=((_, body),)) if name == abs_:
-            x = _fresh(env)
-            return f"abs {x} : {A}. {_render(body, env + [x], syntax)}"
+        case FreeOp(name=name, args=((binder, body),)) if name == abs_:
+            return f"abs {_render_bound(binder, body, env, syntax)}"
         case FreeOp(name=name, args=args):
-            rendered = " ".join(_atom(_render(b, env, syntax)) for _, b in args)
+            rendered = " ".join(_atom(_render_bound(binder, b, env, syntax)) for binder, b in args)
             return f"{name} {rendered}" if rendered else name
         case CloneApp(element=e, args=args):
             return render_element(e, [_render(a, env, syntax) for a in args])
     raise CloneError(f"cannot render {term!r}")
+
+
+def _render_bound(binder: Context, body, env: list[str], syntax: tuple) -> str:
+    """An operator argument: its body, after ``x : A, y : B.`` giving each
+    variable its binder adds a fresh name; ``abs`` prints its one so."""
+    names = list(env)
+    for _ in binder:
+        names.append(_fresh(names))
+    rendered = _render(body, names, syntax)
+    bound = ", ".join(f"{x} : {s}" for x, s in zip(names[len(env):], binder))
+    return f"{bound}. {rendered}" if bound else rendered
 
 
 def _fresh(used: list[str]) -> str:

@@ -231,6 +231,8 @@ def test_a_surface_that_is_not_the_lambda_calculus_gives_no_verdict(
     ("normalize", "abs x : b. x", "--sort", "b => b", "--witness"),
     ("eval", "true"),
     ("adequacy", "--budget", "3"),
+    # a pure base term too: on collapse, true ~ false
+    ("normalize", "true"),
 ])
 def test_a_surface_that_is_not_the_lambda_calculus_is_not_normalized(
     capsys, tmp_path, name, differs, argv

@@ -1,6 +1,7 @@
 """CLI: commands, exit codes, deterministic output."""
 
 import json
+import re
 
 import pytest
 
@@ -364,6 +365,36 @@ class TestEnumerate:
         assert code == 0
         assert json.loads(out)["payload"]["count"] == 2554  # closed booleans of size <= 5
 
+    def test_a_binding_operator_names_the_variables_it_binds(self, capsys, tmp_path):
+        # let is not abstraction: its second argument binds one variable
+        path = tmp_path / "let.bundle"
+        path.write_text("bundle letb\nsorts b\ntypeformers =>\nsurface s\n"
+                        "  op let[A,B] : (; A) (A ; B) ; B\nend\n")
+        code, out, err = run(capsys, "enumerate", "--bundle", str(path), "--sort", "b",
+                             "--context", "y : b", "--budget", "5")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert "let y (x2 : b. let x2 (x3 : b. x2))" in lines
+        assert [line for line in lines if _unbound(line, {"y"})] == []
+
+
+def _unbound(printed: str, free: set) -> list:
+    """The variables of a printed term that neither ``free`` nor an
+    enclosing ``(x : A. ...)`` binds; ``let`` and the sort ``b`` are no
+    variables."""
+    tokens = re.findall(r"[()]|[A-Za-z_][A-Za-z0-9_']*|[:.,]", printed)
+    scopes, out = [set(free)], []
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            scopes.append(set())
+        elif tok == ")":
+            scopes.pop()
+        elif tokens[i + 1:i + 2] == [":"]:
+            scopes[-1].add(tok)
+        elif tok not in {"let", "b", ":", ".", ","} and not any(tok in s for s in scopes):
+            out.append(tok)
+    return out
+
 
 class TestAdequacy:
     def test_small_budget_passes(self, capsys):
@@ -471,7 +502,8 @@ end
         assert run(capsys, "check", "--bundle", str(path))[2] == err
 
     def test_rewriting_past_the_step_ceiling_is_budget_exhaustion(self, capsys, tmp_path):
-        # a rewrite-tier base whose one rule swaps arguments never stops
+        # a rewrite-tier base whose one rule swaps arguments never stops; the
+        # surface is the lambda calculus, so a pure base term is rewritten
         cyclic = """bundle cyc
 sorts b
 typeformers =>
@@ -481,6 +513,8 @@ base cyc
 surface stlc
   op app[A,B] : (; A => B) (; A) ; B
   op abs[A,B] : (A ; B) ; A => B
+  eq beta[A,B] : m1 : (A ; B), m2 : (; A) |- app (abs x : A. m1 x) m2 ~ m1 m2 : B
+  eq eta[A,B] : m : (; A => B) |- abs x : A. app m x ~ m : A => B
 strategy base rewrite
 end
 """

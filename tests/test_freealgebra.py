@@ -634,6 +634,22 @@ class TestFreeEqual:
             with pytest.raises(FreeSortError, match="term has sort b => b, expected b"):
                 normalize(free, E, B, abs_(FreeVar(1)))
 
+    def test_search_meets_up_to_base_equality(self):
+        # beta gives <ite(true, false, true)>, which is not u but is equal to
+        # it in the base: the frontiers meet there, after one popped term
+        free = stlc_bool()
+        element = FoOp("ite", (B,), (FoOp("true", (), ()), FoOp("false", (), ()),
+                                     FoOp("true", (), ())))
+        t = app(abs_(CloneApp(element, E, B, ())), true_term())
+        u = false_term()
+        verdict = free_equal(free, E, B, t, u, mode="search", budget=1)
+        assert verdict.status == "equal"
+        left, right = verdict.witness.left, verdict.witness.right
+        assert isinstance(left, FAxiom) and left.equation == "beta"
+        assert right == FSym(FRefl(u))
+        replay = check_free_derivation(free, E, verdict.witness)
+        assert replay.ok and (replay.lhs, replay.rhs) == (t, u)
+
     def test_search_exhaustion_is_unknown(self):
         free = stlc_bool()
         t = app(abs_(FreeVar(1)), true_term())
