@@ -9,6 +9,7 @@ has to infer them.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -162,8 +163,9 @@ def _subst_sorts(t: FoTerm, binding: dict[str, Sort]) -> FoTerm:
 class FoPresentation:
     """A signature with named equations.  ``_lemmas`` holds the conclusion
     of each lemma the kernel has accepted against this presentation, keyed
-    by the value (context, proof); like a stored hash, it is not a field
-    for ``==``, ``hash``, ``repr`` or pickles."""
+    by the value (context, proof), and ``convergent_system`` the system that
+    decides it, once found; like a stored hash, neither is a field for
+    ``==``, ``hash``, ``repr`` or pickles."""
 
     name: str
     signature: FoSignature
@@ -185,6 +187,18 @@ class FoPresentation:
         for name, value in state.items():
             object.__setattr__(self, name, value)
         self.__post_init__()
+
+    @functools.cached_property
+    def convergent_system(self) -> "RewriteSystem | None":
+        """The first candidate system that passes ``check_convergence`` and
+        whose presentation equals this one, so that distinct normal forms
+        under it mean not provable; None when no candidate does.  The
+        candidates are the oriented axioms, then the stock theory's system
+        when ``theories.stock_theory`` recognizes this presentation."""
+        for rs in _candidate_systems(self):
+            if rs is not None and rs.presentation == self and rs.convergence.ok:
+                return rs
+        return None
 
     def equation(self, name: str) -> FoEquationSchema:
         try:
@@ -648,13 +662,45 @@ MAX_REWRITE_STEPS = 10_000  # rewrites before normalizing gives up
 class RewriteDivergence(Exception):
     """Rewriting ``term`` found no normal form.  ``trace`` holds the steps
     made: all MAX_REWRITE_STEPS of them at the step ceiling, on every path;
-    when the term grew past Python's recursion limit first (innermost, on a
-    term growing at its root), those made until then, or none untraced."""
+    when the term was or grew deeper than Python's recursion limit first
+    (innermost, on a term growing at its root), those made until then, or
+    none untraced.  The message renders ``term`` by a loop, down to
+    RENDER_DEPTH levels, so reporting a deep term does not recurse."""
 
     def __init__(self, term, trace, too_deep=False):
-        why = "term grew past the recursion limit" if too_deep else "step ceiling exceeded"
-        super().__init__(f"{why} while rewriting {term}")
+        why = "term deeper than the recursion limit" if too_deep else "step ceiling exceeded"
+        super().__init__(f"{why} while rewriting {_render(term)}")
         self.trace = trace
+
+
+RENDER_DEPTH = 40  # levels of a term a RewriteDivergence message shows; "..." below
+
+
+def _render(t: FoTerm) -> str:
+    """``str(t)`` for a term at most RENDER_DEPTH levels deep; an operator
+    node below that depth prints as "...".  Written as a loop over a stack of
+    subterms and closing text."""
+    out = []
+    stack: list = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        term, depth = item
+        if type(term) is not FoOp:
+            out.append(str(term))
+        elif depth == RENDER_DEPTH:
+            out.append("...")
+        else:
+            inst = "" if not term.sort_args else "[" + ",".join(map(str, term.sort_args)) + "]"
+            out.append(f"{term.name}{inst}(")
+            stack.append(")")
+            for i in range(len(term.args) - 1, -1, -1):
+                stack.append((term.args[i], depth + 1))
+                if i:
+                    stack.append(", ")
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -721,9 +767,19 @@ class RewriteSystem:
                     f"not {schema.lhs} ~ {schema.rhs}"
                 )
 
+    def __getstate__(self):
+        return {name: value for name, value in vars(self).items() if name != "convergence"}
+
     def rules(self) -> tuple[tuple[FoEquationSchema, FoDerivation | None], ...]:
         """Every rule in firing order, with its proof (None for an axiom)."""
         return self._rules
+
+    @functools.cached_property
+    def convergence(self) -> "Convergence":
+        """``check_convergence(self)``, computed on first use and kept on
+        the system; it is not a field, so ``==``, ``hash``, ``repr`` and
+        pickles leave it out."""
+        return check_convergence(self)
 
 
 def match_fo(pattern: FoTerm, term: FoTerm, var_binding: dict, sort_binding: dict) -> bool:
@@ -956,6 +1012,219 @@ def steps_to_derivation(start: FoTerm, steps: list[RewriteStep]) -> FoDerivation
 
 
 # --------------------------------------------------------------------------
+# Convergence: termination by the path order, confluence by critical pairs
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CriticalPair:
+    """An overlap of rule ``outer``'s left side, at ``path``, with rule
+    ``inner``'s, renamed apart: ``peak`` rewrites to ``left`` by ``outer``
+    at its root and to ``right`` by ``inner`` at ``path``.  ``ctx`` is the
+    two rules' contexts, ``inner``'s after ``outer``'s; ``join`` derives
+    left ~ right in it through the two reducts' common normal form."""
+
+    outer: str
+    inner: str
+    path: tuple[int, ...]
+    ctx: Context
+    peak: FoTerm
+    left: FoTerm
+    right: FoTerm
+    join: FoDerivation
+
+
+@dataclass(frozen=True)
+class Convergence:
+    """``check_convergence``'s verdict: ``ok`` when the system terminates
+    and is confluent, so each term has one normal form and two terms are
+    provably equal exactly when their normal forms are equal.  Otherwise
+    ``reason`` names the first rule or critical pair that fails.  When
+    ``ok``, ``pairs`` holds every critical pair, joined, in the order
+    checked."""
+
+    ok: bool
+    reason: str | None = None
+    pairs: tuple[CriticalPair, ...] = ()
+
+
+def check_convergence(rs: RewriteSystem) -> Convergence:
+    """Check that ``rs`` is terminating and confluent.
+
+    Termination: each rule's left side binds every variable of its context
+    (so the rule fires on every match) and is greater than its right side
+    in the lexicographic path order with the empty precedence
+    (``lpo_greater``).  Confluence: by Newman's lemma, local confluence
+    suffices, and by the critical pair lemma every critical pair must join
+    (Knuth & Bendix 1970; Baader & Nipkow, *Term Rewriting and All That*,
+    1998, ch. 5.4 and 6).  Each rule's left side, renamed apart, is unified
+    (``unify_fo``) with each non-variable subterm of each left side, except
+    a rule's own at the root.  Both reducts are normalized by the traced
+    engine and joined as trans(left trace, sym(right trace)); the pair
+    joins when the kernel accepts that join against the system's
+    presentation, and it concludes left ~ right.  A system with a rule that
+    has sort parameters is not checked."""
+    rules = [schema for schema, _ in rs.rules()]
+    for schema in rules:
+        if schema.params:
+            return Convergence(False, f"rule {schema.name} has sort parameters; not checked")
+    for schema in rules:
+        ctx, _, lhs, rhs = schema.instantiate(())
+        if _variables(lhs) != set(range(1, len(ctx) + 1)):
+            return Convergence(False, f"rule {schema.name}: {lhs} does not bind every variable "
+                                      f"of its context {ctx}, so it cannot fire")
+        if not lpo_greater(lhs, rhs):
+            return Convergence(False, f"rule {schema.name} is not oriented: {lhs} -> {rhs} does "
+                                      f"not decrease in the path order")
+    pairs = []
+    for outer in rules:
+        o_ctx, _, o_lhs, o_rhs = outer.instantiate(())
+        apart = [_renamed_apart(inner, len(o_ctx)) for inner in rules]
+        for path, sub in _op_positions(o_lhs):
+            for inner, (i_ctx, i_lhs, i_rhs) in zip(rules, apart):
+                if inner is outer and not path:
+                    continue
+                mgu = unify_fo(sub, i_lhs)
+                if mgu is None:
+                    continue
+                peak = _resolve(o_lhs, mgu)
+                left = _resolve(o_rhs, mgu)
+                right = _replace_at(peak, path, _resolve(i_rhs, mgu))
+                ctx = Context(o_ctx.entries + i_ctx.entries)
+                where = f"critical pair of {outer.name} and {inner.name} at {path}, peak {peak}"
+                try:
+                    l_nf, l_steps = rewrite_normalize(rs, left)
+                    r_nf, r_steps = rewrite_normalize(rs, right)
+                except RewriteDivergence as e:
+                    return Convergence(False, f"{where}: {e}")
+                join = FoTrans(steps_to_derivation(left, l_steps),
+                               FoSym(steps_to_derivation(right, r_steps)))
+                v = check_fo_derivation(rs.presentation, ctx, join)
+                if not (v.ok and (v.lhs, v.rhs) == (left, right)):
+                    return Convergence(False, f"{where}: {left} and {right} do not join; their "
+                                              f"normal forms are {l_nf} and {r_nf}")
+                pairs.append(CriticalPair(outer.name, inner.name, path, ctx, peak, left, right,
+                                          join))
+    return Convergence(True, pairs=tuple(pairs))
+
+
+def lpo_greater(s: FoTerm, t: FoTerm) -> bool:
+    """s >lpo t in the lexicographic path order with the empty precedence
+    (Baader & Nipkow 1998, def. 5.4.12): t is a variable of s other than s;
+    or some argument of s is t or greater than it; or s and t have the same
+    operator (name and sort arguments), s is greater than every argument of
+    t, and the arguments of s are lexicographically greater than those of
+    t.  Distinct operators are incomparable."""
+    if type(s) is not FoOp:
+        return False
+    if type(t) is not FoOp:
+        return t.index in _variables(s)
+    if any(a == t or lpo_greater(a, t) for a in s.args):
+        return True
+    if (s.name, s.sort_args, len(s.args)) != (t.name, t.sort_args, len(t.args)):
+        return False
+    if not all(lpo_greater(s, b) for b in t.args):
+        return False
+    for a, b in zip(s.args, t.args):
+        if a != b:
+            return lpo_greater(a, b)
+    return False
+
+
+def unify_fo(s: FoTerm, t: FoTerm) -> dict[int, FoTerm] | None:
+    """A most general unifier of two first-order terms (Robinson 1965), as
+    a map from variable index to term in which no bound variable occurs; or
+    None when the terms do not unify.  Sorts are not consulted: operator
+    nodes unify only with the same name, sort arguments and arity."""
+    binding: dict[int, FoTerm] = {}
+    todo = [(s, t)]
+    while todo:
+        a, b = (_walk(e, binding) for e in todo.pop())
+        if a == b:
+            continue
+        if type(b) is FoVar:
+            a, b = b, a
+        if type(a) is FoVar:
+            if a.index in _variables(_resolve(b, binding)):
+                return None
+            binding[a.index] = b
+        elif (a.name, a.sort_args, len(a.args)) == (b.name, b.sort_args, len(b.args)):
+            todo.extend(zip(a.args, b.args))
+        else:
+            return None
+    return {i: _resolve(e, binding) for i, e in binding.items()}
+
+
+def _walk(t: FoTerm, binding: dict) -> FoTerm:
+    while type(t) is FoVar and t.index in binding:
+        t = binding[t.index]
+    return t
+
+
+def _resolve(t: FoTerm, binding: dict) -> FoTerm:
+    """``t`` with each bound variable replaced by its binding, resolved."""
+    t = _walk(t, binding)
+    if type(t) is FoVar:
+        return t
+    return FoOp(t.name, t.sort_args, tuple([_resolve(a, binding) for a in t.args]))
+
+
+def _variables(t: FoTerm) -> set[int]:
+    """The indices of the variables of ``t``."""
+    found, stack = set(), [t]
+    while stack:
+        e = stack.pop()
+        if type(e) is FoVar:
+            found.add(e.index)
+        else:
+            stack.extend(e.args)
+    return found
+
+
+def _op_positions(t: FoTerm) -> list[tuple[tuple[int, ...], FoOp]]:
+    """(path, subterm) for each operator node of ``t``, in pre-order."""
+    out, stack = [], [((), t)]
+    while stack:
+        path, e = stack.pop()
+        if type(e) is FoOp:
+            out.append((path, e))
+            stack.extend((path + (i,), a) for i, a in reversed(list(enumerate(e.args, 1))))
+    return out
+
+
+def _renamed_apart(schema: FoEquationSchema, shift: int) -> tuple[Context, FoTerm, FoTerm]:
+    """The context and sides of a rule without sort parameters, each
+    variable index raised by ``shift``."""
+    ctx, _, lhs, rhs = schema.instantiate(())
+    table = {FoVar(i): FoVar(i + shift) for i in range(1, len(ctx) + 1)}
+    return ctx, _instance_term(lhs, table), _instance_term(rhs, table)
+
+
+def _replace_at(t: FoOp, path: tuple[int, ...], new: FoTerm) -> FoTerm:
+    if not path:
+        return new
+    i = path[0]
+    args = t.args[: i - 1] + (_replace_at(t.args[i - 1], path[1:], new),) + t.args[i:]
+    return FoOp(t.name, t.sort_args, args)
+
+
+def _candidate_systems(pres: FoPresentation):
+    """The systems that may decide ``pres``, in order: its oriented axioms,
+    unless they cannot form a system, then the system of the stock theory
+    that ``pres`` is (None when it is none)."""
+    from .theories import stock_theory
+
+    try:
+        # built on a copy, so that the system kept on ``pres`` does not
+        # point back at it
+        yield RewriteSystem(FoPresentation(pres.name, pres.signature, pres.equations))
+    except CloneError:
+        pass  # an equation's left side is a bare variable
+    theory = stock_theory(pres)
+    yield None if theory is None else theory.rewrite_system
+
+
+# --------------------------------------------------------------------------
 # Bounded proof search
 # --------------------------------------------------------------------------
 
@@ -1058,15 +1327,25 @@ def prove_fo_equal(
     max_nodes: int = 2000,
     instance_sorts: list[Sort] | None = None,
 ) -> FoDerivation | None:
-    """Bidirectional best-first search for a derivation of t ~ u.
+    """Bidirectional best-first search for a derivation of t ~ u, after a
+    decision by normal forms.
+
+    When the presentation has a convergent system (``convergent_system``,
+    certified by ``check_convergence``), both sides are normalized first,
+    untraced, with one memo: distinct normal forms mean that no derivation
+    exists, and the answer is None at once, with no search.  Equal normal
+    forms, a presentation without such a system, and a side that reaches
+    no normal form within the rewriting ceilings all go to the search, so
+    every proof it returns is the search's own.
 
     Moves are equation instances applied at any position, in either
     direction; smaller intermediate terms are explored first, so proofs
     made of contractions are found quickly while expansion steps remain
-    reachable within the budget.  Returns a checkable derivation, or None
-    when the node budget is exhausted ("unknown").  Underdetermined
-    variables in backward applications are instantiated from context
-    variables and subterms of the two endpoints.
+    reachable within the budget.  Returns a checkable derivation, or None:
+    "not provable" when the decision refused the pair, otherwise "unknown",
+    the node budget exhausted.  Underdetermined variables in backward
+    applications are instantiated from context variables and subterms of
+    the two endpoints.
 
     The search runs on terms encoded as plain tuples, with a table of
     operator heads built for this call.  Each equation instance is compiled
@@ -1083,6 +1362,14 @@ def prove_fo_equal(
     """
     if t == u:
         return FoRefl(t)
+    decider = pres.convergent_system
+    if decider is not None:
+        memo: dict = {}  # shared by the two sides, dropped after the call
+        try:
+            if innermost_normal_form(decider, t, memo) != innermost_normal_form(decider, u, memo):
+                return None  # distinct normal forms of a convergent system: no proof exists
+        except RewriteDivergence:
+            pass  # no normal form within the ceilings: search as without a decider
     if instance_sorts is None:
         instance_sorts = list(
             dict.fromkeys(list(ctx) + pres.signature.sort_set.base_sorts())
@@ -1197,7 +1484,10 @@ class StructuralEq(EqStrategy):
 
 class RewriteEq(EqStrategy):
     """Normalize with the oriented rules, then compare.  Decides the
-    presented equality exactly when the system is confluent and terminating.
+    presented equality exactly when the system is confluent and terminating,
+    which ``RewriteSystem.convergence`` checks; otherwise equal normal
+    forms still mean provably equal, but distinct ones need not mean
+    unequal.
 
     Normal forms are innermost, from ``innermost_normal_form``, untraced,
     with one memo per ``canonical``/``equal`` call."""
@@ -1447,9 +1737,11 @@ def gs_rewrite_system(values: tuple) -> RewriteSystem:
     selects its own i-th branch; a put of branch i's own value is dropped;
     get(y, ..., y) -> y; and for each w, get(put_w y, ..., y, ..., put_w y)
     with y in branch w collapses to put_w y (for k = 1, put_v y -> y
-    instead).  Every rule shrinks the term, and a term with no redex is
-    determined by its state table, so all strategies reach the same normal
-    form and two terms share one exactly when they are provably equal.
+    instead).  ``check_convergence`` certifies the system: every rule
+    decreases in the path order, and every critical pair joins with a join
+    the kernel replays.  So all strategies reach the same normal form, and
+    two terms share one exactly when they are provably equal.  Without any
+    one derived rule, some critical pair does not join.
     """
     pres = global_state_presentation(values)
     k = len(values)

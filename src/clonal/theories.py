@@ -11,6 +11,7 @@ bundle's ``strategy base <tier>`` line picks a descriptor from ``TIERS``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass
@@ -122,13 +123,30 @@ def _stock_boolean(presentation: FoPresentation) -> BaseTheory:
     return boolean_theory(presentation)
 
 
-def _stock_state(presentation: FoPresentation) -> BaseTheory:
+def _state_values(presentation: FoPresentation) -> tuple:
+    """The values of the global-state presentation ``presentation`` is."""
     ops = presentation.signature.operators
     values = tuple(o.name.removeprefix("put_") for o in ops if o.name.startswith("put_"))
     if not values:
         raise PresentationMismatch("strategy state_table: no put operators")
     _check_stock("state_table", presentation, global_state_presentation(values))
-    return state_theory(presentation, values)
+    return values
+
+
+def _stock_state(presentation: FoPresentation) -> BaseTheory:
+    return state_theory(presentation, _state_values(presentation))
+
+
+def stock_theory(presentation: FoPresentation) -> BaseTheory | None:
+    """The stock theory (``booleans()`` or ``global_state(values)``) whose
+    operators and equations ``presentation`` has, as the stock tiers check
+    them; None when it has neither's."""
+    with contextlib.suppress(PresentationMismatch):
+        _check_stock("boolean", presentation, bool_presentation())
+        return booleans()
+    with contextlib.suppress(PresentationMismatch):
+        return global_state(_state_values(presentation))
+    return None
 
 
 def _generic(tier: str, strategy: Callable) -> Callable[[FoPresentation], BaseTheory]:

@@ -39,6 +39,7 @@ from clonal.firstorder import (
     gs_clone,
     gs_rewrite_system,
     innermost_normal_form,
+    monoid_presentation,
     prove_fo_equal,
     rewrite_normalize,
     steps_to_derivation,
@@ -52,7 +53,7 @@ from clonal.jsonio import (
 )
 from clonal.nbe import check_normal, nbe_normalize
 from clonal.secondorder import check_algebra
-from clonal.sorts import Context, arrow
+from clonal.sorts import Context, Sort, arrow
 from clonal.stlc import eval_closed, set_model, stlc_bool, stlc_gs
 from clonal.surface import render_free, stock_bundle
 
@@ -111,6 +112,7 @@ FOUND = CloneApp(
 GS_REDEX = _app(_abs(CloneApp(_get(_put("v1", FoVar(1)), FoVar(1)), G1, B, (FreeVar(2),))),
                 FreeVar(1))
 
+G_MON = Context((Sort("*"), Sort("*")))
 BOOLS = bool_clone()
 IDENTITY = FuncHom(BOOLS, BOOLS, lambda c, s, t: t)
 LAW_BUDGET = Budget(max_context_len=2, max_depth=1, max_sort_height=0, max_terms=4,
@@ -145,6 +147,13 @@ ENTRY_POINTS = {
     "prove_fo_equal": lambda: prove_fo_equal(
         GS2, G1, _get(FoVar(1), _put("v2", FoVar(1))), _put("v2", FoVar(1)), max_nodes=300
     ),
+    # the convergence check of a system built here: unification, the path
+    # order, the critical pairs and the replay of their joins
+    "check_convergence": lambda: gs_rewrite_system(("v1", "v2", "v3")).convergence,
+    # a presentation built here finds and keeps its convergent system, then
+    # refuses the pair by its normal forms
+    "prove_fo_equal_decided": lambda: prove_fo_equal(
+        monoid_presentation(), G_MON, FoOp("mul", (), (FoVar(1), FoVar(2))), FoVar(1)),
     "free_equal_search": lambda: free_equal(
         FREE, E, BB, REDEX, NORMAL, mode="search", budget=60
     ),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonal import firstorder
+from clonal import firstorder, theories
 from clonal.clones import Budget, CloneError, Substitution, check_clone_laws
 from clonal.firstorder import (
     gs_expand_witness,
@@ -41,6 +41,7 @@ from clonal.firstorder import (
     Verdict,
     bool_clone,
     bool_presentation,
+    check_convergence,
     check_fo_derivation,
     enumerate_fo_terms,
     enumerate_fo_terms_by_size,
@@ -52,12 +53,14 @@ from clonal.firstorder import (
     gs_clone,
     gs_rewrite_system,
     innermost_normal_form,
+    lpo_greater,
     match_fo,
     monoid_presentation,
     prove_fo_equal,
     rewrite_normalize,
     steps_to_derivation,
     tm_clone,
+    unify_fo,
 )
 from clonal.jsonio import (
     fo_derivation_from_json,
@@ -1054,6 +1057,25 @@ class TestUntracedNormalForm:
         assert 0 < len(steps) < firstorder.MAX_REWRITE_STEPS
         assert steps[0].before == t and all(a.after == b.before for a, b in zip(steps, steps[1:]))
 
+    def test_deep_term_reports_divergence_without_recursing(self):
+        # a right-nested product is normal, but deeper than the recursion
+        # limit: every engine raises the typed error, whose message renders
+        # the term by a loop and cuts it off at RENDER_DEPTH levels
+        star = Sort("*")
+        rs = RewriteSystem(monoid_presentation())
+        t = x(1)
+        for n in range(1199):
+            t = mul(x(1), t)
+            if n == 59:
+                # 60 levels print as 40, whether or not the limit was reached
+                cut = "mul(x1, " * firstorder.RENDER_DEPTH + "..." + ")" * firstorder.RENDER_DEPTH
+                assert str(RewriteDivergence(t, [])) == f"step ceiling exceeded while rewriting {cut}"
+        for run in (lambda: rewrite_normalize(rs, t),
+                    lambda: rewrite_normalize(rs, t, "outermost"),
+                    lambda: RewriteEq(rs).canonical(None, ctx(star), star, t)):
+            with pytest.raises(RewriteDivergence, match="recursion limit") as e:
+                run()
+            assert str(e.value).split("while rewriting ")[1] == cut
 
 
 class TestGsCanonical:
@@ -1204,6 +1226,119 @@ class TestCompletedRewrite:
         assert RewriteSystem(GS2, ((schema, proofs["get_same"]),)).rules()[-1][0] == schema
 
 
+def _comm_presentation() -> FoPresentation:
+    """mul(x1, x2) ~ mul(x2, x1) over the monoid's signature: read left to
+    right, a rule that cycles."""
+    star = Sort("*")
+    comm = FoEquationSchema("comm", (), (star, star), star, mul(x(1), x(2)), mul(x(2), x(1)))
+    return FoPresentation("comm", monoid_presentation().signature, (comm,))
+
+
+def _mirror(t: FoTerm) -> FoTerm:
+    """``t`` with the arguments of every mul swapped: provable by comm."""
+    if isinstance(t, FoOp) and t.name == "mul":
+        return mul(_mirror(t.args[1]), _mirror(t.args[0]))
+    return t
+
+
+def _drop_derived(name: str) -> RewriteSystem:
+    rs = gs_rewrite_system(V2)
+    return RewriteSystem(rs.presentation, tuple(r for r in rs.derived if r[0].name != name))
+
+
+GS2_DERIVED = [schema.name for schema, _ in gs_rewrite_system(V2).derived]
+
+
+class TestConvergence:
+    """check_convergence: termination by the path order, local confluence by
+    joined critical pairs, every join replayed by the kernel."""
+
+    @pytest.mark.parametrize("rs, n_pairs", [
+        (gs_rewrite_system(("v1",)), 29),
+        (gs_rewrite_system(V2), 90),
+        (gs_rewrite_system(("v1", "v2", "v3")), 204),
+        (RewriteSystem(monoid_presentation()), 7),
+    ], ids=["gs1", "gs2", "gs3", "monoid"])
+    def test_convergent_systems_pass_and_every_join_replays(self, rs, n_pairs):
+        verdict = check_convergence(rs)
+        assert verdict.ok and verdict.reason is None and len(verdict.pairs) == n_pairs
+        for p in verdict.pairs:
+            v = check_fo_derivation(rs.presentation, p.ctx, p.join)
+            assert v.ok and (v.lhs, v.rhs) == (p.left, p.right), (p.outer, p.inner, p.path)
+            # both reducts come from the peak: by the outer rule at the root,
+            # by the inner rule at the path
+            assert rs.presentation.signature.sort(p.ctx, p.peak) == v.sort
+        overlaps = {(p.outer, p.inner, p.path) for p in check_convergence(
+            RewriteSystem(monoid_presentation())).pairs}
+        assert ("assoc", "assoc", (1,)) in overlaps and ("assoc", "assoc", ()) not in overlaps
+
+    def test_bare_state_axioms_fail_on_a_named_pair(self):
+        verdict = check_convergence(RewriteSystem(GS2))
+        assert not verdict.ok
+        assert verdict.reason.startswith("critical pair of get_put and put_get_v1 at (1,)")
+        assert "do not join" in verdict.reason
+
+    @pytest.mark.parametrize("name", GS2_DERIVED)
+    def test_dropping_one_derived_rule_fails(self, name):
+        assert len(GS2_DERIVED) == 7
+        verdict = check_convergence(_drop_derived(name))
+        assert not verdict.ok and "do not join" in verdict.reason, verdict.reason
+
+    def test_cycling_rule_is_refused_by_the_ordering(self):
+        verdict = check_convergence(RewriteSystem(_comm_presentation()))
+        assert not verdict.ok and verdict.reason == (
+            "rule comm is not oriented: mul(x1, x2) -> mul(x2, x1) does not decrease "
+            "in the path order"
+        )
+
+    def test_rule_that_cannot_fire_is_refused(self):
+        # x2 is in the context but not on the left side: _root_step never fires it
+        star = Sort("*")
+        drop = FoEquationSchema("drop", (), (star, star), star, mul(x(1), UNIT), x(1))
+        rs = RewriteSystem(FoPresentation("drop", monoid_presentation().signature, (drop,)))
+        verdict = check_convergence(rs)
+        assert not verdict.ok and "does not bind every variable" in verdict.reason
+
+    def test_sort_parameters_are_left_unmarked(self):
+        verdict = check_convergence(RewriteSystem(bool_presentation()))
+        assert not verdict.ok and verdict.reason == "rule ite_true has sort parameters; not checked"
+        assert bool_presentation().convergent_system is None
+
+    def test_a_pair_past_the_step_ceiling_fails(self, monkeypatch):
+        monkeypatch.setattr(firstorder, "MAX_REWRITE_STEPS", 1)
+        verdict = check_convergence(RewriteSystem(monoid_presentation()))
+        assert not verdict.ok and "step ceiling exceeded" in verdict.reason
+
+    def test_verdict_is_kept_on_the_system_and_out_of_its_value(self):
+        rs = gs_rewrite_system(V2)
+        assert rs.convergence is rs.convergence and rs.convergence.ok
+        copy = pickle.loads(pickle.dumps(rs))
+        assert "convergence" not in vars(copy) and copy == rs and hash(copy) == hash(rs)
+        assert "convergence" not in repr(rs)
+
+    def test_unification(self):
+        f = lambda a, b: FoOp("f", (), (a, b))
+        g = lambda a: FoOp("g", (), (a,))
+        s, t = f(x(1), g(x(2))), f(g(x(3)), x(1))
+        mgu = unify_fo(s, t)
+        assert mgu in ({1: g(x(2)), 3: x(2)}, {1: g(x(3)), 2: x(3)})
+        assert firstorder._resolve(s, mgu) == firstorder._resolve(t, mgu)
+        assert unify_fo(x(1), g(x(1))) is None  # occurs check
+        assert unify_fo(f(x(1), x(1)), f(g(x(2)), x(2))) is None  # occurs, through a binding
+        assert unify_fo(g(x(1)), f(x(1), x(1))) is None  # operator clash
+        assert unify_fo(FoOp("g", (BASE,), (x(1),)), FoOp("g", (BB,), (x(1),))) is None
+        assert unify_fo(f(x(1), x(2)), f(x(1), x(2))) == {}
+
+    def test_path_order(self):
+        star_terms = [mul(mul(x(1), x(2)), x(3)), mul(x(1), mul(x(2), x(3))), mul(UNIT, x(1)), x(1)]
+        assert lpo_greater(star_terms[0], star_terms[1])
+        assert not lpo_greater(star_terms[1], star_terms[0])
+        assert lpo_greater(star_terms[2], x(1)) and not lpo_greater(x(1), star_terms[2])
+        assert not lpo_greater(mul(x(1), UNIT), x(2))  # x2 is not a variable of the left side
+        assert not lpo_greater(star_terms[0], star_terms[0])
+        assert not lpo_greater(UNIT, mul(UNIT, UNIT)) and not lpo_greater(get(x(1)), put("v1", x(1)))
+
+
 class TestSearch:
     def test_monoid_assoc_is_one_axiom_step(self):
         pres = monoid_presentation()
@@ -1328,6 +1463,78 @@ class TestSortParametricSearch:
             FoSym(FoSym(FoAxiom("ite_false", (BB,), (FoRefl(x(1)), FoRefl(x(2)))))),
         )
         assert check_fo_derivation(pres, self.G, d).ok
+
+
+class TestDecision:
+    """prove_fo_equal refuses a pair at once when the presentation's
+    convergent system gives its sides distinct normal forms, and searches
+    as before otherwise."""
+
+    @staticmethod
+    def _count_searches(monkeypatch) -> list:
+        calls = []
+        best_first = firstorder._best_first
+
+        def counted(*args):
+            calls.append(args[0])
+            return best_first(*args)
+
+        monkeypatch.setattr(firstorder, "_best_first", counted)
+        return calls
+
+    def test_candidates(self):
+        assert GS2.convergent_system is theories.global_state(V2).rewrite_system
+        mon = monoid_presentation()
+        rs = mon.convergent_system
+        # the oriented axioms, on a copy of the presentation, which it does not point back at
+        assert rs.presentation == mon and rs.presentation is not mon and not rs.derived
+        assert _comm_presentation().convergent_system is None
+        renamed = global_state_presentation(V2)
+        object.__setattr__(renamed, "name", "renamed")
+        assert renamed.convergent_system is None  # the stock system's presentation differs
+
+    def test_unbuildable_candidate_is_skipped(self):
+        star = Sort("*")
+        expand = FoEquationSchema("expand", (), (star,), star, x(1), mul(x(1), UNIT))
+        pres = FoPresentation("expand", monoid_presentation().signature, (expand,))
+        with pytest.raises(CloneError, match="bare variable"):
+            RewriteSystem(pres)
+        assert pres.convergent_system is None
+        d = prove_fo_equal(pres, ctx(star), x(1), mul(x(1), UNIT), max_nodes=5)
+        assert check_fo_derivation(pres, ctx(star), d).ok
+
+    def test_distinct_normal_forms_pop_no_frontier(self, monkeypatch):
+        GS2.convergent_system  # built before counting
+        searches = self._count_searches(monkeypatch)
+        assert prove_fo_equal(GS2, ctx(BASE), put("v1", x(1)), put("v2", x(1)),
+                              max_nodes=10**6) is None
+        assert searches == []
+        # equal normal forms search as before
+        assert prove_fo_equal(GS2, ctx(BASE), get(x(1), x(1)), x(1), max_nodes=800) is not None
+        assert len(searches) == 1
+
+    def test_divergence_falls_back_to_the_search(self, monkeypatch):
+        star = Sort("*")
+        mon = monoid_presentation()
+        mon.convergent_system  # checked before the ceiling is lowered
+        monkeypatch.setattr(firstorder, "MAX_REWRITE_STEPS", 1)
+        searches = self._count_searches(monkeypatch)
+        g = ctx(star, star, star)
+        assert prove_fo_equal(mon, g, mul(mul(x(1), x(2)), x(3)), mul(x(2), x(1)), 40) is None
+        assert len(searches) == 1
+
+    def test_a_system_that_is_not_convergent_gives_the_search_answers(self):
+        # comm cycles, so it has no decider: these are the answers, proofs
+        # and Nones, that the search gave before there was a decision
+        star = Sort("*")
+        comm = _comm_presentation()
+        g = ctx(star, star)
+        ms = enumerate_fo_terms_by_size(comm.signature, g, star, 5)
+        pairs = [(t, _mirror(t)) for t in ms] + list(zip(ms[::5], ms[2::5]))
+        results = [prove_fo_equal(comm, g, a, b, max_nodes=60) for a, b in pairs]
+        assert len(pairs) == 79 and sum(r is None for r in results) == 12
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest == "20f49258042df6a58dd64fe7361dbcaefdbb6f3a28dfdf2af3ed78f300f9fbb1"
 
 
 # --------------------------------------------------------------------------
