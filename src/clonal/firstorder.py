@@ -191,14 +191,22 @@ class FoPresentation:
     @functools.cached_property
     def convergent_system(self) -> "RewriteSystem | None":
         """The first candidate system that passes ``check_convergence`` and
-        whose presentation equals this one, so that distinct normal forms
-        under it mean not provable; None when no candidate does.  The
-        candidates are the oriented axioms, then the stock theory's system
-        when ``theories.stock_theory`` recognizes this presentation."""
+        whose presentation has this one's operators and equations (its name
+        may differ), so that distinct normal forms under it mean not
+        provable; None when no candidate does.  The candidates are the
+        oriented axioms, then the stock theory's system when
+        ``theories.stock_theory`` recognizes this presentation."""
         for rs in _candidate_systems(self):
-            if rs is not None and rs.presentation == self and rs.convergence.ok:
+            if rs is not None and rs.presentation.same_theory(self) and rs.convergence.ok:
                 return rs
         return None
+
+    def same_theory(self, other: "FoPresentation") -> bool:
+        """The same operators and equations, whatever the two are named."""
+        return (
+            self.signature.operators == other.signature.operators
+            and self.equations == other.equations
+        )
 
     def equation(self, name: str) -> FoEquationSchema:
         try:

@@ -49,7 +49,7 @@ from .firstorder import (
     _fo_of_size,
     fo_size,
 )
-from .secondorder import Algebra, SoPresentation, interpret_term
+from .secondorder import Algebra, SoOp, SoPresentation, SoVar
 from .sorts import EMPTY, Context, Sort, stored_hash
 
 
@@ -259,6 +259,38 @@ def _instantiate_last(t: FreeTerm, ctx: Context, arg: FreeTerm, extra: Context, 
                 out.append((binder, _instantiate_last(body, ctx, arg, inner, weakened)))
             return FreeOp(name, sort_args, tuple(out))
     raise FreeSortError(f"not a free term: {t!r}")
+
+
+def free_metasubst(free, t, metactx, ctx: Context, sides: tuple) -> FreeTerm:
+    """``interpret_term(free, t, metactx, EMPTY, ctx, sides)`` for a side
+    ``t`` of an equation, built as a free term directly: ``sides[i]`` is a
+    term over ``ctx`` extended by metavariable i+1's parameters.  A
+    metavariable applied to exactly the variables it is declared over is its
+    side itself; one applied to one argument outside any binder (``m1[m2]``)
+    is ``free_instantiate_last``; one with no parameters under a binder is
+    its side weakened past the binder; any other goes through ``free_subst``.
+    An operator is built as ``free.interpret`` builds it."""
+    return _metasubst(free, t, metactx, EMPTY, ctx, sides)
+
+
+def _metasubst(free, t, metactx, xi: Context, ctx: Context, sides: tuple) -> FreeTerm:
+    if type(t) is SoVar:
+        return FreeVar(len(ctx) + t.index)
+    if type(t) is SoOp:
+        bodies = tuple(
+            _metasubst(free, body, metactx, xi + binder, ctx, sides) for binder, body in t.args
+        )
+        return free.interpret(t.name, t.sort_args, ctx + xi, bodies)
+    params, side, args = metactx.decl(t.index).ctx, sides[t.index - 1], t.args
+    if xi == params and all(type(a) is SoVar and a.index == j for j, a in enumerate(args, 1)):
+        return side
+    if not xi and len(args) == 1:
+        return free_instantiate_last(side, ctx, _metasubst(free, args[0], metactx, xi, ctx, sides))
+    if not args:
+        return free_rename(side, weakening(ctx, xi))
+    head = tuple(FreeVar(j) for j in range(1, len(ctx) + 1))
+    tail = tuple(_metasubst(free, a, metactx, xi, ctx, sides) for a in args)
+    return free_subst(side, Substitution(ctx + xi, ctx + params, head + tail))
 
 
 # --------------------------------------------------------------------------
@@ -708,8 +740,8 @@ class _FreeChecker(_Kernel):
         ls, rs = sides
         return Verdict(
             True,
-            interpret_term(self.free, lhs, metactx, EMPTY, ctx, tuple(ls)),
-            interpret_term(self.free, rhs, metactx, EMPTY, ctx, tuple(rs)),
+            free_metasubst(self.free, lhs, metactx, ctx, tuple(ls)),
+            free_metasubst(self.free, rhs, metactx, ctx, tuple(rs)),
             eq_sort,
         )
 

@@ -10,6 +10,7 @@ from clonal.cli import main
 from clonal.freealgebra import FAxiom, FRefl
 from clonal.jsonio import context_to_json, document, fo_term_to_json, free_derivation_to_json
 from clonal.sorts import Context, Sort
+from test_jsonio import MALFORMED_REFS
 
 
 B = Sort("b")
@@ -317,15 +318,38 @@ class TestProvecheck:
         for name, derivation, want in (("lemma.json", data, 0), ("tampered.json", None, 1)):
             if derivation is None:  # the lemma's proof ends one put deeper
                 derivation = json.loads(json.dumps(data))
-                proof = derivation["children"][0]["proof"]
+                lemma = derivation["body"]["children"][0]  # the trace's terms fill a table
                 end = {"rule": "refl", "term": fo_term_to_json(FoOp("put_v2", (), (FoVar(1),)))}
-                derivation["children"][0]["proof"] = {"rule": "trans", "children": [proof, end]}
+                lemma["proof"] = {"rule": "trans", "children": [lemma["proof"], end]}
             path = tmp_path / name
             path.write_text(json.dumps(document("fo-derivation", {
                 "context": context_to_json(Context((B,))), "derivation": derivation})))
             code, out, _ = run(capsys, "provecheck", "--variant", "gs", str(path))
             assert code == want
             assert out.strip() == "accepted" if want == 0 else out.startswith("rejected at [1, 0]")
+
+    def test_a_trace_deeper_than_the_recursion_limit_is_accepted(self, capsys, tmp_path):
+        from clonal.firstorder import gs_rewrite_system, rewrite_normalize, steps_to_derivation
+        from clonal.jsonio import fo_derivation_to_json
+        from test_firstorder import _get_put_tree
+
+        t = _get_put_tree(9)
+        d = steps_to_derivation(t, rewrite_normalize(gs_rewrite_system(("v1", "v2")), t)[1])
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(document("fo-derivation", {
+            "context": context_to_json(Context((B,))), "derivation": fo_derivation_to_json(d)})))
+        code, out, _ = run(capsys, "provecheck", "--variant", "gs", str(path))
+        assert (code, out.strip()) == (0, "accepted")
+
+    @pytest.mark.parametrize("data, message", MALFORMED_REFS)
+    def test_a_malformed_ref_table_or_chain_is_a_parse_error(self, capsys, tmp_path, data, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(document("free-derivation", {
+            "context": context_to_json(Context(())), "derivation": data})))
+        code, out, err = run(capsys, "provecheck", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert re.search(message, err)
 
     def test_missing_file_is_usage(self, capsys):
         code, _, _ = run(capsys, "provecheck", "/nonexistent/file.json")

@@ -1491,7 +1491,8 @@ class TestDecision:
         assert _comm_presentation().convergent_system is None
         renamed = global_state_presentation(V2)
         object.__setattr__(renamed, "name", "renamed")
-        assert renamed.convergent_system is None  # the stock system's presentation differs
+        # operators and equations are compared, not names
+        assert renamed.convergent_system is theories.global_state(V2).rewrite_system
 
     def test_unbuildable_candidate_is_skipped(self):
         star = Sort("*")
@@ -1512,6 +1513,18 @@ class TestDecision:
         # equal normal forms search as before
         assert prove_fo_equal(GS2, ctx(BASE), get(x(1), x(1)), x(1), max_nodes=800) is not None
         assert len(searches) == 1
+
+    def test_a_bundle_base_under_its_own_name_is_decided(self, monkeypatch):
+        # the shipped bundle names its base state2, not global_state_2
+        from clonal.cli import bundled_source
+        from clonal.surface import parse_bundle
+
+        base = parse_bundle(bundled_source("gs")).base
+        assert base.name != GS2.name
+        assert base.convergent_system is theories.global_state(V2).rewrite_system
+        searches = self._count_searches(monkeypatch)
+        assert prove_fo_equal(base, ctx(BASE), put("v1", x(1)), put("v2", x(1))) is None
+        assert searches == []
 
     def test_divergence_falls_back_to_the_search(self, monkeypatch):
         star = Sort("*")

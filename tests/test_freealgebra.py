@@ -28,12 +28,21 @@ from clonal.freealgebra import (
     enumerate_free_terms,
     fold_hom,
     free_check_term,
+    free_metasubst,
     free_size,
     free_subst,
     raw_eq,
     unit_hom,
 )
-from clonal.secondorder import stlc_presentation
+from clonal.secondorder import (
+    MetaApp,
+    MetaContext,
+    MetaDecl,
+    SoOp,
+    SoVar,
+    interpret_term,
+    stlc_presentation,
+)
 from clonal.sorts import Context, Sort, arrow
 from clonal.stlc import (
     eval_closed,
@@ -276,6 +285,57 @@ class TestDerivationChecker:
         assert check_free_derivation(stlc_bool(), ctx(B), d).path == (2, 1)
 
 
+class TestEquationInstances:
+    """The kernel instantiates an equation's sides as free terms directly
+    (``free_metasubst``); the general algebra route, ``interpret_term``,
+    gives the same terms."""
+
+    @staticmethod
+    def _agree(free, t, metactx, g, pools) -> int:
+        count = 0
+        for sides in itertools.product(*pools):
+            assert free_metasubst(free, t, metactx, g, sides) == interpret_term(
+                free, t, metactx, E, g, sides)
+            count += 1
+        return count
+
+    def test_every_equation_of_the_shipped_surfaces(self):
+        from clonal.cli import bundled_source
+        from clonal.surface import parse_bundle
+
+        count = 0
+        for variant in ("stlc", "bool", "gs"):
+            free = parse_bundle(bundled_source(variant)).free
+            sorts = free.sort_set.sorts_up_to_height(1)
+            for schema in free.presentation.equations:
+                for sort_args in itertools.product(sorts, repeat=len(schema.params)):
+                    metactx, _, lhs, rhs = schema.instantiate(sort_args)
+                    for g in (E, ctx(B), ctx(BB, B)):
+                        pools = [enumerate_free_terms(free, g + d.ctx, d.sort, max_size=3)[:5]
+                                 for d in metactx]
+                        count += self._agree(free, lhs, metactx, g, pools)
+                        count += self._agree(free, rhs, metactx, g, pools)
+        assert count > 1000
+
+    def test_metavariables_applied_other_ways_take_the_substitution(self):
+        # m(y, x) under two binders, m(n, n) at the root and m under two
+        # binders: each is an instance interpret_term also builds
+        free = stlc_bool()
+
+        def lam(body, s):
+            return SoOp("abs", (B, s), ((ctx(B), body),))
+
+        metactx = MetaContext((MetaDecl(ctx(B, B), B), MetaDecl(E, B)))
+        swapped = lam(lam(MetaApp(1, (SoVar(2), SoVar(1))), B), BB)
+        same = lam(lam(MetaApp(1, (SoVar(1), SoVar(2))), B), BB)
+        doubled = MetaApp(1, (MetaApp(2, ()), MetaApp(2, ())))
+        weakened = lam(lam(MetaApp(2, ()), B), BB)
+        pools = [enumerate_free_terms(free, ctx(B, B, B), B, max_size=3)[:8],
+                 enumerate_free_terms(free, ctx(B), B, max_size=3)[:8]]
+        for t in (swapped, same, doubled, weakened):
+            assert self._agree(free, t, metactx, ctx(B), pools) == 64
+
+
 class TestTransitivityChains:
     """The free kernel walks a left-nested chain of transitivity links with
     the loop the first-order kernel uses: a deep chain replays, and a
@@ -283,10 +343,7 @@ class TestTransitivityChains:
 
     def test_deep_chain_replays(self):
         redex = app(abs_(FreeVar(1)), true_term())
-        beta = FAxiom("beta", (B, B), (FRefl(FreeVar(1)), FRefl(true_term())))
-        d = beta
-        for i in range(5000):  # there and back again, 2,500 times
-            d = FTrans(d, FSym(beta) if i % 2 == 0 else beta)
+        d = deep_beta_chain()
         assert 5000 > sys.getrecursionlimit()
         v = check_free_derivation(stlc_bool(), E, d)
         assert v.ok, v.error
@@ -334,6 +391,17 @@ class TestTransitivityChains:
         for kind in ("transitivity middle terms disagree", "refl of ill-sorted term: variable x9",
                      "element x9 over"):
             assert any(e and kind in e for e in errors), kind
+
+
+def deep_beta_chain():
+    """A left-nested chain of 5,000 transitivity links over stlc_bool that
+    derives ``app (abs x. x) true ~ true``: one beta step there and back
+    again, 2,500 times."""
+    beta = FAxiom("beta", (B, B), (FRefl(FreeVar(1)), FRefl(true_term())))
+    d = beta
+    for i in range(5000):
+        d = FTrans(d, FSym(beta) if i % 2 == 0 else beta)
+    return d
 
 
 def _links(d):

@@ -1,11 +1,13 @@
 """JSON round-trips: serialized terms and derivations replay bit-exactly."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_freealgebra import normalization_cases
+from test_firstorder import _get_put_tree
+from test_freealgebra import deep_beta_chain, normalization_cases
 
 from clonal.equality import normalize_with_trace
 from clonal.firstorder import (
@@ -18,6 +20,7 @@ from clonal.firstorder import (
     FoTrans,
     FoVar,
     RewriteSystem,
+    check_fo_derivation,
     global_state_presentation,
     gs_rewrite_system,
     rewrite_normalize,
@@ -39,6 +42,7 @@ from clonal.freealgebra import (
     enumerate_free_terms,
 )
 from clonal.jsonio import (
+    SCHEMA_VERSION,
     JsonError,
     context_from_json,
     context_to_json,
@@ -77,8 +81,6 @@ def test_fo_derivation_roundtrip_all_node_kinds():
 
 
 def test_fo_rewrite_trace_replays_after_roundtrip():
-    from clonal.firstorder import check_fo_derivation
-
     pres = global_state_presentation(("v1", "v2"))
     t = FoOp("put_v1", (), (FoOp("put_v2", (), (FoOp("get", (), (FoVar(1), FoVar(1))),)),))
     # the completed system rewrites get(x1, x1) by a derived rule, whose
@@ -123,11 +125,27 @@ def test_free_derivation_roundtrip_and_replay():
 
 def test_document_wrapper_versioning():
     doc = document("normal-form", {"x": 1}, bundle="stlc")
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == SCHEMA_VERSION == 2
     assert load_document(doc, "normal-form") == {"x": 1}
+    # a version 1 document goes through the same reader
+    assert load_document(dict(doc, schema_version=1), "normal-form") == {"x": 1}
     bad = dict(doc, schema_version=99)
     with pytest.raises(JsonError):
         load_document(bad)
+    with pytest.raises(JsonError, match="expected a 'free-derivation' document, got 'normal-form'"):
+        load_document(doc, "free-derivation")
+    with pytest.raises(JsonError, match="missing field 'payload'"):
+        load_document({"schema_version": 2, "kind": "normal-form"})
+
+
+@pytest.mark.parametrize("write, value, message", [
+    (free_term_to_json, FoVar(1), "not a free term: FoVar"),
+    (fo_derivation_to_json, FRefl(FreeVar(1)), "not a derivation node: FRefl"),
+    (free_derivation_to_json, FTrans(FRefl(FreeVar(1)), "x"), "not a derivation node: 'x'"),
+])
+def test_a_value_of_another_family_is_not_written(write, value, message):
+    with pytest.raises(JsonError, match=message):
+        write(value)
 
 
 # --------------------------------------------------------------------------
@@ -204,6 +222,26 @@ def _ref_derivation(d):
     raise AssertionError(d)
 
 
+def _as_version_1(data, table=()):
+    """The version 1 value a version 2 value stands for: each ref replaced by
+    the entry it names, each ``shared`` node by its body, and each n-ary
+    ``trans`` node by the left-nested chain of binary ones."""
+    if isinstance(data, list):
+        return [_as_version_1(x, table) for x in data]
+    if not isinstance(data, dict):
+        return data
+    if list(data) == ["ref"]:
+        return _as_version_1(table[data["ref"]], table)
+    if data.get("rule") == "shared":
+        return _as_version_1(data["body"], data["table"])
+    out = {k: _as_version_1(v, table) for k, v in data.items()}
+    if out.get("rule") == "trans":
+        out, *rest = out["children"]
+        for c in rest:
+            out = {"rule": "trans", "children": [out, c]}
+    return out
+
+
 GS_TERMS = enumerate_free_terms(stlc_gs(("v1", "v2")), Context((B,)), B, max_size=5)
 
 
@@ -211,14 +249,18 @@ def _witness_roundtrip(free, c, s, t):
     _, deriv = normalize_with_trace(free, c, s, t)
     data = free_derivation_to_json(deriv)
     text = json.dumps(data)
-    assert text == json.dumps(_ref_derivation(deriv))
+    reference = json.dumps(_ref_derivation(deriv))
+    assert json.dumps(_as_version_1(json.loads(text))) == reference
     assert free_derivation_from_json(json.loads(text)) == deriv
+    # the version 1 value of the reference encoder reads back the same
+    assert free_derivation_from_json(json.loads(reference)) == deriv
     assert context_from_json(json.loads(json.dumps(context_to_json(c)))) == c
 
 
 class TestCodecProperties:
-    """Witnesses of ``normalize_with_trace`` survive the round trip, and the
-    codec writes the reference encoder's bytes."""
+    """Witnesses of ``normalize_with_trace`` survive the round trip; the
+    codec's value stands for the reference encoder's version 1 bytes, and
+    those bytes read back as the same witness."""
 
     @settings(max_examples=120, derandomize=True, database=None, deadline=None)
     @given(normalization_cases())
@@ -239,19 +281,47 @@ class TestCodecProperties:
     def test_first_order_trace_bytes(self):
         t = FoOp("put_v1", (), (FoOp("get", (), (FoVar(1), FoVar(1))),))
         d = steps_to_derivation(t, rewrite_normalize(gs_rewrite_system(("v1", "v2")), t)[1])
-        assert json.dumps(fo_derivation_to_json(d)) == json.dumps(_ref_derivation(d))
+        data = fo_derivation_to_json(d)
+        assert json.dumps(_as_version_1(data)) == json.dumps(_ref_derivation(d))
+        assert fo_derivation_from_json(json.loads(json.dumps(_ref_derivation(d)))) == d
 
     def test_equal_values_share_one_object(self):
-        # one call writes each distinct sort, context and term once, and
-        # reads each distinct one back as one object
+        # one call writes each distinct term once, in the table when it
+        # occurs twice, and reads each entry back as one object
         t = FoOp("get", (), (FoVar(1), FoVar(1)))
         d = FoTrans(FoRefl(t), FoRefl(t))
-        left, right = (c["term"] for c in fo_derivation_to_json(d)["children"])
-        assert left is right and left["args"][0] is left["args"][1]
-        back = fo_derivation_from_json(json.loads(json.dumps(fo_derivation_to_json(d))))
-        assert back.left.term is back.right.term
+        data = fo_derivation_to_json(d)
+        assert data["rule"] == "shared" and list(data) == ["rule", "table", "body"]
+        left, right = (c["term"] for c in data["body"]["children"])
+        assert left is right and list(left) == ["ref"]
+        term = data["table"][left["ref"]]
+        assert term["kind"] == "op" and term["args"][0] is term["args"][1]
+        assert data["table"][term["args"][0]["ref"]] == {"kind": "var", "index": 1}
+        assert len(data["table"]) == 2
+        back = fo_derivation_from_json(json.loads(json.dumps(data)))
+        assert back.left.term is back.right.term and back.left.term.args[0] is back.left.term.args[1]
         ctx = context_from_json(json.loads(json.dumps([context_to_json(Context((B, B)))] * 2))[0])
         assert ctx.entries[0] is ctx.entries[1]
+
+    def test_values_that_do_not_repeat_are_written_in_version_1_shape(self):
+        # no table, and a chain of two links is the version 1 node
+        d = FoTrans(FoRefl(FoVar(1)), FoSym(FoRefl(FoVar(2))))
+        for data in (fo_derivation_to_json(d), fo_term_to_json(FoOp("get", (), (FoVar(1),) * 2))):
+            assert "shared" not in json.dumps(data) and '"ref"' not in json.dumps(data)
+        assert json.dumps(fo_derivation_to_json(d)) == json.dumps(_ref_derivation(d))
+
+    def test_a_left_nested_chain_is_one_trans_node(self):
+        links = [FoRefl(FoVar(i)) for i in range(1, 6)]
+        d = links[0]
+        for link in links[1:]:
+            d = FoTrans(d, link)
+        right_nested = FoTrans(links[0], FoTrans(links[1], links[2]))
+        data = fo_derivation_to_json(d)
+        assert data["rule"] == "trans" and len(data["children"]) == 5
+        inner = fo_derivation_to_json(right_nested)["children"][1]
+        assert inner["rule"] == "trans" and len(inner["children"]) == 2
+        for x in (d, right_nested):
+            assert fo_derivation_from_json(json.loads(json.dumps(fo_derivation_to_json(x)))) == x
 
 
     def test_lemma_proofs_are_written_once_and_read_back_as_one(self):
@@ -260,9 +330,10 @@ class TestCodecProperties:
                              FoOp("get", (), (FoVar(2), FoVar(2)))))
         d = steps_to_derivation(t, rewrite_normalize(gs_rewrite_system(("v1", "v2")), t)[1])
         data = fo_derivation_to_json(d)
-        lemmas = [n for n in _json_nodes(data) if n["rule"] == "lemma"]
+        lemmas = [n for n in _json_nodes(data["body"]) if n["rule"] == "lemma"]
         assert len(lemmas) == 2 and lemmas[0]["proof"] is lemmas[1]["proof"]
-        assert json.dumps(data) == json.dumps(_ref_derivation(d))
+        assert data["table"][lemmas[0]["proof"]["ref"]]["rule"] == "trans"
+        assert json.dumps(_as_version_1(data)) == json.dumps(_ref_derivation(d))
         back = fo_derivation_from_json(json.loads(json.dumps(data)))
         assert back == d
         first, second = back.left.children[0], back.right.children[1]
@@ -270,11 +341,37 @@ class TestCodecProperties:
 
 
 def _json_nodes(data):
-    """Every derivation node of a JSON derivation outside lemma proofs, in
-    pre-order."""
+    """Every derivation node of a JSON derivation outside lemma proofs and
+    tables, in pre-order."""
     yield data
     for c in data.get("children", ()):
         yield from _json_nodes(c)
+
+
+X1 = {"kind": "var", "index": 1}
+# free derivations with a fault in a ref, its table or a chain, each with the
+# message it is rejected with
+MALFORMED_REFS = [
+    ({"rule": "shared", "table": [{"rule": "refl", "term": X1}], "body": {"ref": 1}},
+     r"ref 1 is out of range of a table of 1 entries"),
+    ({"rule": "shared", "table": [{"rule": "refl", "term": X1}], "body": {"ref": -1}},
+     "ref -1 is out of range"),
+    ({"rule": "shared", "table": [{"rule": "refl", "term": X1}], "body": {"ref": "0"}},
+     "field 'ref' is not an integer"),
+    ({"rule": "shared", "table": [{"rule": "refl", "term": X1}], "body": {"ref": True}},
+     "field 'ref' is not an integer"),
+    ({"rule": "shared", "table": [{"rule": "sym", "children": [{"ref": 1}]},
+                                  {"rule": "sym", "children": [{"ref": 0}]}], "body": {"ref": 0}},
+     "ref 0 is part of a cycle of refs"),
+    ({"rule": "shared", "body": {"rule": "refl", "term": {"ref": 0}}, "table": [
+        {"kind": "op", "name": "abs", "sort_args": [], "args": [{"binds": [], "body": {"ref": 0}}]}
+    ]}, "ref 0 is part of a cycle of refs"),
+    ({"rule": "shared", "table": [X1], "body": {"rule": "trans", "children": [
+        {"ref": 0}, {"rule": "refl", "term": {"ref": 0}}]}},
+     "ref 0 stands at two kinds of position"),
+    ({"rule": "trans", "children": [{"rule": "refl", "term": X1}]},
+     "malformed JSON value: a trans node needs two or more children, not 1"),
+]
 
 
 @pytest.mark.parametrize("read, data, message", [
@@ -288,7 +385,67 @@ def _json_nodes(data):
     (context_from_json, [{"former": "=>"}], "missing field 'args'"),
     (free_term_from_json, {"kind": "var", "index": "a"}, "field 'index' is not an integer"),
     (free_term_from_json, {"kind": "var", "index": True}, "field 'index' is not an integer"),
+    *[(free_derivation_from_json, data, message) for data, message in MALFORMED_REFS],
+    (free_term_from_json, {"ref": 0}, r"ref 0 is out of range of a table of 0 entries"),
+    (free_derivation_from_json, {"rule": "shared", "table": {}, "body": {}},
+     "field 'table' is not a list"),
+    (free_derivation_from_json, {"rule": "shared", "table": []}, "missing field 'body'"),
 ])
 def test_malformed_input_raises_json_error(read, data, message):
     with pytest.raises(JsonError, match=message):
         read(data)
+
+
+def test_a_ref_resolves_in_the_nearest_enclosing_table():
+    # the outer entry 0 is read first, and the inner body's ref 0 still
+    # names the inner table's entry
+    inner = {"rule": "shared", "table": [{"rule": "refl", "term": {"kind": "var", "index": 2}}],
+             "body": {"ref": 0}}
+    data = {"rule": "shared", "table": [{"rule": "refl", "term": X1}],
+            "body": {"rule": "trans", "children": [inner, {"ref": 0}]}}
+    assert free_derivation_from_json(data) == FTrans(FRefl(FreeVar(2)), FRefl(FreeVar(1)))
+
+
+def test_the_benchmarks_tampered_witness_is_rejected_where_it_was():
+    # the certify benchmark wraps a witness document's derivation in an
+    # inline trans node, beside an inline refl of the standalone input term
+    free, c = stlc_gs(("v1", "v2")), Context((B,))
+    t = next(t for t in GS_TERMS if "shared" in json.dumps(
+        free_derivation_to_json(normalize_with_trace(free, c, B, t)[1])))
+    deriv = normalize_with_trace(free, c, B, t)[1]
+    doc = json.loads(json.dumps(document("free-derivation", {
+        "context": context_to_json(c), "derivation": free_derivation_to_json(deriv)})))
+    doc["payload"]["derivation"] = {"rule": "trans", "children": [
+        doc["payload"]["derivation"], {"rule": "refl", "term": free_term_to_json(t)}]}
+    payload = load_document(json.loads(json.dumps(doc)), "free-derivation")
+    back = free_derivation_from_json(payload["derivation"])
+    assert back == FTrans(deriv, FRefl(t))
+    got = check_free_derivation(free, context_from_json(payload["context"]), back)
+    want = check_free_derivation(free, c, FTrans(deriv, FRefl(t)))
+    assert not got.ok and (got.error, got.path) == (want.error, want.path)
+
+
+class TestDeepDerivations:
+    """Both codecs are loops: derivations far deeper than the recursion
+    limit round-trip through json, to the same bytes and the same
+    conclusion (compared without ``==``, which recurses)."""
+
+    def test_the_5000_link_chain(self):
+        d = deep_beta_chain()
+        text = json.dumps(free_derivation_to_json(d))
+        back = free_derivation_from_json(json.loads(text))
+        assert json.dumps(free_derivation_to_json(back)) == text
+        v = check_free_derivation(stlc_bool(), Context(()), back)
+        want = check_free_derivation(stlc_bool(), Context(()), d)
+        assert v.ok and (v.lhs, v.rhs, v.sort) == (want.lhs, want.rhs, want.sort), v.error
+
+    def test_the_get_put_trace(self):
+        t = _get_put_tree(9)
+        nf, steps = rewrite_normalize(gs_rewrite_system(("v1", "v2")), t)
+        d = steps_to_derivation(t, steps)
+        assert len(steps) == 1022 > sys.getrecursionlimit()
+        text = json.dumps(fo_derivation_to_json(d))
+        back = fo_derivation_from_json(json.loads(text))
+        assert json.dumps(fo_derivation_to_json(back)) == text
+        v = check_fo_derivation(global_state_presentation(("v1", "v2")), Context((B,)), back)
+        assert v.ok and (v.lhs, v.rhs) == (t, nf), v.error
