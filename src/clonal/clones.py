@@ -257,6 +257,20 @@ class Signature:
                 for combo in itertools.product(sorts, repeat=len(o.params))]
 
 
+def first_difference(got, want) -> str | None:
+    """The first operator, then equation, of presentation ``got`` that is not
+    ``want``'s at its position, as "{kind} {name}", the name "(missing
+    {name})" where ``got`` runs out first; None when they agree."""
+    for kind, ours, theirs in (
+        ("operator", got.signature.operators, want.signature.operators),
+        ("equation", got.equations, want.equations),
+    ):
+        for g, w in itertools.zip_longest(ours, theirs):
+            if g != w:
+                return f"{kind} {g.name if g is not None else f'(missing {w.name})'}"
+    return None
+
+
 class Clone:
     """Base interface for clones.  Terms are opaque values per instance."""
 

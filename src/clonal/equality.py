@@ -17,8 +17,9 @@ Canonical element applications keep the element in base-canonical form,
 with a variable at every proper subterm of a function sort, applied to
 pairwise-distinct non-element arguments listed in first-use order, with
 every position used.  ``head_canon`` is the one canonicalizer: the semantic
-normalizer (``nbe``) reads back through it and ``check_normal`` accepts its
-fixed points; normalize-mode ``free_equal`` cross-checks the two routes.
+normalizer (``nbe``) reads back through it, ``nbe.check_normal`` accepts
+exactly the fixed points of ``norm``, and normalize-mode ``free_equal``
+cross-checks the two routes.
 Steps read the names of the parts from the surface's ``calculus``; on a
 surface that is not the lambda calculus the normalizer raises
 NotLambdaCalculus, and the search has no beta or eta step.
@@ -425,7 +426,7 @@ def _head_beta(free: FreeAlgebra, ctx: Context, t: FreeTerm):
 
 def head_canon(free: FreeAlgebra, ctx: Context, t: CloneApp):
     """An element application's collapse loop, the one canonicalizer of both
-    normalizers and of ``check_normal``: collapse a variable element, drop
+    normalizers: collapse a variable element, drop
     unused positions or split off function-sort subterms of the element;
     else bring the arguments to head form, then merge element-application
     arguments into the element and reorder.

@@ -668,11 +668,11 @@ MAX_REWRITE_STEPS = 10_000  # rewrites before normalizing gives up
 
 
 class RewriteDivergence(Exception):
-    """Rewriting ``term`` found no normal form.  ``trace`` holds the steps
-    made: all MAX_REWRITE_STEPS of them at the step ceiling, on every path;
-    when the term was or grew deeper than Python's recursion limit first
-    (innermost, on a term growing at its root), those made until then, or
-    none untraced.  The message renders ``term`` by a loop, down to
+    """Rewriting ``term`` found no normal form.  ``trace`` holds the steps a
+    traced run made: all MAX_REWRITE_STEPS of them at the step ceiling; when
+    the term was or grew deeper than Python's recursion limit first
+    (innermost, on a term growing at its root), those made until then.  An
+    untraced run's is empty.  The message renders ``term`` by a loop, down to
     RENDER_DEPTH levels, so reporting a deep term does not recurse."""
 
     def __init__(self, term, trace, too_deep=False):
@@ -884,7 +884,8 @@ def innermost_normal_form(rs: RewriteSystem, t: FoTerm, memo: dict) -> FoTerm:
     ``memo`` maps each subterm met to its normal form and the number of
     rewrites the traced run spends reaching it; the caller owns it.  Memo
     hits add their count, so the total is the traced run's length; when it
-    reaches MAX_REWRITE_STEPS, the traced run raises RewriteDivergence."""
+    reaches MAX_REWRITE_STEPS, this raises RewriteDivergence where the traced
+    run does, with an empty trace."""
     try:
         return _Rewriter(rs, t, memo).norm(t, None)
     except RecursionError:
@@ -913,8 +914,6 @@ class _Rewriter:
     def count(self, n: int) -> None:
         self.steps += n
         if self.steps >= MAX_REWRITE_STEPS:
-            if self.memo is not None:  # the traced run is as long: it raises with its trace
-                rewrite_normalize(self.rs, self.start, "innermost")
             raise RewriteDivergence(self.start, self.trace)
 
     def record(self, fired, frames) -> None:

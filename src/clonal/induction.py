@@ -28,9 +28,7 @@ from dataclasses import dataclass, field
 from .clones import Budget, Clone, CloneHom, LawCheck, LawReport, Renaming, Substitution
 from .freealgebra import FreeAlgebra
 from .secondorder import Algebra
-from .sorts import Context, Sort
-
-EMPTY = Context(())
+from .sorts import EMPTY, Context, Sort
 
 
 @dataclass

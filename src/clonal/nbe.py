@@ -20,11 +20,12 @@ an engine on that domain, which costs a few microseconds; a caller that
 normalizes many terms builds one and keeps it.  It reads the operators'
 names from the surface's ``calculus``, and refuses other surfaces.
 
-The boolean read-back and ``check_normal`` canonicalize element applications
-with ``equality.head_canon``, the collapse loop of the witnessed normalizer
-(``equality.norm``), so both normalizers and the grammar share one canonical
-shape.  This one emits no witness and is the faster of the two, so the stock
-free algebras decide ``term_eq`` with it.
+The boolean read-back canonicalizes element applications with
+``equality.head_canon``, the collapse loop of the witnessed normalizer
+(``equality.norm``), so both normalizers share one canonical shape.  This one
+emits no witness and is the faster of the two, so the stock free algebras
+decide ``term_eq`` with it.  ``check_normal`` accepts exactly the witnessed
+normalizer's fixed points: the terms ``equality.norm`` returns unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clones import CloneError, Renaming, identity_renaming, weakening
-from .equality import base_completion_needed, head_canon, reindex_element
+from .equality import head_canon, norm, reindex_element
 from .firstorder import FoOp, FoVar, put_name
 from .freealgebra import (
     CloneApp,
@@ -304,14 +305,13 @@ def nbe_normalize(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> F
 
 
 # --------------------------------------------------------------------------
-# Normal-form grammar
+# Normal forms
 # --------------------------------------------------------------------------
 
 
 @dataclass
 class NormalVerdict:
     ok: bool
-    offender: FreeTerm | None = None
     reason: str | None = None
 
     def __bool__(self):
@@ -319,56 +319,21 @@ class NormalVerdict:
 
 
 def check_normal(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> NormalVerdict:
-    """Grammar check for eta-long beta-normal forms.
+    """Is ``t`` an eta-long beta-normal form of ``sort`` in ``ctx``?
 
-    Neutral: a variable, an application with a neutral head and a normal
-    argument, or (with a boolean-style base) a canonical stuck element
-    application at an arrow sort.  Normal: an abstraction at arrow sorts;
-    at the base sort a neutral (when bare neutrals are normal for the
-    base), or a canonical element application: one that
-    ``equality.head_canon`` returns as it stands, its arguments normal.
-    """
+    Normal forms are the fixed points of the witnessed normalizer: ``t`` is
+    normal exactly when ``equality.norm`` returns it as it stands.  On a
+    normal form no step fires and no derivation is built; a term that is not
+    normal costs its normalization, and the verdict names the form it
+    normalizes to."""
     free.presentation.lambda_calculus()
     try:
         got = free.check(ctx, t)
     except CloneError as e:
-        return NormalVerdict(False, t, f"ill-sorted: {e}")
+        return NormalVerdict(False, f"ill-sorted: {e}")
     if got != sort:
-        return NormalVerdict(False, t, f"sort {got}, expected {sort}")
-    return _normal(free, ctx, sort, t)
-
-
-def _neutral(free: FreeAlgebra, c: Context, s: Sort, term) -> NormalVerdict:
-    lam = free.presentation.calculus
-    match term:
-        case FreeVar():
-            return NormalVerdict(True)
-        case FreeOp(name=lam.app, sort_args=(A, B), args=((_, fun), (_, arg))):
-            head = _neutral(free, c, Sort("=>", (A, B)), fun)
-            if not head:
-                return head
-            return _normal(free, c, A, arg)
-        case CloneApp() as ca if s.args:
-            return _stuck_elements(free, c, ca)
-    return NormalVerdict(False, term, "not a neutral term")
-
-
-def _stuck_elements(free: FreeAlgebra, c: Context, ca: CloneApp) -> NormalVerdict:
-    if head_canon(free, c, ca)[0] is not ca:
-        return NormalVerdict(False, ca, "element application not canonical")
+        return NormalVerdict(False, f"sort {got}, expected {sort}")
+    nf = norm(free, ctx, sort, t)[0]
+    if nf is not t:
+        return NormalVerdict(False, f"not normal: normalizes to {nf}")
     return NormalVerdict(True)
-
-
-def _normal(free: FreeAlgebra, c: Context, s: Sort, term) -> NormalVerdict:
-    if s.former == "=>" and len(s.args) == 2:
-        lam = free.presentation.calculus
-        match term:
-            case FreeOp(name=lam.abs, args=((binder, body),)):
-                return _normal(free, c + binder, s.args[1], body)
-        return NormalVerdict(False, term, "arrow-sorted normal must be an abstraction")
-    # base sort
-    if isinstance(term, CloneApp):
-        return _stuck_elements(free, c, term)
-    if base_completion_needed(free, s):
-        return NormalVerdict(False, term, "bare neutral not normal for this base")
-    return _neutral(free, c, s, term)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 from .clones import Budget, Clone, CloneError, LawCheck, LawReport, ProductClone, Signature
 from .clones import SortChecker, SortError, Substitution, TerminalClone, _capped, _subst_tuples
-from .clones import under_binders
+from .clones import first_difference, under_binders
 from .sorts import (
     Context,
     Sort,
@@ -348,20 +348,16 @@ class SoPresentation:
     @functools.cached_property
     def _calculus(self) -> LambdaCalculus | str:
         """The descriptor, or the first difference from ``stlc_presentation()``
-        named as this one's first two operators and equations, checked as
-        ``theories._check_stock`` checks a base."""
+        named as this one's first two operators and equations, found by
+        ``clones.first_difference`` as a stock base's is."""
         ref, ours = stlc_presentation(), (self.signature.operators, self.equations)
         lam = LambdaCalculus(*(
             x.name for mine, theirs in zip(ours, (ref.signature.operators, ref.equations))
             for x in (mine + theirs[len(mine):])[:len(theirs)]))
-        ref = _lambda_presentation(lam)
-        for kind, mine, theirs in zip(("operator", "equation"), ours,
-                                      (ref.signature.operators, ref.equations)):
-            for g, w in itertools.zip_longest(mine, theirs):
-                if g != w:
-                    name = g.name if g is not None else f"(missing {w.name})"
-                    return (f"surface {self.name} is not the lambda calculus: "
-                            f"{kind} {name} differs from stlc_presentation()")
+        found = first_difference(self, _lambda_presentation(lam))
+        if found is not None:
+            return (f"surface {self.name} is not the lambda calculus: "
+                    f"{found} differs from stlc_presentation()")
         return lam
 
     def check_well_formed(self, sorts: list[Sort]):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from operator import getitem
 
 from .clones import Clone, CloneError, CloneHom, Substitution, stored_for
-from .firstorder import FoOp, FoVar, TmClone
+from .firstorder import BASE, FoOp, FoVar, TmClone
 from .freealgebra import (
     CloneApp,
     FreeAlgebra,
@@ -24,11 +24,8 @@ from .freealgebra import (
 )
 from .nbe import check_normal, nbe_for, nbe_normalize
 from .secondorder import Algebra, SoPresentation, stlc_presentation
-from .sorts import Context, Sort, SortSet
+from .sorts import EMPTY, Context, Sort, SortSet
 from .theories import booleans, free_algebra, global_state, variables
-
-BASE = Sort("b")
-EMPTY = Context(())
 
 
 # --------------------------------------------------------------------------

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .clones import Clone, CloneError, VariableClone
+from .clones import Clone, CloneError, VariableClone, first_difference
 from .firstorder import TY, CanonicalEq, FoPresentation, RewriteEq, RewriteSystem, SearchEq, TmClone
 from .firstorder import bool_presentation, global_state_presentation, gs_canonical_form
 from .firstorder import gs_rewrite_system
@@ -106,16 +105,9 @@ def global_state(values: tuple) -> BaseTheory:
 
 
 def _check_stock(tier: str, got: FoPresentation, want: FoPresentation) -> None:
-    for kind, ours, theirs in (
-        ("operator", got.signature.operators, want.signature.operators),
-        ("equation", got.equations, want.equations),
-    ):
-        for g, w in itertools.zip_longest(ours, theirs):
-            if g != w:
-                name = g.name if g is not None else f"(missing {w.name})"
-                raise PresentationMismatch(
-                    f"strategy {tier}: {kind} {name} differs from the library presentation"
-                )
+    found = first_difference(got, want)
+    if found is not None:
+        raise PresentationMismatch(f"strategy {tier}: {found} differs from the library presentation")
 
 
 def _stock_boolean(presentation: FoPresentation) -> BaseTheory:

@@ -1005,13 +1005,18 @@ class TestUntracedNormalForm:
         assert attempts == alone
 
     def test_cycling_system_reports_divergence_with_its_trace(self):
+        # the untraced run gives up with an empty trace; the traced run
+        # raises with every step it made
         star = Sort("*")
         sig = monoid_presentation().signature
         comm = FoEquationSchema("comm", (), (star, star), star, mul(x(1), x(2)), mul(x(2), x(1)))
         rs = RewriteSystem(FoPresentation("comm", sig, (comm,)))
-        with pytest.raises(RewriteDivergence) as e:
+        with pytest.raises(RewriteDivergence, match=r"^step ceiling exceeded while rewriting mul\(x1, x2\)$") as e:
             RewriteEq(rs).canonical(None, ctx(star, star), star, mul(x(1), x(2)))
-        assert len(e.value.trace) == 10_000
+        assert e.value.trace == []
+        with pytest.raises(RewriteDivergence, match="^step ceiling exceeded") as e:
+            rewrite_normalize(rs, mul(x(1), x(2)))
+        assert len(e.value.trace) == firstorder.MAX_REWRITE_STEPS
 
     def test_memo_hits_count_the_rewrites_they_save(self):
         # p(s^k z) -> m(p(s^(k-1) z), p(s^(k-1) z)) repeats a redex, which the
@@ -1029,8 +1034,11 @@ class TestUntracedNormalForm:
         assert len(rewrite_normalize(DUP, below)[1]) == firstorder.MAX_REWRITE_STEPS - 1
         assert RewriteEq(DUP).canonical(None, ctx(), nat, below) == ZERO
         at = _term_with_steps(firstorder.MAX_REWRITE_STEPS)
-        with pytest.raises(RewriteDivergence) as e:
+        with pytest.raises(RewriteDivergence, match="^step ceiling exceeded") as e:
             RewriteEq(DUP).canonical(None, ctx(), nat, at)
+        assert e.value.trace == []
+        with pytest.raises(RewriteDivergence, match="^step ceiling exceeded") as e:
+            rewrite_normalize(DUP, at)
         assert len(e.value.trace) == firstorder.MAX_REWRITE_STEPS
 
     def test_growing_term_raises_divergence_not_recursion_error(self):

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from clonal.clones import Budget, CloneError, LawCheck, Substitution
-from clonal.equality import free_equal, normalize_with_trace
+from clonal.equality import base_completion_needed, free_equal, head_canon, normalize_with_trace
 from clonal.firstorder import FoOp, FoVar
 from clonal.freealgebra import (
     CloneApp,
@@ -94,6 +94,47 @@ class TestNbe:
             assert v.ok and raw_eq(free.base, g, B, v.rhs, nf)
 
 
+# --------------------------------------------------------------------------
+# The normal-form grammar check_normal answered from before it read the
+# witnessed normalizer, kept as an oracle
+# --------------------------------------------------------------------------
+
+
+def _neutral(free, c, s, term) -> bool:
+    lam = free.presentation.calculus
+    match term:
+        case FreeVar():
+            return True
+        case FreeOp(name=lam.app, sort_args=(A, R), args=((_, fun), (_, arg))):
+            return _neutral(free, c, arrow(A, R), fun) and _normal(free, c, A, arg)
+        case CloneApp() as ca if s.args:
+            return _stuck_elements(free, c, ca)
+    return False
+
+
+def _stuck_elements(free, c, ca) -> bool:
+    return head_canon(free, c, ca)[0] is ca
+
+
+def _normal(free, c, s, term) -> bool:
+    """Neutral: a variable, an application with a neutral head and a normal
+    argument, or (with a boolean-style base) a canonical stuck element
+    application at an arrow sort.  Normal: an abstraction at arrow sorts; at
+    the base sort a neutral (when bare neutrals are normal for the base), or
+    a canonical element application."""
+    if s.former == "=>" and len(s.args) == 2:
+        lam = free.presentation.calculus
+        match term:
+            case FreeOp(name=lam.abs, args=((binder, body),)):
+                return _normal(free, c + binder, s.args[1], body)
+        return False
+    if isinstance(term, CloneApp):
+        return _stuck_elements(free, c, term)
+    if base_completion_needed(free, s):
+        return False
+    return _neutral(free, c, s, term)
+
+
 class TestCheckNormal:
     def test_identity_at_base_arrow_is_normal(self):
         free = pure_stlc()
@@ -106,12 +147,19 @@ class TestCheckNormal:
         t = FreeOp("abs", (BB, BB), ((ctx(BB), FreeVar(1)),))
         verdict = check_normal(free, E, arrow(BB, BB), t)
         assert not verdict.ok
-        assert verdict.offender == FreeVar(1)
+        assert verdict.reason == "not normal: normalizes to abs(_.abs(_.app(x1, x2)))"
 
     def test_beta_redex_not_normal(self):
         free = pure_stlc()
         t = app(abs_(FreeVar(1)), FreeVar(1))
         assert not check_normal(free, ctx(B), B, t).ok
+
+    def test_ill_sorted_and_missorted_terms_are_not_normal(self):
+        free = pure_stlc()
+        verdict = check_normal(free, ctx(B), B, FreeVar(2))
+        assert not verdict.ok and verdict.reason.startswith("ill-sorted: ")
+        verdict = check_normal(free, ctx(B), BB, FreeVar(1))
+        assert not verdict.ok and verdict.reason == "sort b, expected b => b"
 
     def test_every_nbe_output_is_grammar_normal(self):
         for free, g, sorts in (
@@ -124,6 +172,26 @@ class TestCheckNormal:
                     nf = nbe_normalize(free, g, sort, t)
                     verdict = check_normal(free, g, sort, nf)
                     assert verdict.ok, f"{t} -> {nf}: {verdict.reason}"
+
+    def test_agrees_with_the_grammar(self):
+        # open terms of size <= 5 and their NbE forms over the three stock
+        # algebras, and the closed boolean terms of size <= 6
+        cases = [
+            (free, g, sort, t)
+            for free in (stlc_bool(), stlc_gs(("v1", "v2")), pure_stlc())
+            for g in (ctx(B), ctx(B, BB))
+            for sort in (B, BB)
+            for t in enumerate_free_terms(free, g, sort, max_size=5)
+        ]
+        cases += [(free, g, sort, nbe_normalize(free, g, sort, t)) for free, g, sort, t in cases]
+        bools = stlc_bool()
+        cases += [(bools, E, B, t) for t in enumerate_closed_terms(bools, B, 6)]
+        disagree = [
+            (free.presentation.name, g, sort, str(t)) for free, g, sort, t in cases
+            if check_normal(free, g, sort, t).ok != _normal(free, g, sort, t)
+        ]
+        assert disagree == []
+        assert len(cases) > 20_000
 
     def test_bare_neutral_not_normal_in_state_variant(self):
         free = stlc_gs(("v1", "v2"))
