@@ -12,6 +12,8 @@ Two procedures produce checkable proof objects:
   * a bidirectional best-first search over the same steps, applied at any
     position: the frontier loop of the first-order search
     (``firstorder._best_first``), meeting up to the base's equality.
+    Search-mode ``free_equal`` runs it only on pairs whose NbE normal
+    forms agree, when there are NbE forms to compare.
 
 Canonical element applications keep the element in base-canonical form,
 with a variable at every proper subterm of a function sort, applied to
@@ -556,8 +558,14 @@ def free_equal(
     distinct values under ``model_hom``, else distinct NbE normal forms
     (without an NbE domain the verdict is "unknown").  NbE normal forms that
     agree while the witnessed forms differ raise NormalizationError; without
-    the lambda calculus it is "unknown".  search mode runs a bounded
-    bidirectional best-first search; exhaustion yields the first-class
+    the lambda calculus it is "unknown".
+
+    search mode first compares the NbE normal forms: distinct forms mean no
+    proof exists, and the verdict is "unknown" at once, with no witness and
+    no certificate (search mode never answers "not_equal").  Equal forms,
+    or a surface that is not the lambda calculus or a base with no NbE
+    domain, go to a bounded bidirectional best-first search, so every
+    "equal" witness is the search's; exhaustion yields the first-class
     verdict "unknown".  Both terms must have ``sort`` in ``ctx``; otherwise
     FreeSortError is raised.
     """
@@ -576,24 +584,37 @@ def free_equal(
             values = (model_hom(ctx, sort, t), model_hom(ctx, sort, u))
             if values[0] != values[1]:
                 return EqVerdict("not_equal", certificate=values)
-        from .nbe import NbeError, nbe_for
-
-        try:
-            engine = nbe_for(free)
-        except NbeError:  # no base domain: no evidence either way
+        forms = _nbe_forms(free, ctx, sort, t, u)
+        if forms is None:  # no base domain: no evidence either way
             return EqVerdict("unknown")
-        forms = (engine.normalize(ctx, sort, t), engine.normalize(ctx, sort, u))
         if raw_eq(free.base, ctx, sort, *forms):
             raise NormalizationError(
                 f"witnessed normal forms {nt} and {nu} differ, but NbE finds the terms equal"
             )
         return EqVerdict("not_equal", certificate=forms)
     if mode == "search":
+        forms = _nbe_forms(free, ctx, sort, t, u)
+        if forms is not None and not raw_eq(free.base, ctx, sort, *forms):
+            return EqVerdict("unknown")  # no proof exists to find
         found = _search_equal(free, ctx, sort, t, u, budget)
         if found is None:
             return EqVerdict("unknown")
         return EqVerdict("equal", found)
     raise CloneError(f"unknown equality mode {mode!r}")
+
+
+def _nbe_forms(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm, u: FreeTerm):
+    """The NbE normal forms of ``t`` and ``u``; None when the surface is not
+    the lambda calculus or the base has no normalization domain."""
+    if free.presentation.calculus is None:
+        return None
+    from .nbe import NbeError, nbe_for
+
+    try:
+        engine = nbe_for(free)
+    except NbeError:
+        return None
+    return engine.normalize(ctx, sort, t), engine.normalize(ctx, sort, u)
 
 
 def _moves_here(free: FreeAlgebra, ctx: Context, sort: Sort, t: FreeTerm) -> list:

@@ -11,13 +11,14 @@ would pass the public checks.
 import hashlib
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonal.clones import CloneError, Renaming, Substitution, under_binders, weakening
-from clonal.equality import beta_step, free_equal
+from clonal.equality import _search_equal, beta_step, free_equal
 from clonal.firstorder import (
     BASE,
     FoEquationSchema,
@@ -49,6 +50,7 @@ from clonal.freealgebra import (
     raw_eq,
 )
 from clonal.jsonio import free_term_from_json, free_term_to_json
+from clonal.nbe import nbe_for
 from clonal.secondorder import (
     MetaApp,
     MetaContext,
@@ -531,18 +533,58 @@ class TestInstantiateMemo:
 # --------------------------------------------------------------------------
 
 
+def slow_pair():
+    """<false()>(<x1>(abs(_.<false()>))) ~ <x1>(x1), in context x1 : b."""
+    inner = CloneApp(FoVar(1), ctx(BB), BB, (FreeOp("abs", (B, B), ((ctx(B), FALSE),)),))
+    return CloneApp(FoOp("false", (), ()), ctx(BB), B, (inner,)), CloneApp(
+        FoVar(1), ctx(B), B, (FreeVar(1),))
+
+
 def test_slow_search_pair_verdict_is_pinned():
-    """<false()>(<x1>(abs(_.<false()>))) ~ <x1>(x1) in context x1 : b: its
-    search time grows exponentially with the node budget.  At budget 40 the
-    search gives up, as it did before lifts under binders were built
-    unchecked."""
-    false = CloneApp(FoOp("false", (), ()), E, B, ())
-    inner = CloneApp(FoVar(1), ctx(BB), BB, (FreeOp("abs", (B, B), ((ctx(B), false),)),))
-    t = CloneApp(FoOp("false", (), ()), ctx(BB), B, (inner,))
-    u = CloneApp(FoVar(1), ctx(B), B, (FreeVar(1),))
+    """The slow pair's search time grows exponentially with the node budget.
+    At budget 40 the verdict is "unknown", as it was before lifts under
+    binders were built unchecked."""
+    t, u = slow_pair()
     verdict = free_equal(stlc_bool(), ctx(B), B, t, u, mode="search", budget=40)
     assert (verdict.status, verdict.witness, verdict.certificate) == ("unknown", None, None)
     assert hashlib.sha256(repr(verdict.witness).encode()).hexdigest()[:16] == "dc937b59892604f5"
+
+
+def test_slow_pair_at_the_default_budget_is_unknown():
+    """At the default budget of 2000 the search loop on the slow pair raises
+    RecursionError (a deep ``==`` on a frontier term).  Its NbE forms differ,
+    so search mode answers "unknown" before it searches."""
+    t, u = slow_pair()
+    verdict = free_equal(stlc_bool(), ctx(B), B, t, u, mode="search")
+    assert (verdict.status, verdict.witness, verdict.certificate) == ("unknown", None, None)
+
+
+def test_deciding_by_nbe_forms_loses_no_proof():
+    """The search loop alone (``_search_equal``, which search mode runs after
+    the ``raw_eq`` shortcut and the NbE decision) proves no pair whose NbE
+    forms differ, so deciding first changes no verdict and no witness: on
+    criterion 6's 150 pairs at budget 300 and on the slow pair at budget 40."""
+    free = stlc_bool()
+    engine = nbe_for(free)
+    rng = random.Random(1)
+    small = enumerate_free_terms(free, ctx(B), B, max_size=4)
+    pairs = [((rng.choice(small), rng.choice(small)), 300) for _ in range(150)]
+    pairs.append((slow_pair(), 40))
+    equal = distinct = 0
+    for (t, u), budget in pairs:
+        verdict = free_equal(free, ctx(B), B, t, u, mode="search", budget=budget)
+        if raw_eq(free.base, ctx(B), B, t, u):
+            assert verdict.witness == FRefl(t)
+            continue
+        found = _search_equal(free, ctx(B), B, t, u, budget)
+        forms = engine.normalize(ctx(B), B, t), engine.normalize(ctx(B), B, u)
+        if not raw_eq(free.base, ctx(B), B, *forms):
+            distinct += 1
+            assert found is None, f"{t} ~ {u}"
+        assert verdict.status == ("unknown" if found is None else "equal")
+        assert repr(verdict.witness) == repr(found)
+        equal += found is not None
+    assert equal > 20 and distinct > 80
 
 
 def test_sort_cache_keeps_contexts_apart():

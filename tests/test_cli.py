@@ -525,6 +525,29 @@ end
         assert "base bool (tier rewrite)" in err
         assert run(capsys, "check", "--bundle", str(path))[2] == err
 
+    def test_search_without_a_domain_still_searches(self, capsys, tmp_path):
+        # the generic tier has no NbE domain to decide by, so search mode
+        # searches as it always did and proves beta with a witness
+        from clonal.cli import bundled_source
+        from clonal.freealgebra import check_free_derivation
+        from clonal.jsonio import free_derivation_from_json
+        from clonal.surface import parse_bundle, parse_term
+
+        source = bundled_source("bool").replace("strategy base boolean", "strategy base rewrite")
+        path = tmp_path / "rewrite.bundle"
+        path.write_text(source)
+        left, right = "app (abs x : b. x) true", "true"
+        code, out, _ = run(capsys, "equal", "--bundle", str(path), "--search", "--witness",
+                           "--json", left, right)
+        payload = json.loads(out)["payload"]
+        assert (code, payload["status"]) == (0, "equal")
+        bundle = parse_bundle(source)
+        assert bundle.theory.domain is None
+        witness = free_derivation_from_json(payload["witness"])
+        replay = check_free_derivation(bundle.free, Context(()), witness)
+        assert replay.ok
+        assert (replay.lhs, replay.rhs) == tuple(parse_term(bundle, x, B) for x in (left, right))
+
     def test_rewriting_past_the_step_ceiling_is_budget_exhaustion(self, capsys, tmp_path):
         # a rewrite-tier base whose one rule swaps arguments never stops; the
         # surface is the lambda calculus, so a pure base term is rewritten

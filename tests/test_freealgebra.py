@@ -725,6 +725,19 @@ class TestFreeEqual:
         verdict = free_equal(free, E, B, t, false_term(), mode="search", budget=5)
         assert verdict.status == "unknown"
 
+    def test_search_gives_up_on_a_provable_pair_past_its_budget(self):
+        # the NbE forms agree, so the search runs; three pops are one short
+        # of the proof, and the loop's own exhaustion is "unknown"
+        from clonal.nbe import nbe_for
+
+        free = stlc_bool()
+        identity = abs_(FreeVar(1))
+        t = app(identity, app(identity, app(identity, true_term())))
+        assert nbe_for(free).normalize(E, B, t) == true_term()
+        verdict = free_equal(free, E, B, t, true_term(), mode="search", budget=3)
+        assert (verdict.status, verdict.witness, verdict.certificate) == ("unknown", None, None)
+        assert free_equal(free, E, B, t, true_term(), mode="search", budget=4).status == "equal"
+
 
 def _lambda_term(draw, c, s, n):
     """A boolean lambda term at ``s`` over ``c`` of about ``n`` nodes, with
