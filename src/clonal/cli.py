@@ -2,8 +2,9 @@
 
 Subcommands: check, normalize, eval, equal, provecheck, enumerate,
 adequacy.  Exit codes: 0 success, 1 check or verdict failure, 2 usage or
-parse error, 3 budget exhaustion.  With a fixed seed all outputs are
-byte-stable across runs.
+parse error (an option the command does not read included), 3 budget
+exhaustion.  All outputs are byte-stable across runs; only check samples,
+seeded by --seed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 from importlib import resources
 
@@ -22,6 +24,8 @@ from .firstorder import (
     check_fo_derivation,
     fo_subst,
     innermost_normal_form,
+    rewrite_normalize,
+    steps_to_derivation,
 )
 from .freealgebra import (
     CloneApp,
@@ -37,6 +41,7 @@ from .jsonio import (
     document,
     field,
     fo_derivation_from_json,
+    fo_derivation_to_json,
     free_derivation_from_json,
     free_derivation_to_json,
     free_term_to_json,
@@ -119,7 +124,7 @@ def cmd_check(args) -> int:
     bundle = load_bundle(args)
     budget = Budget(
         max_context_len=2,
-        max_depth=min(2, args.depth),
+        max_depth=args.depth,
         max_sort_height=1,
         max_terms=6,
         max_tuples=4,
@@ -157,20 +162,27 @@ def _base_only(t):
     return None
 
 
-def _witness_holds(bundle, ctx, sort, deriv, lhs, rhs) -> bool:
-    """Whether the internal witness ``deriv`` replays in the bundle's free
-    algebra to lhs ~ rhs; when it does not, say why on stderr.  A command
-    answers from a witness only after this check."""
-    replay = check_free_derivation(bundle.free, ctx, deriv)
+def _witness_holds(replay, same, lhs, rhs) -> bool:
+    """Whether a kernel's ``replay`` of an internal witness accepts it and
+    concludes lhs ~ rhs, with conclusions compared by ``same``; when it does
+    not, say why on stderr.  A command answers from a witness only after
+    this check."""
     if not replay.ok:
         print(f"internal witness rejected: {replay.error}", file=sys.stderr)
         return False
-    base = bundle.free.base
-    if not (raw_eq(base, ctx, sort, replay.lhs, lhs) and raw_eq(base, ctx, sort, replay.rhs, rhs)):
+    if not (same(replay.lhs, lhs) and same(replay.rhs, rhs)):
         print(f"internal witness concludes {replay.lhs} ~ {replay.rhs}, "
               f"not {lhs} ~ {rhs}", file=sys.stderr)
         return False
     return True
+
+
+def _free_witness_holds(bundle, ctx, sort, deriv, lhs, rhs) -> bool:
+    """``_witness_holds`` for a free derivation, replayed in the bundle's
+    free algebra; conclusions are compared by raw_eq."""
+    base = bundle.free.base
+    return _witness_holds(check_free_derivation(bundle.free, ctx, deriv),
+                          lambda t, u: raw_eq(base, ctx, sort, t, u), lhs, rhs)
 
 
 def cmd_normalize(args) -> int:
@@ -178,30 +190,40 @@ def cmd_normalize(args) -> int:
     ctx, names = _context_arg(bundle, args)
     sort = _sort_arg(bundle, args)
     term = parse_term(bundle, args.term, sort, ctx, names)
+    names = names or [f"x{i}" for i in range(1, len(ctx) + 1)]
 
     # elsewhere the surface's equations may relate base terms (true ~ false)
     base_form = None if args.eta_long or bundle.surface.calculus is None else _base_only(term)
     system = bundle.theory.rewrite_system if base_form is not None and not sort.args else None
     if system is not None:
-        nf = innermost_normal_form(system, base_form, {})
-        human = render_element(nf, names or [f"x{i}" for i in range(1, len(ctx) + 1)])
-        _emit(args, human, document("base-normal-form", {"term": human}, bundle=bundle.name))
-        return OK
-
-    nf = nbe_normalize(bundle.free, ctx, sort, term)
-    verdict = check_normal(bundle.free, ctx, sort, nf)
-    if not verdict:
-        print(f"normalization produced a non-normal form: {verdict.reason}", file=sys.stderr)
-        return FAIL
-    rendered = render_free(nf, names or [f"x{i}" for i in range(1, len(ctx) + 1)], bundle.surface)
-    payload = {"term": rendered, "tree": free_term_to_json(nf)}
-    if args.witness:
-        _, deriv = normalize_with_trace(bundle.free, ctx, sort, term)
-        if not _witness_holds(bundle, ctx, sort, deriv, term, nf):
+        if args.witness:
+            nf, steps = rewrite_normalize(system, base_form)
+            deriv = steps_to_derivation(base_form, steps)
+            replay = check_fo_derivation(bundle.base, ctx, deriv)
+            if not _witness_holds(replay, operator.eq, base_form, nf):
+                return FAIL
+            witness = fo_derivation_to_json(deriv)
+        else:
+            nf = innermost_normal_form(system, base_form, {})
+        kind, payload = "base-normal-form", {"term": render_element(nf, names)}
+    else:
+        nf = nbe_normalize(bundle.free, ctx, sort, term)
+        verdict = check_normal(bundle.free, ctx, sort, nf)
+        if not verdict:
+            print(f"normalization produced a non-normal form: {verdict.reason}", file=sys.stderr)
             return FAIL
-        payload["witness"] = free_derivation_to_json(deriv)
-    human = rendered if not args.witness else f"{rendered}\nwitness: checked"
-    _emit(args, human, document("normal-form", payload, bundle=bundle.name))
+        if args.witness:
+            _, deriv = normalize_with_trace(bundle.free, ctx, sort, term)
+            if not _free_witness_holds(bundle, ctx, sort, deriv, term, nf):
+                return FAIL
+            witness = free_derivation_to_json(deriv)
+        kind = "normal-form"
+        payload = {"term": render_free(nf, names, bundle.surface), "tree": free_term_to_json(nf)}
+    human = payload["term"]
+    if args.witness:
+        payload["witness"] = witness
+        human += "\nwitness: checked"
+    _emit(args, human, document(kind, payload, bundle=bundle.name))
     return OK
 
 
@@ -261,7 +283,7 @@ def cmd_equal(args) -> int:
         bundle.free, ctx, sort, left, right, mode=mode, budget=args.budget,
         model_hom=model_hom,
     )
-    if verdict.status == "equal" and not _witness_holds(
+    if verdict.status == "equal" and not _free_witness_holds(
         bundle, ctx, sort, verdict.witness, left, right
     ):
         return FAIL
@@ -344,68 +366,53 @@ SIZE_BUDGET = 5
 
 @functools.cache  # built once per process; each parse makes a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, declaring only the options its ``cmd_*``
+    function reads; any other option is a usage error."""
     parser = argparse.ArgumentParser(
         prog="clonal",
         description="Define simple type theories over clones; normalize, "
         "evaluate, and check equational proofs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    context = ("--context", dict(default="", help='free variables, e.g. "x : b, f : b => b"'))
+    sort = ("--sort", dict(default="b", help="sort of the input term(s)"))
+    witness = ("--witness", dict(action="store_true",
+                                 help="check the witness and add it to --json output"))
+    size = ("--budget", dict(type=int, default=SIZE_BUDGET,
+                             help="term-size bound (default: %(default)s)"))
 
-    def common(p):
+    def command(name, func, help, positionals, *options):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--bundle", help="path to a bundle file")
         p.add_argument(
             "--variant", choices=tuple(STOCK), default="bool",
             help="stock theory to use when no bundle file is given",
         )
-        p.add_argument(
-            "--budget", type=int, default=2000,
-            help="search node budget; term-size bound for enumerate and adequacy "
-            "(default: %(default)s)",
-        )
-        p.add_argument("--depth", type=int, default=4, help="enumeration depth")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--witness", action="store_true", help="emit proof objects")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument("--context", default="", help='free variables, e.g. "x : b, f : b => b"')
-        p.add_argument("--sort", default="b", help="sort of the input term(s)")
+        for positional in positionals:
+            p.add_argument(positional)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("check", help="well-formedness, clone laws, algebra laws")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("normalize", help="eta-long beta-normal form")
-    common(p)
-    p.add_argument("term")
-    p.add_argument(
-        "--eta-long", action="store_true",
-        help="always produce the full eta-long form (skip the plain base rewrite)",
-    )
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("eval", help="interpret a closed term in the finite set model")
-    common(p)
-    p.add_argument("term")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("equal", help="decide provable equality with a witness")
-    common(p)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--search", action="store_true", help="bounded proof search")
-    p.set_defaults(func=cmd_equal)
-
-    p = sub.add_parser("provecheck", help="replay a serialized derivation")
-    common(p)
-    p.add_argument("file")
-    p.set_defaults(func=cmd_provecheck)
-
-    p = sub.add_parser("enumerate", help="closed or open terms up to a size bound")
-    common(p)
-    p.set_defaults(func=cmd_enumerate, budget=SIZE_BUDGET)
-
-    p = sub.add_parser("adequacy", help="set-model adequacy harness")
-    common(p)
-    p.set_defaults(func=cmd_adequacy, budget=SIZE_BUDGET)
+    command("check", cmd_check, "well-formedness, clone laws, algebra laws", (),
+            ("--depth", dict(type=int, choices=range(3), default=2,
+                             help="depth of the sampled terms (default: %(default)s)")),
+            ("--seed", dict(type=int, default=0, help="seed for sampled checks")))
+    command("normalize", cmd_normalize, "eta-long beta-normal form", ("term",),
+            context, sort, witness,
+            ("--eta-long", dict(action="store_true", help="always produce the full "
+                                "eta-long form (skip the plain base rewrite)")))
+    command("eval", cmd_eval, "interpret a closed term in the finite set model", ("term",), sort)
+    command("equal", cmd_equal, "decide provable equality with a witness", ("left", "right"),
+            context, sort, witness,
+            ("--search", dict(action="store_true", help="bounded proof search")),
+            ("--budget", dict(type=int, default=2000,
+                              help="search node budget (default: %(default)s)")))
+    command("provecheck", cmd_provecheck, "replay a serialized derivation", ("file",))
+    command("enumerate", cmd_enumerate, "closed or open terms up to a size bound", (),
+            context, sort, size)
+    command("adequacy", cmd_adequacy, "set-model adequacy harness", (), size)
     return parser
 
 

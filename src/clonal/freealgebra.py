@@ -548,113 +548,121 @@ def enumerate_free_terms(
         raise CloneError("specify exactly one of max_depth / max_size")
     binder_sorts = free.sort_set.sorts_up_to_height(1)
     sig = free.presentation.signature
-    element_contexts = free.sort_set.contexts_up_to(2, binder_sorts)
     op_instances = []  # (name, sort arguments, arity, binder contexts)
     for name, sort_args in sig.instances(binder_sorts):
         arity = sig.arity(name, sort_args)
         op_instances.append((name, sort_args, arity, tuple(bc for bc, _ in arity.binders)))
 
-    if max_depth is not None:
-        memo: dict = {}
-
-        def full(pool_out: list) -> bool:
-            return limit is not None and len(pool_out) >= 2 * limit
-
-        def upto(c: Context, s: Sort, d: int) -> list[FreeTerm]:
-            key = (c, s, d)
-            if key in memo:
-                return memo[key]
-            out: list[FreeTerm] = [
-                FreeVar(i) for i in range(1, len(c) + 1) if c.sort_at(i) == s
-            ]
-            if d > 0:
-                for actx in element_contexts:
-                    if full(out):
-                        break
-                    elements = free.base.enumerate_terms(actx, s, d - 1, limit=limit)
-                    pools = [upto(c, a, d - 1) for a in actx]
-                    for e in elements:
-                        for combo in itertools.product(*pools):
-                            out.append(CloneApp(e, actx, s, combo))
-                            if full(out):
-                                break
-                        if full(out):
-                            break
-                for name, sort_args, arity, binders in op_instances:
-                    if arity.result != s or full(out):
-                        continue
-                    pools = [upto(c + bc, bs, d - 1) for bc, bs in arity.binders]
-                    for combo in itertools.product(*pools):
-                        out.append(FreeOp(name, sort_args, tuple(zip(binders, combo))))
-                        if full(out):
-                            break
-            res = list(dict.fromkeys(out))
-            if limit is not None:
-                res = res[:limit]
-            memo[key] = res
-            return res
-
-        try:
-            return upto(ctx, sort, max_depth)
-        finally:
-            upto = None  # upto holds itself through its closure cell: break that cycle
-
-    exact: dict = {}
-    if isinstance(free.base, TmClone):
+    base_ops = None
+    if max_size is not None and isinstance(free.base, TmClone):
         base_sig = free.base.presentation.signature
         base_ops = [(o, sa, *base_sig.arity(o, sa)) for o, sa in base_sig.instances(binder_sorts)]
-        base_exact: dict = {}  # arity context -> its (sort, size) table, this call only
+    shapes = (free, free.sort_set.contexts_up_to(2, binder_sorts), op_instances, base_ops)
+    if max_depth is not None:
+        return _free_upto(ctx, sort, max_depth, shapes, limit, {})
 
-    def base_elements_of_size(actx: Context, s: Sort, n: int):
-        if isinstance(free.base, TmClone):
-            return _fo_of_size(s, n, actx, base_ops, base_exact.setdefault(actx, {}))
-        # variable-like bases: elements are the positions, each of size 1
-        if n == 1:
-            return free.base.enumerate_terms(actx, s, 0)
-        return []
-
-    def of_size(c: Context, s: Sort, n: int) -> list[FreeTerm]:
-        key = (c, s, n)
-        if key in exact:
-            return exact[key]
-        out: list[FreeTerm] = []
-        if n == 1:
-            out.extend(FreeVar(i) for i in range(1, len(c) + 1) if c.sort_at(i) == s)
-        for actx in element_contexts:
-            k = len(actx)
-            if k == 0:
-                out.extend(CloneApp(e, actx, s, ()) for e in base_elements_of_size(actx, s, n))
-                continue
-            for esize in range(1, n - k + 1):
-                elements = base_elements_of_size(actx, s, esize)
-                if not elements:
-                    continue
-                for split in _compositions(n - esize, k):
-                    pools = [of_size(c, a, m) for a, m in zip(actx, split)]
-                    for e in elements:
-                        for combo in itertools.product(*pools):
-                            out.append(CloneApp(e, actx, s, combo))
-        for name, sort_args, arity, binders in op_instances:
-            if arity.result != s:
-                continue
-            k = len(arity.binders)
-            if k == 0 or n < 1 + k:
-                continue
-            for split in _compositions(n - 1, k):
-                pools = [of_size(c + bc, bs, m) for (bc, bs), m in zip(arity.binders, split)]
-                for combo in itertools.product(*pools):
-                    out.append(FreeOp(name, sort_args, tuple(zip(binders, combo))))
-        res = list(dict.fromkeys(out))
-        exact[key] = res
-        return res
-
+    exact: dict = {}
+    base_exact: dict = {}  # arity context -> its (sort, size) table, this call only
     result: list[FreeTerm] = []
-    try:
-        for n in range(1, max_size + 1):
-            result.extend(of_size(ctx, sort, n))
-    finally:
-        of_size = None  # as upto above
+    for n in range(1, max_size + 1):
+        result.extend(_free_of_size(ctx, sort, n, shapes, exact, base_exact))
     return list(dict.fromkeys(result))
+
+
+def _full(out: list, limit) -> bool:
+    return limit is not None and len(out) >= 2 * limit
+
+
+def _free_upto(c: Context, s: Sort, d: int, shapes: tuple, limit, memo: dict) -> list[FreeTerm]:
+    """enumerate_free_terms at (c, s) and depth ``d``; ``shapes`` is the
+    algebra, the element contexts and the operator instances, and ``memo``
+    memoizes each (context, sort, depth)."""
+    key = (c, s, d)
+    if key in memo:
+        return memo[key]
+    free, element_contexts, op_instances, _ = shapes
+    out: list[FreeTerm] = [FreeVar(i) for i in range(1, len(c) + 1) if c.sort_at(i) == s]
+    if d > 0:
+        for actx in element_contexts:
+            if _full(out, limit):
+                break
+            elements = free.base.enumerate_terms(actx, s, d - 1, limit=limit)
+            pools = [_free_upto(c, a, d - 1, shapes, limit, memo) for a in actx]
+            for e in elements:
+                for combo in itertools.product(*pools):
+                    out.append(CloneApp(e, actx, s, combo))
+                    if _full(out, limit):
+                        break
+                if _full(out, limit):
+                    break
+        for name, sort_args, arity, binders in op_instances:
+            if arity.result != s or _full(out, limit):
+                continue
+            pools = [_free_upto(c + bc, bs, d - 1, shapes, limit, memo) for bc, bs in arity.binders]
+            for combo in itertools.product(*pools):
+                out.append(FreeOp(name, sort_args, tuple(zip(binders, combo))))
+                if _full(out, limit):
+                    break
+    res = list(dict.fromkeys(out))
+    if limit is not None:
+        res = res[:limit]
+    memo[key] = res
+    return res
+
+
+def _free_of_size(c: Context, s: Sort, n: int, shapes: tuple, exact: dict,
+                  base_exact: dict) -> list[FreeTerm]:
+    """The free terms at (c, s) with exactly ``n`` nodes; ``shapes`` is as in
+    ``_free_upto``, with the base operator instances of a term clone last
+    (None for a variable-like base).  ``exact`` memoizes each (context,
+    sort, size), and ``base_exact`` each arity context's element table."""
+    key = (c, s, n)
+    if key in exact:
+        return exact[key]
+    free, element_contexts, op_instances, base_ops = shapes
+    out: list[FreeTerm] = []
+    if n == 1:
+        out.extend(FreeVar(i) for i in range(1, len(c) + 1) if c.sort_at(i) == s)
+    for actx in element_contexts:
+        k = len(actx)
+        if k == 0:
+            out.extend(CloneApp(e, actx, s, ())
+                       for e in _base_elements_of_size(free, actx, s, n, base_ops, base_exact))
+            continue
+        for esize in range(1, n - k + 1):
+            elements = _base_elements_of_size(free, actx, s, esize, base_ops, base_exact)
+            if not elements:
+                continue
+            for split in _compositions(n - esize, k):
+                pools = [_free_of_size(c, a, m, shapes, exact, base_exact)
+                         for a, m in zip(actx, split)]
+                for e in elements:
+                    for combo in itertools.product(*pools):
+                        out.append(CloneApp(e, actx, s, combo))
+    for name, sort_args, arity, binders in op_instances:
+        if arity.result != s:
+            continue
+        k = len(arity.binders)
+        if k == 0 or n < 1 + k:
+            continue
+        for split in _compositions(n - 1, k):
+            pools = [_free_of_size(c + bc, bs, m, shapes, exact, base_exact)
+                     for (bc, bs), m in zip(arity.binders, split)]
+            for combo in itertools.product(*pools):
+                out.append(FreeOp(name, sort_args, tuple(zip(binders, combo))))
+    res = list(dict.fromkeys(out))
+    exact[key] = res
+    return res
+
+
+def _base_elements_of_size(free, actx: Context, s: Sort, n: int, base_ops, base_exact: dict):
+    """The base elements at (actx, s) of size ``n``."""
+    if base_ops is not None:
+        return _fo_of_size(s, n, actx, base_ops, base_exact.setdefault(actx, {}))
+    # variable-like bases: elements are the positions, each of size 1
+    if n == 1:
+        return free.base.enumerate_terms(actx, s, 0)
+    return []
 
 
 def check_free_derivation(free: FreeAlgebra, ctx: Context, d: FreeDerivation) -> Verdict:

@@ -7,6 +7,7 @@ import pytest
 
 from clonal import cli
 from clonal.cli import main
+from clonal.firstorder import FoAxiom, FoRefl
 from clonal.freealgebra import FAxiom, FRefl
 from clonal.jsonio import context_to_json, document, fo_term_to_json, free_derivation_to_json
 from clonal.sorts import Context, Sort
@@ -102,6 +103,53 @@ class TestNormalize:
         assert replay.ok
         assert replay.lhs == parse_term(bundle, text, s)
         assert replay.rhs == free_term_from_json(payload["tree"]) == parse_term(bundle, printed, s)
+
+    @pytest.mark.parametrize("variant, text, printed, rule", [
+        ("bool", "ite true c false", "c", '"rule": "axiom"'),
+        # a derived rule of the completion, cited by a lemma node
+        ("gs", "get c c", "c", '"rule": "lemma"'),
+    ])
+    def test_witness_of_a_pure_base_term_is_a_checked_rewrite_trace(
+        self, capsys, variant, text, printed, rule
+    ):
+        from clonal.firstorder import check_fo_derivation
+        from clonal.jsonio import fo_derivation_from_json
+        from clonal.surface import parse_context, parse_term, stock_bundle
+
+        argv = ("normalize", "--variant", variant, text, "--context", "c : b", "--witness")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, f"{printed}\nwitness: checked\n", "")
+        code, out, _ = run(capsys, *argv, "--json")
+        data = json.loads(out)
+        assert code == 0 and data["kind"] == "base-normal-form"
+        assert data["payload"]["term"] == printed and rule in json.dumps(data)
+        bundle = stock_bundle(variant)
+        ctx, names = parse_context(bundle, "c : b")
+        replay = check_fo_derivation(
+            bundle.base, ctx, fo_derivation_from_json(data["payload"]["witness"]))
+        assert replay.ok
+        assert (replay.lhs, replay.rhs) == tuple(
+            cli._base_only(parse_term(bundle, x, B, ctx, names)) for x in (text, printed))
+
+    def test_a_pure_base_term_without_witness_prints_no_witness(self, capsys):
+        code, out, _ = run(capsys, "normalize", "ite true c false", "--context", "c : b", "--json")
+        assert code == 0 and json.loads(out)["payload"] == {"term": "c"}
+
+    @pytest.mark.parametrize("wrong, message", [
+        (lambda start, steps: FoAxiom("bogus", (), ()),
+         "internal witness rejected: unknown equation 'bogus'"),
+        (lambda start, steps: FoRefl(start),
+         "internal witness concludes ite[b](true(), x1, false()) ~ ite[b](true(), x1, false()), "
+         "not ite[b](true(), x1, false()) ~ x1"),
+    ])
+    def test_a_base_witness_that_does_not_conclude_the_pair_is_no_answer(
+        self, capsys, monkeypatch, wrong, message
+    ):
+        monkeypatch.setattr(cli, "steps_to_derivation", wrong)
+        code, out, err = run(
+            capsys, "normalize", "ite true c false", "--context", "c : b", "--witness")
+        assert (code, out) == (1, "")
+        assert err.startswith(message) and len(err.splitlines()) == 1
 
     def test_parse_error_is_usage(self, capsys):
         code, _, err = run(capsys, "normalize", "app (")
@@ -462,19 +510,78 @@ class TestDeterminism:
     def test_json_outputs_are_byte_identical_across_runs(self, capsys):
         outputs = []
         for _ in range(2):
-            _, out, _ = run(
+            code, out, _ = run(
                 capsys, "normalize", "ite c true false", "--context", "c : b",
-                "--json", "--witness", "--seed", "7",
+                "--json", "--witness",
             )
+            assert code == 0 and out
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
     def test_check_json_stable(self, capsys):
         outputs = []
         for _ in range(2):
-            _, out, _ = run(capsys, "check", "--variant", "stlc", "--json", "--seed", "3")
+            code, out, _ = run(capsys, "check", "--variant", "stlc", "--json", "--seed", "3")
+            assert code == 0 and out
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+class TestOptions:
+    # each command declares exactly the options its cmd_* function reads
+    SHARED = ["--bundle", "--variant", "--json"]
+    TABLE = {
+        "check": ["--depth", "--seed"],
+        "normalize": ["--context", "--sort", "--witness", "--eta-long"],
+        "eval": ["--sort"],
+        "equal": ["--context", "--sort", "--witness", "--search", "--budget"],
+        "provecheck": [],
+        "enumerate": ["--context", "--sort", "--budget"],
+        "adequacy": ["--budget"],
+    }
+
+    @staticmethod
+    def _subparsers():
+        import argparse
+
+        (action,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_every_command_is_in_the_table(self):
+        assert sorted(self._subparsers()) == sorted(self.TABLE)
+
+    @pytest.mark.parametrize("command", sorted(TABLE))
+    def test_a_command_declares_exactly_its_options(self, command):
+        p = self._subparsers()[command]
+        flags = sorted(f for a in p._actions for f in a.option_strings if f not in ("-h", "--help"))
+        assert flags == sorted(self.SHARED + self.TABLE[command])
+
+    @pytest.mark.parametrize("argv", [
+        ("provecheck", "--seed", "1", "proof.json"),
+        ("eval", "x", "--context", "x : b"),
+        ("check", "--sort", "b"),
+        ("normalize", "true", "--budget", "9"),
+        ("enumerate", "--witness"),
+        ("adequacy", "--depth", "1"),
+        ("equal", "true", "true", "--seed", "3"),
+    ])
+    def test_an_unread_option_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
+    def test_check_depth_beyond_two_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "check", "--depth", "3")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 3" in err
+
+    @pytest.mark.parametrize("command, default", [
+        ("equal", 2000), ("enumerate", 5), ("adequacy", 5),
+    ])
+    def test_each_budget_has_its_own_default(self, command, default):
+        p = self._subparsers()[command]
+        assert p.get_default("budget") == default
 
 
 class TestBundleFlag:

@@ -44,7 +44,13 @@ from clonal.firstorder import (
     rewrite_normalize,
     steps_to_derivation,
 )
-from clonal.freealgebra import CloneApp, FreeOp, FreeVar, check_free_derivation
+from clonal.freealgebra import (
+    CloneApp,
+    FreeOp,
+    FreeVar,
+    check_free_derivation,
+    enumerate_free_terms,
+)
 from clonal.jsonio import (
     fo_derivation_from_json,
     fo_derivation_to_json,
@@ -65,6 +71,7 @@ GS2 = global_state_presentation(("v1", "v2"))
 GS_RULES = gs_rewrite_system(("v1", "v2"))
 FREE = stlc_bool()
 FREE_GS = stlc_gs()
+STLC = stock_bundle("stlc").free  # a free algebra over a variable-like base
 MODEL = set_model()
 
 
@@ -137,6 +144,12 @@ def _cli_normalize(*flags):
                      *flags])
 
 
+def _cli_normalize_base(*flags):
+    # a pure base term: the certified completion's rewrite normal form
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["normalize", "--variant", "gs", "get x x", "--context", "x : b", *flags])
+
+
 def _cli_equal():
     # equal replays its witness in the kernel before it answers
     with contextlib.redirect_stdout(io.StringIO()):
@@ -195,6 +208,13 @@ ENTRY_POINTS = {
     "cli_normalize": _cli_normalize,
     "cli_normalize_json": lambda: _cli_normalize("--json"),
     "cli_equal": _cli_equal,
+    "cli_normalize_base": _cli_normalize_base,
+    "cli_normalize_base_witness": lambda: _cli_normalize_base("--witness", "--json"),
+    "enumerate_free_terms_by_depth": lambda: enumerate_free_terms(
+        FREE, G1, BB, max_depth=2, limit=30),
+    "enumerate_free_terms_by_size": lambda: enumerate_free_terms(FREE_GS, G1, B, max_size=4),
+    "enumerate_free_terms_variable_base": lambda: enumerate_free_terms(
+        STLC, G1, BB, max_size=4),
 }
 
 
@@ -204,6 +224,9 @@ def test_inputs_exercise_the_full_paths():
     assert STATE_PROOF is not None and check_fo_derivation(GS2, G1, STATE_PROOF).ok
     assert free_equal(FREE, E, BB, REDEX, NORMAL, mode="search", budget=60).status == "equal"
     assert _cli_normalize() == 0 and _cli_normalize("--json") == 0 and _cli_equal() == 0
+    assert _cli_normalize_base() == 0 and _cli_normalize_base("--witness", "--json") == 0
+    assert all(len(ENTRY_POINTS[f"enumerate_free_terms_{k}"]()) > 4
+               for k in ("by_depth", "by_size", "variable_base"))
     assert rewrite_normalize(GS_RULES, OUTER_TERM, "outermost")[1][0].path == (2,)
     assert rewrite_normalize(GS_RULES, STATE_TERM)[1][0].path == (2, 1)
     assert any(s.derived is not None for s in STATE_STEPS)
