@@ -56,7 +56,6 @@ from .freealgebra import (
     check_free_derivation,
     enumerate_free_terms,
     fold_hom,
-    free_check_term,
     free_subst,
     unit_hom,
 )
@@ -77,10 +76,8 @@ from .secondorder import (
     algebra_product,
     algebra_terminal,
     check_algebra,
+    free_check_term,
     interpret_term,
-    so_check_term,
-    so_metasubst,
-    so_subst,
     stlc_presentation,
 )
 from .sorts import Context, Sort, SortSet, arrow

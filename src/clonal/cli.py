@@ -270,6 +270,9 @@ def _value_json(model, sort: Sort, value):
 
 
 def cmd_equal(args) -> int:
+    if args.budget is not None and not args.search:
+        print("clonal equal: error: --budget is the node budget of --search", file=sys.stderr)
+        return USAGE
     bundle = load_bundle(args)
     ctx, names = _context_arg(bundle, args)
     sort = _sort_arg(bundle, args)
@@ -280,7 +283,8 @@ def cmd_equal(args) -> int:
     model_fold = _model_fold(bundle) if not ctx and bundle.surface.calculus is not None else None
     model_hom = model_fold[1].apply if model_fold is not None else None
     verdict = free_equal(
-        bundle.free, ctx, sort, left, right, mode=mode, budget=args.budget,
+        bundle.free, ctx, sort, left, right, mode=mode,
+        budget=SEARCH_BUDGET if args.budget is None else args.budget,
         model_hom=model_hom,
     )
     if verdict.status == "equal" and not _free_witness_holds(
@@ -362,6 +366,7 @@ def cmd_adequacy(args) -> int:
 # grows about eightfold per size: adequacy takes well under a second at 5
 # and about twenty at 7, and the search default of 2000 exhausts memory.
 SIZE_BUDGET = 5
+SEARCH_BUDGET = 2000
 
 
 @functools.cache  # built once per process; each parse makes a fresh namespace
@@ -407,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("equal", cmd_equal, "decide provable equality with a witness", ("left", "right"),
             context, sort, witness,
             ("--search", dict(action="store_true", help="bounded proof search")),
-            ("--budget", dict(type=int, default=2000,
-                              help="search node budget (default: %(default)s)")))
+            ("--budget", dict(type=int, help=f"search node budget, with --search only "
+                              f"(default: {SEARCH_BUDGET})")))
     command("provecheck", cmd_provecheck, "replay a serialized derivation", ("file",))
     command("enumerate", cmd_enumerate, "closed or open terms up to a size bound", (),
             context, sort, size)

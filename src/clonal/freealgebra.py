@@ -28,17 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .clones import (
-    Clone,
-    CloneError,
-    CloneHom,
-    Renaming,
-    SortChecker,
-    SortError,
-    Substitution,
-    under_binders,
-    weakening,
-)
+from .clones import Clone, CloneError, CloneHom, Renaming, Substitution, under_binders, weakening
 from .firstorder import (
     FoOp,
     FoVar,
@@ -49,61 +39,22 @@ from .firstorder import (
     _fo_of_size,
     fo_size,
 )
-from .secondorder import Algebra, SoOp, SoPresentation, SoVar
-from .sorts import EMPTY, Context, Sort, stored_hash
-
-
-class FreeSortError(SortError):
-    """Ill-sorted free term; carries the path to the offending node."""
+from .secondorder import (
+    Algebra,
+    CloneApp,
+    FreeOp,
+    FreeSortError,
+    FreeTerm,
+    FreeVar,
+    SoPresentation,
+    _TermChecker,
+)
+from .sorts import EMPTY, Context, Sort
 
 
 # --------------------------------------------------------------------------
-# Terms
+# Terms (the classes are ``secondorder``'s, the syntax layer's)
 # --------------------------------------------------------------------------
-
-
-@stored_hash
-@dataclass(frozen=True)
-class FreeVar:
-    index: int
-
-    def __str__(self):
-        return f"x{self.index}"
-
-
-@stored_hash
-@dataclass(frozen=True)
-class CloneApp:
-    """A base-clone element applied to argument terms, one per entry of its
-    arity context."""
-
-    element: object
-    arity_ctx: Context
-    arity_sort: Sort
-    args: tuple["FreeTerm", ...]
-
-    def __str__(self):
-        if not self.args:
-            return f"<{self.element}>"
-        return f"<{self.element}>({', '.join(map(str, self.args))})"
-
-
-@stored_hash
-@dataclass(frozen=True)
-class FreeOp:
-    name: str
-    sort_args: tuple[Sort, ...]
-    args: tuple[tuple[Context, "FreeTerm"], ...]
-
-    def __str__(self):
-        rendered = []
-        for binder, body in self.args:
-            dot = "" if not len(binder) else f"{'.'.join('_' for _ in binder)}."
-            rendered.append(f"{dot}{body}")
-        return f"{self.name}({', '.join(rendered)})"
-
-
-FreeTerm = FreeVar | CloneApp | FreeOp
 
 
 def free_size(t: FreeTerm) -> int:
@@ -123,62 +74,6 @@ def _element_size(e) -> int:
     if isinstance(e, (FoVar, FoOp)):
         return fo_size(e)
     return 1
-
-
-def free_check_term(base: Clone, sig, ctx: Context, t: FreeTerm) -> Sort:
-    """Sort of a raw free term, or raise with the failing path.  Each base
-    element is checked at its declared arity."""
-    return _TermChecker(base, sig).sort(ctx, t)
-
-
-class _TermChecker(SortChecker):
-    """The node case of raw free terms for the shared sort checker.  Each
-    (element, arity context, sort) that passed is kept and not checked
-    again, up to 1,024 (then the set starts afresh, so it stays small); a
-    failure is raised at each occurrence.  A free algebra keeps one."""
-
-    error = FreeSortError
-
-    def __init__(self, base: Clone, sig):
-        self.base = base
-        self.sig = sig
-        self.passed: set = set()
-
-    def element(self, actx: Context, asort: Sort, e) -> None:
-        """Raise FreeSortError unless ``e`` is a base term at (actx; asort)."""
-        key = (e, actx, asort)
-        if key in self.passed:
-            return
-        try:
-            got = self.base.check(actx, e)
-        except CloneError as err:
-            raise FreeSortError(f"element {e} over {actx}: {err}") from None
-        if got != asort:
-            raise FreeSortError(f"element {e} has sort {got}, declared {asort}")
-        if len(self.passed) >= 1024:
-            self.passed.clear()
-        self.passed.add(key)
-
-    def argument(self, t: FreeTerm, i: int) -> str:
-        return f"clone argument {i}" if type(t) is CloneApp else super().argument(t, i)
-
-    def node(self, ctx: Context, t: FreeTerm):
-        if type(t) is FreeVar:
-            return self.variable(ctx, t.index)
-        if type(t) is CloneApp:
-            actx, args = t.arity_ctx, t.args
-            self.element(actx, t.arity_sort, t.element)
-            if len(args) != len(actx.entries):
-                raise FreeSortError(
-                    f"clone application expects {len(actx)} arguments, got {len(args)}"
-                )
-            return t.arity_sort, tuple(zip(args, itertools.repeat(ctx), actx.entries))
-        if type(t) is FreeOp:
-            arity = self.sig.arity(t.name, t.sort_args)
-            if len(t.args) != len(arity.binders):
-                raise FreeSortError(f"operator {t.name} arity mismatch")
-            return arity.result, self.bodies(t, ctx, arity.binders)
-        raise FreeSortError(f"not a free term: {t!r}")
 
 
 def check_input(free: "FreeAlgebra", ctx: Context, sort: Sort, t: FreeTerm) -> None:
@@ -274,15 +169,16 @@ def free_metasubst(free, t, metactx, ctx: Context, sides: tuple) -> FreeTerm:
 
 
 def _metasubst(free, t, metactx, xi: Context, ctx: Context, sides: tuple) -> FreeTerm:
-    if type(t) is SoVar:
+    if type(t) is FreeVar:
         return FreeVar(len(ctx) + t.index)
-    if type(t) is SoOp:
+    if type(t) is FreeOp:
         bodies = tuple(
             _metasubst(free, body, metactx, xi + binder, ctx, sides) for binder, body in t.args
         )
         return free.interpret(t.name, t.sort_args, ctx + xi, bodies)
-    params, side, args = metactx.decl(t.index).ctx, sides[t.index - 1], t.args
-    if xi == params and all(type(a) is SoVar and a.index == j for j, a in enumerate(args, 1)):
+    i, args = t.element.index, t.args  # t is metavariable i applied to args
+    params, side = metactx.decl(i).ctx, sides[i - 1]
+    if xi == params and all(type(a) is FreeVar and a.index == j for j, a in enumerate(args, 1)):
         return side
     if not xi and len(args) == 1:
         return free_instantiate_last(side, ctx, _metasubst(free, args[0], metactx, xi, ctx, sides))
@@ -542,10 +438,13 @@ def enumerate_free_terms(
     Exactly one of ``max_depth`` / ``max_size`` must be given.  Operator
     schemas and binder sorts are instantiated at the sorts of height <= 1;
     base-clone elements range over contexts of length <= 2 over the same
-    sorts.  ``limit`` caps every intermediate pool.
+    sorts.  ``limit`` caps every intermediate pool; it goes with
+    ``max_depth`` only.
     """
     if (max_depth is None) == (max_size is None):
         raise CloneError("specify exactly one of max_depth / max_size")
+    if limit is not None and max_size is not None:
+        raise CloneError("limit caps a max_depth enumeration; max_size takes none")
     binder_sorts = free.sort_set.sorts_up_to_height(1)
     sig = free.presentation.signature
     op_instances = []  # (name, sort arguments, arity, binder contexts)

@@ -1,10 +1,11 @@
-"""Second-order signatures: variable-binding operators, metavariables,
-metasubstitution, and clone-based algebras.
+"""Second-order signatures, the one term language, and clone-based algebras.
 
 A second-order operator declares, for each argument, how many variables it
-binds and at what sorts.  Equations are stated over a metavariable context:
-each metavariable is a placeholder parameterized by a context of term
-arguments, instantiated by metasubstitution.  An algebra is a clone plus a
+binds and at what sorts.  Free terms are variables, base-clone elements
+applied to argument terms, and operators.  Equations are stated in the same
+syntax over a metavariable context: metavariable i applied to its arguments
+is the element ``Meta(i)`` applied to them, and the context is the base
+that checks those elements.  An algebra is a clone plus a
 substitution-commuting interpretation of every operator that validates the
 equations.
 """
@@ -18,18 +19,13 @@ from dataclasses import dataclass, field, replace
 
 from .clones import Budget, Clone, CloneError, LawCheck, LawReport, ProductClone, Signature
 from .clones import SortChecker, SortError, Substitution, TerminalClone, _capped, _subst_tuples
-from .clones import first_difference, under_binders
-from .sorts import (
-    Context,
-    Sort,
-    SortSet,
-    SortVar,
-    instantiate_sort,
-)
+from .clones import first_difference
+from .sorts import EMPTY, Context, Sort, SortSet, SortVar, instantiate_sort, stored_hash
 
 
 class SoSortError(SortError):
-    """Ill-sorted second-order term; carries the path to the offending node."""
+    """An unknown operator or equation of a second-order presentation, one
+    given the wrong number of sort arguments, or an ill-sorted equation."""
 
 
 # --------------------------------------------------------------------------
@@ -107,134 +103,137 @@ class MetaContext:
     def __iter__(self):
         return iter(self.entries)
 
+    def check(self, actx: Context, e) -> Sort:
+        """The sort of ``e`` as the element of an equation side: ``e`` must
+        be a declared ``Meta``, applied at its own parameter context."""
+        if type(e) is not Meta or not 1 <= e.index <= len(self.entries):
+            raise CloneError("not a declared metavariable")
+        decl = self.entries[e.index - 1]
+        if decl.ctx != actx:
+            raise CloneError(f"{e} is declared over {decl.ctx}")
+        return decl.sort
+
 
 # --------------------------------------------------------------------------
 # Terms
 # --------------------------------------------------------------------------
 
 
+class FreeSortError(SortError):
+    """Ill-sorted free term; carries the path to the offending node."""
+
+
+@stored_hash
 @dataclass(frozen=True)
-class SoVar:
+class FreeVar:
     index: int
 
+    def __str__(self):
+        return f"x{self.index}"
 
+
+@stored_hash
 @dataclass(frozen=True)
-class MetaApp:
-    index: int
-    args: tuple["SoTerm", ...]
+class CloneApp:
+    """A base-clone element applied to argument terms, one per entry of its
+    arity context."""
+
+    element: object
+    arity_ctx: Context
+    arity_sort: Sort
+    args: tuple["FreeTerm", ...]
+
+    def __str__(self):
+        if not self.args:
+            return f"<{self.element}>"
+        return f"<{self.element}>({', '.join(map(str, self.args))})"
 
 
+@stored_hash
 @dataclass(frozen=True)
-class SoOp:
+class FreeOp:
     name: str
     sort_args: tuple[Sort, ...]
-    args: tuple[tuple[Context, "SoTerm"], ...]  # (binder context, body)
+    args: tuple[tuple[Context, "FreeTerm"], ...]
+
+    def __str__(self):
+        rendered = []
+        for binder, body in self.args:
+            dot = "" if not len(binder) else f"{'.'.join('_' for _ in binder)}."
+            rendered.append(f"{dot}{body}")
+        return f"{self.name}({', '.join(rendered)})"
 
 
-SoTerm = SoVar | MetaApp | SoOp
+FreeTerm = FreeVar | CloneApp | FreeOp
 
 
-def so_check_term(sig: SoSignature, metactx: MetaContext, ctx: Context, t: SoTerm) -> Sort:
-    """Sort of ``t`` under the three formation rules, or raise with a path."""
-    return _SoSorts(sig, metactx).sort(ctx, t)
+@dataclass(frozen=True)
+class Meta:
+    """Metavariable ``index`` of a ``MetaContext``, as the element of a
+    ``CloneApp``: the equation side ``m_i(t_1..t_n)`` is
+    ``CloneApp(Meta(i), params_i, sort_i, (t_1..t_n))``."""
+
+    index: int
+
+    def __str__(self):
+        return f"m{self.index}"
 
 
-class _SoSorts(SortChecker):
-    """The node case of second-order terms for the shared sort checker."""
+def free_check_term(base, sig, ctx: Context, t: FreeTerm) -> Sort:
+    """Sort of a raw free term, or raise with the failing path.  Each base
+    element is checked at its declared arity by ``base.check``: a clone's,
+    or a ``MetaContext``'s for an equation side."""
+    return _TermChecker(base, sig).sort(ctx, t)
 
-    error = SoSortError
 
-    def __init__(self, sig: SoSignature, metactx: MetaContext):
+class _TermChecker(SortChecker):
+    """The node case of raw free terms for the shared sort checker.  Each
+    (element, arity context, sort) that passed is kept and not checked
+    again, up to 1,024 (then the set starts afresh, so it stays small); a
+    failure is raised at each occurrence.  A free algebra keeps one."""
+
+    error = FreeSortError
+
+    def __init__(self, base, sig):
+        self.base = base
         self.sig = sig
-        self.metactx = metactx
+        self.passed: set = set()
 
-    def argument(self, t: SoTerm, i: int) -> str:
-        return f"argument {i} of m{t.index}" if type(t) is MetaApp else super().argument(t, i)
+    def element(self, actx: Context, asort: Sort, e) -> None:
+        """Raise FreeSortError unless ``e`` is a base term at (actx; asort)."""
+        key = (e, actx, asort)
+        if key in self.passed:
+            return
+        try:
+            got = self.base.check(actx, e)
+        except CloneError as err:
+            raise FreeSortError(f"element {e} over {actx}: {err}") from None
+        if got != asort:
+            raise FreeSortError(f"element {e} has sort {got}, declared {asort}")
+        if len(self.passed) >= 1024:
+            self.passed.clear()
+        self.passed.add(key)
 
-    def node(self, ctx: Context, t: SoTerm):
-        if type(t) is SoVar:
+    def argument(self, t: FreeTerm, i: int) -> str:
+        return f"clone argument {i}" if type(t) is CloneApp else super().argument(t, i)
+
+    def node(self, ctx: Context, t: FreeTerm):
+        if type(t) is FreeVar:
             return self.variable(ctx, t.index)
-        if type(t) is MetaApp:
-            i, args, decls = t.index, t.args, self.metactx.entries
-            if not 1 <= i <= len(decls):
-                raise SoSortError(f"metavariable m{i} not declared")
-            decl = decls[i - 1]
-            if len(args) != len(decl.ctx.entries):
-                raise SoSortError(
-                    f"metavariable m{i} expects {len(decl.ctx)} arguments, got {len(args)}"
+        if type(t) is CloneApp:
+            actx, args = t.arity_ctx, t.args
+            self.element(actx, t.arity_sort, t.element)
+            if len(args) != len(actx.entries):
+                raise FreeSortError(
+                    f"clone application expects {len(actx)} arguments, got {len(args)}"
                 )
-            return decl.sort, tuple(zip(args, itertools.repeat(ctx), decl.ctx.entries))
-        if type(t) is SoOp:
+            return t.arity_sort, tuple(zip(args, itertools.repeat(ctx), actx.entries))
+        if type(t) is FreeOp:
             arity = self.sig.arity(t.name, t.sort_args)
             if len(t.args) != len(arity.binders):
-                raise SoSortError(f"operator {t.name} expects {len(arity.binders)} arguments")
+                raise FreeSortError(f"operator {t.name} arity mismatch")
             return arity.result, self.bodies(t, ctx, arity.binders)
-        raise SoSortError(f"not a second-order term: {t!r}")
-
-
-def so_rename(t: SoTerm, ren) -> SoTerm:
-    """Positional renaming; binders extend the renaming with identity."""
-    match t:
-        case SoVar(index=i):
-            return SoVar(ren.apply(i))
-        case MetaApp(index=i, args=args):
-            return MetaApp(i, tuple(so_rename(a, ren) for a in args))
-        case SoOp(name=name, sort_args=sort_args, args=args):
-            return SoOp(name, sort_args, under_binders(args, ren, so_rename))
-    raise SoSortError(f"not a second-order term: {t!r}")
-
-
-def so_subst(t: SoTerm, sigma: Substitution) -> SoTerm:
-    """Simultaneous substitution of terms for variables; under a binder the
-    components are weakened and the bound variables map to themselves."""
-    match t:
-        case SoVar(index=j):
-            return sigma.component(j)
-        case MetaApp(index=i, args=args):
-            return MetaApp(i, tuple(so_subst(a, sigma) for a in args))
-        case SoOp(name=name, sort_args=sort_args, args=args):
-            return SoOp(name, sort_args, under_binders(args, sigma, so_subst, so_rename, SoVar))
-    raise SoSortError(f"not a second-order term: {t!r}")
-
-
-def so_metasubst(
-    t: SoTerm,
-    gamma: Context,
-    inst: tuple[SoTerm, ...],
-    inst_decls: MetaContext,
-) -> SoTerm:
-    """Metasubstitution: replace metavariable j by inst[j-1], a term over
-    ``gamma`` extended by its declared parameter context.
-
-    ``t`` lives over variable context Gamma'; the result lives over
-    ``gamma + Gamma'``.  Variables of t shift past ``gamma``; a metavariable
-    application becomes its replacement with the parameters substituted by
-    the metasubstituted arguments.
-    """
-    return _metasubst(t, Context(()), gamma, inst, inst_decls)
-
-
-def _metasubst(
-    term: SoTerm, primed: Context, gamma: Context, inst: tuple, inst_decls: MetaContext
-) -> SoTerm:
-    """so_metasubst of ``term``, which lives under the binders ``primed``."""
-    n = len(gamma)
-    match term:
-        case SoVar(index=j):
-            return SoVar(n + j)
-        case MetaApp(index=j, args=args):
-            u = inst[j - 1]
-            decl = inst_decls.decl(j)
-            mapped = tuple(_metasubst(a, primed, gamma, inst, inst_decls) for a in args)
-            src = gamma + primed
-            components = tuple(SoVar(i) for i in range(1, n + 1)) + mapped
-            return so_subst(u, Substitution(src, gamma + decl.ctx, components))
-        case SoOp(name=name, sort_args=sort_args, args=args):
-            out = []
-            for binder, body in args:
-                out.append((binder, _metasubst(body, primed + binder, gamma, inst, inst_decls)))
-            return SoOp(name, sort_args, tuple(out))
-    raise SoSortError(f"not a second-order term: {term!r}")
+        raise FreeSortError(f"not a free term: {t!r}")
 
 
 # --------------------------------------------------------------------------
@@ -251,14 +250,14 @@ class SoEquationSchema:
     params: tuple[str, ...]
     metactx: tuple  # tuples (ctx sort templates, sort template)
     sort: object
-    lhs: SoTerm
-    rhs: SoTerm
+    lhs: FreeTerm  # over the metavariable context, as ``Meta`` elements
+    rhs: FreeTerm
     # each instance built so far, by sort arguments; shared by every caller
     _instances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def instantiate(
         self, sort_args: tuple[Sort, ...]
-    ) -> tuple[MetaContext, Sort, SoTerm, SoTerm]:
+    ) -> tuple[MetaContext, Sort, FreeTerm, FreeTerm]:
         found = self._instances.get(sort_args)
         if found is not None:
             return found
@@ -281,14 +280,19 @@ class SoEquationSchema:
         return found
 
 
-def _so_subst_sorts(t: SoTerm, binding: dict[str, Sort]) -> SoTerm:
+def _so_subst_sorts(t: FreeTerm, binding: dict[str, Sort]) -> FreeTerm:
     match t:
-        case SoVar():
+        case FreeVar():
             return t
-        case MetaApp(index=i, args=args):
-            return MetaApp(i, tuple(_so_subst_sorts(a, binding) for a in args))
-        case SoOp(name=name, sort_args=sort_args, args=args):
-            return SoOp(
+        case CloneApp(element=e, arity_ctx=actx, arity_sort=asort, args=args):
+            return CloneApp(
+                e,
+                Context(tuple(instantiate_sort(s, binding) for s in actx)),
+                instantiate_sort(asort, binding),
+                tuple(_so_subst_sorts(a, binding) for a in args),
+            )
+        case FreeOp(name=name, sort_args=sort_args, args=args):
+            return FreeOp(
                 name,
                 tuple(instantiate_sort(s, binding) for s in sort_args),
                 tuple(
@@ -299,7 +303,7 @@ def _so_subst_sorts(t: SoTerm, binding: dict[str, Sort]) -> SoTerm:
                     for binder, body in args
                 ),
             )
-    raise SoSortError(f"not a second-order term: {t!r}")
+    raise FreeSortError(f"not a free term: {t!r}")
 
 
 class NotLambdaCalculus(CloneError):
@@ -365,7 +369,7 @@ class SoPresentation:
             for combo in itertools.product(sorts, repeat=len(schema.params)):
                 metactx, sort, lhs, rhs = schema.instantiate(combo)
                 for side in (lhs, rhs):
-                    got = so_check_term(self.signature, metactx, Context(()), side)
+                    got = free_check_term(metactx, self.signature, EMPTY, side)
                     if got != sort:
                         raise SoSortError(
                             f"equation {schema.name} side has sort {got}, declared {sort}"
@@ -389,18 +393,22 @@ def _lambda_presentation(lam: LambdaCalculus) -> SoPresentation:
     )
 
     def app(f, a):
-        return SoOp(lam.app, (A, B), ((Context(()), f), (Context(()), a)))
+        return FreeOp(lam.app, (A, B), ((EMPTY, f), (EMPTY, a)))
 
     def abs_(body):
-        return SoOp(lam.abs, (A, B), (((Context((A,))), body),))
+        return FreeOp(lam.abs, (A, B), ((Context((A,)), body),))
 
+    def body(*args):  # beta's m1 : (A; B)
+        return CloneApp(Meta(1), Context((A,)), B, args)
+
+    arg = CloneApp(Meta(2), EMPTY, A, ())  # beta's m2 : (; A)
+    fun = CloneApp(Meta(1), EMPTY, arrow_t, ())  # eta's m1 : (; A => B)
     beta = SoEquationSchema(
         lam.beta, ("A", "B"), (((A,), B), ((), A)), B,
-        app(abs_(MetaApp(1, (SoVar(1),))), MetaApp(2, ())), MetaApp(1, (MetaApp(2, ()),)),
+        app(abs_(body(FreeVar(1))), arg), body(arg),
     )
     eta = SoEquationSchema(
-        lam.eta, ("A", "B"), (((), arrow_t),), arrow_t,
-        abs_(app(MetaApp(1, ()), SoVar(1))), MetaApp(1, ()),
+        lam.eta, ("A", "B"), (((), arrow_t),), arrow_t, abs_(app(fun, FreeVar(1))), fun,
     )
     return SoPresentation("stlc", SoSignature(sort_set, ops), (beta, eta))
 
@@ -457,13 +465,14 @@ def algebra_product(left: Algebra, right: Algebra) -> AlgebraProduct:
 
 def interpret_term(
     alg: Algebra,
-    t: SoTerm,
+    t: FreeTerm,
     metactx: MetaContext,
     xi: Context,
     gamma: Context,
     sigma: tuple,
 ):
-    """Interpret a second-order term in an algebra.
+    """Interpret a term over a metavariable context (an equation side) in an
+    algebra.
 
     ``t`` has metavariable context ``metactx`` and variable context ``xi``;
     ``sigma[i]`` interprets metavariable i+1 as a clone term over ``gamma``
@@ -474,20 +483,20 @@ def interpret_term(
     n = len(gamma)
     full = gamma + xi
     match t:
-        case SoVar(index=i):
+        case FreeVar(index=i):
             return clone.var(full, n + i)
-        case MetaApp(index=i, args=args):
+        case CloneApp(element=Meta(index=i), args=args):
             decl = metactx.decl(i)
             head = tuple(clone.var(full, j) for j in range(1, n + 1))
             tail = tuple(interpret_term(alg, a, metactx, xi, gamma, sigma) for a in args)
             return clone.subst(sigma[i - 1], Substitution(full, gamma + decl.ctx, head + tail))
-        case SoOp(name=name, sort_args=sort_args, args=args):
+        case FreeOp(name=name, sort_args=sort_args, args=args):
             interpreted = tuple(
                 interpret_term(alg, body, metactx, xi + binder, gamma, sigma)
                 for binder, body in args
             )
             return alg.interpret(name, sort_args, full, interpreted)
-    raise SoSortError(f"not a second-order term: {t!r}")
+    raise FreeSortError(f"not an equation side: {t!r}")
 
 
 # --------------------------------------------------------------------------

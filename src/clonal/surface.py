@@ -28,14 +28,12 @@ from .firstorder import (
 )
 from .freealgebra import CloneApp, FreeAlgebra, FreeOp, FreeVar
 from .secondorder import (
-    MetaApp,
+    Meta,
     MetaDecl,
     SoEquationSchema,
-    SoOp,
     SoOpSchema,
     SoPresentation,
     SoSignature,
-    SoVar,
     stlc_presentation,
 )
 from .sorts import Context, Sort, SortSet, SortVar, instantiate_sort, match_sort, sort_vars
@@ -263,7 +261,7 @@ def _element_app(base: FoSignature, name, sort_args, args):
 # mode -> (variable, binding operator, base operator applied to arguments)
 _MODES = {
     "free": (FreeVar, FreeOp, _element_app),
-    "so": (SoVar, SoOp, None),
+    "so": (FreeVar, FreeOp, None),  # metavariables are Meta elements
     "fo": (FoVar, None, _fo_op),  # no surface, so no lambda syntax
 }
 
@@ -276,8 +274,9 @@ class Elaborator:
     signature, or of ``base``, a first-order one; ``put v`` names the base
     operator ``put_v``.  ``mode`` selects the target representation, once:
     "free" builds free-algebra terms, a base operator becoming an element
-    application; "so" second-order terms of ``surface``, metavariables
-    allowed; "fo" first-order terms of ``base``, with no surface.
+    application; "so" equation sides of ``surface``, free terms in which a
+    metavariable applied to arguments is its ``Meta`` element applied to
+    them; "fo" first-order terms of ``base``, with no surface.
     """
 
     surface: SoSignature | None
@@ -371,7 +370,7 @@ class Elaborator:
             decl = self.metas[m - 1][1]
             if len(decl.ctx) != 0:
                 self._fail(node, f"metavariable {name} takes {len(decl.ctx)} arguments")
-            return MetaApp(m, ()), decl.sort
+            return CloneApp(Meta(m), decl.ctx, decl.sort, ()), decl.sort
         got = self._operator(node, name, [])
         if got is None:
             self._fail(node, f"unknown name {name!r}")
@@ -458,7 +457,7 @@ class Elaborator:
         if len(arg_nodes) != len(decl.ctx):
             self._fail(node, f"metavariable {name} takes {len(decl.ctx)} arguments")
         args = tuple(self.check(a, s) for a, s in zip(arg_nodes, decl.ctx))
-        return MetaApp(m, args), decl.sort
+        return CloneApp(Meta(m), decl.ctx, decl.sort, args), decl.sort
 
     def _operator(self, node, name, arg_nodes, expected=None):
         """Resolve an operator-headed chain, instantiating sort parameters

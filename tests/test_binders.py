@@ -51,18 +51,7 @@ from clonal.freealgebra import (
 )
 from clonal.jsonio import free_term_from_json, free_term_to_json
 from clonal.nbe import nbe_for
-from clonal.secondorder import (
-    MetaApp,
-    MetaContext,
-    MetaDecl,
-    SoOp,
-    SoSortError,
-    SoVar,
-    so_check_term,
-    so_rename,
-    so_subst,
-    stlc_presentation,
-)
+from clonal.secondorder import SoSortError, stlc_presentation
 from clonal.sorts import Context, Sort, SortVar, arrow
 from clonal.stlc import stlc_bool
 
@@ -75,7 +64,6 @@ TRUE = CloneApp(FoOp("true", (), ()), E, B, ())
 FALSE = CloneApp(FoOp("false", (), ()), E, B, ())
 ITE = FoOp("ite", (B,), (FoVar(1), FoVar(2), FoVar(3)))
 STLC = stlc_presentation()
-PSI = MetaContext((MetaDecl(E, B), MetaDecl(Context((B,)), B)))
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
@@ -88,14 +76,12 @@ def ctx(*sorts):
 # --------------------------------------------------------------------------
 
 
-def _build(draw, c, s, n, second_order):
+def _build(draw, c, s, n):
     """A term over context ``c`` at sort ``s`` of about ``n`` nodes, with
-    applications, abstractions and (free) clone elements or (second-order)
-    metavariables."""
-    Var, Op = (SoVar, SoOp) if second_order else (FreeVar, FreeOp)
-    leaves = [Var(i) for i in range(1, len(c) + 1) if c.sort_at(i) == s]
+    applications, abstractions and clone elements."""
+    leaves = [FreeVar(i) for i in range(1, len(c) + 1) if c.sort_at(i) == s]
     if s == B:
-        leaves += [MetaApp(1, ())] if second_order else [TRUE, FALSE]
+        leaves += [TRUE, FALSE]
     kinds = ["leaf"] if leaves else []
     if n >= 2:
         kinds += ["app"] + (["abs"] if s.args else []) + (["node"] if s == B else [])
@@ -106,31 +92,29 @@ def _build(draw, c, s, n, second_order):
         return draw(st.sampled_from(leaves))
     if kind == "abs":
         a, r = s.args
-        body = _build(draw, c + ctx(a), r, n - 1, second_order)
-        return Op("abs", (a, r), ((ctx(a), body),))
+        body = _build(draw, c + ctx(a), r, n - 1)
+        return FreeOp("abs", (a, r), ((ctx(a), body),))
     if kind == "app":
         a = draw(st.sampled_from(SORTS))
         k = draw(st.integers(1, max(1, n - 2)))
-        f = _build(draw, c, arrow(a, s), k, second_order)
-        x = _build(draw, c, a, max(1, n - 1 - k), second_order)
-        return Op("app", (a, s), ((E, f), (E, x)))
-    if second_order:
-        return MetaApp(2, (_build(draw, c, B, n - 1, second_order),))
+        f = _build(draw, c, arrow(a, s), k)
+        x = _build(draw, c, a, max(1, n - 1 - k))
+        return FreeOp("app", (a, s), ((E, f), (E, x)))
     if draw(st.booleans()):
-        args = tuple(_build(draw, c, B, max(1, (n - 1) // 3), False) for _ in range(3))
+        args = tuple(_build(draw, c, B, max(1, (n - 1) // 3)) for _ in range(3))
         return CloneApp(ITE, ctx(B, B, B), B, args)
-    return CloneApp(FoVar(2), ctx(BB, B), B, (_build(draw, c, BB, n - 1, False), TRUE))
+    return CloneApp(FoVar(2), ctx(BB, B), B, (_build(draw, c, BB, n - 1), TRUE))
 
 
 @st.composite
-def subst_cases(draw, second_order):
+def subst_cases(draw):
     """(t over Delta, a substitution Gamma -> Delta, a renaming Gamma -> Delta)."""
     delta = draw(st.sampled_from(CONTEXTS))
     s = draw(st.sampled_from(SORTS))
-    t = _build(draw, delta, s, draw(st.integers(1, 14)), second_order)
+    t = _build(draw, delta, s, draw(st.integers(1, 14)))
     gamma = draw(st.sampled_from(CONTEXTS)) + delta
     comps = tuple(
-        _build(draw, gamma, a, draw(st.integers(1, 6)), second_order) for a in delta
+        _build(draw, gamma, a, draw(st.integers(1, 6))) for a in delta
     )
     positions = [
         draw(st.sampled_from([j for j in range(1, len(gamma) + 1) if gamma.sort_at(j) == a]))
@@ -184,31 +168,6 @@ def ref_free_subst(t, sigma):
             ))
 
 
-def ref_so_rename(t, ren):
-    match t:
-        case SoVar(index=i):
-            return SoVar(ren.apply(i))
-        case MetaApp(index=i, args=args):
-            return MetaApp(i, tuple(ref_so_rename(a, ren) for a in args))
-        case SoOp(name=name, sort_args=sa, args=args):
-            return SoOp(name, sa, tuple(
-                (b, ref_so_rename(body, _ref_lift_renaming(ren, b))) for b, body in args
-            ))
-
-
-def ref_so_subst(t, sigma):
-    match t:
-        case SoVar(index=j):
-            return sigma.component(j)
-        case MetaApp(index=i, args=args):
-            return MetaApp(i, tuple(ref_so_subst(a, sigma) for a in args))
-        case SoOp(name=name, sort_args=sa, args=args):
-            return SoOp(name, sa, tuple(
-                (b, ref_so_subst(body, _ref_lift_subst(sigma, b, ref_so_rename, SoVar)))
-                for b, body in args
-            ))
-
-
 def raw_eq_plain(base, c, sort, t, u):
     """raw_eq without its shortcuts: every element pair goes to term_eq."""
     match (t, u):
@@ -239,24 +198,14 @@ def raw_eq_plain(base, c, sort, t, u):
 
 class TestLiftMatchesValidatedReference:
     @PROPERTY
-    @given(subst_cases(second_order=False))
+    @given(subst_cases())
     def test_free_subst_and_rename(self, case):
         t, sigma, ren = case
         assert free_subst(t, sigma) == ref_free_subst(t, sigma)
         assert free_rename(t, ren) == ref_free_rename(t, ren)
 
     @PROPERTY
-    @given(subst_cases(second_order=True))
-    def test_so_subst_and_rename(self, case):
-        t, sigma, ren = case
-        got = so_subst(t, sigma)
-        assert got == ref_so_subst(t, sigma)
-        assert so_rename(t, ren) == ref_so_rename(t, ren)
-        s = so_check_term(STLC.signature, PSI, sigma.target, t)
-        assert so_check_term(STLC.signature, PSI, sigma.source, got) == s
-
-    @PROPERTY
-    @given(subst_cases(second_order=False), st.sampled_from(CONTEXTS[1:]))
+    @given(subst_cases(), st.sampled_from(CONTEXTS[1:]))
     def test_every_lift_passes_the_public_checks(self, case, binder):
         _, sigma, ren = case
         other = binder + ctx(BB)
@@ -292,11 +241,11 @@ def beta_cases(draw):
     inner = c + ctx(a)
     if draw(st.booleans()):
         d = draw(st.sampled_from(SORTS))
-        body = _build(draw, inner + ctx(d), s, draw(st.integers(1, 12)), False)
+        body = _build(draw, inner + ctx(d), s, draw(st.integers(1, 12)))
         body = FreeOp("abs", (d, s), ((ctx(d), body),))
     else:
-        body = _build(draw, inner, s, draw(st.integers(1, 14)), False)
-    return c, a, body, _build(draw, c, a, draw(st.integers(1, 8)), False)
+        body = _build(draw, inner, s, draw(st.integers(1, 14)))
+    return c, a, body, _build(draw, c, a, draw(st.integers(1, 8)))
 
 
 class TestBetaInstantiation:
@@ -323,7 +272,7 @@ class TestBetaInstantiation:
         assert verdict.ok and verdict.lhs == redex and verdict.rhs == reduced
 
     @PROPERTY
-    @given(subst_cases(second_order=False))
+    @given(subst_cases())
     def test_identity_returns_the_same_object(self, case):
         t, sigma, _ = case
         delta = sigma.target

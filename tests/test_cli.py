@@ -580,8 +580,19 @@ class TestOptions:
         ("equal", 2000), ("enumerate", 5), ("adequacy", 5),
     ])
     def test_each_budget_has_its_own_default(self, command, default):
-        p = self._subparsers()[command]
-        assert p.get_default("budget") == default
+        # equal's budget is read only with --search, so its parser default
+        # is None and cmd_equal falls back to cli.SEARCH_BUDGET
+        got = self._subparsers()[command].get_default("budget")
+        assert (cli.SEARCH_BUDGET if got is None and command == "equal" else got) == default
+
+    def test_equal_budget_without_search_is_a_usage_error(self, capsys):
+        redex = "app (abs x. x) true"
+        code, out, err = run(capsys, "equal", redex, "true", "--budget", "0")
+        assert (code, out) == (2, "")
+        assert "--budget is the node budget of --search" in err
+        assert run(capsys, "equal", redex, "true", "--budget", "0", "--search")[:2] == (
+            3, "unknown\n")
+        assert run(capsys, "equal", redex, "true")[:2] == (0, "equal\n")
 
 
 class TestBundleFlag:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonal.clones import Substitution, VariableClone
+from clonal.clones import CloneError, Substitution, VariableClone
 from clonal.equality import NormalizationError, free_equal, norm, normalize_with_trace
 from clonal.firstorder import FoOp, FoVar, Verdict
 from clonal.freealgebra import (
@@ -27,7 +27,6 @@ from clonal.freealgebra import (
     check_free_derivation,
     enumerate_free_terms,
     fold_hom,
-    free_check_term,
     free_metasubst,
     free_size,
     free_subst,
@@ -35,11 +34,10 @@ from clonal.freealgebra import (
     unit_hom,
 )
 from clonal.secondorder import (
-    MetaApp,
+    Meta,
     MetaContext,
     MetaDecl,
-    SoOp,
-    SoVar,
+    free_check_term,
     interpret_term,
     stlc_presentation,
 )
@@ -323,13 +321,17 @@ class TestEquationInstances:
         free = stlc_bool()
 
         def lam(body, s):
-            return SoOp("abs", (B, s), ((ctx(B), body),))
+            return FreeOp("abs", (B, s), ((ctx(B), body),))
 
+        def m1(*args):
+            return CloneApp(Meta(1), ctx(B, B), B, args)
+
+        m2 = CloneApp(Meta(2), E, B, ())
         metactx = MetaContext((MetaDecl(ctx(B, B), B), MetaDecl(E, B)))
-        swapped = lam(lam(MetaApp(1, (SoVar(2), SoVar(1))), B), BB)
-        same = lam(lam(MetaApp(1, (SoVar(1), SoVar(2))), B), BB)
-        doubled = MetaApp(1, (MetaApp(2, ()), MetaApp(2, ())))
-        weakened = lam(lam(MetaApp(2, ()), B), BB)
+        swapped = lam(lam(m1(FreeVar(2), FreeVar(1)), B), BB)
+        same = lam(lam(m1(FreeVar(1), FreeVar(2)), B), BB)
+        doubled = m1(m2, m2)
+        weakened = lam(lam(m2, B), BB)
         pools = [enumerate_free_terms(free, ctx(B, B, B), B, max_size=3)[:8],
                  enumerate_free_terms(free, ctx(B), B, max_size=3)[:8]]
         for t in (swapped, same, doubled, weakened):
@@ -524,6 +526,12 @@ class TestEnumeration:
         free = stlc_bool()
         got = enumerate_free_terms(free, ctx(B), B, max_size=4)
         assert len(got) == len(set(got))
+
+    def test_limit_goes_with_max_depth_only(self):
+        free = stlc_bool()
+        assert len(enumerate_free_terms(free, ctx(B), B, max_depth=2, limit=3)) == 3
+        with pytest.raises(CloneError, match="max_size takes none"):
+            enumerate_free_terms(free, ctx(B), B, max_size=3, limit=3)
 
 
 class TestTermEq:

@@ -1,4 +1,6 @@
-"""Second-order terms: checking, substitution, metasubstitution, algebras."""
+"""Second-order presentations: equation sides, which are free terms over a
+metavariable context, their checking, substitution and metasubstitution;
+algebras."""
 
 import collections
 import dataclasses
@@ -17,37 +19,40 @@ from clonal.clones import (
     identity_renaming,
     weakening,
 )
+from clonal.firstorder import FoOp
+from clonal.freealgebra import FreeAlgebra, _free_subst, free_metasubst, free_rename, free_subst
 from clonal.secondorder import (
     Algebra,
     AlgebraProduct,
+    CloneApp,
+    FreeOp,
+    FreeSortError,
+    FreeVar,
     LambdaCalculus,
-    MetaApp,
+    Meta,
     MetaContext,
     MetaDecl,
     NotLambdaCalculus,
-    SoOp,
     SoOpSchema,
     SoPresentation,
     SoSignature,
-    SoSortError,
-    SoVar,
     algebra_product,
     algebra_terminal,
     check_algebra,
+    free_check_term,
     interpret_term,
-    so_check_term,
-    so_metasubst,
-    so_rename,
-    so_subst,
     stlc_presentation,
 )
 from clonal.sorts import Context, Sort, SortSet, SortVar, arrow
+from clonal.stlc import set_model, stlc_bool
+from clonal.theories import variables
 
 B = Sort("b")
 BB = arrow(B, B)
 STLC = stlc_presentation()
 SIG = STLC.signature
 EMPTY = Context(())
+FREE = FreeAlgebra(STLC, variables().clone)  # builds metasubstitution's operators
 
 
 def ctx(*sorts):
@@ -55,53 +60,84 @@ def ctx(*sorts):
 
 
 def app(f, a, s=(B, B)):
-    return SoOp("app", s, ((EMPTY, f), (EMPTY, a)))
+    return FreeOp("app", s, ((EMPTY, f), (EMPTY, a)))
 
 
 def abs_(body, s=(B, B)):
-    return SoOp("abs", s, ((ctx(s[0]), body),))
+    return FreeOp("abs", s, ((ctx(s[0]), body),))
 
 
-def meta(i, *args):
-    return MetaApp(i, tuple(args))
+def meta(psi, i, *args):
+    """Metavariable i of ``psi`` applied to ``args``, at its declaration."""
+    decl = psi.decl(i)
+    return CloneApp(Meta(i), decl.ctx, decl.sort, args)
 
 
 def mctx(*decls):
     return MetaContext(tuple(MetaDecl(c, s) for c, s in decls))
 
 
+def check(psi, c, t):
+    return free_check_term(psi, SIG, c, t)
+
+
 class TestCheckTerm:
     def test_eta_left_side_accepted(self):
         psi = mctx((EMPTY, BB))
-        t = abs_(app(meta(1), SoVar(1)))
-        assert so_check_term(SIG, psi, EMPTY, t) == BB
+        t = abs_(app(meta(psi, 1), FreeVar(1)))
+        assert check(psi, EMPTY, t) == BB
 
     def test_plain_variable(self):
-        assert so_check_term(SIG, MetaContext(), ctx(B), SoVar(1)) == B
+        assert check(MetaContext(), ctx(B), FreeVar(1)) == B
 
     def test_metaapp_wrong_arg_count_rejected(self):
         psi = mctx((ctx(B), B))
-        with pytest.raises(SoSortError):
-            so_check_term(SIG, psi, EMPTY, meta(1))  # declared with one parameter
+        with pytest.raises(FreeSortError, match="expects 1 arguments, got 0"):
+            check(psi, EMPTY, meta(psi, 1))  # declared with one parameter
 
     def test_binder_mismatch_rejected(self):
-        bad = SoOp("abs", (B, B), ((ctx(BB), SoVar(1)),))  # binds at the wrong sort
-        with pytest.raises(SoSortError):
-            so_check_term(SIG, MetaContext(), EMPTY, bad)
+        bad = FreeOp("abs", (B, B), ((ctx(BB), FreeVar(1)),))  # binds at the wrong sort
+        with pytest.raises(FreeSortError):
+            check(MetaContext(), EMPTY, bad)
 
     def test_error_path_points_into_term(self):
-        t = abs_(app(meta(1), SoVar(2)))  # x2 out of range under one binder
-        with pytest.raises(SoSortError) as e:
-            so_check_term(SIG, mctx((EMPTY, BB)), EMPTY, t)
+        psi = mctx((EMPTY, BB))
+        t = abs_(app(meta(psi, 1), FreeVar(2)))  # x2 out of range under one binder
+        with pytest.raises(FreeSortError) as e:
+            check(psi, EMPTY, t)
         assert e.value.path == (1, 2)
+
+    def test_metavariable_is_not_a_base_element(self):
+        free = stlc_bool()
+        t = abs_(CloneApp(Meta(1), EMPTY, B, ()))
+        with pytest.raises(FreeSortError) as e:
+            free.check(EMPTY, t)
+        assert e.value.path == (1,) and e.value.message.startswith("element m1 over <>")
+        with pytest.raises(FreeSortError):
+            free_check_term(free.base, SIG, EMPTY, t)
+
+    def test_metavariable_context_accepts_only_its_metavariables(self):
+        psi = mctx((ctx(B), B), (EMPTY, BB))
+        true = CloneApp(FoOp("true", (), ()), EMPTY, B, ())
+        with pytest.raises(FreeSortError, match="element true.* not a declared metavariable"):
+            check(psi, ctx(B), abs_(true))  # a base element
+        with pytest.raises(FreeSortError, match="m3 over"):
+            check(psi, EMPTY, CloneApp(Meta(3), EMPTY, B, ()))  # undeclared
+        wrong = CloneApp(Meta(1), ctx(BB), B, (abs_(FreeVar(1)),))  # m1 is over (b)
+        with pytest.raises(FreeSortError, match=r"m1 is declared over \[b\]") as e:
+            check(psi, EMPTY, app(abs_(FreeVar(1)), wrong))
+        assert e.value.path == (2,)
+        with pytest.raises(FreeSortError, match="element m2 has sort b => b, declared b"):
+            check(psi, EMPTY, CloneApp(Meta(2), EMPTY, B, ()))
+        assert check(psi, ctx(B), meta(psi, 1, meta(psi, 1, FreeVar(1)))) == B
 
 
 def enumerate_so_terms(metactx, context, sort, depth, binder_sorts=(B,)):
-    """STLC second-order terms of depth <= depth (test-local enumerator)."""
-    out = [SoVar(i) for i in range(1, len(context) + 1) if context.sort_at(i) == sort]
+    """STLC terms over ``metactx`` of depth <= depth (test-local enumerator)."""
+    out = [FreeVar(i) for i in range(1, len(context) + 1) if context.sort_at(i) == sort]
     for i, decl in enumerate(metactx, start=1):
         if decl.sort == sort and len(decl.ctx) == 0:
-            out.append(meta(i))
+            out.append(meta(metactx, i))
     if depth > 0:
         for i, decl in enumerate(metactx, start=1):
             if decl.sort == sort and len(decl.ctx) > 0:
@@ -110,58 +146,58 @@ def enumerate_so_terms(metactx, context, sort, depth, binder_sorts=(B,)):
                     for s in decl.ctx
                 ]
                 for combo in itertools.product(*pools):
-                    out.append(MetaApp(i, combo))
+                    out.append(meta(metactx, i, *combo))
         if sort.former == "=>":
             a, b = sort.args
             for body in enumerate_so_terms(metactx, context + ctx(a), b, depth - 1, binder_sorts):
-                out.append(SoOp("abs", (a, b), ((ctx(a), body),)))
+                out.append(FreeOp("abs", (a, b), ((ctx(a), body),)))
         for a in binder_sorts:
             fs = enumerate_so_terms(metactx, context, arrow(a, sort), depth - 1, binder_sorts)
             xs = enumerate_so_terms(metactx, context, a, depth - 1, binder_sorts)
             for f, x_ in itertools.product(fs, xs):
-                out.append(SoOp("app", (a, sort), ((EMPTY, f), (EMPTY, x_))))
+                out.append(FreeOp("app", (a, sort), ((EMPTY, f), (EMPTY, x_))))
     return list(dict.fromkeys(out))
 
 
 class TestSubst:
     def test_metavariable_clause(self):
         psi = mctx((ctx(B), B))
-        t = meta(1, SoVar(1))
-        a = abs_(SoVar(2))  # some replacement term over [b]
-        got = so_subst(t, Substitution(ctx(B), ctx(B), (a,)))
-        assert got == meta(1, a)
+        t = meta(psi, 1, FreeVar(1))
+        a = abs_(FreeVar(2))  # some replacement term over [b]
+        got = free_subst(t, Substitution(ctx(B), ctx(B), (a,)))
+        assert got == meta(psi, 1, a)
 
     def test_binder_weakens_components(self):
         # abs(y. app(x1, y)) with x1 := f becomes abs(y. app(f', y)) where
         # f' is f weakened under the binder.
-        t = abs_(app(SoVar(1), SoVar(2)))
-        f = abs_(SoVar(2))  # over [b], mentions the outer variable x1... use x2 under its own binder
-        got = so_subst(t, Substitution(ctx(B), ctx(BB), (f,)))
-        want_inner = so_rename(f, weakening(ctx(B), ctx(B)))
-        assert got == abs_(app(want_inner, SoVar(2)))
+        t = abs_(app(FreeVar(1), FreeVar(2)))
+        f = abs_(FreeVar(2))  # over [b], mentions the outer variable x1... use x2 under its own binder
+        got = free_subst(t, Substitution(ctx(B), ctx(BB), (f,)))
+        want_inner = free_rename(f, weakening(ctx(B), ctx(B)))
+        assert got == abs_(app(want_inner, FreeVar(2)))
 
     def test_identity_substitution_on_enumerated_terms(self):
         psi = mctx((EMPTY, B), (ctx(B), B))
         for context in (EMPTY, ctx(B), ctx(B, BB)):
             ident = Substitution(
-                context, context, tuple(SoVar(i) for i in range(1, len(context) + 1))
+                context, context, tuple(FreeVar(i) for i in range(1, len(context) + 1))
             )
             for sort in (B, BB):
                 for t in enumerate_so_terms(psi, context, sort, 2):
-                    assert so_subst(t, ident) == t
+                    assert _free_subst(t, ident) == t  # the walk, not the shortcut
 
     def test_rename_identity(self):
-        t = abs_(app(SoVar(1), SoVar(2)))
-        assert so_rename(t, identity_renaming(ctx(B))) == t
+        t = abs_(app(FreeVar(1), FreeVar(2)))
+        assert free_rename(t, identity_renaming(ctx(B))) == t
 
     def test_typed_after_subst(self):
         psi = mctx((EMPTY, B))
         context = ctx(B, BB)
         for sort in (B, BB):
             for t in enumerate_so_terms(psi, ctx(B), sort, 2):
-                sigma = Substitution(context, ctx(B), (SoVar(1),))
-                got = so_subst(t, sigma)
-                assert so_check_term(SIG, psi, context, got) == sort
+                sigma = Substitution(context, ctx(B), (FreeVar(1),))
+                got = free_subst(t, sigma)
+                assert check(psi, context, got) == sort
 
 
 class TestMetaSubst:
@@ -169,61 +205,58 @@ class TestMetaSubst:
         # t = M1(M2()) with M1 := (x. a(x)), M2 := b: the parameter slot of
         # a is filled by b.
         decls = mctx((ctx(B), B), (EMPTY, B))
-        t = meta(1, meta(2))
-        a = app(SoVar(1), SoVar(2))  # over gamma=[b=>b]... built below
-        # gamma = [b=>b]; M1 over gamma+[b]: app(x1, x2); M2 over gamma: app(x1, x1)? needs b arg
+        t = meta(decls, 1, meta(decls, 2))
         gamma = ctx(BB, B)
-        m1_body = app(SoVar(1), SoVar(3))  # over gamma + [b]
-        m2_body = app(SoVar(1), SoVar(2))  # over gamma
-        got = so_metasubst(t, gamma, (m1_body, m2_body), decls)
+        m1_body = app(FreeVar(1), FreeVar(3))  # over gamma + [b]
+        m2_body = app(FreeVar(1), FreeVar(2))  # over gamma
+        got = free_metasubst(FREE, t, decls, gamma, (m1_body, m2_body))
         # M1's parameter x3 is replaced by the metasubstituted M2()
-        assert got == app(SoVar(1), app(SoVar(1), SoVar(2)))
-        assert so_check_term(SIG, MetaContext(), gamma, got) == B
+        assert got == app(FreeVar(1), app(FreeVar(1), FreeVar(2)))
+        assert check(MetaContext(), gamma, got) == B
 
     def test_metvariable_free_term_is_padded_identity(self):
         gamma = ctx(B)
-        t = abs_(app(SoVar(2), SoVar(2)), (B, B))  # over Gamma' = [b=>b]... adjust
-        t = abs_(SoVar(2))  # over Gamma' = [b]: abs(y. x1) with x1 the primed var
-        got = so_metasubst(t, gamma, (), MetaContext())
+        t = abs_(FreeVar(2))  # over Gamma' = [b]: abs(y. x1) with x1 the primed var
+        got = free_metasubst(FREE, t, MetaContext(), gamma, ())
         # the primed variable x1 shifts past gamma to x2
-        assert got == abs_(SoVar(3))
+        assert got == abs_(FreeVar(3))
 
     def test_beta_axiom_instance(self):
         # Metasubstituting M1 := (x. t), M2 := u into app(abs(x. M1(x)), M2())
         # yields app(abs(x. t), u); computed by hand from the clauses.
         decls = mctx((ctx(B), B), (EMPTY, B))
-        lhs = app(abs_(meta(1, SoVar(1))), meta(2))
+        lhs = app(abs_(meta(decls, 1, FreeVar(1))), meta(decls, 2))
         gamma = ctx(BB, B)
-        t_body = app(SoVar(1), SoVar(3))  # over gamma + [b]
-        u = app(SoVar(1), SoVar(2))  # over gamma
-        got = so_metasubst(lhs, gamma, (t_body, u), decls)
+        t_body = app(FreeVar(1), FreeVar(3))  # over gamma + [b]
+        u = app(FreeVar(1), FreeVar(2))  # over gamma
+        got = free_metasubst(FREE, lhs, decls, gamma, (t_body, u))
         assert got == app(abs_(t_body), u)
 
     def test_beta_rhs_matches_substitution(self):
         # The beta right side M1(M2()) metasubstitutes to t[x := u].
         decls = mctx((ctx(B), B), (EMPTY, B))
-        rhs = meta(1, meta(2))
+        rhs = meta(decls, 1, meta(decls, 2))
         gamma = ctx(BB, B)
-        t_body = app(SoVar(1), SoVar(3))
-        u = app(SoVar(1), SoVar(2))
-        got = so_metasubst(rhs, gamma, (t_body, u), decls)
-        ident = tuple(SoVar(i) for i in range(1, 3))
-        want = so_subst(t_body, Substitution(gamma, gamma + ctx(B), ident + (u,)))
+        t_body = app(FreeVar(1), FreeVar(3))
+        u = app(FreeVar(1), FreeVar(2))
+        got = free_metasubst(FREE, rhs, decls, gamma, (t_body, u))
+        ident = tuple(FreeVar(i) for i in range(1, 3))
+        want = free_subst(t_body, Substitution(gamma, gamma + ctx(B), ident + (u,)))
         assert got == want
 
     def test_output_rechecks(self):
         decls = mctx((ctx(B), B), (EMPTY, B))
         gamma = ctx(BB, B)
-        t_body = app(SoVar(1), SoVar(3))
-        u = app(SoVar(1), SoVar(2))
+        t_body = app(FreeVar(1), FreeVar(3))
+        u = app(FreeVar(1), FreeVar(2))
         for template in (
-            app(abs_(meta(1, SoVar(1))), meta(2)),
-            meta(1, meta(2)),
-            abs_(meta(1, SoVar(1))),
+            app(abs_(meta(decls, 1, FreeVar(1))), meta(decls, 2)),
+            meta(decls, 1, meta(decls, 2)),
+            abs_(meta(decls, 1, FreeVar(1))),
         ):
-            so_check_term(SIG, decls, EMPTY, template)
-            got = so_metasubst(template, gamma, (t_body, u), decls)
-            assert so_check_term(SIG, MetaContext(), gamma, got) is not None
+            check(decls, EMPTY, template)
+            got = free_metasubst(FREE, template, decls, gamma, (t_body, u))
+            assert check(MetaContext(), gamma, got) is not None
 
 
 class TestPresentation:
@@ -239,8 +272,8 @@ class TestPresentation:
 
     def test_eta_left_side_shape(self):
         metactx, sort, lhs, rhs = STLC.equation("eta").instantiate((B, B))
-        assert lhs == abs_(app(meta(1), SoVar(1)))
-        assert rhs == meta(1)
+        assert lhs == abs_(app(meta(metactx, 1), FreeVar(1)))
+        assert rhs == meta(metactx, 1)
         assert sort == BB
 
     def test_well_formed_at_small_sorts(self):
@@ -252,14 +285,14 @@ class TestInterpret:
         alg = algebra_terminal(STLC)
         # In the terminal algebra every term is the point, so exercise the
         # variable clause through a product with itself via clone vars.
-        got = interpret_term(alg, SoVar(1), MetaContext(), ctx(B), ctx(B, B), ())
+        got = interpret_term(alg, FreeVar(1), MetaContext(), ctx(B), ctx(B, B), ())
         assert got == alg.clone.var(ctx(B, B, B), 3)
 
     def test_nullary_metavariable_is_weakened_component(self):
         alg = algebra_terminal(STLC)
         psi = mctx((EMPTY, B))
         sigma = (alg.clone.var(ctx(B), 1),)
-        got = interpret_term(alg, meta(1), psi, EMPTY, ctx(B), sigma)
+        got = interpret_term(alg, meta(psi, 1), psi, EMPTY, ctx(B), sigma)
         assert got == sigma[0]  # weakening is trivial in the terminal clone
 
 
@@ -363,11 +396,11 @@ def _renamed(pres, names):
     """``pres`` with its operators and equations renamed by ``names``, in
     their terms too."""
     def term(t):
-        if isinstance(t, SoOp):
-            return SoOp(names.get(t.name, t.name), t.sort_args,
-                        tuple((b, term(body)) for b, body in t.args))
-        if isinstance(t, MetaApp):
-            return MetaApp(t.index, tuple(term(a) for a in t.args))
+        if isinstance(t, FreeOp):
+            return FreeOp(names.get(t.name, t.name), t.sort_args,
+                          tuple((b, term(body)) for b, body in t.args))
+        if isinstance(t, CloneApp):
+            return CloneApp(t.element, t.arity_ctx, t.arity_sort, tuple(map(term, t.args)))
         return t
 
     ops = tuple(dataclasses.replace(o, name=names.get(o.name, o.name))
@@ -428,11 +461,8 @@ class TestLambdaCalculus:
         # the normalizers, the set model and the Kripke relation refuse;
         # equality answers only what syntax shows
         from clonal.equality import beta_step, free_equal, normalize_with_trace
-        from clonal.freealgebra import FreeAlgebra, FreeOp, FreeVar
         from clonal.induction import kripke_relation
         from clonal.nbe import check_normal, nbe_for, nbe_normalize
-        from clonal.stlc import set_model
-        from clonal.theories import variables
 
         bare = SoPresentation("bare", SIG, ())
         free = FreeAlgebra(bare, variables().clone)

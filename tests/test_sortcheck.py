@@ -1,7 +1,8 @@
-"""The shared sort checker (``clones.SortChecker``) of first-order,
-second-order and free terms, against the recursive checkers it replaced.
+"""The shared sort checker (``clones.SortChecker``) of first-order and free
+terms, against the recursive checkers it replaced.  Equation sides are free
+terms too, checked with their metavariable context as the base.
 
-The three recursive checkers are kept here as oracles.  Each corpus places
+The two recursive checkers are kept here as oracles.  Each corpus places
 one fault at every position of enumerated terms over the shipped
 presentations and bundles; on every case the loop must raise what the
 recursion raised, with the same message and path.  An unknown operator or
@@ -29,24 +30,17 @@ from clonal.firstorder import (
     global_state_presentation,
     monoid_presentation,
 )
-from clonal.freealgebra import (
+from clonal.freealgebra import enumerate_free_terms
+from clonal.secondorder import (
     CloneApp,
     FreeOp,
     FreeSortError,
     FreeVar,
-    _TermChecker,
-    enumerate_free_terms,
-    free_check_term,
-)
-from clonal.secondorder import (
-    MetaApp,
+    Meta,
     MetaContext,
     MetaDecl,
-    SoOp,
-    SoSortError,
-    SoVar,
-    _SoSorts,
-    so_check_term,
+    _TermChecker,
+    free_check_term,
     stlc_presentation,
 )
 from clonal.sorts import Context, Sort, arrow
@@ -88,48 +82,6 @@ def _fo_oracle(sig, ctx, t, path=()):
                     )
             return result
     raise FoSortError(f"not a first-order term: {t!r}", path)
-
-
-def _so_oracle(sig, metactx, ctx, t, path=()):
-    match t:
-        case SoVar(index=i):
-            if not 1 <= i <= len(ctx):
-                raise SoSortError(f"variable x{i} out of range for {ctx}", path)
-            return ctx.sort_at(i)
-        case MetaApp(index=i, args=args):
-            try:
-                decl = metactx.decl(i)
-            except IndexError:
-                raise SoSortError(f"metavariable m{i} not declared", path) from None
-            if len(args) != len(decl.ctx):
-                raise SoSortError(
-                    f"metavariable m{i} expects {len(decl.ctx)} arguments, got {len(args)}", path
-                )
-            for j, (a, want) in enumerate(zip(args, decl.ctx), start=1):
-                got = _so_oracle(sig, metactx, ctx, a, path + (j,))
-                if got != want:
-                    raise SoSortError(
-                        f"argument {j} of m{i} has sort {got}, expected {want}", path + (j,)
-                    )
-            return decl.sort
-        case SoOp(name=name, sort_args=sort_args, args=args):
-            arity = sig.arity(name, sort_args)
-            if len(args) != len(arity.binders):
-                raise SoSortError(f"operator {name} expects {len(arity.binders)} arguments", path)
-            for j, ((binder, body), (want_ctx, want_sort)) in enumerate(
-                zip(args, arity.binders), start=1
-            ):
-                if binder != want_ctx:
-                    raise SoSortError(
-                        f"argument {j} of {name} binds {binder}, declared {want_ctx}", path + (j,)
-                    )
-                got = _so_oracle(sig, metactx, ctx + binder, body, path + (j,))
-                if got != want_sort:
-                    raise SoSortError(
-                        f"argument {j} of {name} has sort {got}, expected {want_sort}", path + (j,)
-                    )
-            return arity.result
-    raise SoSortError(f"not a second-order term: {t!r}", path)
 
 
 def _free_oracle(base, sig, ctx, t, path=()):
@@ -182,11 +134,10 @@ def _free_oracle(base, sig, ctx, t, path=()):
 
 
 def _children(ctx, t):
-    """(child, child context) per argument of a node of any of the three
-    languages."""
-    if isinstance(t, (FoOp, MetaApp, CloneApp)):
+    """(child, child context) per argument of a node of either language."""
+    if isinstance(t, (FoOp, CloneApp)):
         return [(a, ctx) for a in t.args]
-    if isinstance(t, (SoOp, FreeOp)):
+    if isinstance(t, FreeOp):
         return [(body, ctx + binder) for binder, body in t.args]
     return []
 
@@ -194,8 +145,6 @@ def _children(ctx, t):
 def _with_args(t, args):
     if isinstance(t, FoOp):
         return FoOp(t.name, t.sort_args, args)
-    if isinstance(t, MetaApp):
-        return MetaApp(t.index, args)
     if isinstance(t, CloneApp):
         return CloneApp(t.element, t.arity_ctx, t.arity_sort, args)
     return type(t)(t.name, t.sort_args, args)
@@ -206,7 +155,7 @@ def _replace(t, path, new):
         return new
     i = path[0]
     args = list(t.args)
-    if isinstance(t, (SoOp, FreeOp)):
+    if isinstance(t, FreeOp):
         binder, body = args[i - 1]
         args[i - 1] = (binder, _replace(body, path[1:], new))
     else:
@@ -222,19 +171,25 @@ def _positions(ctx, t, path=()):
 
 def _local_faults(s, metactx_len):
     """Faults made at the node ``s`` itself: a wrong argument count, a wrong
-    binder, an undeclared metavariable and a bad base element."""
+    binder and a bad base element; at a metavariable, an undeclared one and
+    one applied at the wrong parameter context or result sort."""
     if getattr(s, "args", None):
         yield _with_args(s, s.args[:-1])
-    if isinstance(s, (SoOp, FreeOp)):
+    if isinstance(s, FreeOp):
         for i, (binder, body) in enumerate(s.args):
             args = list(s.args)
             args[i] = (binder + Context((B,)), body)
             yield _with_args(s, tuple(args))
-    if isinstance(s, MetaApp):
-        yield MetaApp(metactx_len + 1, s.args)
     if isinstance(s, CloneApp):
         for bad in (0, FoVar(len(s.arity_ctx) + 1)):
             yield CloneApp(bad, s.arity_ctx, s.arity_sort, s.args)
+    if isinstance(s, CloneApp) and type(s.element) is Meta:
+        actx, asort = s.arity_ctx, s.arity_sort
+        yield CloneApp(Meta(metactx_len + 1), actx, asort, s.args)
+        for wrong in (actx + Context((B,)), Context(tuple(arrow(a, a) for a in actx))):
+            if wrong != actx:
+                yield CloneApp(s.element, wrong, asort, s.args)
+        yield CloneApp(s.element, actx, arrow(asort, asort), s.args)
 
 
 def _corpus(ctx, t, var, pools, metactx_len=0):
@@ -255,7 +210,7 @@ def _arity_faults(ctx, t):
     """(path, term) with an unknown operator, or a wrong number of sort
     arguments, at each operator node of ``t``."""
     for path, _, s in _positions(ctx, t):
-        if isinstance(s, (FoOp, SoOp, FreeOp)):
+        if isinstance(s, (FoOp, FreeOp)):
             yield path, _replace(t, path, type(s)("nosuch", s.sort_args, s.args))
             yield path, _replace(t, path, type(s)(s.name, s.sort_args + (B,), s.args))
 
@@ -294,7 +249,7 @@ def _branch(t, e) -> str:
     if e.message.startswith(("argument", "clone argument")) and " has sort " in e.message:
         sub = t
         for i in e.path:
-            sub = sub.args[i - 1][1] if isinstance(sub, (SoOp, FreeOp)) else sub.args[i - 1]
+            sub = sub.args[i - 1][1] if isinstance(sub, FreeOp) else sub.args[i - 1]
         return "inner mismatch" if getattr(sub, "args", None) else "leaf mismatch"
     return "fault below" if e.path else "fault at root"
 
@@ -342,7 +297,7 @@ def _skeleton_sites(language) -> set:
 
 
 # --------------------------------------------------------------------------
-# The three corpora
+# The corpora
 # --------------------------------------------------------------------------
 
 
@@ -372,82 +327,76 @@ class TestFirstOrderCorpus:
         assert _skeleton_sites(FoSignature) - _raise_lines(SortChecker.bodies) <= seen
 
 
-def _so_terms(free, ctx, sort, size):
-    """Second-order terms read off enumerated free terms: the k-th distinct
+def _meta_terms(free, ctx, sort, size):
+    """Equation sides read off enumerated free terms: the k-th distinct
     (arity context, sort) of their clone applications becomes metavariable
     k, with that declaration."""
     decls: dict = {}
 
     def convert(t):
-        if isinstance(t, FreeVar):
-            return SoVar(t.index)
         if isinstance(t, CloneApp):
             k = decls.setdefault((t.arity_ctx, t.arity_sort), len(decls) + 1)
-            return MetaApp(k, tuple(map(convert, t.args)))
-        return SoOp(t.name, t.sort_args, tuple((b, convert(body)) for b, body in t.args))
+            return CloneApp(Meta(k), t.arity_ctx, t.arity_sort, tuple(map(convert, t.args)))
+        if isinstance(t, FreeOp):
+            return FreeOp(t.name, t.sort_args, tuple((b, convert(body)) for b, body in t.args))
+        return t
 
     terms = [convert(t) for t in enumerate_free_terms(free, ctx, sort, max_size=size)]
     return MetaContext(tuple(MetaDecl(c, s) for c, s in decls)), terms
 
 
-class TestSecondOrderCorpus:
-    def test_errors_and_paths_equal_the_recursive_checker(self):
-        seen: set = set()
-        cases = arity = 0
-        presentations = [stlc_presentation()] + [b.surface for b in BUNDLES]
-        subjects = []
-        for pres in presentations:  # the instantiated equation sides
-            for combo in itertools.product((B, BB), repeat=2):
-                for schema in pres.equations:
-                    metactx, _, lhs, rhs = schema.instantiate(combo[: len(schema.params)])
-                    subjects.append((pres.signature, metactx, E, [lhs, rhs]))
-        for c in CONTEXTS:  # free terms with their elements made metavariables
-            for sort in (B, BB):
-                metactx, terms = _so_terms(stlc_bool(), c, sort, 4)
-                subjects.append((stlc_presentation().signature, metactx, c, terms[:40]))
-        for sig, metactx, c, terms in subjects:
-            check, oracle = partial(so_check_term, sig, metactx), partial(_so_oracle, sig, metactx)
-            identity = SoOp("abs", (B, B), ((Context((B,)), SoVar(1)),))
-            mutants = [
-                (c, m) for t in terms
-                for m in _corpus(c, t, SoVar, lambda _: [identity], len(metactx))
-            ]
-            cases += _compare(check, oracle, mutants, seen)
-            faults = [(c, f) for t in terms for f in _arity_faults(c, t)]
-            arity += _assert_arity_faults(check, oracle, SoSortError, faults)
-        assert cases > 1000 and arity > 100
-        assert _skeleton_sites(_SoSorts) <= seen
-
-
 FREE_ALGEBRAS = [pure_stlc(), stlc_bool(), stlc_gs()] + [b.free for b in BUNDLES]
+
+
+def _free_subjects():
+    """("terms", ...) per free algebra, context and sort: its enumerated
+    terms, checked by the algebra, with its own terms as the pool; then
+    ("sides", ...): the instantiated equation sides of the shipped surfaces
+    and free terms with their elements made metavariables, checked over
+    their metavariable context, with one abstraction as the pool.  Each is
+    (kind, check, oracle, pools, metavariable count, context, terms)."""
+    for free in FREE_ALGEBRAS:
+        oracle = partial(_free_oracle, free.base, free.presentation.signature)
+        pool: dict = {}
+
+        def pools(c, free=free, pool=pool):
+            if c not in pool:
+                pool[c] = [t for s in (B, BB) for t in
+                           enumerate_free_terms(free, c, s, max_size=3)]
+            return pool[c]
+
+        for c in CONTEXTS:
+            for sort in (B, BB):
+                terms = enumerate_free_terms(free, c, sort, max_size=4)[:30]
+                yield "terms", free.check, oracle, pools, 0, c, terms
+    subjects = []
+    for pres in [stlc_presentation()] + [b.surface for b in BUNDLES]:
+        for combo in itertools.product((B, BB), repeat=2):
+            for schema in pres.equations:
+                metactx, _, lhs, rhs = schema.instantiate(combo[: len(schema.params)])
+                subjects.append((pres.signature, metactx, E, [lhs, rhs]))
+    for c in CONTEXTS:
+        for sort in (B, BB):
+            metactx, terms = _meta_terms(stlc_bool(), c, sort, 4)
+            subjects.append((stlc_presentation().signature, metactx, c, terms[:40]))
+    identity = FreeOp("abs", (B, B), ((Context((B,)), FreeVar(1)),))
+    for sig, metactx, c, terms in subjects:
+        check, oracle = partial(free_check_term, metactx, sig), partial(_free_oracle, metactx, sig)
+        yield "sides", check, oracle, lambda _: [identity], len(metactx), c, terms
 
 
 class TestFreeCorpus:
     def test_errors_and_paths_equal_the_recursive_checker(self):
         seen: set = set()
-        cases = arity = 0
-        for free in FREE_ALGEBRAS:
-            base, sig = free.base, free.presentation.signature
-            check = free.check
-            oracle = partial(_free_oracle, base, sig)
-            pool: dict = {}
-
-            def pools(c):
-                if c not in pool:
-                    pool[c] = [t for s in (B, BB) for t in
-                               enumerate_free_terms(free, c, s, max_size=3, limit=3)]
-                return pool[c]
-
-            for c in CONTEXTS:
-                for sort in (B, BB):
-                    terms = enumerate_free_terms(free, c, sort, max_size=4)[:30]
-                    mutants = [(c, m) for t in terms for m in _corpus(c, t, FreeVar, pools)]
-                    cases += _compare(check, oracle, mutants, seen)
-                    faults = [(c, f) for t in terms for f in _arity_faults(c, t)]
-                    arity += _assert_arity_faults(check, oracle, FreeSortError, faults)
-        assert cases > 1000 and arity > 100
-        assert _skeleton_sites(_TermChecker) <= seen
-
+        cases = {"terms": 0, "sides": 0}
+        arity = dict(cases)
+        for kind, check, oracle, pools, metas, c, terms in _free_subjects():
+            mutants = [(c, m) for t in terms for m in _corpus(c, t, FreeVar, pools, metas)]
+            cases[kind] += _compare(check, oracle, mutants, seen)
+            faults = [(c, f) for t in terms for f in _arity_faults(c, t)]
+            arity[kind] += _assert_arity_faults(check, oracle, FreeSortError, faults)
+        assert min(cases.values()) > 1000 and min(arity.values()) > 100
+        assert _skeleton_sites(_TermChecker) | _raise_lines(MetaContext.check) <= seen
 
 # --------------------------------------------------------------------------
 # Arity faults keep their path
@@ -471,9 +420,9 @@ class TestArityFaultsKeepTheirPath:
 
     def test_second_order(self):
         sig = stlc_presentation().signature
-        t = SoOp("abs", (B, B), ((Context((B,)), SoOp("nosuch", (), ((E, SoVar(1)),))),))
-        with pytest.raises(SoSortError) as e:
-            so_check_term(sig, MetaContext(), E, t)
+        t = FreeOp("abs", (B, B), ((Context((B,)), FreeOp("nosuch", (), ((E, FreeVar(1)),))),))
+        with pytest.raises(FreeSortError) as e:
+            free_check_term(MetaContext(), sig, E, t)
         assert str(e.value) == "unknown operator 'nosuch' (at path [1])"
 
     def test_free(self):
@@ -518,15 +467,16 @@ class TestDeepTerms:
 
     def test_second_order(self):
         sig = stlc_presentation().signature
-        identity = SoOp("abs", (B, B), ((Context((B,)), SoVar(1)),))
+        identity = FreeOp("abs", (B, B), ((Context((B,)), FreeVar(1)),))
 
         def step(t):
-            return SoOp("app", (B, B), ((E, identity), (E, t)))
+            return FreeOp("app", (B, B), ((E, identity), (E, t)))
 
         metactx = MetaContext((MetaDecl(E, B),))
-        assert so_check_term(sig, metactx, E, _chain(MetaApp(1, ()), step)) == B
-        with pytest.raises(SoSortError) as e:
-            so_check_term(sig, metactx, E, _chain(identity, step))
+        m1 = CloneApp(Meta(1), E, B, ())
+        assert free_check_term(metactx, sig, E, _chain(m1, step)) == B
+        with pytest.raises(FreeSortError) as e:
+            free_check_term(metactx, sig, E, _chain(identity, step))
         assert e.value.path == (2,) * DEPTH
         assert e.value.message == "argument 2 of app has sort b => b, expected b"
 
