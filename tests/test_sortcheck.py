@@ -348,55 +348,64 @@ def _meta_terms(free, ctx, sort, size):
 FREE_ALGEBRAS = [pure_stlc(), stlc_bool(), stlc_gs()] + [b.free for b in BUNDLES]
 
 
-def _free_subjects():
-    """("terms", ...) per free algebra, context and sort: its enumerated
-    terms, checked by the algebra, with its own terms as the pool; then
-    ("sides", ...): the instantiated equation sides of the shipped surfaces
-    and free terms with their elements made metavariables, checked over
-    their metavariable context, with one abstraction as the pool.  Each is
-    (kind, check, oracle, pools, metavariable count, context, terms)."""
-    for free in FREE_ALGEBRAS:
-        oracle = partial(_free_oracle, free.base, free.presentation.signature)
-        pool: dict = {}
-
-        def pools(c, free=free, pool=pool):
-            if c not in pool:
-                pool[c] = [t for s in (B, BB) for t in
-                           enumerate_free_terms(free, c, s, max_size=3)]
-            return pool[c]
-
-        for c in CONTEXTS:
-            for sort in (B, BB):
-                terms = enumerate_free_terms(free, c, sort, max_size=4)[:30]
-                yield "terms", free.check, oracle, pools, 0, c, terms
-    subjects = []
-    for pres in [stlc_presentation()] + [b.surface for b in BUNDLES]:
-        for combo in itertools.product((B, BB), repeat=2):
-            for schema in pres.equations:
-                metactx, _, lhs, rhs = schema.instantiate(combo[: len(schema.params)])
-                subjects.append((pres.signature, metactx, E, [lhs, rhs]))
-    for c in CONTEXTS:
-        for sort in (B, BB):
-            metactx, terms = _meta_terms(stlc_bool(), c, sort, 4)
-            subjects.append((stlc_presentation().signature, metactx, c, terms[:40]))
-    identity = FreeOp("abs", (B, B), ((Context((B,)), FreeVar(1)),))
-    for sig, metactx, c, terms in subjects:
-        check, oracle = partial(free_check_term, metactx, sig), partial(_free_oracle, metactx, sig)
-        yield "sides", check, oracle, lambda _: [identity], len(metactx), c, terms
-
-
 class TestFreeCorpus:
     def test_errors_and_paths_equal_the_recursive_checker(self):
         seen: set = set()
-        cases = {"terms": 0, "sides": 0}
-        arity = dict(cases)
-        for kind, check, oracle, pools, metas, c, terms in _free_subjects():
-            mutants = [(c, m) for t in terms for m in _corpus(c, t, FreeVar, pools, metas)]
-            cases[kind] += _compare(check, oracle, mutants, seen)
+        cases = arity = 0
+        for free in FREE_ALGEBRAS:
+            check = free.check
+            oracle = partial(_free_oracle, free.base, free.presentation.signature)
+            pool: dict = {}
+
+            def pools(c):
+                if c not in pool:
+                    pool[c] = [t for s in (B, BB) for t in
+                               enumerate_free_terms(free, c, s, max_size=3)]
+                return pool[c]
+
+            for c in CONTEXTS:
+                for sort in (B, BB):
+                    terms = enumerate_free_terms(free, c, sort, max_size=4)[:30]
+                    mutants = [(c, m) for t in terms for m in _corpus(c, t, FreeVar, pools)]
+                    cases += _compare(check, oracle, mutants, seen)
+                    faults = [(c, f) for t in terms for f in _arity_faults(c, t)]
+                    arity += _assert_arity_faults(check, oracle, FreeSortError, faults)
+        assert cases > 1000 and arity > 100
+        assert _skeleton_sites(_TermChecker) <= seen
+
+
+class TestSecondOrderCorpus:
+    """Equation sides: free terms checked by the same checker with their
+    metavariable context as the base, against the free oracle over it."""
+
+    def test_errors_and_paths_equal_the_recursive_checker(self):
+        seen: set = set()
+        cases = arity = 0
+        presentations = [stlc_presentation()] + [b.surface for b in BUNDLES]
+        subjects = []
+        for pres in presentations:  # the instantiated equation sides
+            for combo in itertools.product((B, BB), repeat=2):
+                for schema in pres.equations:
+                    metactx, _, lhs, rhs = schema.instantiate(combo[: len(schema.params)])
+                    subjects.append((pres.signature, metactx, E, [lhs, rhs]))
+        for c in CONTEXTS:  # free terms with their elements made metavariables
+            for sort in (B, BB):
+                metactx, terms = _meta_terms(stlc_bool(), c, sort, 4)
+                subjects.append((stlc_presentation().signature, metactx, c, terms[:40]))
+        identity = FreeOp("abs", (B, B), ((Context((B,)), FreeVar(1)),))
+        for sig, metactx, c, terms in subjects:
+            check = partial(free_check_term, metactx, sig)
+            oracle = partial(_free_oracle, metactx, sig)
+            mutants = [
+                (c, m) for t in terms
+                for m in _corpus(c, t, FreeVar, lambda _: [identity], len(metactx))
+            ]
+            cases += _compare(check, oracle, mutants, seen)
             faults = [(c, f) for t in terms for f in _arity_faults(c, t)]
-            arity[kind] += _assert_arity_faults(check, oracle, FreeSortError, faults)
-        assert min(cases.values()) > 1000 and min(arity.values()) > 100
+            arity += _assert_arity_faults(check, oracle, FreeSortError, faults)
+        assert cases > 1000 and arity > 100
         assert _skeleton_sites(_TermChecker) | _raise_lines(MetaContext.check) <= seen
+
 
 # --------------------------------------------------------------------------
 # Arity faults keep their path
